@@ -16,18 +16,17 @@ from .boundary import (BoundaryStrategy, BoundaryValues,
                        new_boundary_node_values)
 from .data import (DataSet, PeaksSpec, ingest, peaks_generate, peaks_grad,
                    peaks_laplacian, peaks_value)
-from .driver import IterationRecord, RunConfig, refine_wave, run
+from .driver import IterationRecord, RunConfig, run
 from .gcv import GcvConfig, gcv_score, select_alpha
 from .indicators import (IndicatorField, auxiliary_indicator, mark,
                          recovery_indicator)
-from .mesh import (TriMesh, bisect, build_square_mesh, load_mesh,
-                   load_polygon, locate, mesh_polygon, near_boundary_ratio,
-                   save_mesh, save_polygon, trim_to_irregular, uniform_refine)
+from .mesh import (TriMesh, build_square_mesh, load_mesh, load_polygon,
+                   mesh_polygon, save_mesh, save_polygon, trim_to_irregular)
 from .rbf import (ControlPointPlan, CsrbfModel, choose_rho, fit_csrbf,
                   fit_global_tps, report_sparsity, snap_control_points)
 from .report import RunReport, merge_reports_csv, read_report
 from .solver import (Smoother, build_system, evaluate, evaluate_grad,
-                     max_abs_residual, rmse, solve)
+                     max_abs_residual, rmse)
 from .tps import SamplePlan, TpsModel, fit_tps, sample, select_alpha_tps
 
 __version__ = "0.1.0"
@@ -37,16 +36,16 @@ __all__ = [
     "DataSet", "FemSystem", "GcvConfig", "IndicatorField", "IterationRecord",
     "PeaksSpec", "RunConfig", "RunReport", "SamplePlan", "Smoother",
     "TpsModel", "TriMesh",
-    "assemble_A_d", "assemble_G", "assemble_L", "basis_eval", "bisect",
+    "assemble_A_d", "assemble_G", "assemble_L", "basis_eval",
     "boundary_values_from_callables", "build_square_mesh", "build_system",
     "choose_rho", "constant_boundary_values", "evaluate", "evaluate_grad",
     "fit_csrbf", "fit_global_tps", "fit_tps", "gcv_score",
     "initial_boundary_values", "ingest", "load_mesh", "load_polygon",
-    "locate", "mark", "max_abs_residual", "merge_reports_csv", "mesh_polygon",
-    "near_boundary_ratio", "new_boundary_node_values", "peaks_generate",
+    "mark", "max_abs_residual", "merge_reports_csv", "mesh_polygon",
+    "new_boundary_node_values", "peaks_generate",
     "peaks_grad", "peaks_laplacian", "peaks_value", "read_report",
-    "recovery_indicator", "auxiliary_indicator", "refine_wave",
+    "recovery_indicator", "auxiliary_indicator",
     "report_sparsity", "rmse", "run", "sample", "save_mesh", "save_polygon",
-    "select_alpha", "select_alpha_tps", "snap_control_points", "solve",
-    "trim_to_irregular", "uniform_refine",
+    "select_alpha", "select_alpha_tps", "snap_control_points",
+    "trim_to_irregular",
 ]

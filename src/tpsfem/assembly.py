@@ -5,7 +5,7 @@ the basis gradients are constant and ``integral(b_p) = T / 3``, so the
 stiffness, gradient and data-projection matrices are exact.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -15,28 +15,13 @@ from .exceptions import DegenerateTriangle, NoDataInDomain, OutsideTriangle
 AREA_TOL = 1e-14
 
 
-def _tri_geometry(mesh):
-    """Vertex ids, signed areas and gradient coefficients for all triangles.
-
-    Returns (tri_ids, verts (m,3), area (m,), gx (m,3), gy (m,3)) where
-    (gx, gy) are the constant gradients of the three local basis functions.
-    """
-    ids = np.fromiter(mesh.tris.keys(), dtype=np.int64)
-    verts = np.array([mesh.tris[t] for t in ids], dtype=np.int64)
-    pts = mesh.points
-    x = pts[:, 0][verts]
-    y = pts[:, 1][verts]
-    # b_i = y_j - y_k, c_i = x_k - x_j  (cyclic), grad b_i = (b_i, c_i) / (2T)
-    bcoef = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    ccoef = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-                  - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
-    if np.any(area < AREA_TOL):
-        bad = ids[area < AREA_TOL]
+def _checked_table(mesh):
+    """The mesh's triangle table; raises DegenerateTriangle on slivers."""
+    tab = mesh.tri_table
+    if np.any(tab.area < AREA_TOL):
+        bad = tab.ids[tab.area < AREA_TOL]
         raise DegenerateTriangle(f"triangles {bad[:5].tolist()} have area < {AREA_TOL}")
-    gx = bcoef / (2.0 * area[:, None])
-    gy = ccoef / (2.0 * area[:, None])
-    return ids, verts, area, gx, gy
+    return tab
 
 
 def basis_eval(mesh, tri_id, p):
@@ -48,21 +33,18 @@ def basis_eval(mesh, tri_id, p):
         ``values`` is the length-3 array of basis values (summing to 1) and
         ``grads`` the 2x3 table of constant basis gradients.
     """
-    bary = mesh.tri_bary(tri_id, p)
+    tab = mesh.tri_table
+    r = tab.rows(tri_id)
+    bary = tab.bary([r], np.asarray(p, dtype=float).reshape(1, 2))[0]
     if bary.min() < -1e-12:
         raise OutsideTriangle(f"point {p} outside triangle {tri_id}")
-    pts = mesh.points[list(mesh.tris[tri_id])]
-    x, y = pts[:, 0], pts[:, 1]
-    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
-    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
-    grads = np.vstack([b, c]) / (2.0 * area)
-    return bary, grads
+    return bary, np.vstack([tab.gx[r], tab.gy[r]])
 
 
 def assemble_L(mesh):
     """Stiffness matrix L_pq = integral of grad(b_p) . grad(b_q)."""
-    _, verts, area, gx, gy = _tri_geometry(mesh)
+    tab = _checked_table(mesh)
+    verts, area, gx, gy = tab.verts, tab.area, tab.gx, tab.gy
     n = mesh.n_nodes
     # element matrix: T * (gx gx^T + gy gy^T)
     elem = area[:, None, None] * (gx[:, :, None] * gx[:, None, :]
@@ -78,9 +60,10 @@ def assemble_G(mesh, j):
     """Gradient matrix (G_j)_pq = integral of b_p * d(b_q)/dx_j."""
     if j not in (1, 2):
         raise ValueError("j must be 1 or 2")
-    _, verts, area, gx, gy = _tri_geometry(mesh)
+    tab = _checked_table(mesh)
+    verts, area = tab.verts, tab.area
     n = mesh.n_nodes
-    g = gx if j == 1 else gy
+    g = tab.gx if j == 1 else tab.gy
     # integral(b_p) = T/3, d_j b_q constant: element entry (p, q) = T/3 * g_q
     elem = (area[:, None] / 3.0)[:, :, None] * np.ones((1, 3, 1)) * g[:, None, :]
     rows = np.repeat(verts, 3, axis=1).ravel()
@@ -114,31 +97,14 @@ class Located:
     def n_used(self):
         return len(self.indices)
 
-    def points_by_tri(self):
-        """Map triangle id -> list of located data indices (positions in arrays)."""
-        out = {}
-        for pos, t in enumerate(self.tri_ids):
-            out.setdefault(int(t), []).append(pos)
-        return out
-
 
 def locate_dataset(mesh, data):
     """Locate every data point; points outside the mesh are dropped."""
-    idx, tids, nodes, bary = [], [], [], []
-    for i, p in enumerate(np.asarray(data.x, dtype=float)):
-        t = mesh.locate(p)
-        if t is None:
-            continue
-        idx.append(i)
-        tids.append(t)
-        nodes.append(mesh.tris[t])
-        bary.append(mesh.tri_bary(t, p))
-    dropped = len(data) - len(idx)
-    if not idx:
-        return Located(np.empty(0, dtype=int), np.empty(0, dtype=int),
-                       np.empty((0, 3), dtype=int), np.empty((0, 3)), dropped)
-    return Located(np.asarray(idx), np.asarray(tids),
-                   np.asarray(nodes), np.asarray(bary), dropped)
+    ids, bary = mesh.locate(data.x)
+    idx = np.flatnonzero(ids >= 0)
+    tab = mesh.tri_table
+    return Located(idx, ids[idx], tab.verts[tab.rows(ids[idx])], bary[idx],
+                   len(data) - len(idx))
 
 
 def assemble_A_d(mesh, data, located=None):

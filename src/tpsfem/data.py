@@ -101,7 +101,7 @@ def ingest(path, fmt="csv_xyz"):
 
     The first three numeric columns are x1, x2, y; extra columns are
     ignored.  Raises ParseError with the offending line number on malformed
-    rows and DegenerateExtent when the bounding box has zero width.
+    rows or non-finite values (``nan``, ``inf``) and DegenerateExtent when the bounding box has zero width.
     """
     if fmt != "csv_xyz":
         raise ValueError(f"unknown format {fmt!r}")
@@ -122,6 +122,9 @@ def ingest(path, fmt="csv_xyz"):
                 if lineno == 1:
                     continue  # header row
                 raise ParseError("fewer than 3 numeric columns", line=lineno)
+            if not np.all(np.isfinite(vals[:3])):
+                raise ParseError("non-finite value in the first 3 columns",
+                                 line=lineno)
             rows.append(vals[:3])
     if not rows:
         raise ParseError("no data rows found")

@@ -23,7 +23,8 @@ from .data import DataSet
 from .exceptions import EmptyField, ZeroInterior
 from .gcv import GcvConfig, select_alpha
 from .indicators import (auxiliary_field, auxiliary_indicator, locate_by_tri,
-                         mark, recovery_field, recovery_indicator)
+                         mark, raise_to_base_edges, recovery_field,
+                         recovery_indicator)
 from .mesh import build_square_mesh, mesh_polygon, trim_to_irregular
 from .solver import Smoother, build_system, max_abs_residual, rmse
 from .tps import SamplePlan, fit_tps, sample, select_alpha_tps
@@ -187,22 +188,15 @@ def _refresh_field(field, kind, mesh, smoother, data, alpha, by_tri,
     for eid in [e for e in field.values if e not in mesh.edges]:
         del field.values[eid]
     if kind == "recovery":
-        for t in mesh.tris:
-            if t < new_tri_floor:
-                continue
-            eta = recovery_indicator(smoother, t)
-            eid = mesh.base_edge_of(t)
-            field.values[eid] = max(field.values.get(eid, 0.0), eta)
+        ids = mesh.tri_table.ids
+        ids = ids[ids >= new_tri_floor]
+        raise_to_base_edges(field.values, mesh, ids,
+                            recovery_indicator(smoother, ids))
     else:
         for eid in mesh.refinable_edges():
             if eid not in field.values:
                 field.values[eid] = auxiliary_indicator(
                     smoother, data, eid, alpha, by_tri)
-
-
-def refine_wave(mesh, marked_edges):
-    """Bisect each marked edge (ids consumed by recursion are skipped)."""
-    return mesh.refine_wave(marked_edges)
 
 
 def run(data, cfg=None):

@@ -4,7 +4,7 @@ import numpy as np
 
 from .data import (PeaksSpec, peaks_generate, peaks_grad, peaks_laplacian,
                    peaks_value)
-from .tps import SamplePlan, coverage_gap, fit_tps, sample, select_alpha_tps
+from .tps import SamplePlan, fit_tps, sample, select_alpha_tps
 
 
 def _band_plan(strategy, count, spec):
@@ -67,20 +67,4 @@ def experiment_boundary_accuracy(seeds=(0,), nhat_grid=(100, 200, 300, 400, 600)
                                           strategies=strategies, spec=spec):
             row = dict(row, seed=int(seed))
             rows.append(row)
-    return rows
-
-
-def sampling_gap_comparison(seeds=range(10), count=500, spec=None):
-    """Coverage gap of quadtree vs random subsamples, one row per seed."""
-    spec = spec or PeaksSpec()
-    rows = []
-    for seed in seeds:
-        data = peaks_generate(spec, seed=seed)
-        q = sample(data, SamplePlan("quadtree", count=count), seed=seed)
-        r = sample(data, SamplePlan("random", count=count), seed=seed)
-        rows.append({
-            "seed": int(seed),
-            "quadtree_gap": coverage_gap(q.x, data.x),
-            "random_gap": coverage_gap(r.x, data.x),
-        })
     return rows

@@ -33,61 +33,29 @@ class IndicatorField:
     kind: str
 
 
-def _tri_gradient(mesh, c, t):
-    """Constant gradient of the piecewise linear surface on triangle ``t``."""
-    nodes = list(mesh.tris[t])
-    pts = mesh.points[nodes]
-    x, y = pts[:, 0], pts[:, 1]
-    area2 = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
-    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
-    cc = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    vals = c[nodes]
-    return np.array([b @ vals, cc @ vals]) / area2
+def recovery_indicator(s, tri_ids):
+    """Element indicators of triangles ``tri_ids`` from the recovered gradient.
 
-
-def _recovered_gradient(mesh, c, node):
-    """Lumped-mass projection of the surface gradient at one node."""
-    num = np.zeros(2)
-    den = 0.0
-    for t in mesh.node_tris[node]:
-        a = mesh.tri_area(t)
-        num += (a / 3.0) * _tri_gradient(mesh, c, t)
-        den += a / 3.0
-    return num / den
-
-
-def recovery_indicator(s, tri_id):
-    """Element indicator from the recovered-gradient difference.
-
-    Pure function of (mesh, c); uses only mesh values, no data access.
+    The nodal gradient is the lumped-mass L2 projection of the piecewise
+    constant surface gradient; each indicator is the exact L2 norm over its
+    triangle of the difference between that recovered (linear) gradient and
+    the triangle's constant one.  Pure function of (mesh, c); returns a
+    (k,) array.
     """
-    mesh = s.mesh
-    g = _tri_gradient(mesh, s.c, tri_id)
-    nodes = list(mesh.tris[tri_id])
-    d = np.array([_recovered_gradient(mesh, s.c, n) for n in nodes]) - g
-    area = mesh.tri_area(tri_id)
+    tab = s.mesh.tri_table
+    grad = tab.gradients(s.c)
+    mass = tab.area / 3.0
+    num = np.zeros((s.mesh.n_nodes, 2))
+    den = np.zeros(s.mesh.n_nodes)
+    np.add.at(num, tab.verts, (mass[:, None] * grad)[:, None, :])
+    np.add.at(den, tab.verts, mass[:, None])
+    rows = tab.rows(tri_ids)
+    nodes = tab.verts[rows]
+    d = num[nodes] / den[nodes, None] - grad[rows, None, :]
     # exact integral of a linear field squared: T/12 * ((sum d)^2 + sum d^2)
-    total = 0.0
-    for k in range(2):
-        dk = d[:, k]
-        total += (area / 12.0) * (dk.sum() ** 2 + (dk ** 2).sum())
-    return float(np.sqrt(total))
-
-
-def consistent_mass_recovered_gradients(mesh, c):
-    """Consistent-mass L2 projection of the gradient (dense test oracle)."""
-    n = mesh.n_nodes
-    M = np.zeros((n, n))
-    rhs = np.zeros((n, 2))
-    for t in mesh.tris:
-        nodes = list(mesh.tris[t])
-        a = mesh.tri_area(t)
-        g = _tri_gradient(mesh, c, t)
-        local = (a / 12.0) * (np.ones((3, 3)) + np.eye(3))
-        M[np.ix_(nodes, nodes)] += local
-        for i in nodes:
-            rhs[i] += (a / 3.0) * g
-    return np.linalg.solve(M, rhs)
+    per_axis = (tab.area[rows, None] / 12.0) * (d.sum(axis=1) ** 2
+                                               + (d ** 2).sum(axis=1))
+    return np.sqrt(per_axis.sum(axis=1))
 
 
 # -- auxiliary problem ---------------------------------------------------------
@@ -123,12 +91,8 @@ def auxiliary_indicator(s, data, edge_id, alpha, located_by_tri=None):
     mesh = s.mesh
     patch, seed = _patch_triangles(mesh, edge_id)
     if located_by_tri is None:
-        located_by_tri = {}
-        for i, p in enumerate(np.asarray(data.x, dtype=float)):
-            t = mesh.locate(p)
-            if t is not None and t in patch:
-                located_by_tri.setdefault(t, []).append(i)
-    pt_idx = [i for t in patch for i in located_by_tri.get(t, [])]
+        located_by_tri = locate_by_tri(mesh, data)
+    pt_idx = [i for t in patch for i in located_by_tri.get(t, ())]
     if not pt_idx:
         return 0.0
     local, node_map, tri_map = mesh.copy_submesh(patch)
@@ -164,15 +128,14 @@ def auxiliary_indicator(s, data, edge_id, alpha, located_by_tri=None):
         while stack:
             t = stack.pop()
             if t in local.tris:
-                descendants.append((t0, t))
+                descendants.append(t)
             else:
                 stack.extend(c for c, p in local.tri_parent.items() if p == t)
-    total = 0.0
-    for t0, t in descendants:
-        gs = _tri_gradient(local, vals["c"], t)   # global surface, linear on t
-        gh = _tri_gradient(local, shat.c, t)
-        total += local.tri_area(t) * float(np.sum((gh - gs) ** 2))
-    return float(np.sqrt(total))
+    tab = local.tri_table
+    rows = tab.rows(descendants)
+    # the global surface is linear on every descendant triangle
+    diff = tab.gradients(shat.c - vals["c"])[rows]
+    return float(np.sqrt(np.sum(tab.area[rows] * np.sum(diff ** 2, axis=1))))
 
 
 # -- field construction and marking ---------------------------------------------
@@ -180,13 +143,17 @@ def auxiliary_indicator(s, data, edge_id, alpha, located_by_tri=None):
 
 def recovery_field(s):
     """Element indicators mapped to base edges (max over incident triangles)."""
-    mesh = s.mesh
     values = {}
-    for t in mesh.tris:
-        eta = recovery_indicator(s, t)
+    ids = s.mesh.tri_table.ids
+    raise_to_base_edges(values, s.mesh, ids, recovery_indicator(s, ids))
+    return IndicatorField(values=values, kind="recovery")
+
+
+def raise_to_base_edges(values, mesh, tri_ids, etas):
+    """Raise ``values[base edge of t]`` to at least ``eta`` for every pair."""
+    for t, eta in zip(tri_ids.tolist(), etas.tolist()):
         eid = mesh.base_edge_of(t)
         values[eid] = max(values.get(eid, 0.0), eta)
-    return IndicatorField(values=values, kind="recovery")
 
 
 def auxiliary_field(s, data, alpha, located_by_tri=None):
@@ -201,13 +168,12 @@ def auxiliary_field(s, data, alpha, located_by_tri=None):
 
 
 def locate_by_tri(mesh, data):
-    """Map triangle id -> list of data indices located inside it."""
-    out = {}
-    for i, p in enumerate(np.asarray(data.x, dtype=float)):
-        t = mesh.locate(p)
-        if t is not None:
-            out.setdefault(t, []).append(i)
-    return out
+    """Map triangle id -> ascending array of data indices located inside it."""
+    ids, _ = mesh.locate(data.x)
+    idx = np.flatnonzero(ids >= 0)
+    idx = idx[np.argsort(ids[idx], kind="stable")]
+    tris, first = np.unique(ids[idx], return_index=True)
+    return dict(zip(tris.tolist(), np.split(idx, first[1:])))
 
 
 def mark(field, fraction_cap=0.5):

@@ -25,6 +25,55 @@ BARY_TOL = 1e-12
 NewNode = namedtuple("NewNode", ["node", "parent_a", "parent_b", "boundary"])
 
 
+class TriTable(namedtuple("TriTable",
+                          ["ids", "verts", "x", "y", "area", "gx", "gy"])):
+    """Geometry of every alive triangle, one row per triangle in id order.
+
+    Attributes
+    ----------
+    ids : (m,) ndarray
+        Triangle ids, ascending.
+    verts : (m, 3) ndarray
+        Vertex triples as stored in ``TriMesh.tris``.
+    x, y : (m, 3) ndarray
+        Vertex coordinates.
+    area : (m,) ndarray
+        Signed areas (positive for counter-clockwise triangles).
+    gx, gy : (m, 3) ndarray
+        Constant gradients of the three local basis functions.
+    """
+    __slots__ = ()
+
+    def rows(self, ids):
+        """Rows of the triangles ``ids``; KeyError for ids of no alive triangle."""
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = np.searchsorted(self.ids, ids)
+        found = np.append(self.ids, -1)[rows] == ids
+        if not np.all(found):
+            raise KeyError(f"no alive triangle with id {ids[~found][0]}")
+        return rows
+
+    def bary(self, rows, points):
+        """Barycentric coordinates of ``points[k]`` in the triangle of row ``rows[k]``."""
+        x0, y0 = self.x[rows, 0], self.y[rows, 0]
+        v0x, v0y = self.x[rows, 1] - x0, self.y[rows, 1] - y0
+        v1x, v1y = self.x[rows, 2] - x0, self.y[rows, 2] - y0
+        v2x, v2y = points[:, 0] - x0, points[:, 1] - y0
+        del x0, y0  # large batches: the live temporaries set the peak memory
+        den = v0x * v1y - v0y * v1x
+        out = np.empty((len(den), 3))
+        np.divide(v2x * v1y - v2y * v1x, den, out=out[:, 1])
+        np.divide(v0x * v2y - v0y * v2x, den, out=out[:, 2])
+        out[:, 0] = 1.0 - out[:, 1] - out[:, 2]
+        return out
+
+    def gradients(self, values):
+        """(m, 2) constant gradient of the linear interpolant of nodal ``values``."""
+        v = np.asarray(values, dtype=float)[self.verts]
+        return np.column_stack([(self.gx * v).sum(axis=1),
+                                (self.gy * v).sum(axis=1)])
+
+
 class TriMesh:
     """Mutable conforming triangular mesh with newest-node labels.
 
@@ -59,6 +108,7 @@ class TriMesh:
         self._version = 0
         self._locator = None
         self._points_cache = None
+        self._table = None
 
     # -- construction ------------------------------------------------------
 
@@ -83,11 +133,15 @@ class TriMesh:
             raise ValueError("non-finite node coordinates")
         for x, y in pts:
             mesh._add_node(float(x), float(y), boundary=False, parents=None)
-        for tri, nw in zip(np.asarray(triangles, dtype=int), np.asarray(newest, dtype=int)):
-            order = [tri[(nw + 1) % 3], tri[(nw + 2) % 3], tri[nw]]
-            a, b, v = (int(i) for i in order)
-            if _signed_area(pts[a], pts[b], pts[v]) < 0:
-                a, b = b, a
+        # (a, b, v) with the newest node v last, then a and b swapped on
+        # clockwise triangles
+        nw = np.asarray(newest, dtype=int).reshape(-1, 1)
+        abv = np.take_along_axis(np.asarray(triangles, dtype=int).reshape(-1, 3),
+                                 (nw + [1, 2, 0]) % 3, axis=1)
+        (ax, ay), (bx, by), (vx, vy) = pts[abv].transpose(1, 2, 0)
+        cw = (bx - ax) * (vy - ay) - (by - ay) * (vx - ax) < 0
+        abv[cw, :2] = abv[cw, 1::-1]
+        for a, b, v in abv.tolist():
             mesh._add_tri(a, b, v)
         mesh._recompute_boundary_flags()
         mesh._bump()
@@ -115,6 +169,30 @@ class TriMesh:
     def version(self):
         return self._version
 
+    @property
+    def tri_table(self):
+        """The :class:`TriTable` of the alive triangles (cached per mesh version)."""
+        if self._table is None:
+            self._table = self._build_table()
+        return self._table
+
+    def _build_table(self):
+        ids = np.sort(np.fromiter(self.tris, dtype=np.int64, count=len(self.tris)))
+        verts = np.array([self.tris[t] for t in ids.tolist()],
+                         dtype=np.int64).reshape(-1, 3)
+        pts = self.points
+        x = pts[:, 0][verts]
+        y = pts[:, 1][verts]
+        # b_i = y_j - y_k, c_i = x_k - x_j  (cyclic), grad b_i = (b_i, c_i) / (2T)
+        bcoef = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+        ccoef = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+        area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                      - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gx = bcoef / (2.0 * area[:, None])
+            gy = ccoef / (2.0 * area[:, None])
+        return TriTable(ids, verts, x, y, area, gx, gy)
+
     def node_xy(self, n):
         return self.xs[n], self.ys[n]
 
@@ -133,10 +211,6 @@ class TriMesh:
     def is_boundary_edge(self, eid):
         return len(self.edge_tris[eid]) == 1
 
-    def is_base_edge(self, eid):
-        """True when ``eid`` is the base edge of all its incident triangles."""
-        return all(self.base_edge_of(t) == eid for t in self.edge_tris[eid])
-
     def is_interface_base_edge(self, eid):
         """True when ``eid`` is the base edge of exactly one of two incident triangles."""
         ts = self.edge_tris[eid]
@@ -152,11 +226,6 @@ class TriMesh:
             if any(self.base_edge_of(t) == eid for t in ts):
                 out.append(eid)
         return out
-
-    def tri_area(self, t):
-        p = self.points
-        n0, n1, n2 = self.tris[t]
-        return 0.5 * _signed_area(p[n0], p[n1], p[n2])
 
     def tri_angles(self, t):
         """The three interior angles of triangle ``t`` in degrees."""
@@ -175,16 +244,13 @@ class TriMesh:
     def interior_nodes(self):
         return [n for n in range(self.n_nodes) if not self.node_boundary[n]]
 
-    def min_edge_length(self):
-        p = self.points
-        return min(np.hypot(*(p[a] - p[b])) for a, b in self.edges.values())
-
     # -- internal mutation ----------------------------------------------------
 
     def _bump(self):
         self._version += 1
         self._locator = None
         self._points_cache = None
+        self._table = None
 
     def _add_node(self, x, y, boundary, parents):
         self.xs.append(x)
@@ -316,63 +382,75 @@ class TriMesh:
 
     # -- point location ----------------------------------------------------
 
-    def tri_bary(self, t, p):
-        """Barycentric coordinates of point ``p`` in triangle ``t``."""
-        pts = self.points
-        n0, n1, n2 = self.tris[t]
-        v0 = pts[n1] - pts[n0]
-        v1 = pts[n2] - pts[n0]
-        v2 = np.asarray(p, dtype=float) - pts[n0]
-        den = v0[0] * v1[1] - v0[1] * v1[0]
-        b1 = (v2[0] * v1[1] - v2[1] * v1[0]) / den
-        b2 = (v0[0] * v2[1] - v0[1] * v2[0]) / den
-        return np.array([1.0 - b1 - b2, b1, b2])
-
     def _build_locator(self):
+        tab = self.tri_table
         pts = self.points
-        ids = np.fromiter(self.tris.keys(), dtype=np.int64)
-        verts = np.array([self.tris[t] for t in ids], dtype=np.int64)
-        tx = pts[:, 0][verts]
-        ty = pts[:, 1][verts]
-        lo = np.column_stack([tx.min(axis=1), ty.min(axis=1)])
-        hi = np.column_stack([tx.max(axis=1), ty.max(axis=1)])
         xmin, ymin = pts.min(axis=0)
         xmax, ymax = pts.max(axis=0)
-        ng = int(np.clip(np.sqrt(2 * len(ids)) + 1, 1, 1024))
+        ng = int(np.clip(np.sqrt(2 * len(tab.ids)) + 1, 1, 1024))
         sx = (xmax - xmin) / ng or 1.0
         sy = (ymax - ymin) / ng or 1.0
-        bins = [[] for _ in range(ng * ng)]
-        i0 = np.clip(((lo[:, 0] - xmin) / sx).astype(int), 0, ng - 1)
-        i1 = np.clip(((hi[:, 0] - xmin) / sx).astype(int), 0, ng - 1)
-        j0 = np.clip(((lo[:, 1] - ymin) / sy).astype(int), 0, ng - 1)
-        j1 = np.clip(((hi[:, 1] - ymin) / sy).astype(int), 0, ng - 1)
-        for k, t in enumerate(ids):
-            for i in range(i0[k], i1[k] + 1):
-                for j in range(j0[k], j1[k] + 1):
-                    bins[i * ng + j].append(int(t))
-        self._locator = (xmin, ymin, xmax, ymax, sx, sy, ng, bins)
+        i0 = np.clip(((tab.x.min(axis=1) - xmin) / sx).astype(int), 0, ng - 1)
+        i1 = np.clip(((tab.x.max(axis=1) - xmin) / sx).astype(int), 0, ng - 1)
+        j0 = np.clip(((tab.y.min(axis=1) - ymin) / sy).astype(int), 0, ng - 1)
+        j1 = np.clip(((tab.y.max(axis=1) - ymin) / sy).astype(int), 0, ng - 1)
+        # one entry per (row, overlapped bin); a stable sort keeps rows
+        # ascending within each bin
+        nj = j1 - j0 + 1
+        count = (i1 - i0 + 1) * nj
+        rows = np.repeat(np.arange(len(count)), count)
+        k = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+        bins = (i0[rows] + k // nj[rows]) * ng + j0[rows] + k % nj[rows]
+        start = np.concatenate(
+            [[0], np.cumsum(np.bincount(bins, minlength=ng * ng))])
+        order = np.argsort(bins, kind="stable")
+        self._locator = (xmin, ymin, xmax, ymax, sx, sy, ng, start, rows[order])
 
-    def locate(self, p):
-        """Id of a triangle whose closed hull contains ``p``, or None.
+    def locate(self, points):
+        """Triangles whose closed hulls contain the points.
 
-        Points on shared edges or vertices resolve to the lowest incident
-        triangle id.
+        Parameters
+        ----------
+        points : (k, 2) array_like
+
+        Returns
+        -------
+        (ids, bary)
+            ``ids`` is the (k,) array of triangle ids, -1 for points outside
+            the mesh; ``bary`` the (k, 3) barycentric coordinates in those
+            triangles (NaN outside).  Points on shared edges or vertices
+            resolve to the lowest incident triangle id.
         """
+        p = np.asarray(points, dtype=float).reshape(-1, 2)
         if self._locator is None:
             self._build_locator()
-        xmin, ymin, xmax, ymax, sx, sy, ng, bins = self._locator
-        x, y = float(p[0]), float(p[1])
+        xmin, ymin, xmax, ymax, sx, sy, ng, start, bin_rows = self._locator
+        x, y = p[:, 0], p[:, 1]
         pad = 1e-12
-        if x < xmin - pad or x > xmax + pad or y < ymin - pad or y > ymax + pad:
-            return None
-        i = min(max(int((x - xmin) / sx), 0), ng - 1)
-        j = min(max(int((y - ymin) / sy), 0), ng - 1)
-        best = None
-        for t in bins[i * ng + j]:
-            if t in self.tris and self.tri_bary(t, (x, y)).min() >= -BARY_TOL:
-                if best is None or t < best:
-                    best = t
-        return best
+        q = np.flatnonzero((x >= xmin - pad) & (x <= xmax + pad)
+                           & (y >= ymin - pad) & (y <= ymax + pad))
+        b = (np.clip(((x[q] - xmin) / sx).astype(int), 0, ng - 1) * ng
+             + np.clip(((y[q] - ymin) / sy).astype(int), 0, ng - 1))
+        first = start[b]
+        count = start[b + 1] - first
+        tab = self.tri_table
+        ids = np.full(len(p), -1, dtype=np.int64)
+        out = np.full((len(p), 3), np.nan)
+        # test the k-th candidate of every unresolved point in pass k; rows
+        # ascend within a bin, so a point's first hit has the lowest id
+        k = 0
+        live = count > 0
+        while live.any():
+            q, first, count = q[live], first[live], count[live]
+            rows = bin_rows[first + k]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bary = tab.bary(rows, p[q])
+            hit = bary.min(axis=1) >= -BARY_TOL
+            ids[q[hit]] = tab.ids[rows[hit]]
+            out[q[hit]] = bary[hit]
+            k += 1
+            live = ~hit & (count > k)
+        return ids, out
 
     # -- derived metrics ----------------------------------------------------
 
@@ -399,9 +477,11 @@ class TriMesh:
                 assert t in self.tris, f"edge {eid} references dead triangle {t}"
                 assert a in self.tris[t] and b in self.tris[t]
         derived = self._derive_boundary_flags()
+        tab = self.tri_table
+        flipped = tab.ids[~(tab.area > 0)]
+        assert len(flipped) == 0, f"triangle {flipped[0]} is not counter-clockwise"
         for tid, (a, b, v) in self.tris.items():
             assert len({a, b, v}) == 3, f"triangle {tid} has repeated vertices"
-            assert self.tri_area(tid) > 0, f"triangle {tid} is not counter-clockwise"
             for eid in self.tri_edge_ids(tid):
                 assert eid is not None and tid in self.edge_tris[eid]
         for n in range(self.n_nodes):
@@ -448,10 +528,6 @@ class TriMesh:
         return sub, node_map, tri_map
 
 
-def _signed_area(p0, p1, p2):
-    return (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p1[1] - p0[1]) * (p2[0] - p0[0])
-
-
 def build_square_mesh(refine_level=0):
     """Isosceles right triangulation of the unit square.
 
@@ -484,25 +560,6 @@ def build_square_mesh(refine_level=0):
     return mesh
 
 
-def uniform_refine(mesh):
-    """One uniform bisection pass over all triangles (mutates and returns mesh)."""
-    mesh.uniform_refine()
-    return mesh
-
-
-def bisect(mesh, edge_id):
-    """Bisect one edge; returns the set of new node ids."""
-    return {ev.node for ev in mesh.bisect(edge_id)}
-
-
-def locate(mesh, p):
-    return mesh.locate(p)
-
-
-def near_boundary_ratio(mesh, radius):
-    return mesh.near_boundary_ratio(radius)
-
-
 # -- trimming ---------------------------------------------------------------
 
 
@@ -514,12 +571,8 @@ def trim_to_irregular(mesh, data):
     is restored by breadth-first search from the largest component.  Returns
     a new mesh with renumbered nodes and recomputed boundary flags.
     """
-    counts = {t: 0 for t in mesh.tris}
-    for p in np.asarray(data.x, dtype=float):
-        t = mesh.locate(p)
-        if t is not None:
-            counts[t] += 1
-    bearing = {t for t, c in counts.items() if c > 0}
+    ids, _ = mesh.locate(data.x)
+    bearing = set(ids[ids >= 0].tolist())
     if not bearing:
         raise EmptyResult("no triangle contains a data point")
     retained = _connect_components(mesh, bearing)

@@ -200,11 +200,6 @@ def build_system(fem, alpha, bv=None):
     return SaddleSystem(fem, alpha, bv)
 
 
-def solve(system):
-    """Solve a built system, returning the Smoother."""
-    return system.solve()
-
-
 def constraint_residual(s, fem):
     """Max-norm of the weak gradient constraint over interior rows."""
     r = fem.L @ s.c - fem.G1 @ s.g1 - fem.G2 @ s.g2
@@ -220,34 +215,33 @@ def interpolate(mesh, values, points):
 
     Points outside the mesh yield NaN.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.full(len(pts), np.nan)
-    for i, p in enumerate(pts):
-        t = mesh.locate(p)
-        if t is None:
-            continue
-        bary = mesh.tri_bary(t, p)
-        out[i] = bary @ values[list(mesh.tris[t])]
+    ids, bary = mesh.locate(points)
+    inside = ids >= 0
+    tab = mesh.tri_table
+    out = np.full(len(ids), np.nan)
+    out[inside] = np.einsum("ij,ij->i", bary[inside],
+                            np.asarray(values)[tab.verts[tab.rows(ids[inside])]])
     return out
+
+
+def _point_values(s, p, names):
+    """Interpolated nodal fields ``names`` of ``s`` at one point."""
+    ids, bary = s.mesh.locate([p])
+    if ids[0] < 0:
+        raise OutsideDomain(f"point {p} is outside the mesh")
+    tab = s.mesh.tri_table
+    nodes = tab.verts[tab.rows(ids[0])]
+    return tuple(float(bary[0] @ getattr(s, name)[nodes]) for name in names)
 
 
 def evaluate(s, p):
     """Surface value at one point."""
-    t = s.mesh.locate(p)
-    if t is None:
-        raise OutsideDomain(f"point {p} is outside the mesh")
-    bary = s.mesh.tri_bary(t, p)
-    return float(bary @ s.c[list(s.mesh.tris[t])])
+    return _point_values(s, p, ("c",))[0]
 
 
 def evaluate_grad(s, p):
     """Gradient surrogate (interpolated auxiliary fields) at one point."""
-    t = s.mesh.locate(p)
-    if t is None:
-        raise OutsideDomain(f"point {p} is outside the mesh")
-    bary = s.mesh.tri_bary(t, p)
-    nodes = list(s.mesh.tris[t])
-    return float(bary @ s.g1[nodes]), float(bary @ s.g2[nodes])
+    return _point_values(s, p, ("g1", "g2"))
 
 
 def predicted_values(s, located):

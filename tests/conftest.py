@@ -52,7 +52,7 @@ def square_mesh():
 
 
 def total_area(mesh):
-    return sum(mesh.tri_area(t) for t in mesh.tris)
+    return float(mesh.tri_table.area.sum())
 
 
 def all_angles(mesh):

@@ -17,11 +17,17 @@ _GW = np.array([0.225,
                 0.1259391805448271, 0.1259391805448271, 0.1259391805448271])
 
 
+def tri_area(points):
+    """Unsigned area of the triangle given by three points."""
+    p0, p1, p2 = (np.asarray(p, dtype=float) for p in points)
+    return 0.5 * abs((p1[0] - p0[0]) * (p2[1] - p0[1])
+                     - (p1[1] - p0[1]) * (p2[0] - p0[0]))
+
+
 def tri_quad(points, fn):
     """Integrate ``fn(x, y)`` over the triangle given by three points."""
     p0, p1, p2 = (np.asarray(p, dtype=float) for p in points)
-    area = 0.5 * abs((p1[0] - p0[0]) * (p2[1] - p0[1])
-                     - (p1[1] - p0[1]) * (p2[0] - p0[0]))
+    area = tri_area(points)
     total = 0.0
     for (l1, l2), w in zip(_GP, _GW):
         x = p0 + l1 * (p1 - p0) + l2 * (p2 - p0)
@@ -43,6 +49,12 @@ def linear_basis(points):
         fns.append(lambda xx, yy, a=a, b=b, c=c: (a + b * xx + c * yy) / area2)
         grads.append(np.array([b, c]) / area2)
     return fns, grads
+
+
+def tri_gradient(points, values):
+    """Constant gradient of the linear interpolant of three vertex values."""
+    _, grads = linear_basis(points)
+    return sum(v * g for v, g in zip(values, grads))
 
 
 def dense_L(mesh):
@@ -83,18 +95,65 @@ def dense_A_d(mesh, data):
     A = np.zeros((n, n))
     d = np.zeros(n)
     used = []
+    ids, _ = mesh.locate(data.x)
     for i, p in enumerate(np.asarray(data.x, dtype=float)):
-        t = mesh.locate(p)
-        if t is None:
+        t = ids[i]
+        if t == -1:
             continue
+        nodes = list(mesh.tris[t])
+        fns, _ = linear_basis(mesh.points[nodes])
         b = np.zeros(n)
-        b[list(mesh.tris[t])] = mesh.tri_bary(t, p)
+        b[nodes] = [fn(p[0], p[1]) for fn in fns]
         used.append((b, data.y[i]))
     k = len(used)
     for b, y in used:
         A += np.outer(b, b) / k
         d += b * y / k
     return A, d
+
+
+def consistent_mass_recovered_gradients(mesh, c):
+    """Consistent-mass L2 projection of the piecewise constant gradient."""
+    n = mesh.n_nodes
+    M = np.zeros((n, n))
+    rhs = np.zeros((n, 2))
+    for t in mesh.tris:
+        nodes = list(mesh.tris[t])
+        coords = mesh.points[nodes]
+        a = tri_area(coords)
+        g = tri_gradient(coords, c[nodes])
+        local = (a / 12.0) * (np.ones((3, 3)) + np.eye(3))
+        M[np.ix_(nodes, nodes)] += local
+        for i in nodes:
+            rhs[i] += (a / 3.0) * g
+    return np.linalg.solve(M, rhs)
+
+
+def lumped_mass_recovery_indicators(mesh, c):
+    """Recovery indicators of the triangles in id order, one node and one
+    triangle at a time: lumped-mass nodal gradients, then the squared
+    difference to each triangle's gradient integrated by quadrature."""
+    pts = mesh.points
+    area, grad = {}, {}
+    for t, tri in mesh.tris.items():
+        nodes = list(tri)
+        area[t] = tri_area(pts[nodes])
+        grad[t] = tri_gradient(pts[nodes], c[nodes])
+
+    def recovered(n):
+        ts = mesh.node_tris[n]
+        return (sum(area[t] / 3.0 * grad[t] for t in ts)
+                / sum(area[t] / 3.0 for t in ts))
+
+    out = []
+    for t in sorted(mesh.tris):
+        nodes = list(mesh.tris[t])
+        fns, _ = linear_basis(pts[nodes])
+        d = [recovered(n) - grad[t] for n in nodes]
+        out.append(np.sqrt(tri_quad(pts[nodes], lambda x, y: sum(
+            sum(di[k] * f(x, y) for di, f in zip(d, fns)) ** 2
+            for k in range(2)))))
+    return np.array(out)
 
 
 def dense_saddle_solve(fem, alpha, bv):

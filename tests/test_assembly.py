@@ -44,7 +44,7 @@ class TestBasisEval:
         mesh = build_square_mesh(0)
         rng = np.random.default_rng(1)
         for p in rng.uniform(0, 1, size=(20, 2)):
-            t = mesh.locate(p)
+            t = mesh.locate([p])[0][0]
             vals, grads = basis_eval(mesh, t, p)
             assert abs(vals.sum() - 1.0) < 1e-12
             assert np.allclose(grads.sum(axis=1), 0.0, atol=1e-12)

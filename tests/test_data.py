@@ -51,6 +51,14 @@ class TestIngest:
             ingest(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("bad", ["0.3,0.4,nan", "inf,0.4,0.5"])
+    def test_non_finite_value_line_number(self, tmp_path, bad):
+        path = tmp_path / "d.csv"
+        path.write_text(f"0,0,5\n1,1,2\n{bad}\n2,0,3\n")
+        with pytest.raises(ParseError) as err:
+            ingest(path)
+        assert err.value.line == 3
+
     def test_header_and_extra_columns_tolerated(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y,z,extra\n0,0,5,junk\n10,10,15,junk\n")

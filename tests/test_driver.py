@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
-from tpsfem.driver import IterationRecord, RunConfig, refine_wave, run
+from tpsfem.driver import IterationRecord, RunConfig, run
 from tpsfem.gcv import GcvConfig
 from tpsfem.mesh import build_square_mesh
 
@@ -22,13 +22,13 @@ class TestRefineWave:
     def test_empty_marked_set_is_noop(self):
         mesh = build_square_mesh(0)
         before = mesh.n_nodes
-        assert refine_wave(mesh, set()) == []
+        assert mesh.refine_wave(set()) == []
         assert mesh.n_nodes == before
 
     def test_all_base_edges_equals_uniform_pass(self):
         a = build_square_mesh(0)
         marked = {a.base_edge_of(t) for t in a.tris}
-        refine_wave(a, marked)
+        a.refine_wave(marked)
         b = build_square_mesh(0)
         b.uniform_refine()
         assert a.n_nodes == b.n_nodes
@@ -37,7 +37,7 @@ class TestRefineWave:
     def test_staircase_wave_conforming(self):
         mesh = make_interface_strip(6)
         marked = [mesh.base_edge_of(0), mesh.base_edge_of(5)]
-        refine_wave(mesh, marked)
+        mesh.refine_wave(marked)
         mesh.validate()
 
 

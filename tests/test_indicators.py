@@ -6,13 +6,13 @@ from tpsfem.assembly import FemSystem
 from tpsfem.data import DataSet
 from tpsfem.exceptions import EmptyField
 from tpsfem.indicators import (IndicatorField, auxiliary_field,
-                               auxiliary_indicator,
-                               consistent_mass_recovered_gradients,
-                               locate_by_tri, mark, recovery_field,
-                               recovery_indicator)
+                               auxiliary_indicator, locate_by_tri, mark,
+                               recovery_field, recovery_indicator)
 from tpsfem.mesh import TriMesh, build_square_mesh
 from tpsfem.solver import Smoother, build_system
 
+from oracles import (consistent_mass_recovered_gradients,
+                     lumped_mass_recovery_indicators, tri_area, tri_gradient)
 from test_solver import linear_problem
 
 
@@ -26,8 +26,8 @@ class TestRecovery:
     def test_zero_on_linear_surface(self):
         mesh = build_square_mesh(1)
         s, _, _ = linear_smoother(mesh)
-        for t in list(mesh.tris)[:20]:
-            assert recovery_indicator(s, t) <= 1e-8
+        for eta in recovery_indicator(s, list(mesh.tris)[:20]):
+            assert eta <= 1e-8
 
     def test_symmetric_hat_function(self):
         # single interior hat on a symmetric mesh: symmetric triangles agree
@@ -39,7 +39,8 @@ class TestRecovery:
         c[centre] = 1.0
         s = Smoother(mesh=mesh, c=c, g1=np.zeros(25), g2=np.zeros(25),
                      w=np.zeros(25), alpha=1.0)
-        etas = {t: recovery_indicator(s, t) for t in mesh.node_tris[centre]}
+        fan = sorted(mesh.node_tris[centre])
+        etas = dict(zip(fan, recovery_indicator(s, fan)))
         vals = sorted(etas.values())
         # 8 incident triangles in two symmetry classes at most
         assert np.ptp(vals) / max(vals) < 0.75
@@ -54,26 +55,38 @@ class TestRecovery:
         s = Smoother(mesh=mesh, c=c, g1=np.zeros(mesh.n_nodes),
                      g2=np.zeros(mesh.n_nodes), w=np.zeros(mesh.n_nodes),
                      alpha=1.0)
-        lumped = []
+        lumped = recovery_indicator(s, list(mesh.tris))
         oracle = []
         recovered = consistent_mass_recovered_gradients(mesh, c)
-        from tpsfem.indicators import _tri_gradient
         for t in mesh.tris:
-            lumped.append(recovery_indicator(s, t))
-            g = _tri_gradient(mesh, c, t)
             nodes = list(mesh.tris[t])
+            g = tri_gradient(mesh.points[nodes], c[nodes])
             d = recovered[nodes] - g
-            area = mesh.tri_area(t)
+            area = tri_area(mesh.points[nodes])
             tot = sum((area / 12.0) * (d[:, k].sum() ** 2 + (d[:, k] ** 2).sum())
                       for k in range(2))
             oracle.append(np.sqrt(tot))
         rho = spearmanr(lumped, oracle).statistic
         assert rho >= 0.9
 
+    def test_matches_lumped_mass_loop_oracle(self):
+        mesh = build_square_mesh(0)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            edges = sorted(mesh.refinable_edges())
+            mesh.refine_wave(rng.choice(edges, size=len(edges) // 4,
+                                        replace=False).tolist())
+        c = rng.normal(size=mesh.n_nodes)
+        zeros = np.zeros(mesh.n_nodes)
+        s = Smoother(mesh=mesh, c=c, g1=zeros, g2=zeros, w=zeros, alpha=1.0)
+        ref = lumped_mass_recovery_indicators(mesh, c)
+        eta = recovery_indicator(s, sorted(mesh.tris))
+        assert np.allclose(eta, ref, rtol=1e-12, atol=1e-12 * ref.max())
+
     def test_pure_function_repeatable(self):
         mesh = build_square_mesh(0)
         s, _, _ = linear_smoother(mesh, seed=5)
-        t = next(iter(mesh.tris))
+        t = [next(iter(mesh.tris))]
         assert recovery_indicator(s, t) == recovery_indicator(s, t)
 
     def test_relabeling_invariance(self):
@@ -82,7 +95,7 @@ class TestRecovery:
         c = rng.normal(size=25)
         zeros = np.zeros(25)
         s = Smoother(mesh=mesh, c=c, g1=zeros, g2=zeros, w=zeros, alpha=1.0)
-        etas = [recovery_indicator(s, t) for t in sorted(mesh.tris)]
+        etas = recovery_indicator(s, sorted(mesh.tris))
         perm = rng.permutation(25)
         inv = np.argsort(perm)
         # new node i corresponds to old node inv[i]
@@ -91,7 +104,7 @@ class TestRecovery:
         mesh2 = TriMesh.from_arrays(pts, tris, [2] * len(tris))
         s2 = Smoother(mesh=mesh2, c=c[inv], g1=zeros, g2=zeros, w=zeros,
                       alpha=1.0)
-        etas2 = [recovery_indicator(s2, t) for t in sorted(mesh2.tris)]
+        etas2 = recovery_indicator(s2, sorted(mesh2.tris))
         assert np.allclose(etas, etas2, atol=1e-12)
 
 

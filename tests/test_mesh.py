@@ -3,10 +3,9 @@ import pytest
 
 from tpsfem.data import DataSet
 from tpsfem.exceptions import EmptyResult, NotRefinable, ParseError, ZeroInterior
-from tpsfem.mesh import (TriMesh, bisect, build_square_mesh, load_mesh,
-                         load_polygon, locate, mesh_polygon,
-                         near_boundary_ratio, save_mesh, save_polygon,
-                         trim_to_irregular, uniform_refine)
+from tpsfem.mesh import (TriMesh, build_square_mesh, load_mesh, load_polygon,
+                         mesh_polygon, save_mesh, save_polygon,
+                         trim_to_irregular)
 
 from conftest import (all_angles, make_fan_mesh, make_interface_strip,
                       make_two_triangle_square, make_unit_right_triangle,
@@ -36,7 +35,7 @@ class TestBuildSquareMesh:
         mesh = build_square_mesh(0)
         counts = [mesh.n_nodes]
         for _ in range(4):
-            uniform_refine(mesh)
+            mesh.uniform_refine()
             counts.append(mesh.n_nodes)
         assert counts == [25, 41, 81, 145, 289]
 
@@ -56,7 +55,7 @@ class TestBisect:
     def test_interior_pair(self):
         mesh = make_two_triangle_square()
         eid = mesh.edge_id(0, 2)
-        new = bisect(mesh, eid)
+        new = {ev.node for ev in mesh.bisect(eid)}
         assert len(new) == 1
         assert mesh.n_nodes == 5
         assert mesh.n_tris == 4
@@ -66,7 +65,7 @@ class TestBisect:
     def test_boundary_edge_single_split(self):
         mesh = make_unit_right_triangle()
         eid = mesh.edge_id(0, 1)
-        new = bisect(mesh, eid)
+        new = {ev.node for ev in mesh.bisect(eid)}
         assert len(new) == 1
         assert mesh.n_tris == 2
         mid = next(iter(new))
@@ -136,11 +135,11 @@ class TestLocate:
         pts = square_mesh.points
         for t, (a, b, v) in list(square_mesh.tris.items())[:8]:
             c = (pts[a] + pts[b] + pts[v]) / 3.0
-            assert square_mesh.locate(c) == t
+            assert square_mesh.locate([c])[0][0] == t
 
     def test_outside_returns_none(self, square_mesh):
-        assert square_mesh.locate((1.5, 0.5)) is None
-        assert square_mesh.locate((-0.01, 0.5)) is None
+        assert square_mesh.locate([(1.5, 0.5)])[0][0] == -1
+        assert square_mesh.locate([(-0.01, 0.5)])[0][0] == -1
 
     def test_shared_vertex_lowest_id(self, square_mesh):
         # node at (0.25, 0.25) is shared by several triangles
@@ -148,40 +147,40 @@ class TestLocate:
                    if abs(square_mesh.xs[n] - 0.25) < 1e-12
                    and abs(square_mesh.ys[n] - 0.25) < 1e-12)
         incident = sorted(square_mesh.node_tris[nid])
-        assert square_mesh.locate((0.25, 0.25)) == incident[0]
+        assert square_mesh.locate([(0.25, 0.25)])[0][0] == incident[0]
 
     def test_total_on_domain(self):
         mesh = build_square_mesh(1)
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 1, size=(10000, 2))
-        for p in pts:
-            t = mesh.locate(p)
-            assert t is not None
-            assert mesh.tri_bary(t, p).min() >= -1e-12
+        ids, bary = mesh.locate(pts)
+        for t, b in zip(ids, bary):
+            assert t != -1
+            assert b.min() >= -1e-12
 
     def test_locate_after_refinement(self, square_mesh):
         square_mesh.uniform_refine()
-        assert square_mesh.locate((0.5, 0.5)) is not None
+        assert square_mesh.locate([(0.5, 0.5)])[0][0] != -1
 
 
 class TestNearBoundaryRatio:
     def test_coarse_square_is_zero(self, square_mesh):
-        assert near_boundary_ratio(square_mesh, 0.005) == 0.0
+        assert square_mesh.near_boundary_ratio(0.005) == 0.0
 
     def test_synthetic_single_interior_node(self):
         mesh = make_fan_mesh(interior_xy=(0.5, 0.004))
-        assert near_boundary_ratio(mesh, 0.005) == 1.0
+        assert mesh.near_boundary_ratio(0.005) == 1.0
         far = make_fan_mesh(interior_xy=(0.5, 0.5))
-        assert near_boundary_ratio(far, 0.005) == 0.0
+        assert far.near_boundary_ratio(0.005) == 0.0
 
     def test_zero_interior(self):
         mesh = make_unit_right_triangle()
         with pytest.raises(ZeroInterior):
-            near_boundary_ratio(mesh, 0.005)
+            mesh.near_boundary_ratio(0.005)
 
     def test_bad_radius(self, square_mesh):
         with pytest.raises(ValueError):
-            near_boundary_ratio(square_mesh, 0.0)
+            square_mesh.near_boundary_ratio(0.0)
 
 
 class TestTrim:
@@ -242,8 +241,8 @@ class TestPolygon:
                  np.array([(0.35, 0.35), (0.65, 0.35), (0.65, 0.65), (0.35, 0.65)])]
         mesh = mesh_polygon(loops, refine_level=2)
         mesh.validate()
-        assert mesh.locate((0.5, 0.5)) is None  # inside the hole
-        assert mesh.locate((0.1, 0.1)) is not None
+        assert mesh.locate([(0.5, 0.5)])[0][0] == -1  # inside the hole
+        assert mesh.locate([(0.1, 0.1)])[0][0] != -1
 
     def test_bad_polygon_file(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -1,0 +1,84 @@
+"""Property tests of newest-node bisection and batched point location."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from tpsfem.mesh import BARY_TOL, build_square_mesh
+
+from conftest import all_angles, total_area
+from oracles import linear_basis
+
+#: indices into the sorted refinable edges, one bisection each
+bisections = st.lists(st.integers(0, 10 ** 6), max_size=30)
+
+#: points on a dyadic grid over [-1/8, 9/8]^2: exact barycentric arithmetic,
+#: many land on vertices and edges of the refined square meshes
+grid_points = st.lists(
+    st.tuples(st.integers(-64, 576), st.integers(-64, 576)).map(
+        lambda ij: (ij[0] / 512.0, ij[1] / 512.0)),
+    max_size=40)
+
+#: points in general position around the unit square
+loose_points = st.lists(
+    st.tuples(st.floats(-0.1, 1.1), st.floats(-0.1, 1.1)), max_size=20)
+
+#: distances from the hull used for points just outside it
+OUTSIDE = (1e-9, 1e-3)
+
+
+def refined_square(picks):
+    mesh = build_square_mesh(0)
+    for i in picks:
+        edges = sorted(mesh.refinable_edges())
+        mesh.bisect(edges[i % len(edges)])
+    return mesh
+
+
+def brute_force_locate(mesh, pts):
+    """Lowest id of a triangle containing each point (-1 if none) and the
+    barycentric coordinates there, testing every triangle."""
+    ids = np.full(len(pts), -1)
+    bary = np.full((len(pts), 3), np.nan)
+    for t in sorted(mesh.tris):
+        nodes = list(mesh.tris[t])
+        fns, _ = linear_basis(mesh.points[nodes])
+        b = np.column_stack([fn(pts[:, 0], pts[:, 1]) for fn in fns])
+        new = (ids == -1) & (b.min(axis=1) >= -BARY_TOL)
+        ids[new] = t
+        bary[new] = b[new]
+    return ids, bary
+
+
+def probe_points(mesh, grid, loose):
+    """Vertices, edge midpoints, points just outside the hull and the drawn ones."""
+    p = mesh.points
+    edges = np.array(list(mesh.edges.values()))
+    u = p[mesh.boundary_nodes()][:, 0]
+    outside = [np.column_stack([u, np.full_like(u, v)])
+               for d in OUTSIDE for v in (-d, 1.0 + d)]
+    outside += [o[:, ::-1] for o in outside]
+    return np.vstack([p, 0.5 * (p[edges[:, 0]] + p[edges[:, 1]]), *outside,
+                      np.reshape(grid, (-1, 2)), np.reshape(loose, (-1, 2))])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(picks=bisections, grid=grid_points, loose=loose_points)
+def test_locate_matches_brute_force(picks, grid, loose):
+    mesh = refined_square(picks)
+    pts = probe_points(mesh, grid, loose)
+    ids, bary = mesh.locate(pts)
+    ref_ids, ref_bary = brute_force_locate(mesh, pts)
+    assert np.array_equal(ids, ref_ids)
+    inside = ids != -1
+    assert np.allclose(bary[inside], ref_bary[inside], rtol=0, atol=1e-12)
+    assert np.isnan(bary[~inside]).all()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(picks=bisections)
+def test_bisection_preserves_invariants(picks):
+    mesh = refined_square(picks)
+    mesh.validate()
+    assert abs(total_area(mesh) - 1.0) < 1e-12
+    ang = all_angles(mesh)
+    assert np.all((np.abs(ang - 45.0) < 1e-9) | (np.abs(ang - 90.0) < 1e-9))

@@ -11,7 +11,7 @@ from tpsfem.mesh import build_square_mesh, trim_to_irregular
 from tpsfem.solver import (build_system, constraint_residual, evaluate,
                            evaluate_grad, max_abs_residual, rmse)
 
-from oracles import dense_saddle_solve
+from oracles import dense_saddle_solve, linear_basis
 
 
 def linear_field(a0=0.3, a1=0.7, a2=-0.4):
@@ -26,7 +26,7 @@ def linear_problem(mesh, n=60, seed=0, coeffs=(0.3, 0.7, -0.4)):
     rng = np.random.default_rng(seed)
     lo, hi = mesh.points.min(axis=0), mesh.points.max(axis=0)
     x = rng.uniform(lo, hi, size=(4 * n, 2))
-    keep = [i for i, p in enumerate(x) if mesh.locate(p) is not None][:n]
+    keep = np.flatnonzero(mesh.locate(x)[0] != -1)[:n]
     x = x[keep]
     data = DataSet(x, f(x[:, 0], x[:, 1]))
     bv = boundary_values_from_callables(mesh, f, grad, lap, alpha=1.0)
@@ -200,8 +200,9 @@ class TestEvaluate:
     def test_random_points_match_barycentric_oracle(self):
         rng = np.random.default_rng(2)
         for p in rng.uniform(0, 1, size=(25, 2)):
-            t = self.mesh.locate(p)
-            bary = self.mesh.tri_bary(t, p)
+            t = self.mesh.locate([p])[0][0]
+            fns, _ = linear_basis(self.mesh.points[list(self.mesh.tris[t])])
+            bary = np.array([fn(p[0], p[1]) for fn in fns])
             expect = bary @ self.s.c[list(self.mesh.tris[t])]
             assert abs(evaluate(self.s, p) - expect) < 1e-13
             g1, g2 = evaluate_grad(self.s, p)
