@@ -25,7 +25,7 @@ from .mesh import (TriMesh, build_square_mesh, load_mesh, load_polygon,
 from .rbf import (ControlPointPlan, CsrbfModel, choose_rho, fit_csrbf,
                   fit_global_tps, report_sparsity, snap_control_points)
 from .report import RunReport, merge_reports_csv, read_report
-from .solver import (Smoother, build_system, evaluate, evaluate_grad,
+from .solver import (SaddleSystem, Smoother, evaluate, evaluate_grad,
                      max_abs_residual, rmse)
 from .tps import SamplePlan, TpsModel, fit_tps, sample, select_alpha_tps
 
@@ -34,10 +34,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryStrategy", "BoundaryValues", "ControlPointPlan", "CsrbfModel",
     "DataSet", "FemSystem", "GcvConfig", "IndicatorField", "IterationRecord",
-    "PeaksSpec", "RunConfig", "RunReport", "SamplePlan", "Smoother",
-    "TpsModel", "TriMesh",
+    "PeaksSpec", "RunConfig", "RunReport", "SaddleSystem", "SamplePlan",
+    "Smoother", "TpsModel", "TriMesh",
     "assemble_A_d", "assemble_G", "assemble_L", "basis_eval",
-    "boundary_values_from_callables", "build_square_mesh", "build_system",
+    "boundary_values_from_callables", "build_square_mesh",
     "choose_rho", "constant_boundary_values", "evaluate", "evaluate_grad",
     "fit_csrbf", "fit_global_tps", "fit_tps", "gcv_score",
     "initial_boundary_values", "ingest", "load_mesh", "load_polygon",

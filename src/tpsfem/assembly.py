@@ -120,12 +120,11 @@ def assemble_A_d(mesh, data, located=None):
         raise NoDataInDomain("no data point lies inside the mesh")
     n_nodes = mesh.n_nodes
     y = np.asarray(data.y, dtype=float)[located.indices]
-    outer = located.bary[:, :, None] * located.bary[:, None, :] / k
-    rows = np.repeat(located.tri_nodes, 3, axis=1).ravel()
-    cols = np.tile(located.tri_nodes, (1, 3)).ravel()
-    A = sp.coo_matrix((outer.ravel(), (rows, cols)),
-                      shape=(n_nodes, n_nodes)).tocsr()
-    A.sum_duplicates()
+    # rows of B are the basis values b(x_i); B^T B adds the terms of A_pq
+    # and A_qp in the same point order, so A is exactly symmetric
+    B = sp.csr_matrix((located.bary.ravel(), located.tri_nodes.ravel(),
+                       np.arange(0, 3 * k + 1, 3)), shape=(k, n_nodes))
+    A = (B.T @ B).tocsr() / k
     d = np.zeros(n_nodes)
     np.add.at(d, located.tri_nodes.ravel(),
               (located.bary * y[:, None] / k).ravel())

@@ -26,7 +26,7 @@ from .indicators import (auxiliary_field, auxiliary_indicator, locate_by_tri,
                          mark, raise_to_base_edges, recovery_field,
                          recovery_indicator)
 from .mesh import build_square_mesh, mesh_polygon, trim_to_irregular
-from .solver import Smoother, build_system, max_abs_residual, rmse
+from .solver import SaddleSystem, Smoother, max_abs_residual, rmse
 from .tps import SamplePlan, fit_tps, sample, select_alpha_tps
 
 logger = logging.getLogger("tpsfem")
@@ -111,54 +111,48 @@ class _NodeValues:
     NAMES = ("c", "g1", "g2", "w", "w_proxy")
 
     def __init__(self, n):
-        self.lists = {name: [0.0] * n for name in self.NAMES}
-
-    def __getitem__(self, name):
-        return self.lists[name]
+        self.arrays = {name: np.zeros(n) for name in self.NAMES}
 
     def set_boundary(self, bv):
-        for i, node in enumerate(bv.nodes):
-            self.lists["c"][node] = float(bv.c[i])
-            self.lists["g1"][node] = float(bv.g1[i])
-            self.lists["g2"][node] = float(bv.g2[i])
-            self.lists["w"][node] = float(bv.w[i])
-            proxy = bv.w_proxy[i] if bv.w_proxy is not None else 0.0
-            self.lists["w_proxy"][node] = float(proxy)
+        for name in ("c", "g1", "g2", "w"):
+            self.arrays[name][bv.nodes] = getattr(bv, name)
+        self.arrays["w_proxy"][bv.nodes] = (0.0 if bv.w_proxy is None
+                                            else bv.w_proxy)
 
     def set_from_smoother(self, s):
         for name in ("c", "g1", "g2", "w"):
-            self.lists[name] = list(map(float, getattr(s, name)))
-        proxy = self.lists["w_proxy"]
-        proxy.extend([0.0] * (len(self.lists["c"]) - len(proxy)))
+            self.arrays[name] = np.array(getattr(s, name), dtype=float)
 
     def extend(self, mesh, events, strategy, alpha):
+        """Add the nodes created by ``events``, filled in creation order
+        because a node's parents may be earlier nodes of the same wave.
+
+        The arrays are replaced, never written in place, so a view handed
+        out earlier keeps its values.
+        """
+        grow = np.zeros(mesh.n_nodes - len(self.arrays["c"]))
+        self.arrays = {name: np.concatenate([v, grow])
+                       for name, v in self.arrays.items()}
         for ev in events:
             if ev.boundary:
-                c, g1, g2, w, proxy = new_boundary_node_values(
+                new = new_boundary_node_values(
                     strategy, mesh, ev.node, (ev.parent_a, ev.parent_b),
-                    self.lists, alpha=alpha)
-                vals = {"c": c, "g1": g1, "g2": g2, "w": w, "w_proxy": proxy}
-                for name in self.NAMES:
-                    self.lists[name].append(float(vals[name]))
+                    self.arrays, alpha=alpha)
             else:
-                for name in self.NAMES:
-                    lst = self.lists[name]
-                    lst.append(0.5 * (lst[ev.parent_a] + lst[ev.parent_b]))
+                new = [0.5 * (v[ev.parent_a] + v[ev.parent_b])
+                       for v in self.arrays.values()]
+            for v, value in zip(self.arrays.values(), new):
+                v[ev.node] = value
 
     def boundary_values(self, mesh):
         nodes = np.asarray(mesh.boundary_nodes(), dtype=int)
-        get = lambda name: np.asarray([self.lists[name][n] for n in nodes])
-        return BoundaryValues(nodes=nodes, c=get("c"), g1=get("g1"),
-                              g2=get("g2"), w=get("w"),
-                              w_proxy=get("w_proxy"))
+        return BoundaryValues(nodes=nodes, **{name: v[nodes] for name, v
+                                              in self.arrays.items()})
 
     def view(self, mesh, alpha):
-        return Smoother(mesh=mesh,
-                        c=np.asarray(self.lists["c"]),
-                        g1=np.asarray(self.lists["g1"]),
-                        g2=np.asarray(self.lists["g2"]),
-                        w=np.asarray(self.lists["w"]),
-                        alpha=alpha)
+        return Smoother(mesh=mesh, alpha=alpha, c=self.arrays["c"],
+                        g1=self.arrays["g1"], g2=self.arrays["g2"],
+                        w=self.arrays["w"])
 
 
 def _make_strategy(cfg, data, seed):
@@ -231,7 +225,7 @@ def run(data, cfg=None):
         else:
             alpha = select_alpha(fem, data, gcv_cfg,
                                  seed=_seed_for(cfg.seed, 100 + iteration))
-        s = build_system(fem, alpha, bv).solve()
+        s = SaddleSystem(fem, alpha).solve()
         values.set_from_smoother(s)
         try:
             ratio = mesh.near_boundary_ratio(NEAR_BOUNDARY_RADIUS)

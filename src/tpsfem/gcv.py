@@ -2,9 +2,10 @@
 
 The score is V(alpha) = n * ||y - yhat||^2 / (n - tr(Infl))^2 where yhat are
 the fitted values at the data points and Infl is the influence matrix
-d(yhat)/dy.  The trace is estimated stochastically with Rademacher probes
-(each probe costs one extra solve on the already-factorised system); with at
-least n probes the canonical basis is used instead and the trace is exact.
+d(yhat)/dy.  The trace is the Hutchinson mean of z^T Infl z over probe
+vectors z, each costing one extra solve on the already-factorised system.
+The probes are Rademacher vectors; with at least n probes they are the
+canonical basis scaled by sqrt(n), for which the mean is the exact trace.
 Probe vectors are drawn once per selection and shared across all candidate
 alphas so the score is a smooth deterministic function of alpha.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import build_system, predicted_values
+from .solver import SaddleSystem, predicted_values
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -35,9 +36,9 @@ class GcvConfig:
 
 
 def _probe_matrix(n, probes, rng):
-    """Columns are trace probe vectors; None means use the canonical basis."""
+    """Columns are trace probe vectors (``rng`` is unused with probes >= n)."""
     if probes >= n:
-        return None
+        return math.sqrt(n) * np.eye(n)
     return rng.choice([-1.0, 1.0], size=(n, probes))
 
 
@@ -51,23 +52,15 @@ def _data_rhs(fem, z):
 
 
 def influence_trace(system, probe_matrix=None):
-    """Trace of the influence matrix, exact or stochastic.
+    """Hutchinson mean of z^T Infl z over the columns z of ``probe_matrix``.
 
-    With ``probe_matrix`` None every canonical vector is solved for (exact
-    trace); otherwise the Hutchinson mean over the probe columns is returned.
+    With ``probe_matrix`` None the scaled canonical basis is used, which
+    gives the exact trace.
     """
     fem = system.fem
     loc = fem.located
-    n = loc.n_used
     if probe_matrix is None:
-        total = 0.0
-        for i in range(n):
-            z = np.zeros(n)
-            z[i] = 1.0
-            c = system.solve_data_rhs(_data_rhs(fem, z))
-            total += float(np.einsum("j,j->", loc.bary[i],
-                                     c[loc.tri_nodes[i]]))
-        return total
+        probe_matrix = _probe_matrix(loc.n_used, loc.n_used, None)
     vals = []
     for k in range(probe_matrix.shape[1]):
         z = probe_matrix[:, k]
@@ -77,8 +70,7 @@ def influence_trace(system, probe_matrix=None):
     return float(np.mean(vals))
 
 
-def gcv_score(fem, alpha, data, probes=10, seed=0, probe_matrix=None,
-              system=None):
+def gcv_score(fem, alpha, data, probes=10, seed=0, probe_matrix=None):
     """GCV score of one candidate alpha.
 
     Returns +inf when the estimated trace reaches the number of data points
@@ -86,10 +78,9 @@ def gcv_score(fem, alpha, data, probes=10, seed=0, probe_matrix=None,
     """
     loc = fem.located
     n = loc.n_used
-    if probe_matrix is None and probes < n:
+    if probe_matrix is None:
         probe_matrix = _probe_matrix(n, probes, np.random.default_rng(seed))
-    if system is None:
-        system = build_system(fem, alpha, fem.bv)
+    system = SaddleSystem(fem, alpha)
     s = system.solve()
     y = np.asarray(data.y, dtype=float)[loc.indices]
     misfit = float(np.sum((predicted_values(s, loc) - y) ** 2))

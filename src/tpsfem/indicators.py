@@ -23,7 +23,7 @@ from .assembly import FemSystem
 from .boundary import BoundaryValues
 from .data import DataSet
 from .exceptions import EmptyField, SingularSystem
-from .solver import build_system
+from .solver import SaddleSystem
 
 
 @dataclass
@@ -96,12 +96,11 @@ def auxiliary_indicator(s, data, edge_id, alpha, located_by_tri=None):
     if not pt_idx:
         return 0.0
     local, node_map, tri_map = mesh.copy_submesh(patch)
-    # nodal values of the global surface on the patch, all four fields
-    inv = {v: k for k, v in node_map.items()}
-    vals = {name: np.array([getattr(s, name)[inv[i]]
-                            for i in range(local.n_nodes)])
+    # nodal values of the global surface on the patch, all four fields;
+    # copy_submesh numbers the patch nodes in increasing order
+    patch_nodes = np.array(sorted(node_map))
+    vals = {name: getattr(s, name)[patch_nodes]
             for name in ("c", "g1", "g2", "w")}
-    seed_local = [tri_map[t] for t in seed]
     events = local.uniform_refine()
     for ev in events:  # midpoint values reproduce the piecewise linear trace
         for name in ("c", "g1", "g2", "w"):
@@ -116,23 +115,22 @@ def auxiliary_indicator(s, data, edge_id, alpha, located_by_tri=None):
                     np.asarray(data.y, dtype=float)[pt_idx])
     fem = FemSystem.build(local, ldata, bv=bv)
     try:
-        shat = build_system(fem, alpha, bv).solve()
+        shat = SaddleSystem(fem, alpha).solve()
     except SingularSystem:
         # no interior unknowns: the local surface is pinned to the trace of
         # the global one, so the gradient difference vanishes identically
         return 0.0
-    # integrate |grad shat - grad s|^2 over the edge's incident triangles
-    descendants = []
-    for t0 in seed_local:
-        stack = [t0]
-        while stack:
-            t = stack.pop()
-            if t in local.tris:
-                descendants.append(t)
-            else:
-                stack.extend(c for c, p in local.tri_parent.items() if p == t)
+    # integrate |grad shat - grad s|^2 over the edge's incident triangles,
+    # i.e. over the alive triangles whose ancestry reaches a seed triangle
+    seed_local = {tri_map[t] for t in seed}
+
+    def in_seed(t):
+        while t is not None and t not in seed_local:
+            t = local.tri_parent.get(t)
+        return t is not None
+
     tab = local.tri_table
-    rows = tab.rows(descendants)
+    rows = np.flatnonzero([in_seed(t) for t in tab.ids.tolist()])
     # the global surface is linear on every descendant triangle
     diff = tab.gradients(shat.c - vals["c"])[rows]
     return float(np.sqrt(np.sum(tab.area[rows] * np.sum(diff ** 2, axis=1))))

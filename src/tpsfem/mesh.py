@@ -590,21 +590,7 @@ def _tri_neighbors(mesh, t):
 
 
 def _connect_components(mesh, bearing):
-    comps = []
-    seen = set()
-    for t in sorted(bearing):
-        if t in seen:
-            continue
-        comp, queue = {t}, [t]
-        seen.add(t)
-        while queue:
-            u = queue.pop()
-            for v in _tri_neighbors(mesh, u):
-                if v in bearing and v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    queue.append(v)
-        comps.append(comp)
+    comps = _components_of(mesh, bearing)
     comps.sort(key=lambda c: (-len(c), min(c)))
     retained = set(comps[0])
     pending = comps[1:]

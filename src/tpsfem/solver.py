@@ -1,18 +1,21 @@
 """Four-block saddle point system for the smoothing coefficients.
 
 The minimisation of the data-misfit plus gradient-energy objective under the
-weak gradient constraint leads to the symmetric indefinite system
+weak gradient constraint leads to the symmetric indefinite system K x = b
+over all nodes,
 
-    [ A    0    0    L  ] [c ]   [d ]   [h1]
-    [ 0   aL    0  -G1^T] [g1] = [0 ] - [h2]
-    [ 0    0   aL  -G2^T] [g2]   [0 ]   [h3]
-    [ L  -G1  -G2    0  ] [w ]   [0 ]   [h4]
+    [ A    0    0    L  ] [c ]   [d]
+    [ 0   aL    0  -G1^T] [g1] = [0]
+    [ 0    0   aL  -G2^T] [g2]   [0]
+    [ L  -G1  -G2    0  ] [w ]   [0]
 
-Dirichlet rows and columns for boundary nodes are eliminated; their
-contributions move to the right-hand side as the h vectors.  Unknowns are
-ordered in interleaved per-node blocks [c g1 g2 w] for factorisation
-locality.  The solve contract is a relative residual below 1e-9 using a
-sparse direct factorisation with a MINRES fallback.
+This block layout is written down once, in ``SaddleSystem``.  The Dirichlet
+values of the boundary nodes are eliminated generically: the interior rows
+and columns of K form the matrix, and the boundary columns times the
+boundary values move to the right-hand side.  Unknowns are ordered in
+interleaved per-node blocks [c g1 g2 w] for factorisation locality.  The
+solve contract is a relative residual below 1e-9 using a sparse direct
+factorisation with a MINRES fallback.
 """
 
 import time
@@ -26,12 +29,13 @@ from .exceptions import (DimensionMismatch, NonConvergence, OutsideDomain,
                          SingularSystem)
 
 RESIDUAL_TOL = 1e-9
+#: the unknowns of one node, in block and in interleaving order
+FIELDS = ("c", "g1", "g2", "w")
 
 
-def _unit_block(r, c):
-    m = np.zeros((4, 4))
-    m[r, c] = 1.0
-    return sp.csr_matrix(m)
+def _interleaved(nodes, n):
+    """Indices into K of the FIELDS of ``nodes``, node by node."""
+    return (nodes[:, None] + n * np.arange(len(FIELDS))).ravel()
 
 
 @dataclass
@@ -54,7 +58,11 @@ class Smoother:
 class SaddleSystem:
     """Eliminated saddle system with a reusable factorisation."""
 
-    def __init__(self, fem, alpha, bv):
+    def __init__(self, fem, alpha, bv=None):
+        if bv is None:
+            bv = fem.bv
+        if bv is None:
+            raise DimensionMismatch("no boundary values supplied")
         mesh = fem.mesh
         n = mesh.n_nodes
         for name in ("A", "L", "G1", "G2"):
@@ -72,46 +80,28 @@ class SaddleSystem:
                                     "boundary node set")
         self.fem = fem
         self.alpha = alpha
-        self.bv = bv
         self.interior = np.asarray(mesh.interior_nodes(), dtype=int)
         self.boundary = np.asarray(bv.nodes, dtype=int)[order]
         if len(self.interior) == 0:
             raise SingularSystem("mesh has no interior nodes")
-        cb = bv.c[order]
-        g1b = bv.g1[order]
-        g2b = bv.g2[order]
-        wb = bv.w_at(alpha)[order]
-        self.bvals = {"c": cb, "g1": g1b, "g2": g2b, "w": wb}
+        self.bvals = {"c": bv.c[order], "g1": bv.g1[order],
+                      "g2": bv.g2[order], "w": bv.w_at(alpha)[order]}
 
-        I, B = self.interior, self.boundary
-        A, L, G1, G2, d = fem.A, fem.L, fem.G1, fem.G2, fem.d
-        Aii = A[I][:, I]
-        Lii = L[I][:, I]
-        G1ii = G1[I][:, I]
-        G2ii = G2[I][:, I]
-        self.matrix = (
-            sp.kron(Aii, _unit_block(0, 0))
-            + sp.kron(Lii, _unit_block(0, 3) + _unit_block(3, 0))
-            + sp.kron(alpha * Lii, _unit_block(1, 1) + _unit_block(2, 2))
-            - sp.kron(G1ii.T, _unit_block(1, 3))
-            - sp.kron(G1ii, _unit_block(3, 1))
-            - sp.kron(G2ii.T, _unit_block(2, 3))
-            - sp.kron(G2ii, _unit_block(3, 2))
-        ).tocsc()
-        Aib = A[I][:, B]
-        Lib = L[I][:, B]
-        G1ib = G1[I][:, B]
-        G2ib = G2[I][:, B]
-        G1tib = G1.T.tocsr()[I][:, B]
-        G2tib = G2.T.tocsr()[I][:, B]
-        h1 = Aib @ cb + Lib @ wb
-        h2 = alpha * (Lib @ g1b) - G1tib @ wb
-        h3 = alpha * (Lib @ g2b) - G2tib @ wb
-        h4 = Lib @ cb - G1ib @ g1b - G2ib @ g2b
-        self.h = (h1, h2, h3, h4)
-        self.rhs = np.column_stack([d[I] - h1, -h2, -h3, -h4]).ravel()
+        A, L, G1, G2 = fem.A, fem.L, fem.G1, fem.G2
+        K = sp.bmat([[A, None, None, L],
+                     [None, alpha * L, None, -G1.T],
+                     [None, None, alpha * L, -G2.T],
+                     [L, -G1, -G2, None]], format="csr")
+        interior = _interleaved(self.interior, n)
+        rows = K[interior]
+        # bmat keeps the explicit zeros of its blocks; dropping them keeps
+        # the sparsity pattern, and with it SuperLU's ordering, minimal
+        self.matrix = rows[:, interior].tocsc()
+        self.matrix.eliminate_zeros()
+        x_b = np.column_stack([self.bvals[name] for name in FIELDS]).ravel()
+        self.rhs = -(rows[:, _interleaved(self.boundary, n)] @ x_b)
+        self.rhs[0::4] += fem.d[self.interior]
         self._lu = None
-        self._factor_seconds = 0.0
 
     @property
     def n_unknowns(self):
@@ -119,12 +109,10 @@ class SaddleSystem:
 
     def factorize(self):
         if self._lu is None:
-            t0 = time.perf_counter()
             try:
                 self._lu = spla.splu(self.matrix)
             except RuntimeError as err:
                 raise SingularSystem(f"direct factorisation failed: {err}") from err
-            self._factor_seconds = time.perf_counter() - t0
         return self._lu
 
     def solve_raw(self, rhs=None):
@@ -158,7 +146,7 @@ class SaddleSystem:
         """Spread interior solution blocks into full nodal vectors."""
         mesh = self.fem.mesh
         out = {}
-        for pos, name in enumerate(("c", "g1", "g2", "w")):
+        for pos, name in enumerate(FIELDS):
             v = np.zeros(mesh.n_nodes)
             v[self.interior] = x[pos::4]
             v[self.boundary] = self.bvals[name]
@@ -189,15 +177,6 @@ class SaddleSystem:
         c = np.zeros(self.fem.mesh.n_nodes)
         c[self.interior] = x[0::4]
         return c
-
-
-def build_system(fem, alpha, bv=None):
-    """Assemble the eliminated saddle system for one smoothing parameter."""
-    if bv is None:
-        bv = fem.bv
-    if bv is None:
-        raise DimensionMismatch("no boundary values supplied")
-    return SaddleSystem(fem, alpha, bv)
 
 
 def constraint_residual(s, fem):

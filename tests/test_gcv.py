@@ -6,7 +6,7 @@ from tpsfem.boundary import boundary_values_from_callables
 from tpsfem.data import DataSet
 from tpsfem.gcv import GcvConfig, gcv_score, influence_trace, select_alpha
 from tpsfem.mesh import build_square_mesh
-from tpsfem.solver import build_system, rmse
+from tpsfem.solver import SaddleSystem, rmse
 
 from oracles import dense_influence_matrix
 from test_solver import linear_problem, zero_bv
@@ -26,7 +26,7 @@ class TestGcvScore:
         mesh = build_square_mesh(0)  # 25 nodes
         data, fem = noisy_problem(mesh, n=30, seed=1)
         alpha = 1e-3
-        system = build_system(fem, alpha, fem.bv)
+        system = SaddleSystem(fem, alpha)
         infl = dense_influence_matrix(fem, alpha, fem.bv, data)
         tr = influence_trace(system, probe_matrix=None)
         assert abs(tr - np.trace(infl)) < 1e-8
@@ -63,7 +63,7 @@ class TestSelectAlpha:
         cfg = GcvConfig(alpha_grid=np.geomspace(1e-8, 1.0, 9), probes=6,
                         refine_iters=4)
         alpha = select_alpha(fem, data, cfg, seed=0)
-        s = build_system(fem, alpha, fem.bv).solve()
+        s = SaddleSystem(fem, alpha).solve()
         assert rmse(s, data, fem.located) <= 1e-6
 
     def test_selection_close_to_grid_oracle_on_peaks(self):
@@ -84,7 +84,7 @@ class TestSelectAlpha:
                                                         xt_raw[:, 1])))
 
         def test_rmse(a):
-            s = build_system(fem, a, fem.bv).solve()
+            s = SaddleSystem(fem, a).solve()
             return rmse(s, test)
 
         best = min(test_rmse(a) for a in grid)

@@ -9,7 +9,7 @@ from tpsfem.indicators import (IndicatorField, auxiliary_field,
                                auxiliary_indicator, locate_by_tri, mark,
                                recovery_field, recovery_indicator)
 from tpsfem.mesh import TriMesh, build_square_mesh
-from tpsfem.solver import Smoother, build_system
+from tpsfem.solver import SaddleSystem, Smoother
 
 from oracles import (consistent_mass_recovered_gradients,
                      lumped_mass_recovery_indicators, tri_area, tri_gradient)
@@ -18,7 +18,7 @@ from test_solver import linear_problem
 
 def linear_smoother(mesh, seed=0):
     data, fem, _ = linear_problem(mesh, n=60, seed=seed)
-    s = build_system(fem, 1e-4, fem.bv).solve()
+    s = SaddleSystem(fem, 1e-4).solve()
     return s, data, fem
 
 
@@ -131,7 +131,7 @@ class TestAuxiliary:
         from tpsfem.boundary import constant_boundary_values
         fem = FemSystem.build(mesh, data,
                               bv=constant_boundary_values(mesh, 0.4))
-        s = build_system(fem, 1e-6, fem.bv).solve()
+        s = SaddleSystem(fem, 1e-6).solve()
         field = auxiliary_field(s, data, 1e-6)
         # edges in the oscillatory core carry larger eta than the flat rim
         pts = mesh.points

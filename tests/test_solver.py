@@ -8,7 +8,7 @@ from tpsfem.data import DataSet
 from tpsfem.exceptions import (DimensionMismatch, OutsideDomain,
                                SingularSystem)
 from tpsfem.mesh import build_square_mesh, trim_to_irregular
-from tpsfem.solver import (build_system, constraint_residual, evaluate,
+from tpsfem.solver import (SaddleSystem, constraint_residual, evaluate,
                            evaluate_grad, max_abs_residual, rmse)
 
 from oracles import dense_saddle_solve, linear_basis
@@ -41,20 +41,39 @@ def zero_bv(mesh):
                           w=z.copy())
 
 
+def random_boundary_problem(seed=5):
+    """Trimmed mesh with random data and random non-zero boundary c, g1, g2
+    and Laplacian proxy, so every eliminated boundary term is non-zero."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.05, 0.95, size=(400, 2))
+    x = x[(x[:, 0] < 0.55) | (x[:, 1] < 0.45)]
+    mesh = trim_to_irregular(build_square_mesh(1),
+                             DataSet(x, np.zeros(len(x))))
+    y = np.sin(5 * x[:, 0]) * x[:, 1] + 0.1 * rng.normal(size=len(x))
+    nodes = np.asarray(mesh.boundary_nodes())
+    c, g1, g2, proxy = rng.uniform(-1, 1, size=(4, len(nodes)))
+    bv = BoundaryValues(nodes=nodes, c=c, g1=g1, g2=g2, w=-proxy,
+                        w_proxy=proxy)
+    data = DataSet(x, y)
+    return FemSystem.build(mesh, data, bv=bv)
+
+
 class TestBuildSystem:
-    def test_zero_boundary_values_give_zero_h(self):
+    def test_zero_boundary_values_give_data_only_rhs(self):
         mesh = build_square_mesh(0)
         data, fem, _ = linear_problem(mesh)
-        sys_ = build_system(fem, 1.0, zero_bv(mesh))
-        for h in sys_.h:
-            assert np.abs(h).max() == 0.0
+        sys_ = SaddleSystem(fem, 1.0, zero_bv(mesh))
+        assert np.array_equal(sys_.rhs[0::4], fem.d[sys_.interior])
+        rest = np.delete(sys_.rhs, np.s_[0::4])
+        assert len(rest) == 3 * len(sys_.interior)
+        assert np.all(rest == 0.0)
 
     def test_symmetry_exact(self):
         mesh = build_square_mesh(0)
         data, fem, _ = linear_problem(mesh)
-        sys_ = build_system(fem, 0.37, fem.bv)
+        sys_ = SaddleSystem(fem, 0.37)
         diff = (sys_.matrix - sys_.matrix.T).tocoo()
-        assert np.abs(diff.data).max() if diff.nnz else 0.0 == 0.0
+        assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
     def test_dimension_mismatch(self):
         mesh = build_square_mesh(0)
@@ -66,13 +85,24 @@ class TestBuildSystem:
         bad.g2 = bad.g2[:-1]
         bad.w = bad.w[:-1]
         with pytest.raises(DimensionMismatch):
-            build_system(fem, 1.0, bad)
+            SaddleSystem(fem, 1.0, bad)
 
     def test_matches_dense_oracle_small(self):
         mesh = build_square_mesh(0)
         data, fem, _ = linear_problem(mesh, n=25, seed=3)
+        self.check_dense_oracle(fem)
+
+    def test_matches_dense_oracle_boundary_terms(self):
+        # non-zero boundary w and gradients on an irregular mesh reach the
+        # L_ib w_b and G_j^T_ib w_b terms of the elimination
+        fem = random_boundary_problem()
+        assert np.abs(fem.bv.w_at(1e-3)).min() > 0.0
+        self.check_dense_oracle(fem)
+
+    @staticmethod
+    def check_dense_oracle(fem):
         for alpha in (1.0, 1e-3):
-            s = build_system(fem, alpha, fem.bv).solve()
+            s = SaddleSystem(fem, alpha).solve()
             ref = dense_saddle_solve(fem, alpha, fem.bv)
             for name in ("c", "g1", "g2", "w"):
                 got = getattr(s, name)
@@ -89,7 +119,7 @@ class TestSolve:
             coeffs = tuple(rng.uniform(-1, 1, 3))
             data, fem, f = linear_problem(mesh, n=80, seed=trial, coeffs=coeffs)
             for alpha in (1e-8, 1e-4, 1.0):
-                s = build_system(fem, alpha, fem.bv).solve()
+                s = SaddleSystem(fem, alpha).solve()
                 assert rmse(s, data, fem.located) <= 1e-8
 
     def test_penalty_domination_shrinks_gradients(self):
@@ -98,8 +128,8 @@ class TestSolve:
         x = rng.uniform(0.1, 0.9, size=(50, 2))
         data = DataSet(x, np.sin(6 * x[:, 0]) * x[:, 1])
         fem = FemSystem.build(mesh, data, bv=zero_bv(mesh))
-        s1 = build_system(fem, 1.0, fem.bv).solve()
-        s2 = build_system(fem, 1e6, fem.bv).solve()
+        s1 = SaddleSystem(fem, 1.0).solve()
+        s2 = SaddleSystem(fem, 1e6).solve()
         assert np.abs(s2.g1).max() <= np.abs(s1.g1).max()
         assert np.abs(s2.g2).max() <= np.abs(s1.g2).max()
 
@@ -110,7 +140,7 @@ class TestSolve:
         p = mesh.points[node]
         data = DataSet(np.array([p]), np.array([0.9]))
         fem = FemSystem.build(mesh, data, bv=zero_bv(mesh))
-        s = build_system(fem, 1e-8, fem.bv).solve()
+        s = SaddleSystem(fem, 1e-8).solve()
         ref = dense_saddle_solve(fem, 1e-8, fem.bv)
         assert np.abs(s.c - ref["c"]).max() < 1e-8
         assert abs(s.c[node] - 0.9) < 1e-3
@@ -119,14 +149,14 @@ class TestSolve:
         mesh = build_square_mesh(1)
         data, fem, _ = linear_problem(mesh, n=100, seed=2)
         for alpha in (1e-6, 1e-2, 1.0):
-            s = build_system(fem, alpha, fem.bv).solve()
+            s = SaddleSystem(fem, alpha).solve()
             tol = 1e-8 * (1.0 + np.abs(s.c).max())
             assert constraint_residual(s, fem) <= tol
 
     def test_boundary_values_imposed_exactly(self):
         mesh = build_square_mesh(0)
         data, fem, f = linear_problem(mesh, n=40, seed=7)
-        s = build_system(fem, 0.01, fem.bv).solve()
+        s = SaddleSystem(fem, 0.01).solve()
         for i, n in enumerate(np.sort(fem.bv.nodes)):
             assert s.c[n] == fem.bv.c[np.argsort(fem.bv.nodes)][i]
 
@@ -136,7 +166,7 @@ class TestSolve:
         data = DataSet(np.array([[0.2, 0.2]]), np.array([1.0]))
         fem = FemSystem.build(mesh, data, bv=zero_bv(mesh))
         with pytest.raises(SingularSystem):
-            build_system(fem, 1.0, fem.bv)
+            SaddleSystem(fem, 1.0)
 
     def test_objective_monotonicity_in_alpha(self):
         mesh = build_square_mesh(1)
@@ -149,7 +179,7 @@ class TestSolve:
         misfits, penalties = [], []
         from tpsfem.solver import predicted_values
         for alpha in np.geomspace(1e-6, 1.0, 7):
-            s = build_system(fem, alpha, fem.bv).solve()
+            s = SaddleSystem(fem, alpha).solve()
             r = predicted_values(s, located) - data.y[located.indices]
             misfits.append(np.mean(r ** 2))
             penalties.append(s.g1 @ (fem.L @ s.g1) + s.g2 @ (fem.L @ s.g2))
@@ -159,13 +189,13 @@ class TestSolve:
     def test_uniform_refinement_keeps_linear_exactness(self):
         mesh = build_square_mesh(0)
         data, fem, f = linear_problem(mesh, n=60, seed=4)
-        s0 = build_system(fem, 1e-3, fem.bv).solve()
+        s0 = SaddleSystem(fem, 1e-3).solve()
         e0 = rmse(s0, data, fem.located)
         mesh.uniform_refine()
         f_, grad, lap = linear_field()
         bv = boundary_values_from_callables(mesh, f_, grad, lap, alpha=1.0)
         fem2 = FemSystem.build(mesh, data, bv=bv)
-        s1 = build_system(fem2, 1e-3, fem2.bv).solve()
+        s1 = SaddleSystem(fem2, 1e-3).solve()
         assert rmse(s1, data, fem2.located) <= e0 + 1e-9
 
     def test_trimmed_mesh_linear_exactness(self):
@@ -177,7 +207,7 @@ class TestSolve:
         data = DataSet(x, f(x[:, 0], x[:, 1]))
         bv = boundary_values_from_callables(trimmed, f, grad, lap, alpha=1.0)
         fem = FemSystem.build(trimmed, data, bv=bv)
-        s = build_system(fem, 1e-4, fem.bv).solve()
+        s = SaddleSystem(fem, 1e-4).solve()
         assert rmse(s, data, fem.located) <= 1e-8
 
 
@@ -185,7 +215,7 @@ class TestEvaluate:
     def setup_method(self):
         self.mesh = build_square_mesh(0)
         data, fem, f = linear_problem(self.mesh, n=30, seed=1)
-        self.s = build_system(fem, 1e-3, fem.bv).solve()
+        self.s = SaddleSystem(fem, 1e-3).solve()
         self.f = f
 
     def test_value_at_node(self):
@@ -217,7 +247,7 @@ class TestMetrics:
     def test_exact_fit_zero_errors(self):
         mesh = build_square_mesh(0)
         data, fem, _ = linear_problem(mesh, n=50, seed=6)
-        s = build_system(fem, 1e-6, fem.bv).solve()
+        s = SaddleSystem(fem, 1e-6).solve()
         assert rmse(s, data) <= 1e-9
         assert max_abs_residual(s, data) <= 1e-8
 
