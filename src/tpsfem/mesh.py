@@ -105,7 +105,6 @@ class TriMesh:
         self._edge_key = {}
         self._next_tri = 0
         self._next_edge = 0
-        self._version = 0
         self._locator = None
         self._points_cache = None
         self._table = None
@@ -159,19 +158,15 @@ class TriMesh:
 
     @property
     def points(self):
-        """Node coordinates as an (n, 2) array (cached per mesh version)."""
+        """Node coordinates as an (n, 2) array (cached until the mesh changes)."""
         if self._points_cache is None or len(self._points_cache) != self.n_nodes:
             self._points_cache = np.column_stack(
                 [np.asarray(self.xs), np.asarray(self.ys)])
         return self._points_cache
 
     @property
-    def version(self):
-        return self._version
-
-    @property
     def tri_table(self):
-        """The :class:`TriTable` of the alive triangles (cached per mesh version)."""
+        """The :class:`TriTable` of the alive triangles (cached until the mesh changes)."""
         if self._table is None:
             self._table = self._build_table()
         return self._table
@@ -207,9 +202,6 @@ class TriMesh:
         """Edge id of the edge opposite triangle ``t``'s newest node."""
         n0, n1, _ = self.tris[t]
         return self.edge_id(n0, n1)
-
-    def is_boundary_edge(self, eid):
-        return len(self.edge_tris[eid]) == 1
 
     def is_interface_base_edge(self, eid):
         """True when ``eid`` is the base edge of exactly one of two incident triangles."""
@@ -247,7 +239,7 @@ class TriMesh:
     # -- internal mutation ----------------------------------------------------
 
     def _bump(self):
-        self._version += 1
+        """Drop the caches derived from the nodes and triangles."""
         self._locator = None
         self._points_cache = None
         self._table = None
@@ -723,44 +715,67 @@ def save_mesh(mesh, path):
             fh.write(f"{t} {a} {b} {v} 2\n")
 
 
+def _numbered_lines(path, skip_blank=False):
+    """(line number, whitespace-split fields) of each line of a text file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = [(k, ln.split()) for k, ln in enumerate(fh, start=1)]
+    return [r for r in rows if r[1]] if skip_blank else rows
+
+
+def _keyword(word):
+    """Field converter that accepts only ``word``."""
+    def convert(text):
+        if text != word:
+            raise ValueError(text)
+        return text
+    return convert
+
+
+def _count(text):
+    """Field converter for a non-negative item count."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def _parse_row(rows, i, types, expected):
+    """Row ``i`` of :func:`_numbered_lines`, converted field by field.
+
+    Raises ParseError with the file line number when the row is missing,
+    has another number of fields or a field does not convert.
+    """
+    if i >= len(rows):
+        line = rows[-1][0] + 1 if rows else 1
+        raise ParseError(f"file ends early, expected {expected!r}", line=line)
+    line, parts = rows[i]
+    if len(parts) == len(types):
+        try:
+            return [convert(p) for convert, p in zip(types, parts)]
+        except ValueError:
+            pass
+    raise ParseError(f"expected {expected!r}", line=line)
+
+
 def load_mesh(path):
     """Read a mesh written by :func:`save_mesh`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    if not lines or lines[0] != MESH_SCHEMA:
+    rows = _numbered_lines(path)
+    if not rows or rows[0][1] != MESH_SCHEMA.split():
         raise ParseError(f"expected header {MESH_SCHEMA!r}", line=1)
-    k = 1
-    try:
-        tag, n = lines[k].split()
-        assert tag == "nodes"
-        n = int(n)
-    except Exception:
-        raise ParseError("expected 'nodes N'", line=k + 1) from None
-    pts, flags = [], []
-    for i in range(n):
-        k += 1
-        parts = lines[k].split()
-        if len(parts) != 4:
-            raise ParseError("expected 'id x1 x2 boundary'", line=k + 1)
-        pts.append((float(parts[1]), float(parts[2])))
-        flags.append(parts[3] == "1")
-    k += 1
-    try:
-        tag, m = lines[k].split()
-        assert tag == "tris"
-        m = int(m)
-    except Exception:
-        raise ParseError("expected 'tris M'", line=k + 1) from None
-    tris, newest = [], []
-    for i in range(m):
-        k += 1
-        parts = lines[k].split()
-        if len(parts) != 5:
-            raise ParseError("expected 'id n0 n1 n2 newest_idx'", line=k + 1)
-        tris.append((int(parts[1]), int(parts[2]), int(parts[3])))
-        newest.append(int(parts[4]))
-    mesh = TriMesh.from_arrays(pts, tris, newest)
-    if mesh.node_boundary != flags:
+    _, n = _parse_row(rows, 1, (_keyword("nodes"), _count), "nodes N")
+    nodes = [_parse_row(rows, 2 + i, (str, float, float, str),
+                        "id x1 x2 boundary") for i in range(n)]
+    k = 2 + n
+    _, m = _parse_row(rows, k, (_keyword("tris"), _count), "tris M")
+    tris = [_parse_row(rows, k + 1 + i, (str, int, int, int, int),
+                       "id n0 n1 n2 newest_idx") for i in range(m)]
+    for i, t in enumerate(tris):
+        if not (all(0 <= v < n for v in t[1:4]) and 0 <= t[4] <= 2):
+            raise ParseError("node id or newest_idx out of range",
+                             line=rows[k + 1 + i][0])
+    mesh = TriMesh.from_arrays([nd[1:3] for nd in nodes],
+                               [t[1:4] for t in tris], [t[4] for t in tris])
+    if mesh.node_boundary != [nd[3] == "1" for nd in nodes]:
         raise ParseError("stored boundary flags contradict edge incidence")
     return mesh
 
@@ -775,24 +790,14 @@ def save_polygon(loops, path):
 
 def load_polygon(path):
     """Read closed polyline loops; the first loop is the outer boundary."""
+    rows = _numbered_lines(path, skip_blank=True)
     loops = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
     k = 0
-    while k < len(lines):
-        parts = lines[k].split()
-        if parts[0] != "loop" or len(parts) != 2:
-            raise ParseError("expected 'loop K'", line=k + 1)
-        cnt = int(parts[1])
-        loop = []
-        for i in range(cnt):
-            k += 1
-            xy = lines[k].split()
-            if len(xy) != 2:
-                raise ParseError("expected 'x1 x2'", line=k + 1)
-            loop.append((float(xy[0]), float(xy[1])))
-        loops.append(np.asarray(loop))
-        k += 1
+    while k < len(rows):
+        _, cnt = _parse_row(rows, k, (_keyword("loop"), _count), "loop K")
+        loops.append(np.array([_parse_row(rows, k + 1 + i, (float, float),
+                                          "x1 x2") for i in range(cnt)]))
+        k += 1 + cnt
     if not loops:
         raise ParseError("polygon file has no loops")
     return loops

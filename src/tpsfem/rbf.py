@@ -158,7 +158,7 @@ def _csrbf_gcv(K, y, alphas, probes, seed):
         lu = spla.splu(K + n * alpha * eye)
         w = lu.solve(y)
         yhat = K @ w
-        tr = float(np.mean([z @ (K @ lu.solve(z)) for z in Z.T]))
+        tr = float(np.mean(np.sum(Z * (K @ lu.solve(Z)), axis=0)))
         if tr >= n:
             continue
         v = n * float(np.sum((y - yhat) ** 2)) / (n - tr) ** 2
@@ -191,15 +191,15 @@ def fit_csrbf(data, kernel, rho, control_idx=None, plan=None, alpha="gcv",
         alpha = _csrbf_gcv(K, y, grid, probes, seed)
     alpha = float(alpha)
     t0 = time.perf_counter()
+    system = K + n * alpha * sp.identity(n, format="csc")
     try:
-        lu = spla.splu(K + n * alpha * sp.identity(n, format="csc"))
-        w = lu.solve(y)
+        w = spla.splu(system).solve(y)
     except RuntimeError as err:
         raise SingularSystem(f"CSRBF system factorisation failed: {err}") from err
     seconds = time.perf_counter() - t0
-    nnz = int((K + n * alpha * sp.identity(n, format="csc")).nnz)
     return CsrbfModel(kernel=kernel, centers=centers, rho=rho, weights=w,
-                      alpha_rbf=alpha, nonzeros=nnz, solve_seconds=seconds)
+                      alpha_rbf=alpha, nonzeros=int(system.nnz),
+                      solve_seconds=seconds)
 
 
 def fit_global_tps(data, control_idx=None, plan=None, alpha="gcv"):

@@ -9,9 +9,6 @@ from dataclasses import dataclass, field
 REPORT_SCHEMA = "tpsfem-report v1"
 VALUES_SCHEMA = "tpsfem-values v1"
 
-#: wall-clock fields excluded from determinism comparisons
-TIMING_FIELDS = ("solve_seconds",)
-
 CSV_COLUMNS = ["label", "domain", "refine", "indicator", "boundary", "nodes",
                "basis", "nonzeros", "nonzero_ratio", "solve_seconds", "rmse",
                "max_residual", "near_boundary_ratio", "dropped_points",
@@ -72,17 +69,6 @@ class RunReport:
         return cls(config=payload["config"], records=payload["records"],
                    final=payload["final"], seed=payload["seed"],
                    environment=payload["environment"])
-
-    def canonical_json(self, include_timing=True):
-        """Deterministic serialisation; timing fields can be masked."""
-        payload = json.loads(self.to_json())
-        if not include_timing:
-            for rec in payload["records"]:
-                for f in TIMING_FIELDS:
-                    rec.pop(f, None)
-            for f in TIMING_FIELDS:
-                payload["final"].pop(f, None)
-        return json.dumps(payload, sort_keys=True)
 
     def write(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -182,8 +182,8 @@ class SaddleSystem:
 def constraint_residual(s, fem):
     """Max-norm of the weak gradient constraint over interior rows."""
     r = fem.L @ s.c - fem.G1 @ s.g1 - fem.G2 @ s.g2
-    interior = [n for n in range(s.mesh.n_nodes) if not s.mesh.node_boundary[n]]
-    return float(np.abs(r[interior]).max()) if interior else 0.0
+    r = r[~np.asarray(s.mesh.node_boundary, dtype=bool)]
+    return float(np.abs(r).max()) if len(r) else 0.0
 
 
 # -- evaluation ----------------------------------------------------------------

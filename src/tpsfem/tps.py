@@ -77,15 +77,9 @@ class TpsModel:
         return kernel_laplacian_proxy(r) @ self.weights
 
 
-def fit_tps(sample, alpha_tps=0.0):
-    """Fit a smoothing TPS to a (small) data set.
-
-    Solves the dense symmetric system
-        [K + n*alpha*I  P] [w]   [y]
-        [P^T            0] [a] = [0]
-    with P = [1, x1, x2], which enforces the zero-moment side constraints on
-    the kernel weights.
-    """
+def _spline_system(sample):
+    """Points x, values y, kernel matrix K = r^2 log(r) and affine block
+    P = [1, x1, x2] of a spline fit to ``sample``."""
     x = np.asarray(sample.x, dtype=float)
     y = np.asarray(sample.y, dtype=float)
     n = len(y)
@@ -95,54 +89,55 @@ def fit_tps(sample, alpha_tps=0.0):
     if np.linalg.matrix_rank(P) < 3:
         raise DegenerateGeometry("sample points are collinear")
     r = np.sqrt(np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2))
-    K = kernel_value(r)
-    M = np.zeros((n + 3, n + 3))
-    M[:n, :n] = K + n * alpha_tps * np.eye(n)
-    M[:n, n:] = P
-    M[n:, :n] = P.T
-    rhs = np.concatenate([y, np.zeros(3)])
-    sol = scipy.linalg.solve(M, rhs)
+    return x, y, kernel_value(r), P
+
+
+def fit_tps(sample, alpha_tps=0.0):
+    """Fit a smoothing TPS to a (small) data set.
+
+    Solves the dense symmetric system
+        [K + n*alpha*I  P] [w]   [y]
+        [P^T            0] [a] = [0]
+    with P = [1, x1, x2], which enforces the zero-moment side constraints on
+    the kernel weights.
+    """
+    x, y, K, P = _spline_system(sample)
+    n = len(y)
+    M = np.block([[K + n * alpha_tps * np.eye(n), P],
+                  [P.T, np.zeros((3, 3))]])
+    sol = scipy.linalg.solve(M, np.concatenate([y, np.zeros(3)]))
     return TpsModel(centers=x.copy(), weights=sol[:n], affine=sol[n:],
                     alpha_tps=float(alpha_tps))
 
 
-def select_alpha_tps(sample, alpha_grid=None):
-    """Dense GCV (exact trace) for the spline smoothing parameter.
-
-    Affordable at a few hundred sample points: one LU factorisation per
-    candidate alpha with n extra right-hand sides for the exact trace.
-    """
-    x = np.asarray(sample.x, dtype=float)
-    y = np.asarray(sample.y, dtype=float)
+def _gcv_scores(sample, grid):
+    """GCV score n*|y - yhat|^2 / (n - tr H)^2 of the spline at each alpha."""
+    _, y, K, P = _spline_system(sample)
     n = len(y)
+    Z = np.linalg.qr(P, mode="complete")[0][:, 3:]
+    lam, U = np.linalg.eigh(Z.T @ K @ Z)
+    b = U.T @ (Z.T @ y)
+    s = n * grid[:, None] / (lam + n * grid[:, None])
+    dof = s.sum(axis=1)  # n - tr H
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dof > 0, n * np.sum((s * b) ** 2, axis=1) / dof ** 2,
+                        np.inf)
+
+
+def select_alpha_tps(sample, alpha_grid=None):
+    """Spline smoothing parameter by GCV with the exact trace.
+
+    With Z an orthonormal basis of the null space of P^T (the kernel weights
+    are w = Z g) and Z^T K Z = U diag(lam) U^T, each alpha has
+    s = n*alpha / (lam + n*alpha), n - tr H = sum(s) and
+    |y - yhat|^2 = sum((s * U^T Z^T y)^2) (Craven & Wahba 1979), so one
+    eigendecomposition scores the whole grid.  Returns the first alpha of
+    least score; a candidate with n - tr H <= 0 scores +inf, so n = 3 gives
+    ``grid[0]``.
+    """
     grid = (np.geomspace(1e-9, 1e-1, 17) if alpha_grid is None
             else np.asarray(alpha_grid, dtype=float))
-    P = np.column_stack([np.ones(n), x])
-    if np.linalg.matrix_rank(P) < 3:
-        raise DegenerateGeometry("sample points are collinear")
-    r = np.sqrt(np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2))
-    K = kernel_value(r)
-    KP = np.hstack([K, P])
-    best_alpha, best_v = None, np.inf
-    for alpha in grid:
-        M = np.zeros((n + 3, n + 3))
-        M[:n, :n] = K + n * alpha * np.eye(n)
-        M[:n, n:] = P
-        M[n:, :n] = P.T
-        lu = scipy.linalg.lu_factor(M)
-        rhs = np.zeros((n + 3, n + 1))
-        rhs[:n, 0] = y
-        rhs[:n, 1:] = np.eye(n)
-        sol = scipy.linalg.lu_solve(lu, rhs)
-        yhat = KP @ sol[:, 0]
-        infl = KP @ sol[:, 1:]
-        tr = float(np.trace(infl))
-        if tr >= n:
-            continue
-        v = n * float(np.sum((y - yhat) ** 2)) / (n - tr) ** 2
-        if v < best_v:
-            best_v, best_alpha = v, float(alpha)
-    return best_alpha if best_alpha is not None else float(grid[0])
+    return float(grid[np.argmin(_gcv_scores(sample, grid))])
 
 
 # -- subsampling ----------------------------------------------------------------

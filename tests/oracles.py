@@ -1,6 +1,9 @@
 """Independent slow oracles used only by the test suite."""
 
 import numpy as np
+import scipy.linalg
+
+from tpsfem.tps import kernel_value
 
 # 7-point Gauss rule on the reference triangle, exact to degree 5
 _GP = np.array([
@@ -218,3 +221,57 @@ def dense_influence_matrix(fem, alpha, bv, data):
         sol = dense_saddle_solve(fem_j, alpha, zero_bv)
         infl[:, j] = np.einsum("ij,ij->i", loc.bary, sol["c"][loc.tri_nodes])
     return infl
+
+
+def dense_tps_gcv_scores(x, y, grid):
+    """GCV scores of the smoothing spline, one dense LU per candidate alpha.
+
+    The influence matrix is formed column by column from n identity
+    right-hand sides and its trace read off; a candidate with tr H >= n
+    scores +inf.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    P = np.column_stack([np.ones(n), x])
+    r = np.sqrt(np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2))
+    K = kernel_value(r)
+    KP = np.hstack([K, P])
+    scores = []
+    for alpha in grid:
+        M = np.zeros((n + 3, n + 3))
+        M[:n, :n] = K + n * alpha * np.eye(n)
+        M[:n, n:] = P
+        M[n:, :n] = P.T
+        lu = scipy.linalg.lu_factor(M)
+        rhs = np.zeros((n + 3, n + 1))
+        rhs[:n, 0] = y
+        rhs[:n, 1:] = np.eye(n)
+        sol = scipy.linalg.lu_solve(lu, rhs)
+        yhat = KP @ sol[:, 0]
+        tr = float(np.trace(KP @ sol[:, 1:]))
+        scores.append(n * float(np.sum((y - yhat) ** 2)) / (n - tr) ** 2
+                      if tr < n else np.inf)
+    return np.array(scores)
+
+
+def dense_csrbf_gcv_scores(centers, y, rho, phi, grid, probes, seed):
+    """GCV scores of the CSRBF ridge collocation, one dense solve per alpha.
+
+    The trace is estimated with the same Rademacher probe draw as
+    ``tpsfem.rbf``; a candidate with a trace estimate >= n scores +inf.
+    """
+    centers = np.asarray(centers, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    Z = np.random.default_rng(seed).choice([-1.0, 1.0], size=(n, min(probes, n)))
+    K = phi(np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
+            / rho)
+    scores = []
+    for alpha in grid:
+        M = K + n * alpha * np.eye(n)
+        yhat = K @ np.linalg.solve(M, y)
+        tr = np.mean([z @ K @ np.linalg.solve(M, z) for z in Z.T])
+        scores.append(n * float(np.sum((y - yhat) ** 2)) / (n - tr) ** 2
+                      if tr < n else np.inf)
+    return np.array(scores)

@@ -247,8 +247,22 @@ class TestPolygon:
     def test_bad_polygon_file(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("loop 2\n0 0\n")
-        with pytest.raises((ParseError, IndexError)):
+        with pytest.raises(ParseError) as err:
             load_polygon(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("text, line", [
+        ("loop 3\n0 0\n1 0\n", 4),
+        ("loop x\n", 1),
+        ("loop 3\n0 a\n1 0\n0 1\n", 2),
+        ("loop 3\n0 0\n\n1 0 2\n0 1\n", 4),  # blank lines still count
+    ], ids=["truncated", "count", "coordinate", "fields"])
+    def test_malformed_polygon_file(self, tmp_path, text, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_polygon(path)
+        assert err.value.line == line
 
 
 class TestMeshIO:
@@ -273,6 +287,24 @@ class TestMeshIO:
         path.write_text("not-a-mesh\n")
         with pytest.raises(ParseError):
             load_mesh(path)
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda lines: lines[:3], 4),  # cut after the first node
+        (lambda lines: lines[:-1], None),  # last triangle missing
+        (lambda lines: lines[:2] + ["0 0.0 zero 1"] + lines[3:], 3),
+        (lambda lines: lines[:1] + ["nodes many"] + lines[2:], 2),
+        (lambda lines: lines[:-1] + ["1 0 2 99 2"], None),
+        (lambda lines: lines[:-1] + ["1 0 2 3 5"], None),
+    ], ids=["one-node", "no-last-triangle", "coordinate", "count", "node-id",
+            "newest"])
+    def test_malformed_mesh_file(self, tmp_path, edit, line):
+        path = tmp_path / "mesh.txt"
+        save_mesh(build_square_mesh(0), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_mesh(path)
+        assert err.value.line == (len(lines) if line is None else line)
 
 
 class TestNewestNodeLabels:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import dense_csrbf_gcv_scores
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.exceptions import NoControlPoints
-from tpsfem.rbf import (ControlPointPlan, buhmann_kernel, choose_rho,
+from tpsfem.rbf import (KERNELS, ControlPointPlan, buhmann_kernel, choose_rho,
                         baseline_metrics, fit_csrbf, fit_global_tps,
                         report_sparsity, snap_control_points, wendland_kernel)
 
@@ -115,6 +116,21 @@ class TestFits:
                        control_idx=np.arange(30), alpha=1e-6)
         probe = rng.uniform(0, 1, size=(10, 2))
         assert np.allclose(m1.eval(probe), m2.eval(probe), atol=1e-9)
+
+    @pytest.mark.parametrize("kernel", ["buhmann", "wendland"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gcv_alpha_matches_dense_oracle(self, kernel, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0, 1, size=(150, 2))
+        y = np.sin(4 * x[:, 0]) * np.cos(3 * x[:, 1]) + 0.2 * rng.normal(size=150)
+        grid = np.geomspace(1e-6, 1.0, 13)
+        m = fit_csrbf(DataSet(x, y), kernel, rho=0.3, control_idx=np.arange(150),
+                      alpha="gcv", alpha_grid=grid, probes=10, seed=seed)
+        ref = dense_csrbf_gcv_scores(x, y, 0.3, KERNELS[kernel], grid,
+                                     probes=10, seed=seed)
+        assert 0 < np.argmin(ref) < len(grid) - 1  # an interior minimum
+        assert m.alpha_rbf in grid
+        assert ref[grid == m.alpha_rbf][0] <= ref.min() * (1 + 1e-9)
 
     def test_global_tps_fit_and_sparsity(self):
         data = peaks_generate(PeaksSpec(n=2000), seed=5)

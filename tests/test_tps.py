@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import dense_tps_gcv_scores
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.exceptions import DegenerateGeometry, InsufficientData
-from tpsfem.tps import (SamplePlan, TpsModel, coverage_gap, fit_tps,
-                        kernel_laplacian_proxy, kernel_value,
+from tpsfem.tps import (SamplePlan, TpsModel, _gcv_scores, coverage_gap,
+                        fit_tps, kernel_laplacian_proxy, kernel_value,
                         max_nearest_gap, sample, select_alpha_tps)
 
 
@@ -128,6 +129,44 @@ class TestGcvDense:
         interp = fit_tps(DataSet(x, y), 0.0)
         resid0 = interp.eval(x) - clean
         assert np.sqrt(np.mean(resid ** 2)) < np.sqrt(np.mean(resid0 ** 2))
+
+    @staticmethod
+    def assert_matches_oracle(data):
+        grid = np.geomspace(1e-9, 1e-1, 17)
+        ref = dense_tps_gcv_scores(data.x, data.y, grid)
+        got = _gcv_scores(data, grid)
+        finite = np.isfinite(ref)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-6 * ref[finite])
+        # the oracle's argmin, up to candidates tied within that tolerance
+        # (near alpha = 0 the interpolating fits all score alike)
+        alpha = select_alpha_tps(data)
+        assert alpha in grid
+        assert ref[grid == alpha][0] <= ref.min() * (1 + 1e-6)
+
+    @pytest.mark.parametrize("n", [20, 60, 150])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_samples_match_dense_oracle(self, n, seed):
+        rng = np.random.default_rng(100 + seed)
+        x = rng.uniform(-1, 1, size=(n, 2))
+        y = np.sin(3 * x[:, 0]) * x[:, 1] + 0.2 * rng.normal(size=n)
+        self.assert_matches_oracle(DataSet(x, y))
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_peaks_samples_match_dense_oracle(self, normalized, seed):
+        # the boundary-accuracy experiment fits raw [-3, 3] coordinates
+        data = peaks_generate(PeaksSpec(n=2000), seed=seed)
+        if normalized:
+            data = data.normalized()
+        self.assert_matches_oracle(
+            sample(data, SamplePlan("quadtree", count=200), seed=seed))
+
+    def test_three_points_return_first_candidate(self):
+        data = DataSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                       np.array([1.0, 3.0, -2.0]))
+        grid = np.geomspace(1e-6, 1e-2, 5)
+        assert select_alpha_tps(data, grid) == grid[0]
 
 
 class TestSampling:
