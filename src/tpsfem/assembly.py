@@ -75,27 +75,27 @@ def assemble_G(mesh, j):
 
 @dataclass
 class Located:
-    """Data points resolved to mesh triangles.
+    """Data points resolved to the mesh, as the rows of the basis matrix.
 
     Attributes
     ----------
     indices : (k,) ndarray
         Indices into the data arrays of the points found inside the mesh.
-    tri_ids : (k,) ndarray
-    tri_nodes : (k, 3) ndarray
-    bary : (k, 3) ndarray
+    basis : (k, n_nodes) csr_matrix
+        Row i holds the basis values b(x_i) of point ``indices[i]``: its
+        barycentric coordinates at the vertices of its triangle.  The data
+        enter the fit only through this matrix: ``A = BᵀB / k``,
+        ``d = Bᵀy / k`` and the fitted values ``B c``.
     n_dropped : int
         Number of points outside the mesh (excluded from fits and metrics).
     """
     indices: np.ndarray
-    tri_ids: np.ndarray
-    tri_nodes: np.ndarray
-    bary: np.ndarray
+    basis: sp.csr_matrix
     n_dropped: int
 
     @property
     def n_used(self):
-        return len(self.indices)
+        return self.basis.shape[0]
 
 
 def locate_dataset(mesh, data):
@@ -103,14 +103,16 @@ def locate_dataset(mesh, data):
     ids, bary = mesh.locate(data.x)
     idx = np.flatnonzero(ids >= 0)
     tab = mesh.tri_table
-    return Located(idx, ids[idx], tab.verts[tab.rows(ids[idx])], bary[idx],
-                   len(data) - len(idx))
+    k = len(idx)
+    B = sp.csr_matrix((bary[idx].ravel(), tab.verts[tab.rows(ids[idx])].ravel(),
+                       np.arange(0, 3 * k + 1, 3)), shape=(k, mesh.n_nodes))
+    return Located(idx, B, len(data) - k)
 
 
 def assemble_A_d(mesh, data, located=None):
-    """Data projection matrix A = (1/n) sum b b^T and vector d = (1/n) sum b y.
+    """Data projection matrix A = BᵀB / k and vector d = Bᵀy / k.
 
-    ``n`` counts the points actually located in the mesh; points outside are
+    ``k`` counts the points actually located in the mesh; points outside are
     dropped (their count is reported on the Located record).
     """
     if located is None:
@@ -118,17 +120,12 @@ def assemble_A_d(mesh, data, located=None):
     k = located.n_used
     if k == 0:
         raise NoDataInDomain("no data point lies inside the mesh")
-    n_nodes = mesh.n_nodes
+    B = located.basis
     y = np.asarray(data.y, dtype=float)[located.indices]
-    # rows of B are the basis values b(x_i); B^T B adds the terms of A_pq
-    # and A_qp in the same point order, so A is exactly symmetric
-    B = sp.csr_matrix((located.bary.ravel(), located.tri_nodes.ravel(),
-                       np.arange(0, 3 * k + 1, 3)), shape=(k, n_nodes))
+    # BᵀB adds the terms of A_pq and A_qp in the same point order, so A is
+    # exactly symmetric
     A = (B.T @ B).tocsr() / k
-    d = np.zeros(n_nodes)
-    np.add.at(d, located.tri_nodes.ravel(),
-              (located.bary * y[:, None] / k).ravel())
-    return A, d
+    return A, B.T @ y / k
 
 
 @dataclass

@@ -3,7 +3,6 @@
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .exceptions import DegenerateExtent, ParseError
 
@@ -68,13 +67,6 @@ class DataSet:
     def subset(self, idx):
         return DataSet(self.x[idx], self.y[idx], scale=self.scale,
                        warnings=list(self.warnings))
-
-    def max_nn_gap(self):
-        """Largest nearest-neighbour distance between data points (d_X)."""
-        if len(self) < 2:
-            return 0.0
-        d, _ = cKDTree(self.x).query(self.x, k=2)
-        return float(d[:, 1].max())
 
     def normalized(self):
         """Scale x into [0.2, 0.8]^2 (aspect preserving) and y into [0, 1]."""

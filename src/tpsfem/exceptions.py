@@ -67,12 +67,6 @@ class OutsideDomain(SolverError):
     """Evaluation point lies outside the mesh domain."""
 
 
-# --- smoothing parameter selection ---------------------------------------
-
-class TraceOverflow(TpsfemError):
-    """Estimated influence trace reached the number of data points."""
-
-
 # --- kernels / sampling ---------------------------------------------------
 
 class InsufficientData(TpsfemError):

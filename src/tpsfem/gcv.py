@@ -1,11 +1,13 @@
 """Smoothing parameter selection by generalised cross validation.
 
-The score is V(alpha) = n * ||y - yhat||^2 / (n - tr(Infl))^2 where yhat are
-the fitted values at the data points and Infl is the influence matrix
-d(yhat)/dy.  The trace is the Hutchinson mean of z^T Infl z over probe
-vectors z, each costing one extra solve on the already-factorised system.
-The probes are Rademacher vectors; with at least n probes they are the
-canonical basis scaled by sqrt(n), for which the mean is the exact trace.
+The score is V(alpha) = n * ||y - yhat||^2 / (n - tr(Infl))^2 where yhat = Bc
+are the fitted values at the data points (B is the points-by-nodes basis
+matrix) and Infl is the influence matrix d(yhat)/dy.  The trace is the
+Hutchinson mean of z^T Infl z over the columns z of a probe matrix Z; all
+probes are solved together as one block right-hand side on the
+already-factorised system.  The probes are Rademacher vectors; with at
+least n probes they are the canonical basis scaled by sqrt(n), for which
+the mean is the exact trace.
 Probe vectors are drawn once per selection and shared across all candidate
 alphas so the score is a smooth deterministic function of alpha.
 """
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import SaddleSystem, predicted_values
+from .solver import SaddleSystem
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -42,32 +44,23 @@ def _probe_matrix(n, probes, rng):
     return rng.choice([-1.0, 1.0], size=(n, probes))
 
 
-def _data_rhs(fem, z):
-    """Assemble (1/n) sum b(x_i) z_i for an arbitrary per-point vector z."""
-    loc = fem.located
-    d = np.zeros(fem.mesh.n_nodes)
-    np.add.at(d, loc.tri_nodes.ravel(),
-              (loc.bary * z[:, None] / loc.n_used).ravel())
-    return d
-
-
 def influence_trace(system, probe_matrix=None):
     """Hutchinson mean of z^T Infl z over the columns z of ``probe_matrix``.
 
     With ``probe_matrix`` None the scaled canonical basis is used, which
-    gives the exact trace.
+    gives the exact trace.  The probe right-hand sides are B_I^T Z / n in
+    the c rows, with zero Dirichlet data, where B_I holds the basis columns
+    of the interior nodes; their solutions C_I give the probe values B_I C_I.
     """
-    fem = system.fem
-    loc = fem.located
+    loc = system.fem.located
+    n = loc.n_used
     if probe_matrix is None:
-        probe_matrix = _probe_matrix(loc.n_used, loc.n_used, None)
-    vals = []
-    for k in range(probe_matrix.shape[1]):
-        z = probe_matrix[:, k]
-        c = system.solve_data_rhs(_data_rhs(fem, z))
-        yz = np.einsum("ij,ij->i", loc.bary, c[loc.tri_nodes])
-        vals.append(float(z @ yz))
-    return float(np.mean(vals))
+        probe_matrix = _probe_matrix(n, n, None)
+    B = loc.basis[:, system.interior]
+    rhs = np.zeros((system.n_unknowns, probe_matrix.shape[1]))
+    rhs[0::4] = B.T @ probe_matrix / n
+    x, _ = system.solve_raw(rhs)
+    return float(np.mean(np.sum(probe_matrix * (B @ x[0::4]), axis=0)))
 
 
 def gcv_score(fem, alpha, data, probes=10, seed=0, probe_matrix=None):
@@ -81,9 +74,9 @@ def gcv_score(fem, alpha, data, probes=10, seed=0, probe_matrix=None):
     if probe_matrix is None:
         probe_matrix = _probe_matrix(n, probes, np.random.default_rng(seed))
     system = SaddleSystem(fem, alpha)
-    s = system.solve()
+    c = system.scatter(system.solve_raw()[0])["c"]
     y = np.asarray(data.y, dtype=float)[loc.indices]
-    misfit = float(np.sum((predicted_values(s, loc) - y) ** 2))
+    misfit = float(np.sum((loc.basis @ c - y) ** 2))
     tr = influence_trace(system, probe_matrix)
     if tr >= n:
         return float("inf")

@@ -96,11 +96,9 @@ class TriMesh:
         self.xs = []
         self.ys = []
         self.node_boundary = []
-        self.node_parents = []
         self.tris = {}
         self.edges = {}
         self.edge_tris = {}
-        self.node_tris = {}
         self.tri_parent = {}
         self._edge_key = {}
         self._next_tri = 0
@@ -131,7 +129,7 @@ class TriMesh:
         if not np.all(np.isfinite(pts)):
             raise ValueError("non-finite node coordinates")
         for x, y in pts:
-            mesh._add_node(float(x), float(y), boundary=False, parents=None)
+            mesh._add_node(float(x), float(y), boundary=False)
         # (a, b, v) with the newest node v last, then a and b swapped on
         # clockwise triangles
         nw = np.asarray(newest, dtype=int).reshape(-1, 1)
@@ -219,17 +217,6 @@ class TriMesh:
                 out.append(eid)
         return out
 
-    def tri_angles(self, t):
-        """The three interior angles of triangle ``t`` in degrees."""
-        p = self.points[list(self.tris[t])]
-        ang = []
-        for i in range(3):
-            u = p[(i + 1) % 3] - p[i]
-            v = p[(i + 2) % 3] - p[i]
-            c = np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
-            ang.append(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))
-        return ang
-
     def boundary_nodes(self):
         return [n for n in range(self.n_nodes) if self.node_boundary[n]]
 
@@ -244,14 +231,11 @@ class TriMesh:
         self._points_cache = None
         self._table = None
 
-    def _add_node(self, x, y, boundary, parents):
+    def _add_node(self, x, y, boundary):
         self.xs.append(x)
         self.ys.append(y)
         self.node_boundary.append(boundary)
-        self.node_parents.append(parents)
-        nid = len(self.xs) - 1
-        self.node_tris[nid] = set()
-        return nid
+        return len(self.xs) - 1
 
     def _get_edge(self, a, b):
         key = (a, b) if a < b else (b, a)
@@ -270,16 +254,12 @@ class TriMesh:
         self.tris[tid] = (a, b, v)
         if parent is not None:
             self.tri_parent[tid] = parent
-        for n in (a, b, v):
-            self.node_tris[n].add(tid)
         for u, w in ((a, b), (b, v), (v, a)):
             self.edge_tris[self._get_edge(u, w)].append(tid)
         return tid
 
     def _remove_tri(self, tid):
         a, b, v = self.tris.pop(tid)
-        for n in (a, b, v):
-            self.node_tris[n].discard(tid)
         for u, w in ((a, b), (b, v), (v, a)):
             eid = self.edge_id(u, w)
             if eid is not None:
@@ -346,7 +326,7 @@ class TriMesh:
         boundary = len(incident) == 1
         mid = self._add_node(0.5 * (self.xs[a] + self.xs[b]),
                              0.5 * (self.ys[a] + self.ys[b]),
-                             boundary=boundary, parents=(a, b))
+                             boundary=boundary)
         for tid, (p, q, v) in incident:
             # children (p, mid, v) and (mid, q, v), newest node mid
             self._add_tri(v, p, mid, parent=tid)
@@ -478,9 +458,6 @@ class TriMesh:
                 assert eid is not None and tid in self.edge_tris[eid]
         for n in range(self.n_nodes):
             assert self.node_boundary[n] == derived[n], f"boundary flag mismatch at node {n}"
-        for n, ts in self.node_tris.items():
-            for t in ts:
-                assert n in self.tris[t]
 
     def _derive_boundary_flags(self):
         flags = [False] * self.n_nodes
@@ -510,7 +487,7 @@ class TriMesh:
         node_map = {n: i for i, n in enumerate(nodes)}
         sub = TriMesh()
         for n in nodes:
-            sub._add_node(self.xs[n], self.ys[n], boundary=False, parents=None)
+            sub._add_node(self.xs[n], self.ys[n], boundary=False)
         tri_map = {}
         for t in tri_ids:
             a, b, v = self.tris[t]
@@ -534,7 +511,7 @@ def build_square_mesh(refine_level=0):
     mesh = TriMesh()
     for j in range(n + 1):
         for i in range(n + 1):
-            mesh._add_node(i * h, j * h, boundary=False, parents=None)
+            mesh._add_node(i * h, j * h, boundary=False)
     nid = lambda i, j: j * (n + 1) + i
     for j in range(n):
         for i in range(n):
@@ -670,11 +647,9 @@ def mesh_polygon(loops, refine_level=3):
             keep.add(t)
     if not keep:
         raise EmptyResult("polygon contains no triangle centroid")
-    retained = _connect_components(mesh, keep)
-    # only keep bridges that stay inside the domain: polygon trimming is
-    # authoritative, so restrict to the largest inside component instead
-    retained &= keep
-    comps = _components_of(mesh, retained)
+    # polygon trimming is authoritative: keep the largest inside component
+    # rather than bridging components through outside triangles
+    comps = _components_of(mesh, keep)
     comps.sort(key=lambda c: (-len(c), min(c)))
     sub, _, _ = mesh.copy_submesh(comps[0])
     return sub

@@ -116,31 +116,38 @@ class SaddleSystem:
         return self._lu
 
     def solve_raw(self, rhs=None):
-        """Solve for one right-hand side, checking the relative residual."""
+        """Solve for one right-hand side or an (m, p) block of them.
+
+        Every column must reach a relative residual below RESIDUAL_TOL; only
+        the columns the direct solve misses fall back to MINRES.
+        """
         b = self.rhs if rhs is None else rhs
         t0 = time.perf_counter()
+        cols = b.reshape(len(b), -1)
         try:
-            x = self.factorize().solve(b)
+            x = self.factorize().solve(cols)
         except SingularSystem:
-            x = None
-        scale = np.abs(b).max()
-        if scale == 0.0:
-            return np.zeros_like(b), 0.0
-        if x is not None:
-            resid = np.abs(self.matrix @ x - b).max() / scale
-            if resid <= RESIDUAL_TOL:
-                return x, time.perf_counter() - t0
-        # iterative fallback: the operator is symmetric indefinite
-        n_m = self.fem.mesh.n_nodes
-        x, flag = spla.minres(self.matrix, b, x0=x, rtol=RESIDUAL_TOL / 10,
-                              maxiter=20 * n_m)
-        resid = np.abs(self.matrix @ x - b).max() / scale
-        if flag != 0 or resid > RESIDUAL_TOL:
-            raise NonConvergence(
-                "solver did not reach the residual target",
-                diagnostics={"flag": int(flag), "residual": float(resid),
-                             "unknowns": self.n_unknowns})
-        return x, time.perf_counter() - t0
+            x = np.zeros_like(cols)
+        scale = np.abs(cols).max(axis=0)
+        x[:, scale == 0.0] = 0.0
+        failed = ~(self._residual(x, cols, scale) <= RESIDUAL_TOL)
+        for j in np.flatnonzero(failed):
+            # iterative fallback: the operator is symmetric indefinite
+            x[:, j], flag = spla.minres(self.matrix, cols[:, j], x0=x[:, j],
+                                        rtol=RESIDUAL_TOL / 10,
+                                        maxiter=20 * self.fem.mesh.n_nodes)
+            resid = float(self._residual(x[:, [j]], cols[:, [j]], scale[[j]])[0])
+            if flag != 0 or not resid <= RESIDUAL_TOL:
+                raise NonConvergence(
+                    "solver did not reach the residual target",
+                    diagnostics={"flag": int(flag), "residual": resid,
+                                 "unknowns": self.n_unknowns})
+        return x.reshape(b.shape), time.perf_counter() - t0
+
+    def _residual(self, x, b, scale):
+        """Max-norm residual of each column of ``x`` relative to ``scale``."""
+        r = np.abs(self.matrix @ x - b).max(axis=0)
+        return np.divide(r, scale, out=np.zeros_like(r), where=scale > 0)
 
     def scatter(self, x):
         """Spread interior solution blocks into full nodal vectors."""
@@ -163,20 +170,6 @@ class SaddleSystem:
         }, **fields)
         s.info["constraint_residual"] = constraint_residual(s, self.fem)
         return s
-
-    def solve_data_rhs(self, d_vec):
-        """Solve with RHS (d, 0, 0, 0) and zero Dirichlet data.
-
-        This is the derivative of the solution with respect to the response
-        values, as needed by influence trace probes.  Returns the full c
-        vector (boundary entries zero).
-        """
-        rhs = np.zeros_like(self.rhs)
-        rhs[0::4] = d_vec[self.interior]
-        x, _ = self.solve_raw(rhs)
-        c = np.zeros(self.fem.mesh.n_nodes)
-        c[self.interior] = x[0::4]
-        return c
 
 
 def constraint_residual(s, fem):
@@ -224,27 +217,25 @@ def evaluate_grad(s, p):
 
 
 def predicted_values(s, located):
-    """Surface values at located data points (vectorised)."""
-    return np.einsum("ij,ij->i", located.bary, s.c[located.tri_nodes])
+    """Surface values at located data points."""
+    return located.basis @ s.c
+
+
+def _residuals(s, data, located):
+    """Fitted minus observed values at the data points inside the mesh."""
+    from .assembly import locate_dataset
+    if located is None:
+        located = locate_dataset(s.mesh, data)
+    return predicted_values(s, located) - np.asarray(data.y)[located.indices]
 
 
 def rmse(s, data, located=None):
     """Root mean square residual over data points inside the mesh."""
-    from .assembly import locate_dataset
-    if located is None:
-        located = locate_dataset(s.mesh, data)
-    if located.n_used == 0:
-        return float("nan")
-    r = predicted_values(s, located) - np.asarray(data.y)[located.indices]
-    return float(np.sqrt(np.mean(r ** 2)))
+    r = _residuals(s, data, located)
+    return float(np.sqrt(np.mean(r ** 2))) if len(r) else float("nan")
 
 
 def max_abs_residual(s, data, located=None):
     """Largest absolute residual over data points inside the mesh."""
-    from .assembly import locate_dataset
-    if located is None:
-        located = locate_dataset(s.mesh, data)
-    if located.n_used == 0:
-        return float("nan")
-    r = predicted_values(s, located) - np.asarray(data.y)[located.indices]
-    return float(np.abs(r).max())
+    r = _residuals(s, data, located)
+    return float(np.abs(r).max()) if len(r) else float("nan")

@@ -239,23 +239,3 @@ def sample(data, plan, seed=0):
         if not progress:
             raise InsufficientData("sampling exhausted candidate points")
     return data.subset(np.sort(np.asarray(chosen)))
-
-
-def max_nearest_gap(points):
-    """Largest nearest-neighbour distance within a point set."""
-    from scipy.spatial import cKDTree
-    pts = np.asarray(points, dtype=float)
-    d, _ = cKDTree(pts).query(pts, k=2)
-    return float(d[:, 1].max())
-
-
-def coverage_gap(sample_points, reference_points):
-    """Largest distance from any reference point to its nearest sample.
-
-    This is the quantity stratified (quadtree) sampling bounds: the radius
-    of the biggest hole the subsample leaves in the data cloud.
-    """
-    from scipy.spatial import cKDTree
-    d, _ = cKDTree(np.asarray(sample_points, dtype=float)).query(
-        np.asarray(reference_points, dtype=float), k=1)
-    return float(d.max())

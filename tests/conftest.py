@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from tpsfem.mesh import TriMesh, build_square_mesh
 
@@ -56,7 +57,29 @@ def total_area(mesh):
 
 
 def all_angles(mesh):
-    out = []
-    for t in mesh.tris:
-        out.extend(mesh.tri_angles(t))
-    return np.asarray(out)
+    """Interior angles of every triangle, in degrees."""
+    tab = mesh.tri_table
+    p = np.stack([tab.x, tab.y], axis=2)
+    u = np.roll(p, -1, axis=1) - p
+    v = np.roll(p, -2, axis=1) - p
+    cos = (u * v).sum(axis=2) / (np.linalg.norm(u, axis=2)
+                                 * np.linalg.norm(v, axis=2))
+    return np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))).ravel()
+
+
+def max_nearest_gap(points):
+    """Largest nearest-neighbour distance within a point set."""
+    pts = np.asarray(points, dtype=float)
+    d, _ = cKDTree(pts).query(pts, k=2)
+    return float(d[:, 1].max())
+
+
+def coverage_gap(sample_points, reference_points):
+    """Largest distance from any reference point to its nearest sample.
+
+    This is the quantity stratified (quadtree) sampling bounds: the radius
+    of the biggest hole the subsample leaves in the data cloud.
+    """
+    d, _ = cKDTree(np.asarray(sample_points, dtype=float)).query(
+        np.asarray(reference_points, dtype=float), k=1)
+    return float(d.max())

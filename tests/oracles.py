@@ -92,12 +92,10 @@ def dense_G(mesh, axis):
     return G
 
 
-def dense_A_d(mesh, data):
-    """Data projection by direct dense accumulation sum(b b^T)/n."""
-    n = mesh.n_nodes
-    A = np.zeros((n, n))
-    d = np.zeros(n)
-    used = []
+def dense_basis(mesh, data):
+    """Basis values b(x_i) of the points inside the mesh, one dense row per
+    point in data order, from the per-triangle linear basis functions."""
+    rows = []
     ids, _ = mesh.locate(data.x)
     for i, p in enumerate(np.asarray(data.x, dtype=float)):
         t = ids[i]
@@ -105,14 +103,18 @@ def dense_A_d(mesh, data):
             continue
         nodes = list(mesh.tris[t])
         fns, _ = linear_basis(mesh.points[nodes])
-        b = np.zeros(n)
+        b = np.zeros(mesh.n_nodes)
         b[nodes] = [fn(p[0], p[1]) for fn in fns]
-        used.append((b, data.y[i]))
-    k = len(used)
-    for b, y in used:
-        A += np.outer(b, b) / k
-        d += b * y / k
-    return A, d
+        rows.append(b)
+    return np.array(rows).reshape(-1, mesh.n_nodes)
+
+
+def dense_A_d(mesh, data):
+    """Data projection sum(b b^T)/n and sum(b y)/n from dense basis rows."""
+    ids, _ = mesh.locate(data.x)
+    B = dense_basis(mesh, data)
+    y = np.asarray(data.y, dtype=float)[ids >= 0]
+    return B.T @ B / len(B), B.T @ y / len(B)
 
 
 def consistent_mass_recovered_gradients(mesh, c):
@@ -143,8 +145,13 @@ def lumped_mass_recovery_indicators(mesh, c):
         area[t] = tri_area(pts[nodes])
         grad[t] = tri_gradient(pts[nodes], c[nodes])
 
+    node_tris = {}
+    for t, tri in mesh.tris.items():
+        for n in tri:
+            node_tris.setdefault(n, []).append(t)
+
     def recovered(n):
-        ts = mesh.node_tris[n]
+        ts = node_tris[n]
         return (sum(area[t] / 3.0 * grad[t] for t in ts)
                 / sum(area[t] / 3.0 for t in ts))
 
@@ -200,18 +207,13 @@ def dense_saddle_solve(fem, alpha, bv):
 
 def dense_influence_matrix(fem, alpha, bv, data):
     """Influence matrix dy_hat/dy by dense solves against canonical vectors."""
-    mesh = fem.mesh
-    loc = fem.located
-    k = loc.n_used
+    B = dense_basis(fem.mesh, data)
+    k = len(B)
     infl = np.zeros((k, k))
-    y_orig = np.asarray(data.y, dtype=float).copy()
     import copy
     for j in range(k):
-        d = np.zeros(mesh.n_nodes)
-        np.add.at(d, loc.tri_nodes.ravel(),
-                  (loc.bary * np.eye(k)[j][:, None] / k).ravel())
         fem_j = copy.copy(fem)
-        fem_j.d = d
+        fem_j.d = B[j] / k
         zero_bv = copy.copy(bv)
         zero_bv.c = np.zeros_like(bv.c)
         zero_bv.g1 = np.zeros_like(bv.g1)
@@ -219,7 +221,7 @@ def dense_influence_matrix(fem, alpha, bv, data):
         zero_bv.w = np.zeros_like(bv.w)
         zero_bv.w_proxy = None
         sol = dense_saddle_solve(fem_j, alpha, zero_bv)
-        infl[:, j] = np.einsum("ij,ij->i", loc.bary, sol["c"][loc.tri_nodes])
+        infl[:, j] = B @ sol["c"]
     return infl
 
 

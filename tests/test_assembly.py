@@ -143,9 +143,7 @@ class TestDataProjection:
         located = locate_dataset(mesh, data)
         A, d = assemble_A_d(mesh, data, located)
         # sum_q A_pq = (1/n) sum_i b_p(x_i)
-        bp = np.zeros(mesh.n_nodes)
-        np.add.at(bp, located.tri_nodes.ravel(),
-                  located.bary.ravel() / located.n_used)
+        bp = np.asarray(located.basis.sum(axis=0)).ravel() / located.n_used
         assert np.allclose(np.asarray(A.sum(axis=1)).ravel(), bp, atol=1e-13)
         assert abs(d.sum() - data.y[located.indices].mean()) < 1e-13
 

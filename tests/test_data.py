@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import max_nearest_gap
 from tpsfem.data import (DataSet, PeaksSpec, ingest, peaks_generate,
                          peaks_grad, peaks_laplacian, peaks_value)
 from tpsfem.exceptions import DegenerateExtent, ParseError
@@ -68,7 +69,7 @@ class TestIngest:
     def test_max_nn_gap(self):
         ds = DataSet(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]),
                      np.zeros(3))
-        assert abs(ds.max_nn_gap() - 2.0) < 1e-12
+        assert abs(max_nearest_gap(ds.x) - 2.0) < 1e-12
 
 
 class TestPeaks:

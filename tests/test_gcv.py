@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from tpsfem.assembly import FemSystem
 from tpsfem.boundary import boundary_values_from_callables
 from tpsfem.data import DataSet
-from tpsfem.gcv import GcvConfig, gcv_score, influence_trace, select_alpha
+from tpsfem.exceptions import NonConvergence
+from tpsfem.gcv import (GcvConfig, _probe_matrix, gcv_score, influence_trace,
+                        select_alpha)
 from tpsfem.mesh import build_square_mesh
 from tpsfem.solver import SaddleSystem, rmse
 
@@ -54,6 +57,67 @@ class TestGcvScore:
         a = gcv_score(fem, 1e-2, data, probes=6, seed=42)
         b = gcv_score(fem, 1e-2, data, probes=6, seed=42)
         assert a == b
+
+
+class TestBlockSolve:
+    """All probes go through one solve_raw call on an (m, p) block."""
+
+    @staticmethod
+    def problem():
+        data, fem = noisy_problem(build_square_mesh(0), n=30, seed=1)
+        Z = _probe_matrix(fem.located.n_used, 6, np.random.default_rng(0))
+        return data, fem, Z
+
+    @staticmethod
+    def without_direct_solver(monkeypatch):
+        """Make every factorisation fail and count the MINRES calls."""
+        def fail(*args, **kwargs):
+            raise RuntimeError("factor is exactly singular")
+        calls = []
+        minres = spla.minres
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return minres(*args, **kwargs)
+        monkeypatch.setattr(spla, "splu", fail)
+        monkeypatch.setattr(spla, "minres", counted)
+        return calls
+
+    def test_rademacher_trace_matches_dense_oracle(self):
+        data, fem, Z = self.problem()
+        alpha = 1e-3
+        infl = dense_influence_matrix(fem, alpha, fem.bv, data)
+        tr = influence_trace(SaddleSystem(fem, alpha), Z)
+        assert abs(tr - np.mean(np.diag(Z.T @ infl @ Z))) < 1e-10
+
+    def test_failed_columns_fall_back_to_minres(self, monkeypatch):
+        data, fem, Z = self.problem()
+        direct = influence_trace(SaddleSystem(fem, 0.1), Z)
+        calls = self.without_direct_solver(monkeypatch)
+        tr = influence_trace(SaddleSystem(fem, 0.1), Z)
+        assert len(calls) == Z.shape[1]
+        assert abs(tr - direct) < 1e-8
+
+    def test_minres_miss_raises_with_diagnostics(self, monkeypatch):
+        data, fem, Z = self.problem()
+        self.without_direct_solver(monkeypatch)
+        system = SaddleSystem(fem, 1e-3)
+        with pytest.raises(NonConvergence) as err:
+            influence_trace(system, Z)
+        diag = err.value.diagnostics
+        assert set(diag) == {"flag", "residual", "unknowns"}
+        assert diag["residual"] > 1e-9
+        assert diag["unknowns"] == system.n_unknowns
+
+    def test_block_columns_equal_single_solves(self):
+        data, fem, Z = self.problem()
+        system = SaddleSystem(fem, 1e-2)
+        rhs = np.random.default_rng(2).normal(size=(system.n_unknowns, 3))
+        rhs[:, 1] = 0.0
+        block, _ = system.solve_raw(rhs)
+        for j in range(3):
+            single, _ = system.solve_raw(rhs[:, j])
+            assert np.array_equal(block[:, j], single)
 
 
 class TestSelectAlpha:

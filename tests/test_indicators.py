@@ -39,7 +39,7 @@ class TestRecovery:
         c[centre] = 1.0
         s = Smoother(mesh=mesh, c=c, g1=np.zeros(25), g2=np.zeros(25),
                      w=np.zeros(25), alpha=1.0)
-        fan = sorted(mesh.node_tris[centre])
+        fan = sorted(t for t, tri in mesh.tris.items() if centre in tri)
         etas = dict(zip(fan, recovery_indicator(s, fan)))
         vals = sorted(etas.values())
         # 8 incident triangles in two symmetry classes at most

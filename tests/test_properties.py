@@ -1,12 +1,15 @@
-"""Property tests of newest-node bisection and batched point location."""
+"""Property tests of newest-node bisection, batched point location and the
+exactness of the fit on affine data."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from tpsfem.mesh import BARY_TOL, build_square_mesh
+from tpsfem.solver import SaddleSystem, rmse
 
 from conftest import all_angles, total_area
 from oracles import linear_basis
+from test_solver import linear_problem
 
 #: indices into the sorted refinable edges, one bisection each
 bisections = st.lists(st.integers(0, 10 ** 6), max_size=30)
@@ -82,3 +85,16 @@ def test_bisection_preserves_invariants(picks):
     assert abs(total_area(mesh) - 1.0) < 1e-12
     ang = all_angles(mesh)
     assert np.all((np.abs(ang - 45.0) < 1e-9) | (np.abs(ang - 90.0) < 1e-9))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(log_alpha=st.floats(-8.0, 2.0),
+       coeffs=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       seed=st.integers(0, 2 ** 16))
+def test_affine_data_reproduced_for_any_alpha(log_alpha, coeffs, seed):
+    # an affine surface has zero gradient energy and zero misfit, so it is
+    # the minimiser whatever the smoothing weight
+    mesh = build_square_mesh(1)
+    data, fem, _ = linear_problem(mesh, n=60, seed=seed, coeffs=coeffs)
+    s = SaddleSystem(fem, 10.0 ** log_alpha).solve()
+    assert rmse(s, data, fem.located) <= 1e-8

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import coverage_gap
 from oracles import dense_tps_gcv_scores
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.exceptions import DegenerateGeometry, InsufficientData
-from tpsfem.tps import (SamplePlan, TpsModel, _gcv_scores, coverage_gap,
-                        fit_tps, kernel_laplacian_proxy, kernel_value,
-                        max_nearest_gap, sample, select_alpha_tps)
+from tpsfem.tps import (SamplePlan, TpsModel, _gcv_scores, fit_tps,
+                        kernel_laplacian_proxy, kernel_value, sample,
+                        select_alpha_tps)
 
 
 def random_model(seed):
