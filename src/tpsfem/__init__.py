@@ -18,8 +18,8 @@ from .data import (DataSet, PeaksSpec, ingest, peaks_generate, peaks_grad,
                    peaks_laplacian, peaks_value)
 from .driver import IterationRecord, RunConfig, run
 from .gcv import GcvConfig, gcv_score, select_alpha
-from .indicators import (IndicatorField, auxiliary_indicator, mark,
-                         recovery_indicator)
+from .indicators import (IndicatorField, auxiliary_indicator,
+                         auxiliary_indicators, mark, recovery_indicator)
 from .mesh import (TriMesh, build_square_mesh, load_mesh, load_polygon,
                    mesh_polygon, save_mesh, save_polygon, trim_to_irregular)
 from .rbf import (ControlPointPlan, CsrbfModel, choose_rho, fit_csrbf,
@@ -44,7 +44,7 @@ __all__ = [
     "mark", "max_abs_residual", "merge_reports_csv", "mesh_polygon",
     "new_boundary_node_values", "peaks_generate",
     "peaks_grad", "peaks_laplacian", "peaks_value", "read_report",
-    "recovery_indicator", "auxiliary_indicator",
+    "recovery_indicator", "auxiliary_indicator", "auxiliary_indicators",
     "report_sparsity", "rmse", "run", "sample", "save_mesh", "save_polygon",
     "select_alpha", "select_alpha_tps", "snap_control_points",
     "trim_to_irregular",

@@ -15,13 +15,11 @@ from .exceptions import DegenerateTriangle, NoDataInDomain, OutsideTriangle
 AREA_TOL = 1e-14
 
 
-def _checked_table(mesh):
-    """The mesh's triangle table; raises DegenerateTriangle on slivers."""
-    tab = mesh.tri_table
+def _check_areas(tab):
+    """Raise DegenerateTriangle when a triangle of the table is a sliver."""
     if np.any(tab.area < AREA_TOL):
         bad = tab.ids[tab.area < AREA_TOL]
         raise DegenerateTriangle(f"triangles {bad[:5].tolist()} have area < {AREA_TOL}")
-    return tab
 
 
 def basis_eval(mesh, tri_id, p):
@@ -41,36 +39,46 @@ def basis_eval(mesh, tri_id, p):
     return bary, np.vstack([tab.gx[r], tab.gy[r]])
 
 
-def assemble_L(mesh):
-    """Stiffness matrix L_pq = integral of grad(b_p) . grad(b_q)."""
-    tab = _checked_table(mesh)
-    verts, area, gx, gy = tab.verts, tab.area, tab.gx, tab.gy
-    n = mesh.n_nodes
-    # element matrix: T * (gx gx^T + gy gy^T)
-    elem = area[:, None, None] * (gx[:, :, None] * gx[:, None, :]
-                                  + gy[:, :, None] * gy[:, None, :])
+def element_L(tab):
+    """(m, 3, 3) element stiffness matrices T (gx gxᵀ + gy gyᵀ) of a TriTable."""
+    _check_areas(tab)
+    gx, gy = tab.gx, tab.gy
+    return tab.area[:, None, None] * (gx[:, :, None] * gx[:, None, :]
+                                      + gy[:, :, None] * gy[:, None, :])
+
+
+def element_G(tab, j):
+    """(m, 3, 3) element gradient matrices of a TriTable for axis ``j``.
+
+    integral(b_p) = T/3 and d_j b_q is constant, so entry (p, q) = T/3 * g_q.
+    """
+    if j not in (1, 2):
+        raise ValueError("j must be 1 or 2")
+    _check_areas(tab)
+    g = tab.gx if j == 1 else tab.gy
+    return (tab.area[:, None] / 3.0)[:, :, None] * np.ones((1, 3, 1)) * g[:, None, :]
+
+
+def assemble_elements(verts, elem, n):
+    """Sum (m, 3, 3) element matrices over their vertex triples ``verts``
+    into an (n, n) CSR matrix."""
     rows = np.repeat(verts, 3, axis=1).ravel()
     cols = np.tile(verts, (1, 3)).ravel()
-    L = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    L.sum_duplicates()
-    return L
+    M = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    M.sum_duplicates()
+    return M
+
+
+def assemble_L(mesh):
+    """Stiffness matrix L_pq = integral of grad(b_p) . grad(b_q)."""
+    tab = mesh.tri_table
+    return assemble_elements(tab.verts, element_L(tab), mesh.n_nodes)
 
 
 def assemble_G(mesh, j):
     """Gradient matrix (G_j)_pq = integral of b_p * d(b_q)/dx_j."""
-    if j not in (1, 2):
-        raise ValueError("j must be 1 or 2")
-    tab = _checked_table(mesh)
-    verts, area = tab.verts, tab.area
-    n = mesh.n_nodes
-    g = tab.gx if j == 1 else tab.gy
-    # integral(b_p) = T/3, d_j b_q constant: element entry (p, q) = T/3 * g_q
-    elem = (area[:, None] / 3.0)[:, :, None] * np.ones((1, 3, 1)) * g[:, None, :]
-    rows = np.repeat(verts, 3, axis=1).ravel()
-    cols = np.tile(verts, (1, 3)).ravel()
-    G = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    G.sum_duplicates()
-    return G
+    tab = mesh.tri_table
+    return assemble_elements(tab.verts, element_G(tab, j), mesh.n_nodes)
 
 
 @dataclass

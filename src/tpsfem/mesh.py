@@ -44,6 +44,22 @@ class TriTable(namedtuple("TriTable",
     """
     __slots__ = ()
 
+    @classmethod
+    def build(cls, ids, verts, points):
+        """Table of the triangles ``verts`` (rows of node ids into the (n, 2)
+        ``points``), labelled by the ascending ``ids``."""
+        x = points[:, 0][verts]
+        y = points[:, 1][verts]
+        # b_i = y_j - y_k, c_i = x_k - x_j  (cyclic), grad b_i = (b_i, c_i) / (2T)
+        bcoef = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+        ccoef = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+        area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                      - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gx = bcoef / (2.0 * area[:, None])
+            gy = ccoef / (2.0 * area[:, None])
+        return cls(ids, verts, x, y, area, gx, gy)
+
     def rows(self, ids):
         """Rows of the triangles ``ids``; KeyError for ids of no alive triangle."""
         ids = np.asarray(ids, dtype=np.int64)
@@ -173,18 +189,7 @@ class TriMesh:
         ids = np.sort(np.fromiter(self.tris, dtype=np.int64, count=len(self.tris)))
         verts = np.array([self.tris[t] for t in ids.tolist()],
                          dtype=np.int64).reshape(-1, 3)
-        pts = self.points
-        x = pts[:, 0][verts]
-        y = pts[:, 1][verts]
-        # b_i = y_j - y_k, c_i = x_k - x_j  (cyclic), grad b_i = (b_i, c_i) / (2T)
-        bcoef = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-        ccoef = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-        area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-                      - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gx = bcoef / (2.0 * area[:, None])
-            gy = ccoef / (2.0 * area[:, None])
-        return TriTable(ids, verts, x, y, area, gx, gy)
+        return TriTable.build(ids, verts, self.points)
 
     def node_xy(self, n):
         return self.xs[n], self.ys[n]

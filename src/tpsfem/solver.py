@@ -9,7 +9,7 @@ over all nodes,
     [ 0    0   aL  -G2^T] [g2]   [0]
     [ L  -G1  -G2    0  ] [w ]   [0]
 
-This block layout is written down once, in ``SaddleSystem``.  The Dirichlet
+This block layout is written down once, in ``saddle_blocks``.  The Dirichlet
 values of the boundary nodes are eliminated generically: the interior rows
 and columns of K form the matrix, and the boundary columns times the
 boundary values move to the right-hand side.  Unknowns are ordered in
@@ -36,6 +36,18 @@ FIELDS = ("c", "g1", "g2", "w")
 def _interleaved(nodes, n):
     """Indices into K of the FIELDS of ``nodes``, node by node."""
     return (nodes[:, None] + n * np.arange(len(FIELDS))).ravel()
+
+
+def saddle_blocks(A, L, G1, G2, alpha, transpose):
+    """The 4x4 block layout of K, rows and columns in FIELDS order.
+
+    None marks a zero block.  ``transpose`` transposes one block, so the
+    same layout serves sparse matrices and stacks of element matrices.
+    """
+    return [[A, None, None, L],
+            [None, alpha * L, None, -transpose(G1)],
+            [None, None, alpha * L, -transpose(G2)],
+            [L, -G1, -G2, None]]
 
 
 @dataclass
@@ -88,10 +100,8 @@ class SaddleSystem:
                       "g2": bv.g2[order], "w": bv.w_at(alpha)[order]}
 
         A, L, G1, G2 = fem.A, fem.L, fem.G1, fem.G2
-        K = sp.bmat([[A, None, None, L],
-                     [None, alpha * L, None, -G1.T],
-                     [None, None, alpha * L, -G2.T],
-                     [L, -G1, -G2, None]], format="csr")
+        K = sp.bmat(saddle_blocks(A, L, G1, G2, alpha, lambda M: M.T),
+                    format="csr")
         interior = _interleaved(self.interior, n)
         rows = K[interior]
         # bmat keeps the explicit zeros of its blocks; dropping them keeps

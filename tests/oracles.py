@@ -3,6 +3,11 @@
 import numpy as np
 import scipy.linalg
 
+from tpsfem.assembly import FemSystem
+from tpsfem.boundary import BoundaryValues
+from tpsfem.data import DataSet
+from tpsfem.exceptions import SingularSystem
+from tpsfem.solver import SaddleSystem
 from tpsfem.tps import kernel_value
 
 # 7-point Gauss rule on the reference triangle, exact to degree 5
@@ -277,3 +282,56 @@ def dense_csrbf_gcv_scores(centers, y, rho, phi, grid, probes, seed):
         scores.append(n * float(np.sum((y - yhat) ** 2)) / (n - tr) ** 2
                       if tr < n else np.inf)
     return np.array(scores)
+
+
+def patch_auxiliary_indicator(s, data, edge_id, alpha, located_by_tri):
+    """Auxiliary indicator of one edge from its own sparse local problem.
+
+    The patch (the edge's incident triangles and their edge-neighbours) is
+    copied and uniformly refined once; the local smoothing problem gets its
+    own FemSystem (with its own point location), SaddleSystem and sparse
+    factorisation, and the squared gradient difference is integrated over
+    the refined triangles whose parent chain reaches an incident triangle.
+    ``located_by_tri`` maps triangle id -> indices of the data inside it.
+    """
+    mesh = s.mesh
+    seed = list(mesh.edge_tris[edge_id])
+    patch = set(seed)
+    for t in seed:
+        for eid in mesh.tri_edge_ids(t):
+            patch.update(mesh.edge_tris[eid])
+    pt_idx = [i for t in patch for i in located_by_tri.get(t, ())]
+    if not pt_idx:
+        return 0.0
+    local, node_map, tri_map = mesh.copy_submesh(patch)
+    # copy_submesh numbers the patch nodes in increasing order
+    patch_nodes = np.array(sorted(node_map))
+    vals = {name: getattr(s, name)[patch_nodes]
+            for name in ("c", "g1", "g2", "w")}
+    for ev in local.uniform_refine():
+        for name in vals:
+            vals[name] = np.append(
+                vals[name],
+                0.5 * (vals[name][ev.parent_a] + vals[name][ev.parent_b]))
+    bnodes = np.asarray(local.boundary_nodes(), dtype=int)
+    bv = BoundaryValues(nodes=bnodes, **{name: v[bnodes]
+                                         for name, v in vals.items()})
+    ldata = DataSet(np.asarray(data.x, dtype=float)[pt_idx],
+                    np.asarray(data.y, dtype=float)[pt_idx])
+    fem = FemSystem.build(local, ldata, bv=bv)
+    try:
+        shat = SaddleSystem(fem, alpha).solve()
+    except SingularSystem:
+        # no interior unknowns: the local surface is the global one
+        return 0.0
+    seed_local = {tri_map[t] for t in seed}
+
+    def in_seed(t):
+        while t is not None and t not in seed_local:
+            t = local.tri_parent.get(t)
+        return t is not None
+
+    tab = local.tri_table
+    rows = np.flatnonzero([in_seed(t) for t in tab.ids.tolist()])
+    diff = tab.gradients(shat.c - vals["c"])[rows]
+    return float(np.sqrt(np.sum(tab.area[rows] * np.sum(diff ** 2, axis=1))))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from tpsfem import driver
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.driver import IterationRecord, RunConfig, run
+from tpsfem.indicators import auxiliary_field
 from tpsfem.gcv import GcvConfig
 from tpsfem.mesh import build_square_mesh
 
@@ -164,3 +166,59 @@ class TestDeterminism:
             assert a.alpha == b.alpha
             assert a.rmse == b.rmse
             assert a.max_residual == b.max_residual
+
+
+def patch_of(mesh, eid, by_tri):
+    """The triangles of an edge's auxiliary patch and the data inside them.
+
+    Triangle ids are never reused, so equal patches mean an unchanged local
+    problem: refinement never alters the values of existing nodes.
+    """
+    seed = mesh.edge_tris[eid]
+    tris = set(seed).union(*(mesh.edge_tris[e] for t in seed
+                             for e in mesh.tri_edge_ids(t)))
+    points = sorted(i for t in tris for i in by_tri.get(t, []))
+    return frozenset(tris), tuple(points)
+
+
+class TestAuxiliaryRefresh:
+    def test_refresh_agrees_with_recomputation_on_unchanged_patches(
+            self, monkeypatch):
+        # the incremental refresh of the auxiliary field keeps the value of
+        # every surviving edge; wherever that edge's patch is the one the
+        # value was computed on, the value must be what a full
+        # recomputation gives
+        data = normalized_peaks(3000, seed=0)
+        cfg = RunConfig(indicator="auxiliary", alpha=1e-6, max_iters=1,
+                        stagnation_iters=0)
+        computed_on, checked = {}, []
+        real_field, real_refresh = driver._indicator_field, driver._refresh_field
+
+        def indicator_field(kind, smoother, data, alpha, by_tri):
+            field = real_field(kind, smoother, data, alpha, by_tri)
+            computed_on.clear()
+            computed_on.update({e: patch_of(smoother.mesh, e, by_tri)
+                                for e in field.values})
+            return field
+
+        def refresh_field(field, kind, mesh, smoother, data, alpha, by_tri,
+                          floor):
+            real_refresh(field, kind, mesh, smoother, data, alpha, by_tri,
+                         floor)
+            full = auxiliary_field(smoother, data, alpha, by_tri).values
+            assert set(field.values) == set(full)
+            for e in list(computed_on):
+                if e not in mesh.edges:
+                    del computed_on[e]
+            same = []
+            for e, value in field.values.items():
+                patch = patch_of(mesh, e, by_tri)
+                if computed_on.setdefault(e, patch) == patch:
+                    assert abs(value - full[e]) <= 1e-12 * abs(full[e])
+                    same.append(e)
+            checked.append(len(same))
+
+        monkeypatch.setattr(driver, "_indicator_field", indicator_field)
+        monkeypatch.setattr(driver, "_refresh_field", refresh_field)
+        run(data, cfg)
+        assert len(checked) >= 2 and min(checked) > 0

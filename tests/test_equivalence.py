@@ -1,10 +1,12 @@
-"""Pinned iteration records of two small peaks runs.
+"""Pinned iteration records of three small peaks runs.
 
 A refactor must leave the refinement decisions (node, marked and refined
 edge counts) exactly as they are, and alpha and the RMSE of every iteration
 within 1e-10 relative.  The values were recorded from the code before the
-saddle system was built from one block matrix; re-record them only for a
-change that is meant to alter the answers.
+saddle system was built from one block matrix, except the
+irregular-auxiliary run, recorded before the auxiliary patch problems were
+solved as one stacked batch.  Re-record them only for a change that is meant
+to alter the answers.
 """
 
 import numpy as np
@@ -30,6 +32,14 @@ RUNS = {
         [(118, 0, 0, 1e-06, 0.06549288010369607),
          (279, 154, 161, 1e-06, 0.053711767575150345),
          (714, 403, 435, 1e-06, 0.04963086312024144)]),
+    # trimmed domain, auxiliary indicator with the default marking, alpha by
+    # GCV: 29 incremental refreshes of the auxiliary field
+    "irregular-auxiliary": (
+        dict(domain="irregular", indicator="auxiliary", max_iters=2,
+             stagnation_iters=0, tps_samples=60),
+        [(118, 0, 0, 6.7025169547121315e-09, 0.049133444259108996),
+         (279, 100, 161, 1.3942646733697337e-08, 0.035580160112502306),
+         (665, 207, 386, 9.849681588548806e-09, 0.022607069296581555)]),
 }
 
 

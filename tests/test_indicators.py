@@ -3,16 +3,20 @@ import pytest
 from scipy.stats import spearmanr
 
 from tpsfem.assembly import FemSystem
-from tpsfem.data import DataSet
-from tpsfem.exceptions import EmptyField
+from tpsfem.data import DataSet, PeaksSpec, peaks_generate
+from tpsfem.driver import RunConfig, run
+from tpsfem.exceptions import EmptyField, NonConvergence, SingularSystem
 from tpsfem.indicators import (IndicatorField, auxiliary_field,
-                               auxiliary_indicator, locate_by_tri, mark,
-                               recovery_field, recovery_indicator)
-from tpsfem.mesh import TriMesh, build_square_mesh
+                               auxiliary_indicator, auxiliary_indicators,
+                               locate_by_tri, mark, recovery_field,
+                               recovery_indicator)
+from tpsfem.mesh import (TriMesh, build_square_mesh, mesh_polygon,
+                         trim_to_irregular)
 from tpsfem.solver import SaddleSystem, Smoother
 
 from oracles import (consistent_mass_recovered_gradients,
-                     lumped_mass_recovery_indicators, tri_area, tri_gradient)
+                     lumped_mass_recovery_indicators,
+                     patch_auxiliary_indicator, tri_area, tri_gradient)
 from test_solver import linear_problem
 
 
@@ -152,6 +156,93 @@ class TestAuxiliary:
         a = auxiliary_indicator(s, data, eid, 1e-3)
         b = auxiliary_indicator(s, data, eid, 1e-3)
         assert a == b
+
+
+def peaks_with_gap(n=1500, seed=0):
+    """Normalised peaks data without the points of a disc, so that some
+    auxiliary patches hold no data."""
+    data = peaks_generate(PeaksSpec(n=n), seed=seed).normalized()
+    keep = np.hypot(*(data.x - [0.62, 0.35]).T) > 0.12
+    return DataSet(data.x[keep], data.y[keep])
+
+
+def random_surface(mesh, seed):
+    """A surface with independent random nodal fields, so that every
+    Dirichlet term of the local problems is exercised."""
+    rng = np.random.default_rng(seed)
+    return Smoother(mesh=mesh, alpha=1.0,
+                    **{f: rng.normal(size=mesh.n_nodes)
+                       for f in ("c", "g1", "g2", "w")})
+
+
+def adaptive_surface():
+    data = peaks_with_gap(seed=1)
+    s, _ = run(data, RunConfig(indicator="recovery", alpha=1e-6, gamma=0.5,
+                               max_iters=2, stagnation_iters=0))
+    return s, data
+
+
+def oracle_case(name):
+    data = peaks_with_gap()
+    if name.startswith("square"):
+        mesh = build_square_mesh(int(name[-1]))
+    elif name == "adaptive":
+        return adaptive_surface()
+    elif name == "trimmed":
+        mesh = trim_to_irregular(build_square_mesh(2), data)
+    else:
+        mesh = mesh_polygon([[(0.15, 0.1), (0.9, 0.2), (0.85, 0.85),
+                              (0.1, 0.8)],
+                             [(0.35, 0.4), (0.55, 0.4), (0.5, 0.6)]],
+                            refine_level=2)
+    return random_surface(mesh, seed=len(name)), data
+
+
+class TestAuxiliaryBatch:
+    @pytest.mark.parametrize("name", ["square-0", "square-1", "square-2",
+                                      "adaptive", "trimmed", "polygon-hole"])
+    def test_matches_per_patch_oracle(self, name):
+        s, data = oracle_case(name)
+        mesh = s.mesh
+        by_tri = locate_by_tri(mesh, data)
+        edges = sorted(mesh.edges)  # boundary and non-refinable edges too
+        got = auxiliary_indicators(s, data, edges, 1e-5, by_tri)
+        ref = np.array([patch_auxiliary_indicator(s, data, e, 1e-5, by_tri)
+                        for e in edges])
+        assert np.all(np.abs(got - ref) <= 1e-10 * ref)
+        assert ref.max() > 0
+        if name != "square-0":
+            # patches without data, or with no interior node, give 0
+            assert np.any(ref == 0)
+
+    def test_single_edge_is_batch_entry(self):
+        s, data = oracle_case("square-1")
+        edges = sorted(s.mesh.edges)
+        etas = auxiliary_indicators(s, data, edges, 1e-4)
+        assert auxiliary_indicator(s, data, edges[7], 1e-4) == etas[7]
+        assert auxiliary_indicators(s, data, [], 1e-4).shape == (0,)
+
+    def test_missed_residual_raises_nonconvergence(self, monkeypatch):
+        s, data = oracle_case("square-1")
+        edges = s.mesh.refinable_edges()
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda K, b: solve(K, b) * (1 + 1e-6))
+        with pytest.raises(NonConvergence) as err:
+            auxiliary_indicators(s, data, edges, 1e-4)
+        diag = err.value.diagnostics
+        assert diag["residual"] > 1e-9
+        assert diag["unknowns"] > 0 and "flag" in diag
+
+    def test_singular_batch_raises_singular_system(self, monkeypatch):
+        s, data = oracle_case("square-1")
+
+        def singular(K, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(SingularSystem):
+            auxiliary_indicators(s, data, s.mesh.refinable_edges(), 1e-4)
 
 
 class TestMark:

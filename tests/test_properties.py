@@ -1,9 +1,12 @@
-"""Property tests of newest-node bisection, batched point location and the
-exactness of the fit on affine data."""
+"""Property tests of newest-node bisection, batched point location, the
+element matrices and the exactness of the fit on affine data."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from tpsfem.assembly import (assemble_elements, assemble_G, assemble_L,
+                             element_G, element_L)
+from tpsfem.indicators import stack_patches
 from tpsfem.mesh import BARY_TOL, build_square_mesh
 from tpsfem.solver import SaddleSystem, rmse
 
@@ -98,3 +101,44 @@ def test_affine_data_reproduced_for_any_alpha(log_alpha, coeffs, seed):
     data, fem, _ = linear_problem(mesh, n=60, seed=seed, coeffs=coeffs)
     s = SaddleSystem(fem, 10.0 ** log_alpha).solve()
     assert rmse(s, data, fem.located) <= 1e-8
+
+
+def check_element_identities(L, G1, G2, verts, x, area):
+    """L annihilates constants, and G_j applied to the coordinate x_j gives
+    the integral of each basis function: area/3 summed over its triangles."""
+    n = len(x)
+    assert np.abs(L @ np.ones(n)).max() <= 1e-12 * np.abs(L).max()
+    mass = np.bincount(verts.ravel(), np.repeat(area / 3.0, 3), minlength=n)
+    for G, xj in ((G1, x[:, 0]), (G2, x[:, 1])):
+        assert np.allclose(G @ xj, mass, rtol=1e-12, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(picks=bisections)
+def test_assembled_matrices_identities(picks):
+    mesh = refined_square(picks)
+    tab = mesh.tri_table
+    check_element_identities(assemble_L(mesh), assemble_G(mesh, 1),
+                             assemble_G(mesh, 2), tab.verts, mesh.points,
+                             tab.area)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(picks=bisections, seed=st.integers(0, 2 ** 16))
+def test_stacked_patch_element_identities(picks, seed):
+    # random triangle sets of a random mesh, each refined and stacked as
+    # the auxiliary indicator stacks its patches
+    mesh = refined_square(picks)
+    rng = np.random.default_rng(seed)
+    ids = sorted(mesh.tris)
+    patches = [rng.choice(ids, size=rng.integers(1, 7), replace=False)
+               for _ in range(5)]
+    tab = stack_patches(mesh, patches).tab
+    n = tab.verts.max() + 1
+    x = np.zeros((n, 2))
+    x[tab.verts, 0], x[tab.verts, 1] = tab.x, tab.y
+    check_element_identities(
+        assemble_elements(tab.verts, element_L(tab), n),
+        assemble_elements(tab.verts, element_G(tab, 1), n),
+        assemble_elements(tab.verts, element_G(tab, 2), n),
+        tab.verts, x, tab.area)
