@@ -6,11 +6,13 @@ stiffness, gradient and data-projection matrices are exact.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import DegenerateTriangle, NoDataInDomain, OutsideTriangle
+from .solver import EliminatedSystem
 
 AREA_TOL = 1e-14
 
@@ -159,3 +161,9 @@ class FemSystem:
         return cls(mesh=mesh, A=A, d=d, L=assemble_L(mesh),
                    G1=assemble_G(mesh, 1), G2=assemble_G(mesh, 2),
                    located=located, bv=bv)
+
+    @cached_property
+    def eliminated(self):
+        """The saddle system at alpha = 1 with the boundary eliminated,
+        built on first use; every SaddleSystem of this FemSystem rescales it."""
+        return EliminatedSystem(self)

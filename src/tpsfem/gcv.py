@@ -56,7 +56,7 @@ def influence_trace(system, probe_matrix=None):
     n = loc.n_used
     if probe_matrix is None:
         probe_matrix = _probe_matrix(n, n, None)
-    B = loc.basis[:, system.interior]
+    B = system.fem.eliminated.interior_basis
     rhs = np.zeros((system.n_unknowns, probe_matrix.shape[1]))
     rhs[0::4] = B.T @ probe_matrix / n
     x, _ = system.solve_raw(rhs)

@@ -223,10 +223,12 @@ class TriMesh:
         return out
 
     def boundary_nodes(self):
-        return [n for n in range(self.n_nodes) if self.node_boundary[n]]
+        """Sorted ids of the boundary nodes, as an integer array."""
+        return np.flatnonzero(np.asarray(self.node_boundary, dtype=bool))
 
     def interior_nodes(self):
-        return [n for n in range(self.n_nodes) if not self.node_boundary[n]]
+        """Sorted ids of the interior nodes, as an integer array."""
+        return np.flatnonzero(~np.asarray(self.node_boundary, dtype=bool))
 
     # -- internal mutation ----------------------------------------------------
 

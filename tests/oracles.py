@@ -2,12 +2,13 @@
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from tpsfem.assembly import FemSystem
 from tpsfem.boundary import BoundaryValues
 from tpsfem.data import DataSet
 from tpsfem.exceptions import SingularSystem
-from tpsfem.solver import SaddleSystem
+from tpsfem.solver import FIELDS, SaddleSystem, _interleaved, saddle_blocks
 from tpsfem.tps import kernel_value
 
 # 7-point Gauss rule on the reference triangle, exact to degree 5
@@ -169,6 +170,28 @@ def lumped_mass_recovery_indicators(mesh, c):
             sum(di[k] * f(x, y) for di, f in zip(d, fns)) ** 2
             for k in range(2)))))
     return np.array(out)
+
+
+def rebuilt_saddle_system(fem, alpha, bv=None):
+    """(matrix, rhs) of the eliminated saddle system built from scratch at
+    ``alpha``: one bmat of the blocks, then interior rows, interior and
+    boundary columns, with the explicit zeros dropped from the matrix."""
+    bv = fem.bv if bv is None else bv
+    n = fem.mesh.n_nodes
+    order = np.argsort(bv.nodes)
+    interior = fem.mesh.interior_nodes()
+    boundary = np.asarray(bv.nodes, dtype=int)[order]
+    bvals = {"c": bv.c[order], "g1": bv.g1[order], "g2": bv.g2[order],
+             "w": bv.w_at(alpha)[order]}
+    K = sp.bmat(saddle_blocks(fem.A, fem.L, fem.G1, fem.G2, alpha,
+                              lambda M: M.T), format="csr")
+    rows = K[_interleaved(interior, n)]
+    matrix = rows[:, _interleaved(interior, n)].tocsc()
+    matrix.eliminate_zeros()
+    x_b = np.column_stack([bvals[name] for name in FIELDS]).ravel()
+    rhs = -(rows[:, _interleaved(boundary, n)] @ x_b)
+    rhs[0::4] += fem.d[interior]
+    return matrix, rhs
 
 
 def dense_saddle_solve(fem, alpha, bv):

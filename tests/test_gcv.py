@@ -98,6 +98,26 @@ class TestBlockSolve:
         assert len(calls) == Z.shape[1]
         assert abs(tr - direct) < 1e-8
 
+    def test_counters_report_fallbacks_and_residual(self, monkeypatch):
+        data, fem, Z = self.problem()
+        direct = SaddleSystem(fem, 0.1)
+        influence_trace(direct, Z)
+        s = direct.solve()
+        assert (direct.factorizations, direct.minres_fallbacks) == (1, 0)
+        assert s.info["factorizations"] == 1
+        assert s.info["minres_fallbacks"] == 0
+        assert 0.0 <= s.info["residual"] <= 1e-9
+        calls = self.without_direct_solver(monkeypatch)
+        system = SaddleSystem(fem, 0.1)
+        influence_trace(system, Z)
+        assert system.factorizations == 0
+        assert system.minres_fallbacks == len(calls) == Z.shape[1]
+        assert 0.0 < system.residual <= 1e-9
+        s = system.solve()
+        assert s.info["factorizations"] == 0
+        assert s.info["minres_fallbacks"] == Z.shape[1] + 1
+        assert s.info["residual"] == system.residual <= 1e-9
+
     def test_minres_miss_raises_with_diagnostics(self, monkeypatch):
         data, fem, Z = self.problem()
         self.without_direct_solver(monkeypatch)

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from tpsfem.assembly import FemSystem, locate_dataset
 from tpsfem.boundary import (BoundaryValues, boundary_values_from_callables,
                              constant_boundary_values)
-from tpsfem.data import DataSet
+from tpsfem.data import DataSet, PeaksSpec, peaks_generate
+from tpsfem.driver import RunConfig, run
 from tpsfem.exceptions import (DimensionMismatch, OutsideDomain,
                                SingularSystem)
-from tpsfem.mesh import build_square_mesh, trim_to_irregular
+from tpsfem.mesh import build_square_mesh, mesh_polygon, trim_to_irregular
 from tpsfem.solver import (SaddleSystem, constraint_residual, evaluate,
                            evaluate_grad, max_abs_residual, rmse)
 
-from oracles import dense_saddle_solve, linear_basis
+from oracles import dense_saddle_solve, linear_basis, rebuilt_saddle_system
 
 
 def linear_field(a0=0.3, a1=0.7, a2=-0.4):
@@ -41,6 +44,14 @@ def zero_bv(mesh):
                           w=z.copy())
 
 
+def random_bv(mesh, rng):
+    """Random non-zero boundary c, g1, g2 and Laplacian proxy."""
+    nodes = mesh.boundary_nodes()
+    c, g1, g2, proxy = rng.uniform(-1, 1, size=(4, len(nodes)))
+    return BoundaryValues(nodes=nodes, c=c, g1=g1, g2=g2, w=-proxy,
+                          w_proxy=proxy)
+
+
 def random_boundary_problem(seed=5):
     """Trimmed mesh with random data and random non-zero boundary c, g1, g2
     and Laplacian proxy, so every eliminated boundary term is non-zero."""
@@ -50,12 +61,7 @@ def random_boundary_problem(seed=5):
     mesh = trim_to_irregular(build_square_mesh(1),
                              DataSet(x, np.zeros(len(x))))
     y = np.sin(5 * x[:, 0]) * x[:, 1] + 0.1 * rng.normal(size=len(x))
-    nodes = np.asarray(mesh.boundary_nodes())
-    c, g1, g2, proxy = rng.uniform(-1, 1, size=(4, len(nodes)))
-    bv = BoundaryValues(nodes=nodes, c=c, g1=g1, g2=g2, w=-proxy,
-                        w_proxy=proxy)
-    data = DataSet(x, y)
-    return FemSystem.build(mesh, data, bv=bv)
+    return FemSystem.build(mesh, DataSet(x, y), bv=random_bv(mesh, rng))
 
 
 class TestBuildSystem:
@@ -109,6 +115,105 @@ class TestBuildSystem:
                 ref_v = ref[name]
                 denom = max(1.0, np.abs(ref_v).max())
                 assert np.abs(got - ref_v).max() / denom < 1e-10
+
+
+def rescale_case(name):
+    """FemSystem with random boundary values on one of four meshes, and a
+    second random boundary value set to override them with."""
+    data = peaks_generate(PeaksSpec(n=800), seed=2).normalized()
+    if name == "square":
+        mesh = build_square_mesh(2)
+    elif name == "adaptive":
+        mesh = run(data, RunConfig(indicator="recovery", alpha=1e-6,
+                                   gamma=0.5, max_iters=2,
+                                   stagnation_iters=0))[0].mesh
+    elif name == "trimmed":
+        keep = (data.x[:, 0] < 0.55) | (data.x[:, 1] < 0.45)
+        mesh = trim_to_irregular(build_square_mesh(3),
+                                 DataSet(data.x[keep], data.y[keep]))
+    else:
+        mesh = mesh_polygon([[(0.05, 0.05), (0.95, 0.1), (0.9, 0.95),
+                              (0.1, 0.9)],
+                             [(0.35, 0.4), (0.55, 0.4), (0.5, 0.6)]],
+                            refine_level=3)
+    rng = np.random.default_rng(len(name))
+    return FemSystem.build(mesh, data, bv=random_bv(mesh, rng)), \
+        random_bv(mesh, rng)
+
+
+def assert_same_system(system, matrix, rhs):
+    """Bitwise equality of a SaddleSystem's matrix and rhs with a reference."""
+    got = system.matrix
+    assert got.format == "csc"
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).tobytes() == getattr(matrix, name).tobytes()
+    assert system.rhs.tobytes() == rhs.tobytes()
+
+
+class TestRescaledSystem:
+    """Each SaddleSystem rescales its FemSystem's alpha = 1 system; the
+    result must be bitwise the system built from scratch at alpha."""
+
+    ALPHAS = (1e-12, 1e-9, 1e-4, 1.0, 1e6)
+
+    @pytest.mark.parametrize("name", ["square", "adaptive", "trimmed",
+                                      "polygon-hole"])
+    def test_bitwise_equal_to_rebuilt_system(self, name):
+        fem, other = rescale_case(name)
+        assert len(fem.mesh.interior_nodes()) > 0
+        for bv in (None, other):
+            for alpha in self.ALPHAS:
+                system = SaddleSystem(fem, alpha, bv)
+                assert_same_system(system, *rebuilt_saddle_system(fem, alpha,
+                                                                  bv))
+        # the oracle's pattern holds entries of every alpha-scaled block
+        assert system.matrix.nnz > 4 * len(system.interior)
+
+    def test_solution_bitwise_equal_to_rebuilt_system(self):
+        fem, _ = rescale_case("trimmed")
+        matrix, rhs = rebuilt_saddle_system(fem, 1e-9)
+        x, _ = SaddleSystem(fem, 1e-9).solve_raw()
+        assert x.tobytes() == spla.splu(matrix).solve(rhs).tobytes()
+
+    def test_alpha_sequence_matches_fresh_builds(self):
+        fem, _ = rescale_case("square")
+        fresh = {a: rebuilt_saddle_system(fem, a) for a in (1e-3, 10.0)}
+        for alpha in (1e-3, 10.0, 1e-3):
+            assert_same_system(SaddleSystem(fem, alpha), *fresh[alpha])
+
+    def test_built_once_per_fem_system(self, monkeypatch):
+        fem, _ = rescale_case("square")
+        calls = []
+        bmat = sp.bmat
+        monkeypatch.setattr(sp, "bmat",
+                            lambda *a, **k: calls.append(1) or bmat(*a, **k))
+        for alpha in (1e-3, 1.0, 1e-3):
+            SaddleSystem(fem, alpha).solve()
+        assert len(calls) == 1
+
+    def test_systems_do_not_share_values(self):
+        fem, _ = rescale_case("square")
+        first = SaddleSystem(fem, 1e-3)
+        ref = rebuilt_saddle_system(fem, 1e-3)
+        second = SaddleSystem(fem, 1e-3)
+        first.matrix.data[:] = np.nan
+        first.rhs[:] = np.nan
+        assert_same_system(second, *ref)
+        assert_same_system(SaddleSystem(fem, 1e-3), *ref)
+
+    def test_refined_mesh_raises_dimension_mismatch(self):
+        fem, _ = rescale_case("square")
+        SaddleSystem(fem, 1e-3)
+        fem.mesh.uniform_refine()
+        with pytest.raises(DimensionMismatch):
+            SaddleSystem(fem, 1e-3)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1e-3])
+    def test_non_positive_alpha_raises(self, alpha):
+        fem, _ = rescale_case("square")
+        SaddleSystem(fem, 1e-3)
+        with pytest.raises(ValueError):
+            SaddleSystem(fem, alpha)
 
 
 class TestSolve:
