@@ -41,27 +41,7 @@ def basis_eval(mesh, tri_id, p):
     return bary, np.vstack([tab.gx[r], tab.gy[r]])
 
 
-def element_L(tab):
-    """(m, 3, 3) element stiffness matrices T (gx gxᵀ + gy gyᵀ) of a TriTable."""
-    _check_areas(tab)
-    gx, gy = tab.gx, tab.gy
-    return tab.area[:, None, None] * (gx[:, :, None] * gx[:, None, :]
-                                      + gy[:, :, None] * gy[:, None, :])
-
-
-def element_G(tab, j):
-    """(m, 3, 3) element gradient matrices of a TriTable for axis ``j``.
-
-    integral(b_p) = T/3 and d_j b_q is constant, so entry (p, q) = T/3 * g_q.
-    """
-    if j not in (1, 2):
-        raise ValueError("j must be 1 or 2")
-    _check_areas(tab)
-    g = tab.gx if j == 1 else tab.gy
-    return (tab.area[:, None] / 3.0)[:, :, None] * np.ones((1, 3, 1)) * g[:, None, :]
-
-
-def assemble_elements(verts, elem, n):
+def _summed(verts, elem, n):
     """Sum (m, 3, 3) element matrices over their vertex triples ``verts``
     into an (n, n) CSR matrix."""
     rows = np.repeat(verts, 3, axis=1).ravel()
@@ -74,13 +54,24 @@ def assemble_elements(verts, elem, n):
 def assemble_L(mesh):
     """Stiffness matrix L_pq = integral of grad(b_p) . grad(b_q)."""
     tab = mesh.tri_table
-    return assemble_elements(tab.verts, element_L(tab), mesh.n_nodes)
+    _check_areas(tab)
+    gx, gy = tab.gx, tab.gy
+    # element matrix: T * (gx gxᵀ + gy gyᵀ)
+    elem = tab.area[:, None, None] * (gx[:, :, None] * gx[:, None, :]
+                                      + gy[:, :, None] * gy[:, None, :])
+    return _summed(tab.verts, elem, mesh.n_nodes)
 
 
 def assemble_G(mesh, j):
     """Gradient matrix (G_j)_pq = integral of b_p * d(b_q)/dx_j."""
+    if j not in (1, 2):
+        raise ValueError("j must be 1 or 2")
     tab = mesh.tri_table
-    return assemble_elements(tab.verts, element_G(tab, j), mesh.n_nodes)
+    _check_areas(tab)
+    g = tab.gx if j == 1 else tab.gy
+    # integral(b_p) = T/3, d_j b_q constant: element entry (p, q) = T/3 * g_q
+    elem = (tab.area[:, None] / 3.0)[:, :, None] * np.ones((1, 3, 1)) * g[:, None, :]
+    return _summed(tab.verts, elem, mesh.n_nodes)
 
 
 @dataclass

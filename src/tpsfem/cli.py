@@ -195,7 +195,7 @@ def _cmd_baseline(args):
 def _cmd_peaks(args):
     import numpy as np
     from .data import PeaksSpec, peaks_generate
-    from .experiments import experiment_boundary_accuracy
+    from .experiments import boundary_accuracy_rows
 
     spec = PeaksSpec(n=args.n, noise_std=args.noise)
     data = peaks_generate(spec, seed=args.seed)
@@ -208,8 +208,8 @@ def _cmd_peaks(args):
     print(f"wrote {csv_path} ({len(data)} points)")
     if args.experiment == "boundary":
         grid = tuple(int(v) for v in args.nhat_grid.split(","))
-        rows = experiment_boundary_accuracy(seeds=(args.seed,),
-                                            nhat_grid=grid, spec=spec)
+        rows = boundary_accuracy_rows(seeds=(args.seed,), nhat_grid=grid,
+                                      spec=spec)
         table = os.path.join(args.out, "boundary_accuracy.csv")
         with open(table, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))

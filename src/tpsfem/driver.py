@@ -252,12 +252,19 @@ def run(data, cfg=None):
             values.extend(mesh, events, strategy, smoother.alpha)
             refined_total = len(events)
         else:
-            by_tri = (locate_by_tri(mesh, data)
-                      if cfg.indicator == "auxiliary" else None)
-            field = _indicator_field(cfg.indicator, smoother, data,
-                                     smoother.alpha, by_tri)
-            refined_total = 0
+            field, floor, refined_total = None, None, 0
             while mesh.n_nodes < 2 * prev_nodes:
+                # the field is brought up to date only before a wave reads
+                # it; after the last wave comes the fit
+                by_tri = (locate_by_tri(mesh, data)
+                          if cfg.indicator == "auxiliary" else None)
+                if field is None:
+                    field = _indicator_field(cfg.indicator, smoother, data,
+                                             smoother.alpha, by_tri)
+                else:
+                    _refresh_field(field, cfg.indicator, mesh,
+                                   values.view(mesh, smoother.alpha), data,
+                                   smoother.alpha, by_tri, floor)
                 try:
                     marked = mark(field, cfg.gamma)
                 except EmptyField:
@@ -272,11 +279,6 @@ def run(data, cfg=None):
                 values.extend(mesh, events, strategy, smoother.alpha)
                 marked_total += len(marked)
                 refined_total += len(events)
-                if cfg.indicator == "auxiliary":
-                    by_tri = locate_by_tri(mesh, data)
-                view = values.view(mesh, smoother.alpha)
-                _refresh_field(field, cfg.indicator, mesh, view, data,
-                               smoother.alpha, by_tri, floor)
             if refined_total == 0:
                 stop = "no_refinement"
                 break

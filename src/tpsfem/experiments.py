@@ -14,57 +14,45 @@ def _band_plan(strategy, count, spec):
     return SamplePlan(strategy, count=count)
 
 
-def boundary_accuracy_rows(seed=0, nhat_grid=(100, 200, 300, 400, 600),
+def boundary_accuracy_rows(seeds=(0,), nhat_grid=(100, 200, 300, 400, 600),
                            strategies=("quadtree", "quadtree_boundary_band"),
                            spec=None):
     """Test-region RMSE of the spline and its derivative surrogates.
 
-    For each sampling strategy and subsample size, a spline is fitted with a
-    GCV smoothing parameter and compared against the noise-free surface, its
-    gradient and its Laplacian on the data points outside the test rectangle.
-    Returns a list of row dicts.
+    For each seed, sampling strategy and subsample size, a spline is fitted
+    with a GCV smoothing parameter and compared against the noise-free
+    surface, its gradient and its Laplacian on the data points outside the
+    test rectangle.  Returns a list of row dicts; each row carries its seed.
     """
     spec = spec or PeaksSpec()
-    data = peaks_generate(spec, seed=seed)
-    t = spec.test_half_width
-    outside = np.flatnonzero(
-        (np.abs(data.x[:, 0]) > t) | (np.abs(data.x[:, 1]) > t))
-    xt = data.x[outside]
-    f_true = peaks_value(xt[:, 0], xt[:, 1])
-    fx_true, fy_true = peaks_grad(xt[:, 0], xt[:, 1])
-    lap_true = peaks_laplacian(xt[:, 0], xt[:, 1])
-    rows = []
-    for strategy in strategies:
-        for nhat in nhat_grid:
-            subsample = sample(data, _band_plan(strategy, nhat, spec),
-                               seed=seed + 1)
-            alpha = select_alpha_tps(subsample)
-            model = fit_tps(subsample, alpha)
-            pred = model.eval(xt)
-            grad = model.eval_grad(xt)
-            lap = model.eval_laplacian_proxy(xt)
-            rmse = lambda a, b: float(np.sqrt(np.mean((a - b) ** 2)))
-            rows.append({
-                "strategy": strategy,
-                "nhat": int(nhat),
-                "alpha": float(alpha),
-                "rmse_f": rmse(pred, f_true),
-                "rmse_fx": rmse(grad[:, 0], fx_true),
-                "rmse_fy": rmse(grad[:, 1], fy_true),
-                "rmse_laplacian": rmse(lap, lap_true),
-            })
-    return rows
-
-
-def experiment_boundary_accuracy(seeds=(0,), nhat_grid=(100, 200, 300, 400, 600),
-                                 strategies=("quadtree",
-                                             "quadtree_boundary_band"),
-                                 spec=None):
-    """Boundary-accuracy table over several seeds (rows carry a seed field)."""
+    rmse = lambda a, b: float(np.sqrt(np.mean((a - b) ** 2)))
     rows = []
     for seed in seeds:
-        for row in boundary_accuracy_rows(seed=seed, nhat_grid=nhat_grid,
-                                          strategies=strategies, spec=spec):
-            row = dict(row, seed=int(seed))
-            rows.append(row)
+        data = peaks_generate(spec, seed=seed)
+        t = spec.test_half_width
+        outside = np.flatnonzero(
+            (np.abs(data.x[:, 0]) > t) | (np.abs(data.x[:, 1]) > t))
+        xt = data.x[outside]
+        f_true = peaks_value(xt[:, 0], xt[:, 1])
+        fx_true, fy_true = peaks_grad(xt[:, 0], xt[:, 1])
+        lap_true = peaks_laplacian(xt[:, 0], xt[:, 1])
+        for strategy in strategies:
+            for nhat in nhat_grid:
+                subsample = sample(data, _band_plan(strategy, nhat, spec),
+                                   seed=seed + 1)
+                alpha = select_alpha_tps(subsample)
+                model = fit_tps(subsample, alpha)
+                pred = model.eval(xt)
+                grad = model.eval_grad(xt)
+                lap = model.eval_laplacian_proxy(xt)
+                rows.append({
+                    "strategy": strategy,
+                    "nhat": int(nhat),
+                    "alpha": float(alpha),
+                    "rmse_f": rmse(pred, f_true),
+                    "rmse_fx": rmse(grad[:, 0], fx_true),
+                    "rmse_fy": rmse(grad[:, 1], fy_true),
+                    "rmse_laplacian": rmse(lap, lap_true),
+                    "seed": int(seed),
+                })
     return rows

@@ -14,24 +14,25 @@ Two indicators drive adaptive refinement:
   gradient difference between the local and global surfaces over the edge's
   incident triangles.
 
-The auxiliary problems of many edges are solved as one batch.  Each patch
-keeps its exact refined topology (a copy refined by ``uniform_refine``), but
-the refined triangles of all patches form one stacked triangle table, so the
-element matrices (the closed forms of ``assemble_L`` and ``assemble_G``),
-the data terms, the Dirichlet elimination of the saddle layout
-(``solver.saddle_blocks``), the dense solves and the gradient integrals are
-array operations across all patches.
+The auxiliary problems of many edges are solved as one system.
+``copy_submesh`` copies every patch into one mesh, each patch with its own
+nodes, and one ``uniform_refine`` refines the copy; the patches share no
+node, so each refines exactly as it would alone and their local problems
+form one block-diagonal saddle system.  It is assembled by ``assemble_L`` and
+``assemble_G``, with each patch's data term averaged over its own points,
+and solved by one ``SaddleSystem`` under the solver's residual contract.
+What remains in Python is the dict-based refinement of the copy.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .assembly import element_G, element_L
-from .exceptions import EmptyField, NonConvergence, SingularSystem
-from .mesh import TriTable
-from .solver import FIELDS, RESIDUAL_TOL, saddle_blocks
+from .assembly import FemSystem, Located, assemble_G, assemble_L
+from .boundary import BoundaryValues
+from .exceptions import EmptyField
+from .solver import FIELDS, SaddleSystem
 
 
 @dataclass
@@ -79,130 +80,54 @@ def _patch_triangles(mesh, edge_id):
     return patch, seed
 
 
-class PatchStack(namedtuple("PatchStack", [
-        "tab", "tri_patch", "origin", "first_tri", "node_patch", "boundary",
-        "copied", "split"])):
-    """Refined copies of many triangle patches, numbered as one mesh.
-
-    Attributes
-    ----------
-    tab : TriTable
-        Every refined triangle of every patch; ``tab.verts`` index the
-        stacked nodes and ``tab.ids`` are stacked triangle ids.
-    tri_patch : (m,) ndarray
-        Patch of each row of ``tab``.
-    origin : (m,) ndarray
-        Stacked id of the patch triangle each row descends from.
-    first_tri : (P,) ndarray
-        Stacked id of each patch's first triangle: the triangles of patch p,
-        in ascending mesh id order, are ``first_tri[p] + 0, 1, ...``.
-    node_patch : (n,) ndarray
-        Patch of each stacked node; each patch's nodes are contiguous.
-    boundary : (n,) bool ndarray
-        True for nodes on the boundary of their patch.
-    copied : (n,) ndarray
-        Mesh node that each node copies, -1 for nodes made by refinement.
-    split : (k, 3) ndarray
-        (node, a, b) for each node made by refinement, in creation order:
-        the node is the midpoint of the edge (a, b).
-    """
-    __slots__ = ()
-
-
-def stack_patches(mesh, patches):
-    """Copy each triangle set of ``patches``, refine it uniformly once, and
-    number all the copies as one :class:`PatchStack`."""
-    xs, ys, boundary, node_patch, copied, split = [], [], [], [], [], []
-    parent, first_tri, verts, ids = [], [], [], []
-    for p, tris in enumerate(patches):
-        local, node_map, _ = mesh.copy_submesh(tris)
-        events = local.uniform_refine()
-        n0, t0 = len(xs), len(parent)
-        first_tri.append(t0)
-        xs += local.xs
-        ys += local.ys
-        boundary += local.node_boundary
-        node_patch += [p] * local.n_nodes
-        # copy_submesh numbers the copied nodes in increasing order
-        copied += sorted(node_map) + [-1] * len(events)
-        split += [(n0 + e.node, n0 + e.parent_a, n0 + e.parent_b)
-                  for e in events]
-        up = list(range(t0, t0 + local._next_tri))
-        for child, par in local.tri_parent.items():
-            up[child] = t0 + par
-        parent += up
-        for t in sorted(local.tris):
-            ids.append(t0 + t)
-            verts.append([n0 + v for v in local.tris[t]])
-    ids = np.array(ids, dtype=np.int64)
-    parent = np.array(parent, dtype=np.int64)
-    # the copied patch triangles are their own parents; any depth of
-    # bisection reaches them
-    origin = parent[ids]
-    while True:
+def _origins(mesh):
+    """Unrefined ancestor of each alive triangle, row by row of the
+    triangle table (a triangle never bisected is its own ancestor)."""
+    parent = np.arange(mesh._next_tri)
+    if mesh.tri_parent:
+        child, par = np.array(list(mesh.tri_parent.items())).T
+        parent[child] = par
+    origin = parent[mesh.tri_table.ids]
+    while True:  # any depth of bisection reaches the ancestor
         up = parent[origin]
         if np.array_equal(up, origin):
-            break
+            return origin
         origin = up
-    first_tri = np.array(first_tri, dtype=np.int64)
-    tri_patch = np.searchsorted(first_tri, ids, side="right") - 1
-    tab = TriTable.build(ids, np.array(verts, dtype=np.int64).reshape(-1, 3),
-                         np.column_stack([xs, ys]).reshape(-1, 2))
-    return PatchStack(tab=tab,
-                      tri_patch=tri_patch, origin=origin, first_tri=first_tri,
-                      node_patch=np.array(node_patch, dtype=np.int64),
-                      boundary=np.array(boundary, dtype=bool),
-                      copied=np.array(copied, dtype=np.int64),
-                      split=np.array(split, dtype=np.int64).reshape(-1, 3))
 
 
-def _containing_rows(stack, origin, points):
-    """Row of ``stack.tab`` holding each point among the refined descendants
-    of its patch triangle ``origin``, and its barycentric coordinates there.
+def _containing_rows(tab, origin, within, points):
+    """Row of ``tab`` holding each point among the rows whose ``origin`` is
+    the point's ``within`` triangle, and its barycentric coordinates there.
 
     The descendant where the point's smallest barycentric coordinate is
     largest holds it; on a shared edge either side gives the same basis
     values.
     """
-    order = np.argsort(stack.origin, kind="stable")
-    count = np.bincount(stack.origin)
+    order = np.argsort(origin, kind="stable")
+    count = np.bincount(origin)
     start = np.cumsum(count) - count
     k = np.arange(count.max())
-    valid = k < count[origin][:, None]
-    cand = order[start[origin][:, None] + np.where(valid, k, 0)]
-    bary = stack.tab.bary(cand.ravel(), np.repeat(points, len(k), axis=0))
+    valid = k < count[within][:, None]
+    cand = order[start[within][:, None] + np.where(valid, k, 0)]
+    bary = tab.bary(cand.ravel(), np.repeat(points, len(k), axis=0))
     bary = bary.reshape(len(points), len(k), 3)
     pick = np.where(valid, bary.min(axis=2), -np.inf).argmax(axis=1)
     hit = np.arange(len(points))
     return cand[hit, pick], bary[hit, pick]
 
 
-def _data_terms(stack, origin, points, y, n_patches):
-    """Element data matrices A_e = sum b bᵀ / k and vectors d_e = sum b y / k
-    of the points in each refined triangle, k counting the patch's points."""
-    rows, b = _containing_rows(stack, origin, points)
-    m = len(stack.tab.ids)
-    k = np.bincount(stack.tri_patch[rows], minlength=n_patches)
-    k = k[stack.tri_patch]
-    A_e = np.bincount((9 * rows[:, None] + np.arange(9)).ravel(),
-                      (b[:, :, None] * b[:, None, :]).ravel(),
-                      minlength=9 * m).reshape(m, 3, 3)
-    d_e = np.bincount((3 * rows[:, None] + np.arange(3)).ravel(),
-                      (b * y[:, None]).ravel(), minlength=3 * m).reshape(m, 3)
-    return A_e / k[:, None, None], d_e / k[:, None]
-
-
-def _nodal_values(stack, s):
-    """(n, 4) FIELDS of the global surface at the stacked nodes.
+def _trace(s, nodes, events):
+    """(n, 4) FIELDS of the global surface at the nodes of a refined copy:
+    the copied nodes of source ``nodes``, then the refinement's ``events``.
 
     A node made by refinement is the midpoint of its edge, so every patch
     trace stays the piecewise linear trace of the global surface.
     """
-    vals = np.zeros((len(stack.copied), len(FIELDS)))
-    known = stack.copied >= 0
-    vals[known] = np.column_stack([getattr(s, f) for f in FIELDS])[
-        stack.copied[known]]
-    todo = stack.split
+    vals = np.zeros((len(nodes) + len(events), len(FIELDS)))
+    vals[:len(nodes)] = np.column_stack([getattr(s, f) for f in FIELDS])[nodes]
+    known = np.arange(len(vals)) < len(nodes)
+    todo = np.array([(e.node, e.parent_a, e.parent_b) for e in events],
+                    dtype=np.int64).reshape(-1, 3)
     while len(todo):  # a midpoint may need midpoints made before it
         node, a, b = todo.T
         ready = known[a] & known[b]
@@ -212,93 +137,65 @@ def _nodal_values(stack, s):
     return vals
 
 
-def _solve_stack(K, b):
-    """Solve each system of a (p, m, m) stack to the solver's residual target.
+def patch_system(s, data, patches, located_by_tri):
+    """The local problems of the triangle sets ``patches`` as one FemSystem.
 
-    A singular system raises SingularSystem; a solution whose max-norm
-    residual relative to its right-hand side misses RESIDUAL_TOL raises
-    NonConvergence.
+    The patches are copied into one mesh, each with its own nodes, and the
+    copy is refined uniformly once.  The Dirichlet values are the global
+    surface's fields on every patch boundary.  Every data point of a patch
+    triangle is one row of the basis matrix B of that patch, placed among
+    the refined descendants of its triangle without another point
+    location.  A and d average over each patch's own points, so every patch
+    must hold at least one.
+
+    Returns
+    -------
+    (FemSystem, ndarray, ndarray)
+        The system on the refined copy ``fem.mesh``; the (n, 4) FIELDS of
+        the global surface at its nodes; and, row by row of its triangle
+        table, the copied patch triangle each triangle descends from (the
+        triangles of ``patches[0]``, in ascending id order, are copied
+        triangles 0, 1, ..., those of ``patches[1]`` follow, and so on).
     """
-    try:
-        x = np.linalg.solve(K, b[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError as err:
-        raise SingularSystem(f"auxiliary patch system: {err}") from err
-    r = np.abs(np.einsum("pij,pj->pi", K, x) - b).max(axis=1)
-    scale = np.abs(b).max(axis=1)
-    resid = np.divide(r, scale, out=np.zeros_like(r), where=scale > 0)
-    missed = np.flatnonzero(~(resid <= RESIDUAL_TOL))
-    if len(missed):
-        # flag 0: the dense solve returned, but its answer is not accurate
-        raise NonConvergence(
-            "auxiliary patch solve did not reach the residual target",
-            diagnostics={"flag": 0, "residual": float(resid[missed[0]]),
-                         "unknowns": K.shape[1]})
-    return x
-
-
-def _solve_patches(stack, blocks, d_e, vals, n_patches):
-    """Local solution at the stacked nodes: its c field, pinned to ``vals``
-    on the patch boundaries.
-
-    Each patch's unknowns are the FIELDS of its interior nodes, node by
-    node; the patch systems are assembled back to back in flat arrays from
-    the (m, 3, 3) element ``blocks`` of the saddle layout, the pinned
-    columns moved to the right-hand side, and solved by size.
-    """
-    nf = len(FIELDS)
-    interior = ~stack.boundary
-    n_int = np.bincount(stack.node_patch[interior], minlength=n_patches)
-    size = nf * n_int
-    rhs_start = np.cumsum(size) - size
-    mat_start = np.cumsum(size ** 2) - size ** 2
-    # first unknown of each interior node within its patch
-    pos = nf * (np.cumsum(interior) - 1
-                - (np.cumsum(n_int) - n_int)[stack.node_patch])
-    verts, p = stack.tab.verts, stack.tri_patch
-    row_free = interior[verts][:, :, None]
-    col_free = interior[verts][:, None, :]
-    free, pinned = row_free & col_free, row_free & ~col_free
-    row_pos, col_pos = pos[verts][:, :, None], pos[verts][:, None, :]
-    row_at = np.broadcast_to(rhs_start[p][:, None, None] + row_pos,
-                             pinned.shape)
-    width = size[p][:, None, None]
-    mat_at = mat_start[p][:, None, None] + row_pos * width + col_pos
-    K = np.zeros(int(size @ size))
-    rhs = np.zeros(int(size.sum()))
-    for i, block_row in enumerate(blocks):
-        for j, M in enumerate(block_row):
-            if M is None:
-                continue
-            at = mat_at + i * width + j
-            K += np.bincount(at[free], M[free], minlength=len(K))
-            rhs -= np.bincount((row_at + i)[pinned],
-                               (M * vals[verts, j][:, None, :])[pinned],
-                               minlength=len(rhs))
-    c = FIELDS.index("c")
-    rhs += np.bincount((row_at[:, :, 0] + c)[row_free[:, :, 0]],
-                       d_e[row_free[:, :, 0]], minlength=len(rhs))
-    x = np.zeros(len(rhs))
-    for n in np.unique(size[size > 0]):
-        ps = np.flatnonzero(size == n)
-        cut = rhs_start[ps, None] + np.arange(n)
-        x[cut] = _solve_stack(
-            K[mat_start[ps, None] + np.arange(n * n)].reshape(-1, n, n),
-            rhs[cut])
-    shat = vals[:, c].copy()
-    shat[interior] = x[(rhs_start[stack.node_patch] + pos + c)[interior]]
-    return shat
+    local, nodes, tris = s.mesh.copy_submesh(patches)
+    events = local.uniform_refine()
+    tab = local.tri_table
+    origin = _origins(local)
+    inside = [np.asarray(located_by_tri.get(t, ()), dtype=np.int64)
+              for t in tris.tolist()]
+    within = np.repeat(np.arange(len(tris)), [len(i) for i in inside])
+    point = np.concatenate(inside)
+    rows, bary = _containing_rows(tab, origin, within,
+                                  np.asarray(data.x, dtype=float)[point])
+    n, k = local.n_nodes, len(point)
+    B = sp.csr_matrix((bary.ravel(), tab.verts[rows].ravel(),
+                       np.arange(0, 3 * k + 1, 3)), shape=(k, n))
+    patch = np.repeat(np.arange(len(patches)), [len(p) for p in patches])
+    node_patch = np.zeros(n, dtype=np.int64)
+    node_patch[tab.verts] = patch[origin][:, None]
+    # BᵀB is exactly symmetric and block diagonal by patch, so scaling its
+    # rows by the patch's 1 / (point count) keeps A exactly symmetric
+    weight = 1.0 / np.bincount(patch[within],
+                               minlength=len(patches))[node_patch]
+    A = (sp.diags(weight) @ (B.T @ B)).tocsr()
+    d = weight * (B.T @ np.asarray(data.y, dtype=float)[point])
+    trace = _trace(s, nodes, events)
+    b = local.boundary_nodes()
+    bv = BoundaryValues(nodes=b, **{f: trace[b, i]
+                                    for i, f in enumerate(FIELDS)})
+    fem = FemSystem(mesh=local, A=A, d=d, L=assemble_L(local),
+                    G1=assemble_G(local, 1), G2=assemble_G(local, 2),
+                    located=Located(point, B, 0), bv=bv)
+    return fem, trace, origin
 
 
 def auxiliary_indicators(s, data, edge_ids, alpha, located_by_tri=None):
     """Auxiliary indicators of the edges ``edge_ids`` as one (k,) array.
 
     Every edge gets a local smoothing problem on a once-refined copy of its
-    patch: the incident triangles plus their edge-neighbours.  The data
-    inside the patch come from ``located_by_tri`` and are placed among the
-    refined descendants of their triangles, without another point location.
-    All the problems are assembled together, solved with one dense
-    ``np.linalg.solve`` per system size, and integrated together (see the
-    module docstring).
+    patch: the incident triangles plus their edge-neighbours.  All the
+    problems are built by ``patch_system``, solved by one ``SaddleSystem``
+    and integrated together (see the module docstring).
 
     Parameters
     ----------
@@ -313,50 +210,36 @@ def auxiliary_indicators(s, data, edge_ids, alpha, located_by_tri=None):
         computed on the fly when absent.
 
     An edge whose patch holds no data point, or whose refined patch has no
-    interior node, gets 0.  Each local solve must reach the solver's
-    residual target: a miss raises NonConvergence, a singular local system
-    SingularSystem.
+    interior node, gets 0.  The solve keeps the solver's contract: a
+    failed factorisation falls back to MINRES, and a residual MINRES
+    cannot bring below the target raises NonConvergence.
     """
     mesh = s.mesh
     if located_by_tri is None:
         located_by_tri = locate_by_tri(mesh, data)
     eta = np.zeros(len(edge_ids))
-    kept, patches, seeds, found = [], [], [], []
+    kept, patches, in_seed = [], [], []
     for k, eid in enumerate(edge_ids):
         patch, seed = _patch_triangles(mesh, eid)
         tris = sorted(patch)
-        inside = [located_by_tri.get(t, ()) for t in tris]
-        if any(len(i) for i in inside):
+        if any(len(located_by_tri.get(t, ())) for t in tris):
             kept.append(k)
             patches.append(tris)
-            seeds.append([tris.index(t) for t in seed])
-            found.append(inside)
+            in_seed += [t in seed for t in tris]
     if not kept:
         return eta
-    stack = stack_patches(mesh, patches)
-    tab = stack.tab
-
-    # stacked ids of the patch triangle of every (patch, point) pair
-    origin = np.concatenate([stack.first_tri[p] + np.arange(len(f))
-                             for p, f in enumerate(found)])
-    point = np.concatenate([np.asarray(i, dtype=np.int64)
-                            for f in found for i in f])
-    origin = np.repeat(origin, [len(i) for f in found for i in f])
-    A_e, d_e = _data_terms(stack, origin,
-                           np.asarray(data.x, dtype=float)[point],
-                           np.asarray(data.y, dtype=float)[point], len(kept))
-    blocks = saddle_blocks(A_e, element_L(tab), element_G(tab, 1),
-                           element_G(tab, 2), alpha,
-                           lambda M: M.swapaxes(1, 2))
-    vals = _nodal_values(stack, s)
-    shat = _solve_patches(stack, blocks, d_e, vals, len(kept))
+    fem, trace, origin = patch_system(s, data, patches, located_by_tri)
+    c = trace[:, FIELDS.index("c")]
+    shat = c
+    if len(fem.mesh.interior_nodes()):
+        shat = SaddleSystem(fem, alpha).solve().c
 
     # integrate |grad shat - grad s|^2 over the refined seed triangles
-    seed_ids = np.concatenate([stack.first_tri[p] + np.asarray(sd)
-                               for p, sd in enumerate(seeds)])
-    rows = np.isin(stack.origin, seed_ids)
-    grad = tab.gradients(shat - vals[:, FIELDS.index("c")])
-    energy = np.bincount(stack.tri_patch[rows],
+    tab = fem.mesh.tri_table
+    rows = np.asarray(in_seed)[origin]
+    patch = np.repeat(np.arange(len(kept)), [len(p) for p in patches])[origin]
+    grad = tab.gradients(shat - c)
+    energy = np.bincount(patch[rows],
                          (tab.area * np.sum(grad ** 2, axis=1))[rows],
                          minlength=len(kept))
     eta[kept] = np.sqrt(energy)

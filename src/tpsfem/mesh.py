@@ -44,22 +44,6 @@ class TriTable(namedtuple("TriTable",
     """
     __slots__ = ()
 
-    @classmethod
-    def build(cls, ids, verts, points):
-        """Table of the triangles ``verts`` (rows of node ids into the (n, 2)
-        ``points``), labelled by the ascending ``ids``."""
-        x = points[:, 0][verts]
-        y = points[:, 1][verts]
-        # b_i = y_j - y_k, c_i = x_k - x_j  (cyclic), grad b_i = (b_i, c_i) / (2T)
-        bcoef = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-        ccoef = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-        area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-                      - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gx = bcoef / (2.0 * area[:, None])
-            gy = ccoef / (2.0 * area[:, None])
-        return cls(ids, verts, x, y, area, gx, gy)
-
     def rows(self, ids):
         """Rows of the triangles ``ids``; KeyError for ids of no alive triangle."""
         ids = np.asarray(ids, dtype=np.int64)
@@ -189,7 +173,17 @@ class TriMesh:
         ids = np.sort(np.fromiter(self.tris, dtype=np.int64, count=len(self.tris)))
         verts = np.array([self.tris[t] for t in ids.tolist()],
                          dtype=np.int64).reshape(-1, 3)
-        return TriTable.build(ids, verts, self.points)
+        x = self.points[:, 0][verts]
+        y = self.points[:, 1][verts]
+        # b_i = y_j - y_k, c_i = x_k - x_j  (cyclic), grad b_i = (b_i, c_i) / (2T)
+        bcoef = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+        ccoef = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+        area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                      - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gx = bcoef / (2.0 * area[:, None])
+            gy = ccoef / (2.0 * area[:, None])
+        return TriTable(ids, verts, x, y, area, gx, gy)
 
     def node_xy(self, n):
         return self.xs[n], self.ys[n]
@@ -479,29 +473,40 @@ class TriMesh:
 
     # -- submesh extraction ---------------------------------------------------
 
-    def copy_submesh(self, tri_ids):
-        """Standalone copy of a subset of triangles.
+    def copy_submesh(self, tri_sets):
+        """Standalone copy of the triangle sets ``tri_sets``, each set with
+        its own nodes.
+
+        Each set is numbered as if it were copied alone, after the sets
+        before it: its nodes in ascending source id, then its triangles in
+        ascending source id.  Newest-node labels are preserved; boundary
+        flags are recomputed, so the nodes on each set's own boundary are
+        boundary nodes.  Sets share no node or edge, so refining the copy
+        refines each set exactly as it would refine alone.
 
         Returns
         -------
-        (TriMesh, dict, dict)
-            The submesh, a map old node id -> new node id, and a map
-            old triangle id -> new triangle id.  Newest-node labels are
-            preserved; boundary flags are recomputed for the subset.
+        (TriMesh, ndarray, ndarray)
+            The copy, the source node of each of its nodes and the source
+            triangle of each of its triangles.
         """
-        tri_ids = sorted(tri_ids)
-        nodes = sorted({n for t in tri_ids for n in self.tris[t]})
-        node_map = {n: i for i, n in enumerate(nodes)}
         sub = TriMesh()
-        for n in nodes:
-            sub._add_node(self.xs[n], self.ys[n], boundary=False)
-        tri_map = {}
-        for t in tri_ids:
-            a, b, v = self.tris[t]
-            tri_map[t] = sub._add_tri(node_map[a], node_map[b], node_map[v])
+        nodes, tris = [], []
+        for tri_ids in tri_sets:
+            tri_ids = sorted(tri_ids)
+            own = sorted({n for t in tri_ids for n in self.tris[t]})
+            node_map = {n: len(nodes) + i for i, n in enumerate(own)}
+            for n in own:
+                sub._add_node(self.xs[n], self.ys[n], boundary=False)
+            for t in tri_ids:
+                a, b, v = self.tris[t]
+                sub._add_tri(node_map[a], node_map[b], node_map[v])
+            nodes += own
+            tris += tri_ids
         sub._recompute_boundary_flags()
         sub._bump()
-        return sub, node_map, tri_map
+        return (sub, np.array(nodes, dtype=np.int64),
+                np.array(tris, dtype=np.int64))
 
 
 def build_square_mesh(refine_level=0):
@@ -552,7 +557,7 @@ def trim_to_irregular(mesh, data):
     if not bearing:
         raise EmptyResult("no triangle contains a data point")
     retained = _connect_components(mesh, bearing)
-    sub, _, _ = mesh.copy_submesh(retained)
+    sub, _, _ = mesh.copy_submesh([retained])
     return sub
 
 
@@ -658,7 +663,7 @@ def mesh_polygon(loops, refine_level=3):
     # rather than bridging components through outside triangles
     comps = _components_of(mesh, keep)
     comps.sort(key=lambda c: (-len(c), min(c)))
-    sub, _, _ = mesh.copy_submesh(comps[0])
+    sub, _, _ = mesh.copy_submesh([comps[0]])
     return sub
 
 

@@ -116,17 +116,15 @@ class CsrbfModel:
     solve_seconds: float
 
     def eval(self, pts):
+        """Model values at the points: the kernel sum over every centre
+        within the support radius (0 outside every support)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        phi = KERNELS[self.kernel]
-        tree = cKDTree(self.centers)
-        out = np.zeros(len(pts))
-        for i, p in enumerate(pts):
-            idx = tree.query_ball_point(p, self.rho)
-            if not idx:
-                continue
-            r = np.linalg.norm(self.centers[idx] - p, axis=1) / self.rho
-            out[i] = phi(r) @ self.weights[idx]
-        return out
+        # the ndarray output keeps zero distances: a point on a centre
+        pairs = cKDTree(pts).sparse_distance_matrix(
+            cKDTree(self.centers), self.rho, output_type="ndarray")
+        phi = KERNELS[self.kernel](pairs["v"] / self.rho)
+        terms = phi * self.weights[pairs["j"]]
+        return np.bincount(pairs["i"], terms, minlength=len(pts))
 
 
 def _csrbf_matrix(centers, rho, kernel):

@@ -47,15 +47,12 @@ def _interleaved(nodes, n):
     return (nodes[:, None] + n * np.arange(len(FIELDS))).ravel()
 
 
-def saddle_blocks(A, L, G1, G2, alpha, transpose):
-    """The 4x4 block layout of K, rows and columns in FIELDS order.
-
-    None marks a zero block.  ``transpose`` transposes one block, so the
-    same layout serves sparse matrices and stacks of element matrices.
-    """
+def saddle_blocks(A, L, G1, G2, alpha):
+    """The 4x4 block layout of K, rows and columns in FIELDS order, for
+    ``sp.bmat``; None marks a zero block."""
     return [[A, None, None, L],
-            [None, alpha * L, None, -transpose(G1)],
-            [None, None, alpha * L, -transpose(G2)],
+            [None, alpha * L, None, -G1.T],
+            [None, None, alpha * L, -G2.T],
             [L, -G1, -G2, None]]
 
 
@@ -92,8 +89,8 @@ class EliminatedSystem:
         self.boundary = fem.mesh.boundary_nodes()
         self.interior.flags.writeable = False
         self.boundary.flags.writeable = False
-        K = sp.bmat(saddle_blocks(fem.A, fem.L, fem.G1, fem.G2, 1.0,
-                                  lambda M: M.T), format="csr")
+        K = sp.bmat(saddle_blocks(fem.A, fem.L, fem.G1, fem.G2, 1.0),
+                    format="csr")
         rows = K[_interleaved(self.interior, n)]
         # bmat keeps the explicit zeros of its blocks; dropping them keeps
         # the sparsity pattern, and with it SuperLU's ordering, minimal.

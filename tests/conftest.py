@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 from tpsfem.mesh import TriMesh, build_square_mesh
@@ -83,3 +84,19 @@ def coverage_gap(sample_points, reference_points):
     d, _ = cKDTree(np.asarray(sample_points, dtype=float)).query(
         np.asarray(reference_points, dtype=float), k=1)
     return float(d.max())
+
+
+def without_direct_solver(monkeypatch):
+    """Make every sparse factorisation fail, so that each solve falls back
+    to MINRES, and return the list that gains one entry per MINRES call."""
+    def fail(*args, **kwargs):
+        raise RuntimeError("factor is exactly singular")
+    calls = []
+    minres = spla.minres
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return minres(*args, **kwargs)
+    monkeypatch.setattr(spla, "splu", fail)
+    monkeypatch.setattr(spla, "minres", counted)
+    return calls

@@ -3,6 +3,7 @@
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 from tpsfem.assembly import FemSystem
 from tpsfem.boundary import BoundaryValues
@@ -183,8 +184,8 @@ def rebuilt_saddle_system(fem, alpha, bv=None):
     boundary = np.asarray(bv.nodes, dtype=int)[order]
     bvals = {"c": bv.c[order], "g1": bv.g1[order], "g2": bv.g2[order],
              "w": bv.w_at(alpha)[order]}
-    K = sp.bmat(saddle_blocks(fem.A, fem.L, fem.G1, fem.G2, alpha,
-                              lambda M: M.T), format="csr")
+    K = sp.bmat(saddle_blocks(fem.A, fem.L, fem.G1, fem.G2, alpha),
+                format="csr")
     rows = K[_interleaved(interior, n)]
     matrix = rows[:, _interleaved(interior, n)].tocsc()
     matrix.eliminate_zeros()
@@ -326,9 +327,7 @@ def patch_auxiliary_indicator(s, data, edge_id, alpha, located_by_tri):
     pt_idx = [i for t in patch for i in located_by_tri.get(t, ())]
     if not pt_idx:
         return 0.0
-    local, node_map, tri_map = mesh.copy_submesh(patch)
-    # copy_submesh numbers the patch nodes in increasing order
-    patch_nodes = np.array(sorted(node_map))
+    local, patch_nodes, patch_tris = mesh.copy_submesh([patch])
     vals = {name: getattr(s, name)[patch_nodes]
             for name in ("c", "g1", "g2", "w")}
     for ev in local.uniform_refine():
@@ -347,7 +346,7 @@ def patch_auxiliary_indicator(s, data, edge_id, alpha, located_by_tri):
     except SingularSystem:
         # no interior unknowns: the local surface is the global one
         return 0.0
-    seed_local = {tri_map[t] for t in seed}
+    seed_local = {i for i, t in enumerate(patch_tris.tolist()) if t in seed}
 
     def in_seed(t):
         while t is not None and t not in seed_local:
@@ -358,3 +357,18 @@ def patch_auxiliary_indicator(s, data, edge_id, alpha, located_by_tri):
     rows = np.flatnonzero([in_seed(t) for t in tab.ids.tolist()])
     diff = tab.gradients(shat.c - vals["c"])[rows]
     return float(np.sqrt(np.sum(tab.area[rows] * np.sum(diff ** 2, axis=1))))
+
+
+def csrbf_eval_loop(model, pts, phi):
+    """CSRBF model values one point at a time: the kernel ``phi`` summed
+    over the centres ``query_ball_point`` finds within the support."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    tree = cKDTree(model.centers)
+    out = np.zeros(len(pts))
+    for i, p in enumerate(pts):
+        idx = tree.query_ball_point(p, model.rho)
+        if not idx:
+            continue
+        r = np.linalg.norm(model.centers[idx] - p, axis=1) / model.rho
+        out[i] = phi(r) @ model.weights[idx]
+    return out

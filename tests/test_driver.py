@@ -6,7 +6,7 @@ from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.driver import IterationRecord, RunConfig, run
 from tpsfem.indicators import auxiliary_field
 from tpsfem.gcv import GcvConfig
-from tpsfem.mesh import build_square_mesh
+from tpsfem.mesh import TriMesh, build_square_mesh
 
 from conftest import all_angles, make_interface_strip
 
@@ -222,3 +222,28 @@ class TestAuxiliaryRefresh:
         monkeypatch.setattr(driver, "_refresh_field", refresh_field)
         run(data, cfg)
         assert len(checked) >= 2 and min(checked) > 0
+
+    def test_field_refreshed_only_before_a_wave(self, monkeypatch):
+        # each iteration computes the field once and refreshes it before
+        # every later wave; after the last wave comes the fit, which does
+        # not read the field
+        data = normalized_peaks(1500, seed=0)
+        refreshes, waves = [], []
+        real_indicators, real_wave = (driver.auxiliary_indicators,
+                                      TriMesh.refine_wave)
+
+        def indicators(*args, **kwargs):
+            refreshes.append(1)
+            return real_indicators(*args, **kwargs)
+
+        def refine_wave(mesh, marked):
+            waves.append(1)
+            return real_wave(mesh, marked)
+
+        monkeypatch.setattr(driver, "auxiliary_indicators", indicators)
+        monkeypatch.setattr(TriMesh, "refine_wave", refine_wave)
+        _, records = run(data, RunConfig(indicator="auxiliary", alpha=1e-6,
+                                         max_iters=2, stagnation_iters=0))
+        iterations = len(records) - 1
+        assert iterations == 2 and len(waves) > 2 * iterations
+        assert len(refreshes) == len(waves) - iterations

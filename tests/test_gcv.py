@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from tpsfem.assembly import FemSystem
 from tpsfem.boundary import boundary_values_from_callables
@@ -11,6 +10,7 @@ from tpsfem.gcv import (GcvConfig, _probe_matrix, gcv_score, influence_trace,
 from tpsfem.mesh import build_square_mesh
 from tpsfem.solver import SaddleSystem, rmse
 
+from conftest import without_direct_solver
 from oracles import dense_influence_matrix
 from test_solver import linear_problem, zero_bv
 
@@ -68,21 +68,6 @@ class TestBlockSolve:
         Z = _probe_matrix(fem.located.n_used, 6, np.random.default_rng(0))
         return data, fem, Z
 
-    @staticmethod
-    def without_direct_solver(monkeypatch):
-        """Make every factorisation fail and count the MINRES calls."""
-        def fail(*args, **kwargs):
-            raise RuntimeError("factor is exactly singular")
-        calls = []
-        minres = spla.minres
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return minres(*args, **kwargs)
-        monkeypatch.setattr(spla, "splu", fail)
-        monkeypatch.setattr(spla, "minres", counted)
-        return calls
-
     def test_rademacher_trace_matches_dense_oracle(self):
         data, fem, Z = self.problem()
         alpha = 1e-3
@@ -93,7 +78,7 @@ class TestBlockSolve:
     def test_failed_columns_fall_back_to_minres(self, monkeypatch):
         data, fem, Z = self.problem()
         direct = influence_trace(SaddleSystem(fem, 0.1), Z)
-        calls = self.without_direct_solver(monkeypatch)
+        calls = without_direct_solver(monkeypatch)
         tr = influence_trace(SaddleSystem(fem, 0.1), Z)
         assert len(calls) == Z.shape[1]
         assert abs(tr - direct) < 1e-8
@@ -107,7 +92,7 @@ class TestBlockSolve:
         assert s.info["factorizations"] == 1
         assert s.info["minres_fallbacks"] == 0
         assert 0.0 <= s.info["residual"] <= 1e-9
-        calls = self.without_direct_solver(monkeypatch)
+        calls = without_direct_solver(monkeypatch)
         system = SaddleSystem(fem, 0.1)
         influence_trace(system, Z)
         assert system.factorizations == 0
@@ -120,7 +105,7 @@ class TestBlockSolve:
 
     def test_minres_miss_raises_with_diagnostics(self, monkeypatch):
         data, fem, Z = self.problem()
-        self.without_direct_solver(monkeypatch)
+        without_direct_solver(monkeypatch)
         system = SaddleSystem(fem, 1e-3)
         with pytest.raises(NonConvergence) as err:
             influence_trace(system, Z)

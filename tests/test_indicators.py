@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.stats import spearmanr
 
 from tpsfem.assembly import FemSystem
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.driver import RunConfig, run
-from tpsfem.exceptions import EmptyField, NonConvergence, SingularSystem
-from tpsfem.indicators import (IndicatorField, auxiliary_field,
-                               auxiliary_indicator, auxiliary_indicators,
-                               locate_by_tri, mark, recovery_field,
+from tpsfem.exceptions import EmptyField, NonConvergence
+from tpsfem.indicators import (IndicatorField, _patch_triangles,
+                               auxiliary_field, auxiliary_indicator,
+                               auxiliary_indicators, locate_by_tri, mark,
+                               patch_system, recovery_field,
                                recovery_indicator)
 from tpsfem.mesh import (TriMesh, build_square_mesh, mesh_polygon,
                          trim_to_irregular)
 from tpsfem.solver import SaddleSystem, Smoother
 
+from conftest import make_unit_right_triangle, without_direct_solver
 from oracles import (consistent_mass_recovered_gradients,
                      lumped_mass_recovery_indicators,
                      patch_auxiliary_indicator, tri_area, tri_gradient)
@@ -215,6 +218,20 @@ class TestAuxiliaryBatch:
             # patches without data, or with no interior node, give 0
             assert np.any(ref == 0)
 
+    def test_batch_without_interior_nodes_gives_zeros(self):
+        # one triangle refined once has no interior node, so no patch of
+        # the batch has an unknown and no system is solved
+        mesh = make_unit_right_triangle()
+        s = random_surface(mesh, seed=0)
+        data = DataSet(np.array([[0.2, 0.2], [0.5, 0.1]]), np.ones(2))
+        edges = sorted(mesh.edges)
+        by_tri = locate_by_tri(mesh, data)
+        ref = [patch_auxiliary_indicator(s, data, e, 1e-4, by_tri)
+               for e in edges]
+        assert ref == [0.0] * len(edges)
+        assert np.array_equal(auxiliary_indicators(s, data, edges, 1e-4),
+                              np.zeros(len(edges)))
+
     def test_single_edge_is_batch_entry(self):
         s, data = oracle_case("square-1")
         edges = sorted(s.mesh.edges)
@@ -222,27 +239,36 @@ class TestAuxiliaryBatch:
         assert auxiliary_indicator(s, data, edges[7], 1e-4) == etas[7]
         assert auxiliary_indicators(s, data, [], 1e-4).shape == (0,)
 
+    def test_failed_factorisation_falls_back_to_minres(self, monkeypatch):
+        # the patch problems share the solver's contract: without a direct
+        # factorisation the one stacked system is solved by MINRES, which
+        # converges at this alpha
+        s, data = oracle_case("square-1")
+        edges = s.mesh.refinable_edges()
+        by_tri = locate_by_tri(s.mesh, data)
+        ref = np.array([patch_auxiliary_indicator(s, data, e, 0.1, by_tri)
+                        for e in edges])
+        calls = without_direct_solver(monkeypatch)
+        got = auxiliary_indicators(s, data, edges, 0.1, by_tri)
+        assert len(calls) == 1
+        assert np.all(np.abs(got - ref) <= 1e-8 * ref.max())
+
     def test_missed_residual_raises_nonconvergence(self, monkeypatch):
         s, data = oracle_case("square-1")
         edges = s.mesh.refinable_edges()
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve",
-                            lambda K, b: solve(K, b) * (1 + 1e-6))
+        by_tri = locate_by_tri(s.mesh, data)
+        without_direct_solver(monkeypatch)
+        monkeypatch.setattr(spla, "minres", lambda M, b, x0, **kw: (x0, 1))
         with pytest.raises(NonConvergence) as err:
-            auxiliary_indicators(s, data, edges, 1e-4)
+            auxiliary_indicators(s, data, edges, 0.1, by_tri)
         diag = err.value.diagnostics
+        assert diag["flag"] == 1
         assert diag["residual"] > 1e-9
-        assert diag["unknowns"] > 0 and "flag" in diag
-
-    def test_singular_batch_raises_singular_system(self, monkeypatch):
-        s, data = oracle_case("square-1")
-
-        def singular(K, b):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(np.linalg, "solve", singular)
-        with pytest.raises(SingularSystem):
-            auxiliary_indicators(s, data, s.mesh.refinable_edges(), 1e-4)
+        patches = [sorted(_patch_triangles(s.mesh, e)[0]) for e in edges]
+        fem = patch_system(s, data, [p for p in patches
+                                     if any(t in by_tri for t in p)],
+                           by_tri)[0]
+        assert diag["unknowns"] == 4 * len(fem.mesh.interior_nodes())
 
 
 class TestMark:

@@ -1,14 +1,15 @@
 """Property tests of newest-node bisection, batched point location, the
-element matrices and the exactness of the fit on affine data."""
+element matrices, the stacked auxiliary patch problems and the exactness of
+the fit on affine data."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from tpsfem.assembly import (assemble_elements, assemble_G, assemble_L,
-                             element_G, element_L)
-from tpsfem.indicators import stack_patches
+from tpsfem.assembly import assemble_G, assemble_L
+from tpsfem.data import DataSet
+from tpsfem.indicators import locate_by_tri, patch_system
 from tpsfem.mesh import BARY_TOL, build_square_mesh
-from tpsfem.solver import SaddleSystem, rmse
+from tpsfem.solver import FIELDS, SaddleSystem, Smoother, rmse
 
 from conftest import all_angles, total_area
 from oracles import linear_basis
@@ -123,22 +124,73 @@ def test_assembled_matrices_identities(picks):
                              tab.area)
 
 
+def random_patches(mesh, rng, count=5):
+    """``count`` random sets of 1 to 6 triangles of ``mesh``; sets may
+    overlap, as the patches of neighbouring edges do."""
+    ids = sorted(mesh.tris)
+    return [rng.choice(ids, size=rng.integers(1, 7), replace=False)
+            for _ in range(count)]
+
+
+def refined_copy(mesh, patches):
+    """The patches copied into one mesh and refined once, as the auxiliary
+    indicator builds its local problems."""
+    local, _, _ = mesh.copy_submesh(patches)
+    local.uniform_refine()
+    return local
+
+
+def ancestor(mesh, t):
+    while t in mesh.tri_parent:
+        t = mesh.tri_parent[t]
+    return t
+
+
+def coordinate_triples(mesh, tri_ids):
+    """Vertex coordinates of the triangles ``tri_ids``, in id order and in
+    stored vertex order (so the newest-node label is compared too)."""
+    return [tuple(mesh.node_xy(n) for n in mesh.tris[t])
+            for t in sorted(tri_ids)]
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(picks=bisections, seed=st.integers(0, 2 ** 16))
 def test_stacked_patch_element_identities(picks, seed):
-    # random triangle sets of a random mesh, each refined and stacked as
-    # the auxiliary indicator stacks its patches
+    mesh = refined_square(picks)
+    local = refined_copy(mesh, random_patches(mesh, np.random.default_rng(seed)))
+    tab = local.tri_table
+    check_element_identities(assemble_L(local), assemble_G(local, 1),
+                             assemble_G(local, 2), tab.verts, local.points,
+                             tab.area)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(picks=bisections, seed=st.integers(0, 2 ** 16))
+def test_stacked_patches_refine_as_alone(picks, seed):
+    mesh = refined_square(picks)
+    patches = random_patches(mesh, np.random.default_rng(seed))
+    local = refined_copy(mesh, patches)
+    first = np.cumsum([0] + [len(p) for p in patches])
+    for p, tris in enumerate(patches):
+        alone = refined_copy(mesh, [tris])
+        own = [t for t in local.tris
+               if first[p] <= ancestor(local, t) < first[p + 1]]
+        assert (coordinate_triples(local, own)
+                == coordinate_triples(alone, alone.tris))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(picks=bisections, seed=st.integers(0, 2 ** 16))
+def test_stacked_patch_data_matrix_is_symmetric(picks, seed):
     mesh = refined_square(picks)
     rng = np.random.default_rng(seed)
-    ids = sorted(mesh.tris)
-    patches = [rng.choice(ids, size=rng.integers(1, 7), replace=False)
-               for _ in range(5)]
-    tab = stack_patches(mesh, patches).tab
-    n = tab.verts.max() + 1
-    x = np.zeros((n, 2))
-    x[tab.verts, 0], x[tab.verts, 1] = tab.x, tab.y
-    check_element_identities(
-        assemble_elements(tab.verts, element_L(tab), n),
-        assemble_elements(tab.verts, element_G(tab, 1), n),
-        assemble_elements(tab.verts, element_G(tab, 2), n),
-        tab.verts, x, tab.area)
+    x = rng.uniform(0.0, 1.0, size=(150, 2))
+    data = DataSet(x, rng.normal(size=len(x)))
+    by_tri = locate_by_tri(mesh, data)
+    patches = [[t for t in p if t in by_tri] or [min(by_tri)]
+               for p in random_patches(mesh, rng)]
+    s = Smoother(mesh=mesh, alpha=1.0,
+                 **{f: rng.normal(size=mesh.n_nodes) for f in FIELDS})
+    A = patch_system(s, data, patches, by_tri)[0].A
+    assert A.nnz > 0
+    assert (A != A.T).nnz == 0

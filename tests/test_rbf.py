@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import dense_csrbf_gcv_scores
+from oracles import csrbf_eval_loop, dense_csrbf_gcv_scores
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.exceptions import NoControlPoints
 from tpsfem.rbf import (KERNELS, ControlPointPlan, buhmann_kernel, choose_rho,
@@ -131,6 +131,24 @@ class TestFits:
         assert 0 < np.argmin(ref) < len(grid) - 1  # an interior minimum
         assert m.alpha_rbf in grid
         assert ref[grid == m.alpha_rbf][0] <= ref.min() * (1 + 1e-9)
+
+    @pytest.mark.parametrize("kernel", ["buhmann", "wendland"])
+    def test_eval_matches_point_loop_oracle(self, kernel):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0, 1, size=(400, 2))
+        data = DataSet(x, np.sin(4 * x[:, 0]) + rng.normal(size=400))
+        m = fit_csrbf(data, kernel, rho=0.2, control_idx=np.arange(0, 400, 3),
+                      alpha=1e-4)
+        outside = np.array([[3.0, 3.0], [-1.0, 0.5], [0.5, 1.25]])
+        pts = np.vstack([m.centers, rng.uniform(-0.1, 1.1, size=(300, 2)),
+                         outside])
+        got = m.eval(pts)
+        ref = csrbf_eval_loop(m, pts, KERNELS[kernel])
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        # every centre sits on itself, so phi(0) times its weight is counted
+        assert np.all(np.abs(got[:len(m.centers)]) > 0)
+        assert np.array_equal(got[-3:], np.zeros(3))
+        assert m.eval(m.centers[0]).shape == (1,)
 
     def test_global_tps_fit_and_sparsity(self):
         data = peaks_generate(PeaksSpec(n=2000), seed=5)
