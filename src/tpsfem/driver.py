@@ -297,4 +297,5 @@ def run(data, cfg=None):
             break
     smoother.info["stop_reason"] = stop or "max_iters"
     smoother.info["dropped_points"] = fem.located.n_dropped
+    smoother.info["tps_alpha"] = None if tps is None else tps.alpha_tps
     return smoother, records

@@ -51,6 +51,7 @@ class RunReport:
             "stop_reason": smoother.info.get("stop_reason"),
             "system_nonzeros": smoother.info.get("nnz"),
             "system_unknowns": smoother.info.get("unknowns"),
+            "tps_alpha": smoother.info.get("tps_alpha"),
         }
         return cls(config=cfg.to_dict(), records=recs, final=final,
                    seed=cfg.seed)

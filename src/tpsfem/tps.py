@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .exceptions import DegenerateGeometry, InsufficientData
 
@@ -22,19 +23,22 @@ R_CLAMP = 1e-12
 def kernel_value(r):
     """TPS kernel r^2 log(r), continuous limit 0 at r = 0."""
     r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    mask = r > 0
-    rm = r[mask]
-    out[mask] = rm * rm * np.log(rm)
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(r > 0, r * r * np.log(r), 0.0)
 
 
 def _grad_factor(r):
     """(2 log r + 1), zeroed at r = 0 where the gradient kernel vanishes."""
-    out = np.zeros_like(r)
-    mask = r > 0
-    out[mask] = 2.0 * np.log(r[mask]) + 1.0
-    return out
+    with np.errstate(divide="ignore"):
+        return np.where(r > 0, 2.0 * np.log(r) + 1.0, 0.0)
+
+
+def _distances(a, b):
+    """Euclidean distances between the rows of (k, 2) ``a`` and (m, 2) ``b``,
+    shape (k, m), summed per coordinate without a (k, m, 2) temporary."""
+    d0 = a[:, None, 0] - b[None, :, 0]
+    d1 = a[:, None, 1] - b[None, :, 1]
+    return np.sqrt(d0 * d0 + d1 * d1)
 
 
 def kernel_laplacian_proxy(r):
@@ -51,29 +55,26 @@ class TpsModel:
     affine: np.ndarray  # (a0, a1, a2)
     alpha_tps: float
 
-    def _radii(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        diff = pts[:, None, :] - self.centers[None, :, :]
-        return diff, np.sqrt(np.sum(diff ** 2, axis=2))
-
     def eval(self, pts):
         """Spline values at (k, 2) points."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        _, r = self._radii(pts)
+        r = _distances(pts, self.centers)
         base = self.affine[0] + pts @ self.affine[1:]
         return base + kernel_value(r) @ self.weights
 
     def eval_grad(self, pts):
         """Spline gradients at (k, 2) points, shape (k, 2)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        diff, r = self._radii(pts)
+        diff = pts[:, None, :] - self.centers[None, :, :]
+        r = _distances(pts, self.centers)
         fac = _grad_factor(r) * self.weights[None, :]
         grad = np.einsum("kc,kcd->kd", fac, diff)
         return grad + self.affine[1:][None, :]
 
     def eval_laplacian_proxy(self, pts):
         """Weighted multiplier-row kernel sums (no affine contribution)."""
-        _, r = self._radii(pts)
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        r = _distances(pts, self.centers)
         return kernel_laplacian_proxy(r) @ self.weights
 
 
@@ -88,8 +89,7 @@ def _spline_system(sample):
     P = np.column_stack([np.ones(n), x])
     if np.linalg.matrix_rank(P) < 3:
         raise DegenerateGeometry("sample points are collinear")
-    r = np.sqrt(np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2))
-    return x, y, kernel_value(r), P
+    return x, y, kernel_value(_distances(x, x)), P
 
 
 def fit_tps(sample, alpha_tps=0.0):
@@ -111,12 +111,22 @@ def fit_tps(sample, alpha_tps=0.0):
 
 
 def _gcv_scores(sample, grid):
-    """GCV score n*|y - yhat|^2 / (n - tr H)^2 of the spline at each alpha."""
+    """GCV score n*|y - yhat|^2 / (n - tr H)^2 of the spline at each alpha.
+
+    The three Householder reflectors of P = QR are applied to K from both
+    sides, so Q^T K Q costs O(n^2) and the complete Q is never formed; its
+    trailing (n-3) block is Z^T K Z and the tail of Q^T y is Z^T y, with Z
+    the last n-3 columns of Q (the GCVPACK form of Bates, Lindstrom, Wahba &
+    Yandell 1987).
+    """
     _, y, K, P = _spline_system(sample)
     n = len(y)
-    Z = np.linalg.qr(P, mode="complete")[0][:, 3:]
-    lam, U = np.linalg.eigh(Z.T @ K @ Z)
-    b = U.T @ (Z.T @ y)
+    (qr, tau), _ = scipy.linalg.qr(P, mode="raw")
+    QtK = lapack.dormqr("L", "T", qr, tau, K, n)[0]
+    QtKQ = lapack.dormqr("R", "N", qr, tau, QtK, n)[0]
+    Qty = lapack.dormqr("L", "T", qr, tau, y[:, None], 1)[0][:, 0]
+    lam, U = np.linalg.eigh(QtKQ[3:, 3:])
+    b = U.T @ Qty[3:]
     s = n * grid[:, None] / (lam + n * grid[:, None])
     dof = s.sum(axis=1)  # n - tr H
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -131,9 +141,11 @@ def select_alpha_tps(sample, alpha_grid=None):
     are w = Z g) and Z^T K Z = U diag(lam) U^T, each alpha has
     s = n*alpha / (lam + n*alpha), n - tr H = sum(s) and
     |y - yhat|^2 = sum((s * U^T Z^T y)^2) (Craven & Wahba 1979), so one
-    eigendecomposition scores the whole grid.  Returns the first alpha of
-    least score; a candidate with n - tr H <= 0 scores +inf, so n = 3 gives
-    ``grid[0]``.
+    eigendecomposition scores the whole grid.  Z^T K Z comes from applying
+    the Householder reflectors of P's QR factorisation to K, as in GCVPACK
+    (Bates, Lindstrom, Wahba & Yandell 1987); the eigendecomposition is the
+    only O(n^3) step.  Returns the first alpha of least score; a candidate
+    with n - tr H <= 0 scores +inf, so n = 3 gives ``grid[0]``.
     """
     grid = (np.geomspace(1e-9, 1e-1, 17) if alpha_grid is None
             else np.asarray(alpha_grid, dtype=float))
@@ -217,7 +229,6 @@ def sample(data, plan, seed=0):
     else:
         candidates = np.arange(n)
     cap = max(1, math.ceil(4.0 * n / plan.count))
-    cand_set = set(candidates.tolist())
     leaves = []
     for depth, order, idx in _quadtree_leaves(x[candidates], cap):
         leaves.append((depth, order, candidates[idx]))

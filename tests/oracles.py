@@ -10,7 +10,7 @@ from tpsfem.boundary import BoundaryValues
 from tpsfem.data import DataSet
 from tpsfem.exceptions import SingularSystem
 from tpsfem.solver import FIELDS, SaddleSystem, _interleaved, saddle_blocks
-from tpsfem.tps import kernel_value
+from tpsfem.tps import R_CLAMP
 
 # 7-point Gauss rule on the reference triangle, exact to degree 5
 _GP = np.array([
@@ -254,6 +254,58 @@ def dense_influence_matrix(fem, alpha, bv, data):
     return infl
 
 
+def masked_kernel_value(r):
+    """TPS kernel r^2 log(r) evaluated only where r > 0, zero elsewhere."""
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    mask = r > 0
+    rm = r[mask]
+    out[mask] = rm * rm * np.log(rm)
+    return out
+
+
+def summed_radii(a, b):
+    """Differences (k, m, 2) and distances (k, m) between the rows of ``a``
+    and ``b``, the squares summed over the last axis of the differences."""
+    diff = a[:, None, :] - b[None, :, :]
+    return diff, np.sqrt(np.sum(diff ** 2, axis=2))
+
+
+def radii_tps_evals(model, pts):
+    """Value, gradient and Laplacian-proxy sums of a ``TpsModel`` at (k, 2)
+    points, from ``summed_radii`` and ``masked_kernel_value``."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    diff, r = summed_radii(pts, model.centers)
+    value = (model.affine[0] + pts @ model.affine[1:]
+             + masked_kernel_value(r) @ model.weights)
+    fac = np.zeros_like(r)
+    fac[r > 0] = 2.0 * np.log(r[r > 0]) + 1.0
+    grad = (np.einsum("kc,kcd->kd", fac * model.weights[None, :], diff)
+            + model.affine[1:][None, :])
+    proxy = (-np.log(np.maximum(r, R_CLAMP)) - 4.0) @ model.weights
+    return value, grad, proxy
+
+
+def complete_q_tps_gcv_scores(x, y, grid):
+    """Spline GCV scores with Z^T K Z formed from the complete Q of qr(P).
+
+    Z is the last n-3 columns of Q; the projection is two dense products.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    P = np.column_stack([np.ones(n), x])
+    K = masked_kernel_value(summed_radii(x, x)[1])
+    Z = np.linalg.qr(P, mode="complete")[0][:, 3:]
+    lam, U = np.linalg.eigh(Z.T @ K @ Z)
+    b = U.T @ (Z.T @ y)
+    s = n * grid[:, None] / (lam + n * grid[:, None])
+    dof = s.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dof > 0, n * np.sum((s * b) ** 2, axis=1) / dof ** 2,
+                        np.inf)
+
+
 def dense_tps_gcv_scores(x, y, grid):
     """GCV scores of the smoothing spline, one dense LU per candidate alpha.
 
@@ -265,8 +317,7 @@ def dense_tps_gcv_scores(x, y, grid):
     y = np.asarray(y, dtype=float)
     n = len(y)
     P = np.column_stack([np.ones(n), x])
-    r = np.sqrt(np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2))
-    K = kernel_value(r)
+    K = masked_kernel_value(summed_radii(x, x)[1])
     KP = np.hstack([K, P])
     scores = []
     for alpha in grid:

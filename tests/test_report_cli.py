@@ -14,9 +14,9 @@ from tpsfem.report import (RunReport, merge_reports_csv, read_report,
                            save_node_values)
 
 
-def tiny_run(seed=0):
+def tiny_run(seed=0, boundary="average"):
     data = peaks_generate(PeaksSpec(n=400), seed=1).normalized()
-    cfg = RunConfig(refine="uniform", max_iters=1, boundary="average",
+    cfg = RunConfig(refine="uniform", max_iters=1, boundary=boundary,
                     gcv=GcvConfig(alpha_grid=np.geomspace(1e-8, 1e-2, 5),
                                   probes=3, refine_iters=1),
                     stagnation_iters=0, seed=seed)
@@ -33,6 +33,27 @@ class TestRunReport:
         back = read_report(path)
         assert back.to_json() == rep.to_json()
         assert back.final["nodes"] == records[-1].nodes
+
+    @pytest.mark.parametrize("boundary", ["tps", "average", "constant"])
+    def test_spline_alpha_reported(self, boundary, monkeypatch):
+        import tpsfem.driver as driver
+        picked = []
+        select = driver.select_alpha_tps
+
+        def recording(samp):
+            picked.append(select(samp))
+            return picked[-1]
+
+        monkeypatch.setattr(driver, "select_alpha_tps", recording)
+        cfg, records, smoother = tiny_run(boundary=boundary)
+        expect = None if boundary == "constant" else picked[0]
+        assert len(picked) == (boundary != "constant")
+        assert smoother.info["tps_alpha"] == expect
+        rep = RunReport.from_run(cfg, records, smoother)
+        assert rep.final["tps_alpha"] == expect
+        back = RunReport.from_json(rep.to_json())
+        assert back.final["tps_alpha"] == expect
+        assert back.to_json() == rep.to_json()
 
     def test_schema_field_present(self):
         cfg, records, smoother = tiny_run()

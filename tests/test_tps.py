@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import coverage_gap
-from oracles import dense_tps_gcv_scores
+from oracles import (complete_q_tps_gcv_scores, dense_tps_gcv_scores,
+                     masked_kernel_value, radii_tps_evals, summed_radii)
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.exceptions import DegenerateGeometry, InsufficientData
-from tpsfem.tps import (SamplePlan, TpsModel, _gcv_scores, fit_tps,
-                        kernel_laplacian_proxy, kernel_value, sample,
+from tpsfem.tps import (SamplePlan, TpsModel, _gcv_scores, _spline_system,
+                        fit_tps, kernel_laplacian_proxy, kernel_value, sample,
                         select_alpha_tps)
 
 
@@ -40,6 +41,35 @@ class TestKernels:
                       affine=m.affine, alpha_tps=0.0)
         assert abs(v1 - m2.eval([p])[0]) < 1e-12
         assert np.allclose(g1, m2.eval_grad([p])[0], atol=1e-12)
+
+
+class TestKernelBuild:
+    """The per-coordinate distances and the unmasked kernel give bitwise the
+    numbers of the summed (k, m, 2) differences and the masked kernel."""
+
+    def test_scalar_kernel(self):
+        for r in (0.0, 1e-300, 0.5, 1.0, np.e):
+            got = kernel_value(r)
+            assert got.shape == ()
+            assert got == masked_kernel_value(r)
+
+    def test_kernel_matrix_with_duplicate_points(self):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1, 1, size=(60, 2))
+        x = np.vstack([x, x[[3, 17, 17, 40]]])  # r = 0 off the diagonal
+        _, _, K, _ = _spline_system(DataSet(x, rng.normal(size=len(x))))
+        ref = masked_kernel_value(summed_radii(x, x)[1])
+        assert np.array_equal(K, ref)
+        assert np.count_nonzero(K == 0.0) > len(x)
+
+    def test_model_evals(self):
+        m = random_model(3)
+        pts = np.vstack([np.random.default_rng(8).uniform(-1, 1, (50, 2)),
+                         m.centers[:4]])
+        value, grad, proxy = radii_tps_evals(m, pts)
+        assert np.array_equal(m.eval(pts), value)
+        assert np.array_equal(m.eval_grad(pts), grad)
+        assert np.array_equal(m.eval_laplacian_proxy(pts), proxy)
 
 
 class TestFit:
@@ -168,6 +198,25 @@ class TestGcvDense:
                        np.array([1.0, 3.0, -2.0]))
         grid = np.geomspace(1e-6, 1e-2, 5)
         assert select_alpha_tps(data, grid) == grid[0]
+
+
+class TestGcvProjection:
+    """The reflector projection against the complete-Q projection on the
+    boundary spline's samples, in a square and an L-shaped region."""
+
+    @pytest.mark.parametrize("n", [100, 300, 600])
+    @pytest.mark.parametrize("lshape", [False, True])
+    def test_peaks_samples_match_complete_q(self, n, lshape):
+        data = peaks_generate(PeaksSpec(n=4000), seed=n)
+        if lshape:
+            data = data.subset(~((data.x[:, 0] > 0) & (data.x[:, 1] > 0)))
+        samp = sample(data.normalized(), SamplePlan("quadtree", count=n),
+                      seed=n)
+        grid = np.geomspace(1e-9, 1e-1, 17)
+        ref = complete_q_tps_gcv_scores(samp.x, samp.y, grid)
+        got = _gcv_scores(samp, grid)
+        assert np.all(np.abs(got - ref) <= 1e-10 * ref)
+        assert select_alpha_tps(samp) == grid[np.argmin(ref)]
 
 
 class TestSampling:
