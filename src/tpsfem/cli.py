@@ -6,8 +6,21 @@ import json
 import os
 import sys
 
-EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+
+def _positive_int(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return int(text)
+
+
+def _fit_alpha(text):
+    """fit --alpha: 'auto' or a positive finite float."""
+    if text != "auto" and not 0 < float(text) < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"{text} is neither 'auto' nor positive and finite")
+    return text if text == "auto" else float(text)
 
 
 def _add_fit_parser(sub):
@@ -23,13 +36,13 @@ def _add_fit_parser(sub):
     p.add_argument("--boundary", choices=["tps", "average", "constant"],
                    default="average")
     p.add_argument("--constant-value", type=float, default=0.0)
-    p.add_argument("--alpha", default="auto",
+    p.add_argument("--alpha", type=_fit_alpha, default="auto",
                    help="'auto' (GCV) or a positive value")
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--rmse-tolerance", type=float, default=None)
     p.add_argument("--trim-level", type=int, default=2)
     p.add_argument("--tps-samples", type=int, default=300)
-    p.add_argument("--gcv-probes", type=int, default=10)
+    p.add_argument("--gcv-probes", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--single-thread", action="store_true",
                    help="pin BLAS thread pools for bit-identical reports")
@@ -105,10 +118,9 @@ def _cmd_fit(args):
 
     data = ingest(args.data)
     polygon = load_polygon(args.polygon) if args.polygon else None
-    alpha = args.alpha if args.alpha == "auto" else float(args.alpha)
     cfg = RunConfig(domain=args.domain, refine=args.refine,
                     indicator=args.indicator, boundary=args.boundary,
-                    constant_value=args.constant_value, alpha=alpha,
+                    constant_value=args.constant_value, alpha=args.alpha,
                     max_iters=args.max_iters,
                     rmse_tolerance=args.rmse_tolerance,
                     trim_level=args.trim_level, tps_samples=args.tps_samples,

@@ -34,6 +34,8 @@ class GcvConfig:
         grid = np.asarray(self.alpha_grid, dtype=float)
         if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
             raise ValueError("alpha_grid must be positive and increasing")
+        if self.probes < 1 or self.refine_iters < 0:
+            raise ValueError("probes must be >= 1 and refine_iters >= 0")
         self.alpha_grid = grid
 
 
@@ -111,7 +113,7 @@ def select_alpha(fem, data, cfg=None, seed=0):
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = score(math.exp(x1)), score(math.exp(x2))
-    for _ in range(max(cfg.refine_iters, 0)):
+    for _ in range(cfg.refine_iters):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - GOLDEN * (b - a)

@@ -210,9 +210,9 @@ def auxiliary_indicators(s, data, edge_ids, alpha, located_by_tri=None):
         computed on the fly when absent.
 
     An edge whose patch holds no data point, or whose refined patch has no
-    interior node, gets 0.  The solve keeps the solver's contract: a
-    failed factorisation falls back to MINRES, and a residual MINRES
-    cannot bring below the target raises NonConvergence.
+    interior node, gets 0.  The solve keeps the solver's contract: one
+    direct factorisation, SingularSystem if it fails and NonConvergence if
+    the residual misses the target.
     """
     mesh = s.mesh
     if located_by_tri is None:

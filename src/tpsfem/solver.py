@@ -19,9 +19,9 @@ Only the two aL blocks depend on alpha, so the eliminated system is built
 once per FemSystem at alpha = 1 (``EliminatedSystem``) and each alpha is a
 copy of its values with the aL entries multiplied by alpha.  That product
 is the one a build at alpha would form, so the matrix, its sparsity pattern
-and every solution are bitwise those of a build from scratch.  The solve
-contract is a relative residual below 1e-9 using a sparse direct
-factorisation with a MINRES fallback.
+and every solution are bitwise those of a build from scratch.  The one
+solve is a sparse direct factorisation, SingularSystem if it fails, and one
+residual check, NonConvergence if a column misses RESIDUAL_TOL.
 """
 
 import time
@@ -125,8 +125,8 @@ class Smoother:
     The coefficient vectors include the imposed Dirichlet values at boundary
     nodes.  The surface value at a point is the linear interpolation of c;
     the gradient surrogate interpolates the auxiliary fields g1 and g2.
-    ``info`` holds the solve's time, size, factorisation and MINRES
-    fallback counts and achieved relative residual.
+    ``info`` holds the solve's time, size, factorisation count and achieved
+    relative residual.
     """
     mesh: object
     c: np.ndarray
@@ -143,9 +143,9 @@ class SaddleSystem:
     The matrix is the FemSystem's ``EliminatedSystem`` (built once at
     alpha = 1) rescaled to ``alpha``; the right-hand side is d in the c rows
     minus K_IB x_B for the boundary values ``bv`` (default ``fem.bv``).
-    ``factorizations`` and ``minres_fallbacks`` count the direct
-    factorisations and the columns solved by MINRES; ``residual`` is the
-    largest max-norm relative residual of the last solve.
+    ``factorizations`` counts the direct factorisations; ``residual`` is the
+    largest max-norm relative residual of the last solve.  alpha must be
+    positive and finite.
     """
 
     def __init__(self, fem, alpha, bv=None):
@@ -162,8 +162,8 @@ class SaddleSystem:
                                         f"mesh has {n} nodes")
         if len(fem.d) != n:
             raise DimensionMismatch("d length does not match node count")
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
         order = np.argsort(bv.nodes)
         if not np.array_equal(np.sort(bv.nodes), mesh.boundary_nodes()):
             raise DimensionMismatch("boundary values do not cover the "
@@ -184,7 +184,6 @@ class SaddleSystem:
         self.rhs[0::4] += fem.d[self.interior]
         self._lu = None
         self.factorizations = 0
-        self.minres_fallbacks = 0
         self.residual = None
 
     @property
@@ -203,38 +202,23 @@ class SaddleSystem:
     def solve_raw(self, rhs=None):
         """Solve for one right-hand side or an (m, p) block of them.
 
-        Every column must reach a relative residual below RESIDUAL_TOL; only
-        the columns the direct solve misses fall back to MINRES.
+        Raises NonConvergence unless every column reaches a max-norm
+        relative residual within RESIDUAL_TOL; a NaN residual is a miss.
         """
         b = self.rhs if rhs is None else rhs
         t0 = time.perf_counter()
         cols = b.reshape(len(b), -1)
-        try:
-            x = self.factorize().solve(cols)
-        except SingularSystem:
-            x = np.zeros_like(cols)
+        x = self.factorize().solve(cols)
         scale = np.abs(cols).max(axis=0)
-        x[:, scale == 0.0] = 0.0
-        resid = self._residual(x, cols, scale)
-        for j in np.flatnonzero(~(resid <= RESIDUAL_TOL)):
-            # iterative fallback: the operator is symmetric indefinite
-            self.minres_fallbacks += 1
-            x[:, j], flag = spla.minres(self.matrix, cols[:, j], x0=x[:, j],
-                                        rtol=RESIDUAL_TOL / 10,
-                                        maxiter=20 * self.fem.mesh.n_nodes)
-            resid[j] = self._residual(x[:, [j]], cols[:, [j]], scale[[j]])[0]
-            if flag != 0 or not resid[j] <= RESIDUAL_TOL:
-                raise NonConvergence(
-                    "solver did not reach the residual target",
-                    diagnostics={"flag": int(flag), "residual": float(resid[j]),
-                                 "unknowns": self.n_unknowns})
-        self.residual = float(resid.max(initial=0.0))
+        r = np.abs(self.matrix @ x - cols).max(axis=0)
+        worst = (r / np.where(scale > 0, scale, 1.0)).max(initial=0.0)
+        if not worst <= RESIDUAL_TOL:
+            raise NonConvergence(
+                "direct solve missed the residual target",
+                diagnostics={"residual": float(worst),
+                             "unknowns": self.n_unknowns})
+        self.residual = float(worst)
         return x.reshape(b.shape), time.perf_counter() - t0
-
-    def _residual(self, x, b, scale):
-        """Max-norm residual of each column of ``x`` relative to ``scale``."""
-        r = np.abs(self.matrix @ x - b).max(axis=0)
-        return np.divide(r, scale, out=np.zeros_like(r), where=scale > 0)
 
     def scatter(self, x):
         """Spread interior solution blocks into full nodal vectors."""
@@ -255,7 +239,6 @@ class SaddleSystem:
             "unknowns": self.n_unknowns,
             "nnz": int(self.matrix.nnz),
             "factorizations": self.factorizations,
-            "minres_fallbacks": self.minres_fallbacks,
             "residual": self.residual,
         }, **fields)
         s.info["constraint_residual"] = constraint_residual(s, self.fem)

@@ -86,17 +86,22 @@ def coverage_gap(sample_points, reference_points):
     return float(d.max())
 
 
-def without_direct_solver(monkeypatch):
-    """Make every sparse factorisation fail, so that each solve falls back
-    to MINRES, and return the list that gains one entry per MINRES call."""
+def failing_splu(monkeypatch):
+    """Make every sparse factorisation fail as SuperLU does on a singular
+    matrix."""
     def fail(*args, **kwargs):
         raise RuntimeError("factor is exactly singular")
-    calls = []
-    minres = spla.minres
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return minres(*args, **kwargs)
     monkeypatch.setattr(spla, "splu", fail)
-    monkeypatch.setattr(spla, "minres", counted)
-    return calls
+
+
+def perturbed_splu(monkeypatch, perturb):
+    """Make every LU solve return ``perturb(x)`` in place of its solution x."""
+    splu = spla.splu
+
+    class Perturbed:
+        def __init__(self, matrix):
+            self._lu = splu(matrix)
+
+        def solve(self, b):
+            return perturb(self._lu.solve(b))
+    monkeypatch.setattr(spla, "splu", Perturbed)

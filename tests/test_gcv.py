@@ -4,13 +4,13 @@ import pytest
 from tpsfem.assembly import FemSystem
 from tpsfem.boundary import boundary_values_from_callables
 from tpsfem.data import DataSet
-from tpsfem.exceptions import NonConvergence
+from tpsfem.exceptions import NonConvergence, SingularSystem
 from tpsfem.gcv import (GcvConfig, _probe_matrix, gcv_score, influence_trace,
                         select_alpha)
 from tpsfem.mesh import build_square_mesh
-from tpsfem.solver import SaddleSystem, rmse
+from tpsfem.solver import RESIDUAL_TOL, SaddleSystem, rmse
 
-from conftest import without_direct_solver
+from conftest import failing_splu, perturbed_splu
 from oracles import dense_influence_matrix
 from test_solver import linear_problem, zero_bv
 
@@ -75,43 +75,49 @@ class TestBlockSolve:
         tr = influence_trace(SaddleSystem(fem, alpha), Z)
         assert abs(tr - np.mean(np.diag(Z.T @ infl @ Z))) < 1e-10
 
-    def test_failed_columns_fall_back_to_minres(self, monkeypatch):
+    def test_failed_factorisation_raises_singular_system(self, monkeypatch):
         data, fem, Z = self.problem()
-        direct = influence_trace(SaddleSystem(fem, 0.1), Z)
-        calls = without_direct_solver(monkeypatch)
-        tr = influence_trace(SaddleSystem(fem, 0.1), Z)
-        assert len(calls) == Z.shape[1]
-        assert abs(tr - direct) < 1e-8
+        failing_splu(monkeypatch)
+        system = SaddleSystem(fem, 0.1)
+        with pytest.raises(SingularSystem, match="factorisation failed"):
+            influence_trace(system, Z)
+        assert (system.factorizations, system.residual) == (0, None)
+        with pytest.raises(SingularSystem):
+            select_alpha(fem, data, GcvConfig(probes=6))
 
-    def test_counters_report_fallbacks_and_residual(self, monkeypatch):
+    def test_counters_report_factorizations_and_residual(self, monkeypatch):
         data, fem, Z = self.problem()
-        direct = SaddleSystem(fem, 0.1)
-        influence_trace(direct, Z)
-        s = direct.solve()
-        assert (direct.factorizations, direct.minres_fallbacks) == (1, 0)
-        assert s.info["factorizations"] == 1
-        assert s.info["minres_fallbacks"] == 0
-        assert 0.0 <= s.info["residual"] <= 1e-9
-        calls = without_direct_solver(monkeypatch)
         system = SaddleSystem(fem, 0.1)
         influence_trace(system, Z)
-        assert system.factorizations == 0
-        assert system.minres_fallbacks == len(calls) == Z.shape[1]
-        assert 0.0 < system.residual <= 1e-9
         s = system.solve()
-        assert s.info["factorizations"] == 0
-        assert s.info["minres_fallbacks"] == Z.shape[1] + 1
-        assert s.info["residual"] == system.residual <= 1e-9
+        # the probe block and the fit share one factorisation
+        assert system.factorizations == s.info["factorizations"] == 1
+        assert 0.0 <= s.info["residual"] == system.residual <= RESIDUAL_TOL
+        assert set(s.info) == {"solve_seconds", "unknowns", "nnz",
+                               "factorizations", "residual",
+                               "constraint_residual"}
+        perturbed_splu(monkeypatch, lambda x: x * (1 + 1e-6))
+        missed = SaddleSystem(fem, 0.1)
+        with pytest.raises(NonConvergence):
+            missed.solve()
+        assert (missed.factorizations, missed.residual) == (1, None)
 
-    def test_minres_miss_raises_with_diagnostics(self, monkeypatch):
+    def test_residual_miss_raises_with_diagnostics(self, monkeypatch):
         data, fem, Z = self.problem()
-        without_direct_solver(monkeypatch)
+        system = SaddleSystem(fem, 1e-3)
+        # a NaN right-hand side leaves a NaN residual, which is a miss
+        rhs = np.ones(system.n_unknowns)
+        rhs[7] = np.nan
+        with pytest.raises(NonConvergence) as err:
+            system.solve_raw(rhs)
+        assert np.isnan(err.value.diagnostics["residual"])
+        perturbed_splu(monkeypatch, lambda x: x * (1 + 1e-6))
         system = SaddleSystem(fem, 1e-3)
         with pytest.raises(NonConvergence) as err:
             influence_trace(system, Z)
         diag = err.value.diagnostics
-        assert set(diag) == {"flag", "residual", "unknowns"}
-        assert diag["residual"] > 1e-9
+        assert set(diag) == {"residual", "unknowns"}
+        assert RESIDUAL_TOL < diag["residual"] < 1e-5
         assert diag["unknowns"] == system.n_unknowns
 
     def test_block_columns_equal_single_solves(self):
@@ -181,3 +187,7 @@ class TestSelectAlpha:
             GcvConfig(alpha_grid=np.array([1e-3, 1e-3]))
         with pytest.raises(ValueError):
             GcvConfig(alpha_grid=np.array([-1.0, 1.0]))
+        with pytest.raises(ValueError):
+            GcvConfig(probes=0)
+        with pytest.raises(ValueError):
+            GcvConfig(refine_iters=-1)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 from scipy.stats import spearmanr
 
 from tpsfem.assembly import FemSystem
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.driver import RunConfig, run
-from tpsfem.exceptions import EmptyField, NonConvergence
+from tpsfem.exceptions import EmptyField, NonConvergence, SingularSystem
 from tpsfem.indicators import (IndicatorField, _patch_triangles,
                                auxiliary_field, auxiliary_indicator,
                                auxiliary_indicators, locate_by_tri, mark,
@@ -16,7 +15,7 @@ from tpsfem.mesh import (TriMesh, build_square_mesh, mesh_polygon,
                          trim_to_irregular)
 from tpsfem.solver import SaddleSystem, Smoother
 
-from conftest import make_unit_right_triangle, without_direct_solver
+from conftest import failing_splu, make_unit_right_triangle, perturbed_splu
 from oracles import (consistent_mass_recovered_gradients,
                      lumped_mass_recovery_indicators,
                      patch_auxiliary_indicator, tri_area, tri_gradient)
@@ -239,30 +238,25 @@ class TestAuxiliaryBatch:
         assert auxiliary_indicator(s, data, edges[7], 1e-4) == etas[7]
         assert auxiliary_indicators(s, data, [], 1e-4).shape == (0,)
 
-    def test_failed_factorisation_falls_back_to_minres(self, monkeypatch):
-        # the patch problems share the solver's contract: without a direct
-        # factorisation the one stacked system is solved by MINRES, which
-        # converges at this alpha
+    def test_failed_factorisation_raises_singular_system(self, monkeypatch):
+        # the patch problems share the solver's contract: the one stacked
+        # system is factorised directly, and a failure is an error
         s, data = oracle_case("square-1")
         edges = s.mesh.refinable_edges()
         by_tri = locate_by_tri(s.mesh, data)
-        ref = np.array([patch_auxiliary_indicator(s, data, e, 0.1, by_tri)
-                        for e in edges])
-        calls = without_direct_solver(monkeypatch)
-        got = auxiliary_indicators(s, data, edges, 0.1, by_tri)
-        assert len(calls) == 1
-        assert np.all(np.abs(got - ref) <= 1e-8 * ref.max())
+        failing_splu(monkeypatch)
+        with pytest.raises(SingularSystem, match="factorisation failed"):
+            auxiliary_indicators(s, data, edges, 0.1, by_tri)
 
     def test_missed_residual_raises_nonconvergence(self, monkeypatch):
         s, data = oracle_case("square-1")
         edges = s.mesh.refinable_edges()
         by_tri = locate_by_tri(s.mesh, data)
-        without_direct_solver(monkeypatch)
-        monkeypatch.setattr(spla, "minres", lambda M, b, x0, **kw: (x0, 1))
+        perturbed_splu(monkeypatch, lambda x: x * (1 + 1e-6))
         with pytest.raises(NonConvergence) as err:
             auxiliary_indicators(s, data, edges, 0.1, by_tri)
         diag = err.value.diagnostics
-        assert diag["flag"] == 1
+        assert set(diag) == {"residual", "unknowns"}
         assert diag["residual"] > 1e-9
         patches = [sorted(_patch_triangles(s.mesh, e)[0]) for e in edges]
         fem = patch_system(s, data, [p for p in patches

@@ -139,6 +139,17 @@ class TestCli:
         assert res.returncode == 2
         assert "unrecognized arguments: --no-such-flag" in res.stderr
 
+    @pytest.mark.parametrize("flag, value", [("--gcv-probes", "0"),
+                                             ("--alpha", "nan")])
+    def test_unfittable_setting_usage_error(self, peaks_csv, tmp_path, flag,
+                                            value):
+        out = tmp_path / "out"
+        res = run_cli(["fit", str(peaks_csv), flag, value, "--out", str(out)],
+                      tmp_path)
+        assert res.returncode == 2
+        assert f"argument {flag}: {value} is" in res.stderr
+        assert not out.exists()
+
     def test_report_merge(self, peaks_csv, tmp_path):
         out1 = tmp_path / "o1"
         out2 = tmp_path / "o2"

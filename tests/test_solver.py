@@ -10,9 +10,10 @@ from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.driver import RunConfig, run
 from tpsfem.exceptions import (DimensionMismatch, OutsideDomain,
                                SingularSystem)
+from tpsfem.gcv import GcvConfig
 from tpsfem.mesh import build_square_mesh, mesh_polygon, trim_to_irregular
-from tpsfem.solver import (SaddleSystem, constraint_residual, evaluate,
-                           evaluate_grad, max_abs_residual, rmse)
+from tpsfem.solver import (RESIDUAL_TOL, SaddleSystem, constraint_residual,
+                           evaluate, evaluate_grad, max_abs_residual, rmse)
 
 from oracles import dense_saddle_solve, linear_basis, rebuilt_saddle_system
 
@@ -208,7 +209,7 @@ class TestRescaledSystem:
         with pytest.raises(DimensionMismatch):
             SaddleSystem(fem, 1e-3)
 
-    @pytest.mark.parametrize("alpha", [0.0, -1e-3])
+    @pytest.mark.parametrize("alpha", [0.0, -1e-3, np.nan, np.inf, -np.inf])
     def test_non_positive_alpha_raises(self, alpha):
         fem, _ = rescale_case("square")
         SaddleSystem(fem, 1e-3)
@@ -314,6 +315,24 @@ class TestSolve:
         fem = FemSystem.build(trimmed, data, bv=bv)
         s = SaddleSystem(fem, 1e-4).solve()
         assert rmse(s, data, fem.located) <= 1e-8
+
+
+    def test_direct_solve_meets_contract_across_gcv_range(self):
+        # one factorisation reaches the residual target at every alpha of
+        # the default GCV grid, down to 1e-10
+        fem, _ = rescale_case("square")
+        for alpha in GcvConfig().alpha_grid:
+            s = SaddleSystem(fem, alpha).solve()
+            assert s.info["factorizations"] == 1
+            assert s.info["residual"] <= RESIDUAL_TOL
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_run_rejects_non_finite_alpha(self, alpha):
+        # no surface comes back for an alpha that cannot be fitted
+        data = peaks_generate(PeaksSpec(n=500), seed=0).normalized()
+        with pytest.raises(ValueError, match="positive and finite"):
+            run(data, RunConfig(alpha=alpha, boundary="constant",
+                                max_iters=0))
 
 
 class TestEvaluate:
