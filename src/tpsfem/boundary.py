@@ -2,18 +2,19 @@
 
 Boundary values of the surface coefficients c, the gradient fields g1, g2
 and the multiplier w are prescribed at every boundary node.  For real data
-they are approximated by a thin plate spline fitted to a small subsample;
-during refinement new boundary nodes are initialised either from the same
-spline ("tps_approximation") or as the average of the two endpoints of the
-bisected boundary edge ("nodal_average"), which keeps the boundary trace of
-the surface piecewise linear and avoids spurious refinement near boundaries.
+they are approximated by a thin plate spline fitted to a small subsample.
+During refinement the boundary strategy fixes the rows of a wave's new
+boundary nodes in one batched step: "tps_approximation" evaluates the same
+spline at all of them at once, "constant" gives every one the constant row,
+and "nodal_average" fixes none, so that they take the mean of the bisected
+boundary edge's endpoints like every other new node.  Averaging keeps the
+boundary trace of the surface piecewise linear and avoids spurious
+refinement near boundaries.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .exceptions import NoNeighbors
 
 
 @dataclass
@@ -65,19 +66,19 @@ class BoundaryValues:
         return self.w
 
 
-def initial_boundary_values(mesh, tps, alpha):
-    """Evaluate a fitted TPS at all boundary nodes.
-
-    Each boundary node receives c = t(x), (g1, g2) = grad t(x) and
-    w = -alpha * laplacian_proxy(x).
-    """
-    nodes = np.asarray(mesh.boundary_nodes(), dtype=int)
-    pts = mesh.points[nodes]
-    c = tps.eval(pts)
-    grad = tps.eval_grad(pts)
+def _spline_rows(tps, pts, alpha):
+    """(k, 5) rows c, g1, g2, w, w_proxy of a fitted TPS at (k, 2) points:
+    c = t(x), (g1, g2) = grad t(x) and w = -alpha * laplacian_proxy(x)."""
     proxy = tps.eval_laplacian_proxy(pts)
-    return BoundaryValues(nodes=nodes, c=c, g1=grad[:, 0], g2=grad[:, 1],
-                          w=-alpha * proxy, w_proxy=proxy)
+    return np.column_stack([tps.eval(pts), tps.eval_grad(pts),
+                            -alpha * proxy, proxy])
+
+
+def initial_boundary_values(mesh, tps, alpha):
+    """Evaluate a fitted TPS at all boundary nodes (see ``_spline_rows``)."""
+    nodes = np.asarray(mesh.boundary_nodes(), dtype=int)
+    return BoundaryValues(nodes, *_spline_rows(tps, mesh.points[nodes],
+                                               alpha).T)
 
 
 def boundary_values_from_callables(mesh, value_fn, grad_fn, laplacian_fn, alpha):
@@ -102,39 +103,19 @@ def constant_boundary_values(mesh, value):
                           w_proxy=zeros.copy())
 
 
-def new_boundary_node_values(strategy, mesh, new_node, neighbors, node_values,
-                             alpha=1.0):
-    """Dirichlet values for one boundary node created by edge bisection.
+def new_boundary_node_values(strategy, mesh, nodes, alpha):
+    """(k, 5) rows c, g1, g2, w, w_proxy that ``strategy`` fixes for the
+    boundary nodes ``nodes`` made by one refinement wave, or None.
 
-    Parameters
-    ----------
-    strategy : BoundaryStrategy
-    new_node : int
-        Id of the created boundary node.
-    neighbors : sequence of int
-        The two boundary endpoints of the bisected boundary edge.
-    node_values : mapping
-        Arrays "c", "g1", "g2", "w", "w_proxy" over all mesh nodes holding
-        the current values (used by nodal_average).
-    alpha : float
-        Current smoothing parameter (sets w from the Laplacian proxy on the
-        tps_approximation path).
-
-    Returns
-    -------
-    (c, g1, g2, w, w_proxy)
+    "tps_approximation" evaluates the spline at all the nodes in one batch
+    (``_spline_rows``, w from the current ``alpha``), "constant" gives each
+    node the constant row, and "nodal_average" fixes none: its boundary
+    nodes take the mean of their parents like every other new node
+    (``mesh.fill_new_nodes``).
     """
+    if strategy.kind == "nodal_average":
+        return None
     if strategy.kind == "constant":
-        return strategy.constant_value, 0.0, 0.0, 0.0, 0.0
-    if strategy.kind == "tps_approximation":
-        p = np.array([mesh.node_xy(new_node)])
-        c = float(strategy.tps.eval(p)[0])
-        g = strategy.tps.eval_grad(p)[0]
-        proxy = float(strategy.tps.eval_laplacian_proxy(p)[0])
-        return c, float(g[0]), float(g[1]), -alpha * proxy, proxy
-    if not neighbors or len(neighbors) != 2:
-        raise NoNeighbors(f"boundary node {new_node} has no endpoint pair")
-    a, b = neighbors
-    out = tuple(0.5 * (node_values[k][a] + node_values[k][b])
-                for k in ("c", "g1", "g2", "w", "w_proxy"))
-    return out
+        return np.tile([strategy.constant_value, 0.0, 0.0, 0.0, 0.0],
+                       (len(nodes), 1))
+    return _spline_rows(strategy.tps, mesh.points[nodes], alpha)

@@ -4,14 +4,18 @@ Each outer iteration computes indicator values, then marks and bisects edges
 until the node count doubles, re-selects the smoothing parameter by GCV and
 re-fits.  The loop stops on an optional RMSE tolerance, on stagnation (RMSE
 improved by less than a set fraction for a number of consecutive
-iterations) or at the iteration cap.  New interior node values warm-start as
-the mean of the bisected edge's endpoints; new boundary node values follow
-the configured boundary strategy.
+iterations) or at the iteration cap.
+
+The nodes of each refinement wave get their values in one step.  The
+boundary strategy fixes the rows of the wave's new boundary nodes with one
+batched call (``new_boundary_node_values``); every other new node then
+warm-starts as the mean of its bisected edge's endpoints
+(``mesh.fill_new_nodes``), the rule the auxiliary patch problems use too.
 """
 
 import logging
-import warnings
-from dataclasses import dataclass, field, asdict
+import numbers
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -19,7 +23,6 @@ from .assembly import FemSystem
 from .boundary import (BoundaryStrategy, BoundaryValues,
                        constant_boundary_values, initial_boundary_values,
                        new_boundary_node_values)
-from .data import DataSet
 from .exceptions import EmptyField, ZeroInterior
 from .gcv import GcvConfig, select_alpha
 # auxiliary_indicator is not called here; it stays importable under this
@@ -28,13 +31,20 @@ from .indicators import (auxiliary_field, auxiliary_indicator,
                          auxiliary_indicators, locate_by_tri, mark,
                          raise_to_base_edges, recovery_field,
                          recovery_indicator)
-from .mesh import build_square_mesh, mesh_polygon, trim_to_irregular
+from .mesh import (build_square_mesh, fill_new_nodes, mesh_polygon,
+                   trim_to_irregular)
 from .solver import SaddleSystem, Smoother, max_abs_residual, rmse
 from .tps import SamplePlan, fit_tps, sample, select_alpha_tps
 
 logger = logging.getLogger("tpsfem")
 
 NEAR_BOUNDARY_RADIUS = 0.005
+
+#: the accepted values of the RunConfig fields that name a choice
+CHOICES = {"domain": ("square", "irregular", "polygon"),
+           "refine": ("uniform", "adaptive"),
+           "indicator": ("recovery", "auxiliary"),
+           "boundary": ("tps", "average", "constant")}
 
 
 @dataclass
@@ -56,6 +66,18 @@ class RunConfig:
     gamma: float = 0.5
     constant_value: float = 0.0
     polygon: list = None
+
+    def __post_init__(self):
+        for name, choices in CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}, "
+                                 f"got {getattr(self, name)!r}")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma!r}")
+        if self.alpha != "auto" and not (isinstance(self.alpha, numbers.Real)
+                                         and 0.0 < self.alpha < np.inf):
+            raise ValueError("alpha must be 'auto' or positive and finite, "
+                             f"got {self.alpha!r}")
 
     def resolved_max_iters(self):
         if self.max_iters is not None:
@@ -101,61 +123,50 @@ def initial_mesh(data, cfg):
         return build_square_mesh(0)
     if cfg.domain == "irregular":
         return trim_to_irregular(build_square_mesh(cfg.trim_level), data)
-    if cfg.domain == "polygon":
-        if cfg.polygon is None:
-            raise ValueError("polygon domain requires cfg.polygon loops")
-        return mesh_polygon(cfg.polygon, refine_level=cfg.trim_level)
-    raise ValueError(f"unknown domain {cfg.domain!r}")
+    if cfg.polygon is None:
+        raise ValueError("polygon domain requires cfg.polygon loops")
+    return mesh_polygon(cfg.polygon, refine_level=cfg.trim_level)
 
 
 class _NodeValues:
-    """Grow-able per-node arrays of the four fields plus the w proxy."""
+    """One row c, g1, g2, w, w_proxy per mesh node, starting from the
+    boundary values ``bv`` of the initial mesh.
 
-    NAMES = ("c", "g1", "g2", "w", "w_proxy")
+    The table is replaced, never written in place, so a view handed out
+    earlier keeps its values.
+    """
 
-    def __init__(self, n):
-        self.arrays = {name: np.zeros(n) for name in self.NAMES}
-
-    def set_boundary(self, bv):
-        for name in ("c", "g1", "g2", "w"):
-            self.arrays[name][bv.nodes] = getattr(bv, name)
-        self.arrays["w_proxy"][bv.nodes] = (0.0 if bv.w_proxy is None
-                                            else bv.w_proxy)
+    def __init__(self, mesh, bv):
+        self.table = np.zeros((mesh.n_nodes, 5))
+        self.table[bv.nodes] = np.column_stack([bv.c, bv.g1, bv.g2, bv.w,
+                                                bv.w_proxy])
 
     def set_from_smoother(self, s):
-        for name in ("c", "g1", "g2", "w"):
-            self.arrays[name] = np.array(getattr(s, name), dtype=float)
+        self.table = np.column_stack([s.c, s.g1, s.g2, s.w, self.table[:, 4]])
 
     def extend(self, mesh, events, strategy, alpha):
-        """Add the nodes created by ``events``, filled in creation order
-        because a node's parents may be earlier nodes of the same wave.
-
-        The arrays are replaced, never written in place, so a view handed
-        out earlier keeps its values.
-        """
-        grow = np.zeros(mesh.n_nodes - len(self.arrays["c"]))
-        self.arrays = {name: np.concatenate([v, grow])
-                       for name, v in self.arrays.items()}
-        for ev in events:
-            if ev.boundary:
-                new = new_boundary_node_values(
-                    strategy, mesh, ev.node, (ev.parent_a, ev.parent_b),
-                    self.arrays, alpha=alpha)
-            else:
-                new = [0.5 * (v[ev.parent_a] + v[ev.parent_b])
-                       for v in self.arrays.values()]
-            for v, value in zip(self.arrays.values(), new):
-                v[ev.node] = value
+        """Add the nodes of one refinement wave, its ``events``: the rows
+        the boundary strategy fixes, then the mean of the parents for every
+        other new node."""
+        old = len(self.table)
+        table = np.zeros((mesh.n_nodes, 5))
+        table[:old] = self.table
+        known = np.arange(mesh.n_nodes) < old
+        nodes = old + np.flatnonzero(mesh.node_boundary[old:])
+        fixed = new_boundary_node_values(strategy, mesh, nodes, alpha)
+        if fixed is not None:
+            table[nodes] = fixed
+            known[nodes] = True
+        fill_new_nodes(table, events, known)
+        self.table = table
 
     def boundary_values(self, mesh):
-        nodes = np.asarray(mesh.boundary_nodes(), dtype=int)
-        return BoundaryValues(nodes=nodes, **{name: v[nodes] for name, v
-                                              in self.arrays.items()})
+        nodes = mesh.boundary_nodes()
+        return BoundaryValues(nodes, *self.table[nodes].T)
 
     def view(self, mesh, alpha):
-        return Smoother(mesh=mesh, alpha=alpha, c=self.arrays["c"],
-                        g1=self.arrays["g1"], g2=self.arrays["g2"],
-                        w=self.arrays["w"])
+        c, g1, g2, w = self.table[:, :4].T
+        return Smoother(mesh=mesh, alpha=alpha, c=c, g1=g1, g2=g2, w=w)
 
 
 def _make_strategy(cfg, data, seed):
@@ -207,12 +218,11 @@ def run(data, cfg=None):
     mesh = initial_mesh(data, cfg)
     strategy, tps = _make_strategy(cfg, data, _seed_for(cfg.seed, 0))
 
-    values = _NodeValues(mesh.n_nodes)
     if strategy.kind == "constant":
         bv0 = constant_boundary_values(mesh, cfg.constant_value)
     else:
         bv0 = initial_boundary_values(mesh, tps, alpha=1.0)
-    values.set_boundary(bv0)
+    values = _NodeValues(mesh, bv0)
 
     records = []
     stagnant = 0
@@ -222,11 +232,11 @@ def run(data, cfg=None):
     def fit(iteration, marked, refined):
         bv = values.boundary_values(mesh)
         fem = FemSystem.build(mesh, data, bv=bv)
-        if isinstance(cfg.alpha, (int, float)):
-            alpha = float(cfg.alpha)
-        else:
+        if cfg.alpha == "auto":
             alpha = select_alpha(fem, data, gcv_cfg,
                                  seed=_seed_for(cfg.seed, 100 + iteration))
+        else:
+            alpha = float(cfg.alpha)
         s = SaddleSystem(fem, alpha).solve()
         values.set_from_smoother(s)
         try:

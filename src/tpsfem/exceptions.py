@@ -77,10 +77,6 @@ class DegenerateGeometry(TpsfemError):
     """Sample points are affinely dependent (collinear)."""
 
 
-class NoNeighbors(TpsfemError):
-    """New boundary node has no neighbouring boundary nodes to average."""
-
-
 class NoControlPoints(TpsfemError):
     """Control point snapping produced an empty set."""
 

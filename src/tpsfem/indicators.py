@@ -18,10 +18,15 @@ The auxiliary problems of many edges are solved as one system.
 ``copy_submesh`` copies every patch into one mesh, each patch with its own
 nodes, and one ``uniform_refine`` refines the copy; the patches share no
 node, so each refines exactly as it would alone and their local problems
-form one block-diagonal saddle system.  It is assembled by ``assemble_L`` and
-``assemble_G``, with each patch's data term averaged over its own points,
-and solved by one ``SaddleSystem`` under the solver's residual contract.
-What remains in Python is the dict-based refinement of the copy.
+form one block-diagonal saddle system.  Its Dirichlet values are the global
+surface's fields at the copied nodes; every node the refinement creates gets
+the mean of its bisected edge's endpoints from ``mesh.fill_new_nodes``, the
+rule the driver's refinement waves use, so each patch trace stays the
+piecewise linear trace of the global surface.  The system is assembled by
+``assemble_L`` and ``assemble_G``, with each patch's data term averaged over
+its own points, and solved by one ``SaddleSystem`` under the solver's
+residual contract.  What remains in Python is the dict-based refinement of
+the copy.
 """
 
 from dataclasses import dataclass
@@ -32,6 +37,7 @@ import scipy.sparse as sp
 from .assembly import FemSystem, Located, assemble_G, assemble_L
 from .boundary import BoundaryValues
 from .exceptions import EmptyField
+from .mesh import fill_new_nodes
 from .solver import FIELDS, SaddleSystem
 
 
@@ -118,22 +124,11 @@ def _containing_rows(tab, origin, within, points):
 
 def _trace(s, nodes, events):
     """(n, 4) FIELDS of the global surface at the nodes of a refined copy:
-    the copied nodes of source ``nodes``, then the refinement's ``events``.
-
-    A node made by refinement is the midpoint of its edge, so every patch
-    trace stays the piecewise linear trace of the global surface.
-    """
+    the copied nodes of source ``nodes``, then the refinement's ``events``,
+    each the mean of its parents."""
     vals = np.zeros((len(nodes) + len(events), len(FIELDS)))
     vals[:len(nodes)] = np.column_stack([getattr(s, f) for f in FIELDS])[nodes]
-    known = np.arange(len(vals)) < len(nodes)
-    todo = np.array([(e.node, e.parent_a, e.parent_b) for e in events],
-                    dtype=np.int64).reshape(-1, 3)
-    while len(todo):  # a midpoint may need midpoints made before it
-        node, a, b = todo.T
-        ready = known[a] & known[b]
-        vals[node[ready]] = 0.5 * (vals[a[ready]] + vals[b[ready]])
-        known[node[ready]] = True
-        todo = todo[~ready]
+    fill_new_nodes(vals, events, np.arange(len(vals)) < len(nodes))
     return vals
 
 

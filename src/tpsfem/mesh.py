@@ -25,6 +25,22 @@ BARY_TOL = 1e-12
 NewNode = namedtuple("NewNode", ["node", "parent_a", "parent_b", "boundary"])
 
 
+def fill_new_nodes(values, events, known):
+    """Give every node of ``events`` not yet ``known`` the mean of its
+    parents' rows of ``values``, in place; ``known`` is updated too.  A
+    parent may be a node of the same events, so a row is filled as soon as
+    both parents are known."""
+    todo = np.array([(e.node, e.parent_a, e.parent_b) for e in events],
+                    dtype=np.int64).reshape(-1, 3)
+    todo = todo[~known[todo[:, 0]]]
+    while len(todo):
+        node, a, b = todo.T
+        ready = known[a] & known[b]
+        values[node[ready]] = 0.5 * (values[a[ready]] + values[b[ready]])
+        known[node[ready]] = True
+        todo = todo[~ready]
+
+
 class TriTable(namedtuple("TriTable",
                           ["ids", "verts", "x", "y", "area", "gx", "gy"])):
     """Geometry of every alive triangle, one row per triangle in id order.
@@ -610,26 +626,29 @@ def _connect_components(mesh, bearing):
 # -- polygon domains -----------------------------------------------------------
 
 
-def point_in_polygon(p, loop):
-    """Even-odd ray-casting containment test for one closed loop."""
-    x, y = float(p[0]), float(p[1])
-    inside = False
-    n = len(loop)
-    for i in range(n):
-        x0, y0 = loop[i]
-        x1, y1 = loop[(i + 1) % n]
-        if (y0 > y) != (y1 > y):
-            xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-            if x < xc:
-                inside = not inside
-    return inside
+def inside_polygon(points, loops):
+    """Mask of the (k, 2) ``points`` inside the outer loop and outside every
+    hole loop, by even-odd ray casting: one crossing test per loop edge,
+    vectorised over the points."""
+    x, y = points[:, 0], points[:, 1]
+    parity = []
+    for loop in loops:
+        inside = np.zeros(len(points), dtype=bool)
+        for (x0, y0), (x1, y1) in zip(loop, np.roll(loop, -1, axis=0)):
+            cross = (y0 > y) != (y1 > y)
+            xc = x0 + (y[cross] - y0) * (x1 - x0) / (y1 - y0)
+            inside[cross] ^= x[cross] < xc
+        parity.append(inside)
+    return parity[0] & ~np.any(parity[1:], axis=0)
 
 
-def in_polygon_domain(p, loops):
-    """True if inside the outer loop and outside every hole loop."""
-    if not point_in_polygon(p, loops[0]):
-        return False
-    return not any(point_in_polygon(p, hole) for hole in loops[1:])
+def polygon_triangles(mesh, loops):
+    """Ids of the triangles whose centroid lies in the domain of ``loops``."""
+    tab = mesh.tri_table
+    pts = mesh.points
+    a, b, v = tab.verts.T
+    centroid = (pts[a] + pts[b] + pts[v]) / 3.0
+    return set(tab.ids[inside_polygon(centroid, loops)].tolist())
 
 
 def mesh_polygon(loops, refine_level=3):
@@ -647,16 +666,10 @@ def mesh_polygon(loops, refine_level=3):
         raise ValueError("degenerate polygon extent")
     centre = 0.5 * (lo + hi)
     mesh = build_square_mesh(refine_level)
-    for n in range(mesh.n_nodes):
-        mesh.xs[n] = centre[0] + (mesh.xs[n] - 0.5) * side
-        mesh.ys[n] = centre[1] + (mesh.ys[n] - 0.5) * side
+    mesh.xs = (centre[0] + (np.asarray(mesh.xs) - 0.5) * side).tolist()
+    mesh.ys = (centre[1] + (np.asarray(mesh.ys) - 0.5) * side).tolist()
     mesh._bump()
-    pts = mesh.points
-    keep = set()
-    for t, (a, b, v) in mesh.tris.items():
-        centroid = (pts[a] + pts[b] + pts[v]) / 3.0
-        if in_polygon_domain(centroid, loops):
-            keep.add(t)
+    keep = polygon_triangles(mesh, loops)
     if not keep:
         raise EmptyResult("polygon contains no triangle centroid")
     # polygon trimming is authoritative: keep the largest inside component

@@ -423,3 +423,76 @@ def csrbf_eval_loop(model, pts, phi):
         r = np.linalg.norm(model.centers[idx] - p, axis=1) / model.rho
         out[i] = phi(r) @ model.weights[idx]
     return out
+
+
+def per_node_boundary_values(strategy, mesh, new_node, neighbors,
+                             node_values, alpha=1.0):
+    """Dirichlet values (c, g1, g2, w, w_proxy) of one boundary node made by
+    bisection: three one-point spline evaluations for "tps_approximation",
+    the constant row for "constant", and the mean of the two endpoints
+    ``neighbors`` of the bisected edge in ``node_values`` otherwise."""
+    if strategy.kind == "constant":
+        return strategy.constant_value, 0.0, 0.0, 0.0, 0.0
+    if strategy.kind == "tps_approximation":
+        p = np.array([mesh.node_xy(new_node)])
+        c = float(strategy.tps.eval(p)[0])
+        g = strategy.tps.eval_grad(p)[0]
+        proxy = float(strategy.tps.eval_laplacian_proxy(p)[0])
+        return c, float(g[0]), float(g[1]), -alpha * proxy, proxy
+    a, b = neighbors
+    return tuple(0.5 * (node_values[k][a] + node_values[k][b])
+                 for k in ("c", "g1", "g2", "w", "w_proxy"))
+
+
+def per_event_extend(arrays, mesh, events, strategy, alpha):
+    """Arrays "c", "g1", "g2", "w", "w_proxy" grown by the nodes of one
+    refinement wave, filled event by event in creation order: boundary nodes
+    by ``per_node_boundary_values``, the others as the mean of their
+    parents."""
+    grow = np.zeros(mesh.n_nodes - len(arrays["c"]))
+    arrays = {name: np.concatenate([v, grow]) for name, v in arrays.items()}
+    for ev in events:
+        if ev.boundary:
+            new = per_node_boundary_values(
+                strategy, mesh, ev.node, (ev.parent_a, ev.parent_b), arrays,
+                alpha=alpha)
+        else:
+            new = [0.5 * (v[ev.parent_a] + v[ev.parent_b])
+                   for v in arrays.values()]
+        for v, value in zip(arrays.values(), new):
+            v[ev.node] = value
+    return arrays
+
+
+def point_in_polygon(p, loop):
+    """Even-odd ray-casting containment test of one point for one loop."""
+    x, y = float(p[0]), float(p[1])
+    inside = False
+    n = len(loop)
+    for i in range(n):
+        x0, y0 = loop[i]
+        x1, y1 = loop[(i + 1) % n]
+        if (y0 > y) != (y1 > y):
+            xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+            if x < xc:
+                inside = not inside
+    return inside
+
+
+def in_polygon_domain(p, loops):
+    """True if inside the outer loop and outside every hole loop."""
+    if not point_in_polygon(p, loops[0]):
+        return False
+    return not any(point_in_polygon(p, hole) for hole in loops[1:])
+
+
+def polygon_triangles_loop(mesh, loops):
+    """Ids of the triangles whose centroid lies in the polygon domain,
+    testing one centroid at a time."""
+    pts = mesh.points
+    keep = set()
+    for t, (a, b, v) in mesh.tris.items():
+        centroid = (pts[a] + pts[b] + pts[v]) / 3.0
+        if in_polygon_domain(centroid, loops):
+            keep.add(t)
+    return keep

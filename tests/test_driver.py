@@ -20,6 +20,29 @@ def normalized_peaks(n=1500, seed=0):
     return peaks_generate(PeaksSpec(n=n), seed=seed).normalized()
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("domain", "disc"), ("refine", "uniformly"), ("indicator", "recover"),
+        ("boundary", "spline"), ("gamma", 1.5), ("gamma", -0.1),
+        ("gamma", np.nan), ("alpha", 0.0), ("alpha", -1e-6),
+        ("alpha", np.inf), ("alpha", np.nan), ("alpha", "gcv"),
+        ("alpha", None)])
+    def test_setting_it_would_replace_is_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**{name: value})
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_gamma_bounds_accepted(self, gamma):
+        assert RunConfig(gamma=gamma).gamma == gamma
+
+    def test_numpy_alpha_is_fitted_not_replaced_by_gcv(self):
+        data = normalized_peaks(300, seed=0)
+        alpha = np.float32(1e-4)
+        _, records = run(data, RunConfig(alpha=alpha, boundary="constant",
+                                         max_iters=0))
+        assert records[0].alpha == float(alpha)
+
+
 class TestRefineWave:
     def test_empty_marked_set_is_noop(self):
         mesh = build_square_mesh(0)

@@ -4,12 +4,26 @@ import pytest
 from tpsfem.data import DataSet
 from tpsfem.exceptions import EmptyResult, NotRefinable, ParseError, ZeroInterior
 from tpsfem.mesh import (TriMesh, build_square_mesh, load_mesh, load_polygon,
-                         mesh_polygon, save_mesh, save_polygon,
-                         trim_to_irregular)
+                         mesh_polygon, polygon_triangles, save_mesh,
+                         save_polygon, trim_to_irregular)
 
 from conftest import (all_angles, make_fan_mesh, make_interface_strip,
                       make_two_triangle_square, make_unit_right_triangle,
                       total_area)
+from oracles import polygon_triangles_loop
+
+_ANGLES = np.linspace(0.0, 2.0 * np.pi, 36, endpoint=False)
+
+#: polygon loops spanning the unit square, so that mesh_polygon trims the
+#: square mesh of the given level
+POLYGONS = {
+    "holed-quad": [[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+                   [(0.35, 0.35), (0.65, 0.35), (0.65, 0.65), (0.35, 0.65)]],
+    "l-shape": [[(0.0, 0.0), (1.0, 0.0), (1.0, 0.5), (0.5, 0.5), (0.5, 1.0),
+                 (0.0, 1.0)]],
+    "36-gon": [0.5 + 0.5 * np.column_stack([np.cos(_ANGLES),
+                                            np.sin(_ANGLES)])],
+}
 
 
 class TestBuildSquareMesh:
@@ -243,6 +257,15 @@ class TestPolygon:
         mesh.validate()
         assert mesh.locate([(0.5, 0.5)])[0][0] == -1  # inside the hole
         assert mesh.locate([(0.1, 0.1)])[0][0] != -1
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(POLYGONS))
+    def test_kept_triangles_match_pointwise_test(self, name, level):
+        loops = [np.asarray(l, dtype=float) for l in POLYGONS[name]]
+        mesh = build_square_mesh(level)
+        kept = polygon_triangles(mesh, loops)
+        assert kept == polygon_triangles_loop(mesh, loops)
+        assert 0 < len(kept) < mesh.n_tris
 
     def test_bad_polygon_file(self, tmp_path):
         path = tmp_path / "bad.txt"

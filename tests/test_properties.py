@@ -1,18 +1,24 @@
 """Property tests of newest-node bisection, batched point location, the
-element matrices, the stacked auxiliary patch problems and the exactness of
-the fit on affine data."""
+element matrices, the stacked auxiliary patch problems, the values of new
+nodes and the exactness of the fit on affine data."""
+
+from functools import lru_cache
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from tpsfem.assembly import assemble_G, assemble_L
-from tpsfem.data import DataSet
+from tpsfem.boundary import BoundaryStrategy, constant_boundary_values
+from tpsfem.data import DataSet, PeaksSpec, peaks_generate
+from tpsfem.driver import _NodeValues
 from tpsfem.indicators import locate_by_tri, patch_system
-from tpsfem.mesh import BARY_TOL, build_square_mesh
+from tpsfem.mesh import (BARY_TOL, build_square_mesh, fill_new_nodes,
+                         trim_to_irregular)
 from tpsfem.solver import FIELDS, SaddleSystem, Smoother, rmse
+from tpsfem.tps import SamplePlan, fit_tps, sample, select_alpha_tps
 
 from conftest import all_angles, total_area
-from oracles import linear_basis
+from oracles import linear_basis, per_event_extend
 from test_solver import linear_problem
 
 #: indices into the sorted refinable edges, one bisection each
@@ -194,3 +200,78 @@ def test_stacked_patch_data_matrix_is_symmetric(picks, seed):
     A = patch_system(s, data, patches, by_tri)[0].A
     assert A.nnz > 0
     assert (A != A.T).nnz == 0
+
+
+# -- values of the nodes a refinement wave creates ------------------------------
+
+#: one wave: indices into the sorted refinable edges, each marked
+waves = st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=8),
+                 min_size=1, max_size=3)
+
+
+@lru_cache(maxsize=None)
+def lshape_peaks():
+    """Normalised peaks points outside the upper right quadrant."""
+    raw = peaks_generate(PeaksSpec(n=400), seed=0)
+    return raw.subset(~((raw.x[:, 0] > 0) & (raw.x[:, 1] > 0))).normalized()
+
+
+@lru_cache(maxsize=None)
+def lshape_spline():
+    samp = sample(lshape_peaks(), SamplePlan("quadtree", count=60), seed=0)
+    return fit_tps(samp, select_alpha_tps(samp))
+
+
+def wave_strategy(kind):
+    if kind == "tps_approximation":
+        return BoundaryStrategy(kind=kind, tps=lshape_spline())
+    return BoundaryStrategy(kind=kind, constant_value=0.3)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(trimmed=st.booleans(),
+       kind=st.sampled_from(["nodal_average", "constant",
+                             "tps_approximation"]),
+       marks=waves, seed=st.integers(0, 2 ** 16), log_alpha=st.floats(-8, 0))
+def test_wave_values_match_per_event_fill(trimmed, kind, marks, seed,
+                                          log_alpha):
+    # the batched fill equals filling event by event in creation order:
+    # bitwise where both take means, to rounding where the spline is
+    # evaluated in one batch instead of point by point
+    mesh = (trim_to_irregular(build_square_mesh(1), lshape_peaks())
+            if trimmed else build_square_mesh(0))
+    strategy, alpha = wave_strategy(kind), 10.0 ** log_alpha
+    values = _NodeValues(mesh, constant_boundary_values(mesh, 0.0))
+    values.table = np.random.default_rng(seed).normal(size=(mesh.n_nodes, 5))
+    arrays = dict(zip(("c", "g1", "g2", "w", "w_proxy"), values.table.T))
+    for picks in marks:
+        edges = sorted(mesh.refinable_edges())
+        events = mesh.refine_wave({edges[i % len(edges)] for i in picks})
+        values.extend(mesh, events, strategy, alpha)
+        arrays = per_event_extend(arrays, mesh, events, strategy, alpha)
+        expected = np.column_stack(list(arrays.values()))
+        if kind == "tps_approximation":
+            scale = np.abs(expected).max(axis=0)
+            assert np.all(np.abs(values.table - expected) <= 1e-12 * scale)
+        else:
+            assert np.array_equal(values.table, expected)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(picks=bisections, coeffs=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+def test_fill_new_nodes_reproduces_linear_field(picks, coeffs):
+    # every new node is the midpoint of its edge, so the mean of its
+    # parents is a linear field's value there
+    mesh = build_square_mesh(0)
+    old = mesh.n_nodes
+    events = []
+    for i in picks:
+        edges = sorted(mesh.refinable_edges())
+        events += mesh.bisect(edges[i % len(edges)])
+    a, b, c = coeffs
+    exact = a + mesh.points @ np.array([b, c])
+    values = np.zeros((mesh.n_nodes, 2))
+    values[:old] = np.column_stack([exact, -exact])[:old]
+    fill_new_nodes(values, events, np.arange(mesh.n_nodes) < old)
+    assert np.allclose(values, np.column_stack([exact, -exact]), rtol=0,
+                       atol=1e-12)
