@@ -14,19 +14,18 @@ Two indicators drive adaptive refinement:
   gradient difference between the local and global surfaces over the edge's
   incident triangles.
 
-The auxiliary problems of many edges are solved as one system.
-``copy_submesh`` copies every patch into one mesh, each patch with its own
-nodes, and one ``uniform_refine`` refines the copy; the patches share no
-node, so each refines exactly as it would alone and their local problems
-form one block-diagonal saddle system.  Its Dirichlet values are the global
-surface's fields at the copied nodes; every node the refinement creates gets
-the mean of its bisected edge's endpoints from ``mesh.fill_new_nodes``, the
-rule the driver's refinement waves use, so each patch trace stays the
-piecewise linear trace of the global surface.  The system is assembled by
-``assemble_L`` and ``assemble_G``, with each patch's data term averaged over
-its own points, and solved by one ``SaddleSystem`` under the solver's
-residual contract.  What remains in Python is the dict-based refinement of
-the copy.
+The auxiliary problems of many edges are solved as one system.  The
+patches are stacked straight from the global triangle table, each with its
+own nodes, and ``mesh.bisect_once`` splits every base edge of the stack in
+one array pass; the patches share no node, so each refines exactly as it
+would alone, and their local problems form one block-diagonal saddle
+system.  Its Dirichlet values are the global surface's fields at the copied
+nodes; every node the refinement creates gets the mean of its bisected
+edge's endpoints from ``mesh.fill_new_nodes``, the rule the driver's
+refinement waves use, so each patch trace stays the piecewise linear trace
+of the global surface.  The system is assembled by ``assemble_L`` and
+``assemble_G``, with each patch's data term averaged over its own points,
+and solved by one ``SaddleSystem`` under the solver's residual contract.
 """
 
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ import scipy.sparse as sp
 from .assembly import FemSystem, Located, assemble_G, assemble_L
 from .boundary import BoundaryValues
 from .exceptions import EmptyField
-from .mesh import fill_new_nodes
+from .mesh import TriMesh, bisect_once, fill_new_nodes
 from .solver import FIELDS, SaddleSystem
 
 
@@ -86,21 +85,6 @@ def _patch_triangles(mesh, edge_id):
     return patch, seed
 
 
-def _origins(mesh):
-    """Unrefined ancestor of each alive triangle, row by row of the
-    triangle table (a triangle never bisected is its own ancestor)."""
-    parent = np.arange(mesh._next_tri)
-    if mesh.tri_parent:
-        child, par = np.array(list(mesh.tri_parent.items())).T
-        parent[child] = par
-    origin = parent[mesh.tri_table.ids]
-    while True:  # any depth of bisection reaches the ancestor
-        up = parent[origin]
-        if np.array_equal(up, origin):
-            return origin
-        origin = up
-
-
 def _containing_rows(tab, origin, within, points):
     """Row of ``tab`` holding each point among the rows whose ``origin`` is
     the point's ``within`` triangle, and its barycentric coordinates there.
@@ -122,40 +106,37 @@ def _containing_rows(tab, origin, within, points):
     return cand[hit, pick], bary[hit, pick]
 
 
-def _trace(s, nodes, events):
-    """(n, 4) FIELDS of the global surface at the nodes of a refined copy:
-    the copied nodes of source ``nodes``, then the refinement's ``events``,
-    each the mean of its parents."""
-    vals = np.zeros((len(nodes) + len(events), len(FIELDS)))
-    vals[:len(nodes)] = np.column_stack([getattr(s, f) for f in FIELDS])[nodes]
-    fill_new_nodes(vals, events, np.arange(len(vals)) < len(nodes))
-    return vals
-
-
 def patch_system(s, data, patches, located_by_tri):
     """The local problems of the triangle sets ``patches`` as one FemSystem.
 
-    The patches are copied into one mesh, each with its own nodes, and the
-    copy is refined uniformly once.  The Dirichlet values are the global
-    surface's fields on every patch boundary.  Every data point of a patch
-    triangle is one row of the basis matrix B of that patch, placed among
-    the refined descendants of its triangle without another point
-    location.  A and d average over each patch's own points, so every patch
-    must hold at least one.
+    The patches are stacked straight from the triangle table of ``s.mesh``,
+    each with its own nodes, and refined once by ``bisect_once``.  The
+    Dirichlet values are the global surface's fields on every patch
+    boundary.  Every data point of a patch triangle is one row of the basis
+    matrix B of that patch, placed among the refined descendants of its
+    triangle without another point location.  A and d average over each
+    patch's own points, so every patch must hold at least one.
 
     Returns
     -------
     (FemSystem, ndarray, ndarray)
-        The system on the refined copy ``fem.mesh``; the (n, 4) FIELDS of
+        The system on the refined stack ``fem.mesh``; the (n, 4) FIELDS of
         the global surface at its nodes; and, row by row of its triangle
-        table, the copied patch triangle each triangle descends from (the
-        triangles of ``patches[0]``, in ascending id order, are copied
-        triangles 0, 1, ..., those of ``patches[1]`` follow, and so on).
+        table, the stacked patch triangle each triangle descends from: the
+        triangles of ``patches[0]`` are 0, 1, ..., those of ``patches[1]``
+        follow, and so on.
     """
-    local, nodes, tris = s.mesh.copy_submesh(patches)
-    events = local.uniform_refine()
+    src = s.mesh.tri_table
+    tris = np.concatenate(patches)
+    patch = np.repeat(np.arange(len(patches)), [len(p) for p in patches])
+    keys, verts = np.unique(patch[:, None] * s.mesh.n_nodes
+                            + src.verts[src.rows(tris)], return_inverse=True)
+    nodes = keys % s.mesh.n_nodes
+    children, origin, parents = bisect_once(verts.reshape(-1, 3), len(nodes))
+    pts = s.mesh.points[nodes]
+    pts = np.vstack([pts, 0.5 * (pts[parents[:, 0]] + pts[parents[:, 1]])])
+    local = TriMesh.from_arrays(pts, children, np.full(len(children), 2))
     tab = local.tri_table
-    origin = _origins(local)
     inside = [np.asarray(located_by_tri.get(t, ()), dtype=np.int64)
               for t in tris.tolist()]
     within = np.repeat(np.arange(len(tris)), [len(i) for i in inside])
@@ -165,7 +146,6 @@ def patch_system(s, data, patches, located_by_tri):
     n, k = local.n_nodes, len(point)
     B = sp.csr_matrix((bary.ravel(), tab.verts[rows].ravel(),
                        np.arange(0, 3 * k + 1, 3)), shape=(k, n))
-    patch = np.repeat(np.arange(len(patches)), [len(p) for p in patches])
     node_patch = np.zeros(n, dtype=np.int64)
     node_patch[tab.verts] = patch[origin][:, None]
     # BᵀB is exactly symmetric and block diagonal by patch, so scaling its
@@ -174,7 +154,11 @@ def patch_system(s, data, patches, located_by_tri):
                                minlength=len(patches))[node_patch]
     A = (sp.diags(weight) @ (B.T @ B)).tocsr()
     d = weight * (B.T @ np.asarray(data.y, dtype=float)[point])
-    trace = _trace(s, nodes, events)
+    trace = np.zeros((n, len(FIELDS)))
+    trace[:len(nodes)] = np.column_stack([getattr(s, f)[nodes]
+                                          for f in FIELDS])
+    fill_new_nodes(trace, np.column_stack([np.arange(len(nodes), n), parents]),
+                   np.arange(n) < len(nodes))
     b = local.boundary_nodes()
     bv = BoundaryValues(nodes=b, **{f: trace[b, i]
                                     for i, f in enumerate(FIELDS)})

@@ -27,11 +27,11 @@ NewNode = namedtuple("NewNode", ["node", "parent_a", "parent_b", "boundary"])
 
 def fill_new_nodes(values, events, known):
     """Give every node of ``events`` not yet ``known`` the mean of its
-    parents' rows of ``values``, in place; ``known`` is updated too.  A
-    parent may be a node of the same events, so a row is filled as soon as
-    both parents are known."""
-    todo = np.array([(e.node, e.parent_a, e.parent_b) for e in events],
-                    dtype=np.int64).reshape(-1, 3)
+    parents' rows of ``values``, in place; ``known`` is updated too.
+    ``events`` holds NewNode records or an array of (node, parent_a,
+    parent_b) rows.  A parent may be a node of the same events, so a row is
+    filled as soon as both parents are known."""
+    todo = np.array(events, dtype=np.int64, ndmin=2)[:, :3].reshape(-1, 3)
     todo = todo[~known[todo[:, 0]]]
     while len(todo):
         node, a, b = todo.T
@@ -39,6 +39,64 @@ def fill_new_nodes(values, events, known):
         values[node[ready]] = 0.5 * (values[a[ready]] + values[b[ready]])
         known[node[ready]] = True
         todo = todo[~ready]
+
+
+def bisect_once(verts, n):
+    """One bisection pass over the rows ``verts`` that splits every base edge.
+
+    ``verts`` holds the rows (a, b, v), v the newest node, of a conforming
+    mesh on the nodes 0, ..., n-1, in the order ``TriMesh.uniform_refine``
+    visits them (ascending triangle id).  Every base edge (a, b) gets its
+    midpoint m as a new node and every row is split into (v, a, m) and
+    (b, v, m); a child whose base edge is another row's base edge is split
+    again the same way.  Returns the (k, 3) children, newest node last, in
+    the order and numbering of ``uniform_refine``; the row each child
+    descends from; and the (j, 2) endpoints of the edges whose midpoints
+    are the new nodes n, n + 1, ....  Raises NotRefinable on cyclic
+    newest-node labels.
+    """
+    a, b, v = np.asarray(verts, dtype=np.int64).reshape(-1, 3).T
+    key = lambda p, q: np.minimum(p, q) * n + np.maximum(p, q)
+    edges, first, edge = np.unique(key(a, b), return_index=True,
+                                   return_inverse=True)
+    # the children's base edges (v, a) and (b, v), as indices into edges
+    # where they are base edges of rows too, else -1
+    k = np.stack([key(v, a), key(b, v)])
+    i = np.searchsorted(edges, k)
+    left, right = np.where(np.append(edges, -1)[i] == k, i, -1)
+    # an edge is split after the base edge of the other triangle at it;
+    # creation order is by the first row whose chain holds the edge, then
+    # by the edge's distance to the end of the chain
+    after = np.full(len(edges), -1)
+    for side in (left, right):
+        after[side[side >= 0]] = edge[side >= 0]
+    row, height = first, np.zeros(len(edges), dtype=np.int64)
+    for _ in range(len(edges) + 1):
+        r = first.copy()
+        np.minimum.at(r, after[after >= 0], row[after >= 0])
+        h = np.where(after >= 0, height[after] + 1, 0)
+        if np.array_equal(r, row) and np.array_equal(h, height):
+            break
+        row, height = r, h
+    else:
+        raise NotRefinable("base-edge chains do not terminate "
+                           "(cyclic newest-node labels)")
+    order = np.lexsort((height, row))
+    t = np.argsort(order)  # the creation rank of each edge
+    m, ml, mr = n + t[edge], n + t[left], n + t[right]
+    # a split makes two children per incident triangle: of the rows in
+    # order, then of the earlier split's child
+    te = 4 * t[edge] + 2 * (np.arange(len(a)) != first[edge])
+    tl, tr = 4 * t[left] + 2, 4 * t[right] + 2
+    cand = np.stack([(v, a, m), (m, v, ml), (a, m, ml),
+                     (b, v, m), (m, b, mr), (v, m, mr)]).transpose(0, 2, 1)
+    created = np.stack([te, tl, tl + 1, te + 1, tr, tr + 1])
+    keep = np.stack([left < 0, left >= 0, left >= 0,
+                     right < 0, right >= 0, right >= 0])
+    pick = np.argsort(created[keep])
+    source = np.broadcast_to(np.arange(len(a)), keep.shape)[keep][pick]
+    return (cand[keep][pick], source,
+            np.column_stack([edges[order] // n, edges[order] % n]))
 
 
 class TriTable(namedtuple("TriTable",
@@ -115,7 +173,6 @@ class TriMesh:
         self.tris = {}
         self.edges = {}
         self.edge_tris = {}
-        self.tri_parent = {}
         self._edge_key = {}
         self._next_tri = 0
         self._next_edge = 0
@@ -141,11 +198,10 @@ class TriMesh:
         Boundary flags are derived from edge incidence.
         """
         mesh = cls()
-        pts = np.asarray(points, dtype=float)
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
         if not np.all(np.isfinite(pts)):
             raise ValueError("non-finite node coordinates")
-        for x, y in pts:
-            mesh._add_node(float(x), float(y), boundary=False)
+        mesh.xs, mesh.ys = pts[:, 0].tolist(), pts[:, 1].tolist()
         # (a, b, v) with the newest node v last, then a and b swapped on
         # clockwise triangles
         nw = np.asarray(newest, dtype=int).reshape(-1, 1)
@@ -248,12 +304,6 @@ class TriMesh:
         self._points_cache = None
         self._table = None
 
-    def _add_node(self, x, y, boundary):
-        self.xs.append(x)
-        self.ys.append(y)
-        self.node_boundary.append(boundary)
-        return len(self.xs) - 1
-
     def _get_edge(self, a, b):
         key = (a, b) if a < b else (b, a)
         eid = self._edge_key.get(key)
@@ -265,12 +315,10 @@ class TriMesh:
             self.edge_tris[eid] = []
         return eid
 
-    def _add_tri(self, a, b, v, parent=None):
+    def _add_tri(self, a, b, v):
         tid = self._next_tri
         self._next_tri += 1
         self.tris[tid] = (a, b, v)
-        if parent is not None:
-            self.tri_parent[tid] = parent
         for u, w in ((a, b), (b, v), (v, a)):
             self.edge_tris[self._get_edge(u, w)].append(tid)
         return tid
@@ -341,13 +389,14 @@ class TriMesh:
             self._remove_tri(tid)
         self._delete_edge(eid)
         boundary = len(incident) == 1
-        mid = self._add_node(0.5 * (self.xs[a] + self.xs[b]),
-                             0.5 * (self.ys[a] + self.ys[b]),
-                             boundary=boundary)
+        mid = len(self.xs)
+        self.xs.append(0.5 * (self.xs[a] + self.xs[b]))
+        self.ys.append(0.5 * (self.ys[a] + self.ys[b]))
+        self.node_boundary.append(boundary)
         for tid, (p, q, v) in incident:
             # children (p, mid, v) and (mid, q, v), newest node mid
-            self._add_tri(v, p, mid, parent=tid)
-            self._add_tri(q, v, mid, parent=tid)
+            self._add_tri(v, p, mid)
+            self._add_tri(q, v, mid)
         return NewNode(mid, a, b, boundary)
 
     def uniform_refine(self):
@@ -489,40 +538,15 @@ class TriMesh:
 
     # -- submesh extraction ---------------------------------------------------
 
-    def copy_submesh(self, tri_sets):
-        """Standalone copy of the triangle sets ``tri_sets``, each set with
-        its own nodes.
-
-        Each set is numbered as if it were copied alone, after the sets
-        before it: its nodes in ascending source id, then its triangles in
-        ascending source id.  Newest-node labels are preserved; boundary
-        flags are recomputed, so the nodes on each set's own boundary are
-        boundary nodes.  Sets share no node or edge, so refining the copy
-        refines each set exactly as it would refine alone.
-
-        Returns
-        -------
-        (TriMesh, ndarray, ndarray)
-            The copy, the source node of each of its nodes and the source
-            triangle of each of its triangles.
-        """
-        sub = TriMesh()
-        nodes, tris = [], []
-        for tri_ids in tri_sets:
-            tri_ids = sorted(tri_ids)
-            own = sorted({n for t in tri_ids for n in self.tris[t]})
-            node_map = {n: len(nodes) + i for i, n in enumerate(own)}
-            for n in own:
-                sub._add_node(self.xs[n], self.ys[n], boundary=False)
-            for t in tri_ids:
-                a, b, v = self.tris[t]
-                sub._add_tri(node_map[a], node_map[b], node_map[v])
-            nodes += own
-            tris += tri_ids
-        sub._recompute_boundary_flags()
-        sub._bump()
-        return (sub, np.array(nodes, dtype=np.int64),
-                np.array(tris, dtype=np.int64))
+    def submesh(self, tri_ids):
+        """Standalone copy of the triangles ``tri_ids``: their nodes in
+        ascending id, then the triangles in ascending id, with newest-node
+        labels kept and boundary flags recomputed."""
+        tab = self.tri_table
+        verts = tab.verts[tab.rows(sorted(tri_ids))]
+        nodes, local = np.unique(verts, return_inverse=True)
+        return TriMesh.from_arrays(self.points[nodes], local.reshape(-1, 3),
+                                   np.full(len(verts), 2))
 
 
 def build_square_mesh(refine_level=0):
@@ -535,21 +559,14 @@ def build_square_mesh(refine_level=0):
     if refine_level < 0:
         raise ValueError("refine_level must be >= 0")
     n = 4
-    h = 1.0 / n
-    mesh = TriMesh()
-    for j in range(n + 1):
-        for i in range(n + 1):
-            mesh._add_node(i * h, j * h, boundary=False)
-    nid = lambda i, j: j * (n + 1) + i
-    for j in range(n):
-        for i in range(n):
-            p00, p10 = nid(i, j), nid(i + 1, j)
-            p01, p11 = nid(i, j + 1), nid(i + 1, j + 1)
-            # diagonal p00-p11 is the base edge of both triangles
-            mesh._add_tri(p11, p00, p10)
-            mesh._add_tri(p00, p11, p01)
-    mesh._recompute_boundary_flags()
-    mesh._bump()
+    g = np.arange(n + 1) / n  # node j * (n + 1) + i lies at (g[i], g[j])
+    p00 = (np.arange(n) + (n + 1) * np.arange(n)[:, None]).ravel()
+    p10, p01, p11 = p00 + 1, p00 + n + 1, p00 + n + 2
+    # diagonal p00-p11 is the base edge of both triangles of a cell
+    tris = np.column_stack([p11, p00, p10, p00, p11, p01]).reshape(-1, 3)
+    mesh = TriMesh.from_arrays(
+        np.column_stack([np.tile(g, n + 1), np.repeat(g, n + 1)]), tris,
+        np.full(len(tris), 2))
     for _ in range(refine_level):
         mesh.uniform_refine()
         mesh.uniform_refine()
@@ -573,8 +590,7 @@ def trim_to_irregular(mesh, data):
     if not bearing:
         raise EmptyResult("no triangle contains a data point")
     retained = _connect_components(mesh, bearing)
-    sub, _, _ = mesh.copy_submesh([retained])
-    return sub
+    return mesh.submesh(retained)
 
 
 def _tri_neighbors(mesh, t):
@@ -676,8 +692,7 @@ def mesh_polygon(loops, refine_level=3):
     # rather than bridging components through outside triangles
     comps = _components_of(mesh, keep)
     comps.sort(key=lambda c: (-len(c), min(c)))
-    sub, _, _ = mesh.copy_submesh([comps[0]])
-    return sub
+    return mesh.submesh(comps[0])
 
 
 def _components_of(mesh, tri_set):

@@ -9,6 +9,7 @@ from tpsfem.assembly import FemSystem
 from tpsfem.boundary import BoundaryValues
 from tpsfem.data import DataSet
 from tpsfem.exceptions import SingularSystem
+from tpsfem.mesh import TriMesh
 from tpsfem.solver import FIELDS, SaddleSystem, _interleaved, saddle_blocks
 from tpsfem.tps import R_CLAMP
 
@@ -359,6 +360,25 @@ def dense_csrbf_gcv_scores(centers, y, rho, phi, grid, probes, seed):
     return np.array(scores)
 
 
+def copy_submesh(mesh, tri_ids):
+    """Standalone copy of the triangles ``tri_ids`` of ``mesh``, built one
+    node and one triangle at a time: its nodes in ascending source id, then
+    its triangles in ascending source id, newest-node labels preserved and
+    boundary flags recomputed."""
+    sub = TriMesh()
+    tri_ids = sorted(tri_ids)
+    own = sorted({n for t in tri_ids for n in mesh.tris[t]})
+    node_map = {n: i for i, n in enumerate(own)}
+    sub.xs = [mesh.xs[n] for n in own]
+    sub.ys = [mesh.ys[n] for n in own]
+    for t in tri_ids:
+        a, b, v = mesh.tris[t]
+        sub._add_tri(node_map[a], node_map[b], node_map[v])
+    sub._recompute_boundary_flags()
+    sub._bump()
+    return sub
+
+
 def patch_auxiliary_indicator(s, data, edge_id, alpha, located_by_tri):
     """Auxiliary indicator of one edge from its own sparse local problem.
 
@@ -366,8 +386,9 @@ def patch_auxiliary_indicator(s, data, edge_id, alpha, located_by_tri):
     copied and uniformly refined once; the local smoothing problem gets its
     own FemSystem (with its own point location), SaddleSystem and sparse
     factorisation, and the squared gradient difference is integrated over
-    the refined triangles whose parent chain reaches an incident triangle.
-    ``located_by_tri`` maps triangle id -> indices of the data inside it.
+    the refined triangles whose centroid an incident triangle of the
+    unrefined copy holds.  ``located_by_tri`` maps triangle id -> indices
+    of the data inside it.
     """
     mesh = s.mesh
     seed = list(mesh.edge_tris[edge_id])
@@ -378,7 +399,14 @@ def patch_auxiliary_indicator(s, data, edge_id, alpha, located_by_tri):
     pt_idx = [i for t in patch for i in located_by_tri.get(t, ())]
     if not pt_idx:
         return 0.0
-    local, patch_nodes, patch_tris = mesh.copy_submesh([patch])
+    patch_tris = sorted(patch)
+    patch_nodes = sorted({n for t in patch_tris for n in mesh.tris[t]})
+    index = {n: i for i, n in enumerate(patch_nodes)}
+    copy = lambda: TriMesh.from_arrays(
+        mesh.points[patch_nodes],
+        [[index[n] for n in mesh.tris[t]] for t in patch_tris],
+        [2] * len(patch_tris))
+    local, coarse = copy(), copy()
     vals = {name: getattr(s, name)[patch_nodes]
             for name in ("c", "g1", "g2", "w")}
     for ev in local.uniform_refine():
@@ -397,15 +425,10 @@ def patch_auxiliary_indicator(s, data, edge_id, alpha, located_by_tri):
     except SingularSystem:
         # no interior unknowns: the local surface is the global one
         return 0.0
-    seed_local = {i for i, t in enumerate(patch_tris.tolist()) if t in seed}
-
-    def in_seed(t):
-        while t is not None and t not in seed_local:
-            t = local.tri_parent.get(t)
-        return t is not None
-
     tab = local.tri_table
-    rows = np.flatnonzero([in_seed(t) for t in tab.ids.tolist()])
+    centroid = np.column_stack([tab.x.mean(axis=1), tab.y.mean(axis=1)])
+    within = coarse.locate(centroid)[0]
+    rows = np.flatnonzero([patch_tris[t] in seed for t in within.tolist()])
     diff = tab.gradients(shat.c - vals["c"])[rows]
     return float(np.sqrt(np.sum(tab.area[rows] * np.sum(diff ** 2, axis=1))))
 

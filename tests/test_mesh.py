@@ -3,14 +3,14 @@ import pytest
 
 from tpsfem.data import DataSet
 from tpsfem.exceptions import EmptyResult, NotRefinable, ParseError, ZeroInterior
-from tpsfem.mesh import (TriMesh, build_square_mesh, load_mesh, load_polygon,
-                         mesh_polygon, polygon_triangles, save_mesh,
-                         save_polygon, trim_to_irregular)
+from tpsfem.mesh import (TriMesh, bisect_once, build_square_mesh, load_mesh,
+                         load_polygon, mesh_polygon, polygon_triangles,
+                         save_mesh, save_polygon, trim_to_irregular)
 
 from conftest import (all_angles, make_fan_mesh, make_interface_strip,
                       make_two_triangle_square, make_unit_right_triangle,
                       total_area)
-from oracles import polygon_triangles_loop
+from oracles import copy_submesh, polygon_triangles_loop
 
 _ANGLES = np.linspace(0.0, 2.0 * np.pi, 36, endpoint=False)
 
@@ -117,6 +117,17 @@ class TestBisect:
         mesh.validate()
         # every strip triangle was forced to split
         assert mesh.n_tris >= 2 * 16
+
+    def test_cyclic_labels_rejected(self):
+        # every fan triangle's base edge is the next one's leg: the chain
+        # of blocking base edges closes on itself
+        mesh = make_fan_mesh()
+        mesh = TriMesh.from_arrays(mesh.points, list(mesh.tris.values()),
+                                   [0] * mesh.n_tris)
+        with pytest.raises(NotRefinable):
+            mesh.bisect(mesh.base_edge_of(0))
+        with pytest.raises(NotRefinable):
+            bisect_once(mesh.tri_table.verts, mesh.n_nodes)
 
     def test_area_conservation(self):
         mesh = build_square_mesh(0)
@@ -240,6 +251,28 @@ class TestTrim:
         assert seen == set(out.tris)
 
 
+class TestSubmesh:
+    @pytest.mark.parametrize("case", ["trimmed", "l-shape", "holed-quad"])
+    def test_matches_one_by_one_copy(self, case):
+        mesh = build_square_mesh(2)
+        if case == "trimmed":
+            rng = np.random.default_rng(4)
+            for _ in range(3):
+                edges = sorted(mesh.refinable_edges())
+                mesh.refine_wave(rng.choice(edges, size=len(edges) // 5,
+                                            replace=False).tolist())
+            ids, _ = mesh.locate(rng.uniform(0.05, 0.6, size=(300, 2)))
+            keep = set(ids[ids >= 0].tolist())
+        else:
+            keep = polygon_triangles(mesh, [np.asarray(l, dtype=float)
+                                            for l in POLYGONS[case]])
+        got, ref = mesh.submesh(keep), copy_submesh(mesh, keep)
+        for name in ("tris", "edges", "edge_tris", "node_boundary", "xs",
+                     "ys"):
+            assert getattr(got, name) == getattr(ref, name), name
+        got.validate()
+
+
 class TestPolygon:
     def test_roundtrip(self, tmp_path):
         loops = [np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]),
@@ -333,12 +366,15 @@ class TestMeshIO:
 class TestNewestNodeLabels:
     def test_children_newest_is_created_midpoint(self, square_mesh):
         before = square_mesh.n_nodes
+        old = set(square_mesh.tris)
         events = square_mesh.bisect(square_mesh.base_edge_of(0))
         new_ids = {ev.node for ev in events}
         assert new_ids == {before}
-        for t, (a, b, v) in square_mesh.tris.items():
-            if square_mesh.tri_parent.get(t) is not None:
-                assert v in new_ids
+        # triangle ids are never reused: the children are the new ids
+        children = set(square_mesh.tris) - old
+        assert len(children) == 4
+        for t in children:
+            assert square_mesh.tris[t][2] in new_ids
 
     def test_node_parents_recorded(self, square_mesh):
         events = square_mesh.bisect(square_mesh.base_edge_of(0))

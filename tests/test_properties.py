@@ -5,6 +5,7 @@ nodes and the exactness of the fit on affine data."""
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tpsfem.assembly import assemble_G, assemble_L
@@ -12,13 +13,13 @@ from tpsfem.boundary import BoundaryStrategy, constant_boundary_values
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.driver import _NodeValues
 from tpsfem.indicators import locate_by_tri, patch_system
-from tpsfem.mesh import (BARY_TOL, build_square_mesh, fill_new_nodes,
-                         trim_to_irregular)
+from tpsfem.mesh import (BARY_TOL, TriMesh, bisect_once, build_square_mesh,
+                         fill_new_nodes, trim_to_irregular)
 from tpsfem.solver import FIELDS, SaddleSystem, Smoother, rmse
 from tpsfem.tps import SamplePlan, fit_tps, sample, select_alpha_tps
 
-from conftest import all_angles, total_area
-from oracles import linear_basis, per_event_extend
+from conftest import all_angles, make_interface_strip, total_area
+from oracles import copy_submesh, linear_basis, per_event_extend
 from test_solver import linear_problem
 
 #: indices into the sorted refinable edges, one bisection each
@@ -139,31 +140,35 @@ def random_patches(mesh, rng, count=5):
 
 
 def refined_copy(mesh, patches):
-    """The patches copied into one mesh and refined once, as the auxiliary
-    indicator builds its local problems."""
-    local, _, _ = mesh.copy_submesh(patches)
-    local.uniform_refine()
-    return local
-
-
-def ancestor(mesh, t):
-    while t in mesh.tri_parent:
-        t = mesh.tri_parent[t]
-    return t
+    """The patches stacked into one mesh, each with its own nodes, and
+    refined once by ``bisect_once``, as the auxiliary indicator builds its
+    local problems; and the patch each refined triangle descends from, row
+    by row of the stack's triangle table."""
+    tab = mesh.tri_table
+    patch = np.repeat(np.arange(len(patches)), [len(p) for p in patches])
+    verts = tab.verts[tab.rows(np.concatenate(patches))]
+    keys, local = np.unique(patch[:, None] * mesh.n_nodes + verts,
+                            return_inverse=True)
+    children, source, parents = bisect_once(local, len(keys))
+    pts = mesh.points[keys % mesh.n_nodes]
+    pts = np.vstack([pts, pts[parents].mean(axis=1)])
+    return (TriMesh.from_arrays(pts, children, [2] * len(children)),
+            patch[source])
 
 
 def coordinate_triples(mesh, tri_ids):
-    """Vertex coordinates of the triangles ``tri_ids``, in id order and in
+    """Sorted vertex coordinates of the triangles ``tri_ids``, each in
     stored vertex order (so the newest-node label is compared too)."""
-    return [tuple(mesh.node_xy(n) for n in mesh.tris[t])
-            for t in sorted(tri_ids)]
+    return sorted(tuple(mesh.node_xy(n) for n in mesh.tris[t])
+                  for t in tri_ids)
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(picks=bisections, seed=st.integers(0, 2 ** 16))
 def test_stacked_patch_element_identities(picks, seed):
     mesh = refined_square(picks)
-    local = refined_copy(mesh, random_patches(mesh, np.random.default_rng(seed)))
+    local, _ = refined_copy(mesh, random_patches(mesh,
+                                                 np.random.default_rng(seed)))
     tab = local.tri_table
     check_element_identities(assemble_L(local), assemble_G(local, 1),
                              assemble_G(local, 2), tab.verts, local.points,
@@ -175,14 +180,46 @@ def test_stacked_patch_element_identities(picks, seed):
 def test_stacked_patches_refine_as_alone(picks, seed):
     mesh = refined_square(picks)
     patches = random_patches(mesh, np.random.default_rng(seed))
-    local = refined_copy(mesh, patches)
-    first = np.cumsum([0] + [len(p) for p in patches])
+    local, patch = refined_copy(mesh, patches)
     for p, tris in enumerate(patches):
-        alone = refined_copy(mesh, [tris])
-        own = [t for t in local.tris
-               if first[p] <= ancestor(local, t) < first[p + 1]]
-        assert (coordinate_triples(local, own)
+        alone = copy_submesh(mesh, tris)
+        alone.uniform_refine()
+        assert (coordinate_triples(local, local.tri_table.ids[patch == p])
                 == coordinate_triples(alone, alone.tris))
+
+
+def check_uniform_pass(mesh):
+    """``bisect_once`` over the whole triangle table is ``uniform_refine``,
+    numbering included: the same children in the same order, the same new
+    nodes, and every child inside its source triangle."""
+    tab = mesh.tri_table
+    children, source, parents = bisect_once(tab.verts, mesh.n_nodes)
+    n = mesh.n_nodes
+    events = mesh.uniform_refine()
+    assert np.array_equal(children, mesh.tri_table.verts)
+    assert [e.node for e in events] == list(range(n, mesh.n_nodes))
+    assert np.array_equal(np.sort(parents, axis=1),
+                          np.sort([e[1:3] for e in events], axis=1)
+                          .reshape(-1, 2))
+    p = mesh.points
+    assert np.array_equal(p[n:], 0.5 * (p[parents[:, 0]] + p[parents[:, 1]]))
+    centroid = p[children].mean(axis=1)
+    assert tab.bary(source, centroid).min() > 0.0
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_whole_square_mesh_bisects_as_uniform_refine(level):
+    check_uniform_pass(build_square_mesh(level))
+
+
+def test_interface_chain_bisects_as_uniform_refine():
+    check_uniform_pass(make_interface_strip(8))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(picks=bisections)
+def test_whole_adaptive_mesh_bisects_as_uniform_refine(picks):
+    check_uniform_pass(refined_square(picks))
 
 
 @settings(max_examples=60, deadline=None, database=None)
