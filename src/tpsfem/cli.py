@@ -147,13 +147,14 @@ def _cmd_fit(args):
         pts = smoother.mesh.points
         xs = np.linspace(pts[:, 0].min(), pts[:, 0].max(), n)
         ys = np.linspace(pts[:, 1].min(), pts[:, 1].max(), n)
-        grid = np.array([(a, b) for b in ys for a in xs])
+        gx, gy = np.meshgrid(xs, ys)  # x fastest
+        grid = np.column_stack([gx.ravel(), gy.ravel()])
         vals = interpolate(smoother.mesh, smoother.c, grid)
         with open(os.path.join(args.out, "surface.csv"), "w",
                   newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x1", "x2", "s"])
-            writer.writerows([(g[0], g[1], v) for g, v in zip(grid, vals)])
+            writer.writerows(np.column_stack([grid, vals]).tolist())
     for rec in records:
         print(f"iter {rec.iteration}: nodes={rec.nodes} "
               f"alpha={rec.alpha:.3e} rmse={rec.rmse:.6g}")

@@ -2,11 +2,13 @@
 
 A refactor must leave the refinement decisions (node, marked and refined
 edge counts) exactly as they are, and alpha and the RMSE of every iteration
-within 1e-10 relative.  The values were recorded from the code before the
-saddle system was built from one block matrix, except the
-irregular-auxiliary run, recorded before the auxiliary patch problems were
-solved as one stacked batch.  Re-record them only for a change that is meant
-to alter the answers.
+within 1e-10 relative.  The irregular-recovery-tps run (fixed alpha) was
+recorded from the code before the saddle system was built from one block
+matrix.  The two runs that pick alpha by GCV were re-recorded when the
+selection became one golden-section search on log(alpha) between the grid's
+ends, in place of a grid scan plus a local golden refinement: that change
+moves the chosen alpha by design.  Re-record them only for a change that is
+meant to alter the answers.
 """
 
 import numpy as np
@@ -17,14 +19,14 @@ from tpsfem.driver import RunConfig, run
 from tpsfem.gcv import GcvConfig
 
 RUNS = {
-    # square domain, auxiliary indicator, alpha by GCV on a short grid
+    # square domain, auxiliary indicator, alpha by GCV in 4 golden steps
     "square-auxiliary-gcv": (
         dict(indicator="auxiliary", max_iters=1, stagnation_iters=0,
              tps_samples=60,
              gcv=GcvConfig(alpha_grid=np.geomspace(1e-10, 1.0, 11), probes=5,
                            refine_iters=4)),
-        [(25, 0, 0, 2.2259948616518885e-08, 0.08328237233920184),
-         (50, 15, 25, 2.6086022527814846e-08, 0.07399508105738528)]),
+        [(25, 0, 0, 2.2944562176907705e-08, 0.08328260929528335),
+         (50, 15, 25, 2.2944562176907705e-08, 0.07393374655479025)]),
     # trimmed domain, recovery indicator, Dirichlet values from the spline
     "irregular-recovery-tps": (
         dict(domain="irregular", boundary="tps", alpha=1e-6, max_iters=2,
@@ -37,9 +39,9 @@ RUNS = {
     "irregular-auxiliary": (
         dict(domain="irregular", indicator="auxiliary", max_iters=2,
              stagnation_iters=0, tps_samples=60),
-        [(118, 0, 0, 6.7025169547121315e-09, 0.049133444259108996),
-         (279, 100, 161, 1.3942646733697337e-08, 0.035580160112502306),
-         (665, 207, 386, 9.849681588548806e-09, 0.022607069296581555)]),
+        [(118, 0, 0, 6.6464946918740086e-09, 0.04913208912353292),
+         (279, 100, 161, 1.4054565132199838e-08, 0.03558938860310491),
+         (663, 205, 384, 9.665070747168059e-09, 0.02257228345384677)]),
 }
 
 

@@ -1,3 +1,6 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,8 @@ from tpsfem.assembly import FemSystem
 from tpsfem.boundary import boundary_values_from_callables
 from tpsfem.data import DataSet
 from tpsfem.exceptions import NonConvergence, SingularSystem
-from tpsfem.gcv import (GcvConfig, _probe_matrix, gcv_score, influence_trace,
-                        select_alpha)
+from tpsfem.gcv import (GOLDEN, GcvConfig, _probe_matrix, gcv_score,
+                        influence_trace, select_alpha)
 from tpsfem.mesh import build_square_mesh
 from tpsfem.solver import RESIDUAL_TOL, SaddleSystem, rmse
 
@@ -165,6 +168,24 @@ class TestSelectAlpha:
         best = min(test_rmse(a) for a in grid)
         assert test_rmse(alpha) <= 1.10 * best
 
+    def test_search_close_to_dense_scan_on_peaks(self):
+        # the golden search's score is within 0.1% of a 61-point scan's best
+        from tpsfem.data import PeaksSpec, peaks_generate
+        data = peaks_generate(PeaksSpec(n=2000), seed=7).normalized()
+        mesh = build_square_mesh(2)
+        fem = FemSystem.build(mesh, data, bv=zero_bv(mesh))
+        cfg = GcvConfig(alpha_grid=np.array([1e-9, 1e-2]), probes=20)
+        alpha = select_alpha(fem, data, cfg, seed=0)
+        Z = _probe_matrix(fem.located.n_used, 20, np.random.default_rng(0))
+        scan = np.geomspace(1e-9, 1e-2, 61)
+        scores = [gcv_score(fem, a, data, probe_matrix=Z) for a in scan]
+        chosen = gcv_score(fem, alpha, data, probe_matrix=Z)
+        j = int(np.argmin(scores))
+        gap = abs(math.log10(alpha / scan[j]))
+        assert chosen <= 1.001 * scores[j], (
+            f"score {chosen:.6e} vs scan {scores[j]:.6e}, "
+            f"{gap:.3f} decades from the scan's alpha {scan[j]:.3e}")
+
     def test_two_runs_identical(self):
         mesh = build_square_mesh(0)
         data, fem = noisy_problem(mesh, n=90, seed=9)
@@ -191,3 +212,51 @@ class TestSelectAlpha:
             GcvConfig(probes=0)
         with pytest.raises(ValueError):
             GcvConfig(refine_iters=-1)
+
+
+class TestGoldenSearch:
+    """select_alpha against a stubbed score of alpha alone."""
+
+    GRID = np.geomspace(1e-10, 1.0, 21)
+    FEM = SimpleNamespace(located=SimpleNamespace(n_used=40))
+
+    def search(self, monkeypatch, curve, refine_iters=12):
+        calls = []
+
+        def stub(fem, alpha, data, probe_matrix=None):
+            calls.append(alpha)
+            return curve(math.log10(alpha))
+
+        monkeypatch.setattr("tpsfem.gcv.gcv_score", stub)
+        cfg = GcvConfig(alpha_grid=self.GRID, probes=4,
+                        refine_iters=refine_iters)
+        return select_alpha(self.FEM, None, cfg), len(calls)
+
+    @pytest.mark.parametrize("refine_iters", [1, 5, 12])
+    def test_increasing_score_returns_lowest_end(self, monkeypatch,
+                                                 refine_iters):
+        alpha, calls = self.search(monkeypatch, lambda t: t, refine_iters)
+        assert alpha == self.GRID[0]
+        assert calls == refine_iters + 3
+
+    @pytest.mark.parametrize("refine_iters", [1, 5, 12])
+    def test_decreasing_score_returns_highest_end(self, monkeypatch,
+                                                  refine_iters):
+        alpha, calls = self.search(monkeypatch, lambda t: -t, refine_iters)
+        assert alpha == self.GRID[-1]
+        assert calls == refine_iters + 3
+
+    @pytest.mark.parametrize("refine_iters", [5, 12])
+    @pytest.mark.parametrize("centre", [-8.3, -4.0, -1.5])
+    def test_quadratic_minimum_within_final_bracket(self, monkeypatch,
+                                                    refine_iters, centre):
+        alpha, calls = self.search(monkeypatch, lambda t: (t - centre) ** 2,
+                                   refine_iters)
+        bracket = 10.0 * GOLDEN ** refine_iters  # decades
+        assert abs(math.log10(alpha) - centre) <= bracket
+        assert calls == refine_iters + 2
+
+    def test_flat_score_returns_lowest_end(self, monkeypatch):
+        alpha, calls = self.search(monkeypatch, lambda t: 1.0)
+        assert alpha == self.GRID[0]
+        assert calls == 12 + 3

@@ -192,3 +192,10 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         lines = (out / "surface.csv").read_text().strip().split("\n")
         assert len(lines) == 65
+        # rows run x fastest: x1 sweeps the 8 columns within each x2 row
+        xy = np.array([line.split(",")[:2] for line in lines[1:]],
+                      dtype=float).reshape(8, 8, 2)
+        assert np.all(np.diff(xy[..., 0], axis=1) > 0)
+        assert np.all(xy[..., 0] == xy[:1, :, 0])
+        assert np.all(np.diff(xy[:, 0, 1]) > 0)
+        assert np.all(xy[..., 1] == xy[:, :1, 1])
