@@ -15,6 +15,13 @@ def _positive_int(text):
     return int(text)
 
 
+def _tps_samples(text):
+    """fit --tps-samples: an integer of at least 10."""
+    if int(text) < 10:
+        raise argparse.ArgumentTypeError(f"{text} is less than 10")
+    return int(text)
+
+
 def _fit_alpha(text):
     """fit --alpha: 'auto' or a positive finite float."""
     if text != "auto" and not 0 < float(text) < float("inf"):
@@ -41,7 +48,7 @@ def _add_fit_parser(sub):
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--rmse-tolerance", type=float, default=None)
     p.add_argument("--trim-level", type=int, default=2)
-    p.add_argument("--tps-samples", type=int, default=300)
+    p.add_argument("--tps-samples", type=_tps_samples, default=300)
     p.add_argument("--gcv-probes", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--single-thread", action="store_true",

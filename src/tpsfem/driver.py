@@ -25,8 +25,7 @@ from .boundary import (BoundaryStrategy, BoundaryValues,
                        new_boundary_node_values)
 from .exceptions import EmptyField, ZeroInterior
 from .gcv import GcvConfig, select_alpha
-# auxiliary_indicator is not called here; it stays importable under this
-# module's name for the benchmark's tracer (perfbench/tracing.py)
+# auxiliary_indicator is not called here; the tracer of perfbench/ wraps it
 from .indicators import (auxiliary_field, auxiliary_indicator,
                          auxiliary_indicators, locate_by_tri, mark,
                          raise_to_base_edges, recovery_field,
@@ -74,6 +73,9 @@ class RunConfig:
                                  f"got {getattr(self, name)!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma!r}")
+        if not self.tps_samples >= 10:
+            raise ValueError(f"tps_samples must be at least 10, "
+                             f"got {self.tps_samples!r}")
         if self.alpha != "auto" and not (isinstance(self.alpha, numbers.Real)
                                          and 0.0 < self.alpha < np.inf):
             raise ValueError("alpha must be 'auto' or positive and finite, "
@@ -175,8 +177,6 @@ def _make_strategy(cfg, data, seed):
         return BoundaryStrategy(kind="constant",
                                 constant_value=cfg.constant_value), None
     count = min(cfg.tps_samples, len(data))
-    if count < 10:
-        count = len(data)
     samp = sample(data, SamplePlan("quadtree", count=count), seed=seed)
     alpha_tps = select_alpha_tps(samp)
     tps = fit_tps(samp, alpha_tps)
@@ -193,7 +193,7 @@ def _indicator_field(kind, smoother, data, alpha, by_tri):
 def _refresh_field(field, kind, mesh, smoother, data, alpha, by_tri,
                    new_tri_floor):
     """Drop dead edges and compute values for edges new to the field."""
-    for eid in [e for e in field.values if e not in mesh.edges]:
+    for eid in np.setdiff1d(list(field.values), mesh.edge_table.ids).tolist():
         del field.values[eid]
     if kind == "recovery":
         ids = mesh.tri_table.ids
@@ -201,9 +201,9 @@ def _refresh_field(field, kind, mesh, smoother, data, alpha, by_tri,
         raise_to_base_edges(field.values, mesh, ids,
                             recovery_indicator(smoother, ids))
     else:
-        new = [e for e in mesh.refinable_edges() if e not in field.values]
+        new = np.setdiff1d(mesh.refinable_edges(), list(field.values))
         etas = auxiliary_indicators(smoother, data, new, alpha, by_tri)
-        field.values.update(zip(new, etas.tolist()))
+        field.values.update(zip(new.tolist(), etas.tolist()))
 
 
 def run(data, cfg=None):
@@ -280,7 +280,7 @@ def run(data, cfg=None):
                 except EmptyField:
                     logger.warning("iteration %d: empty indicator field", k)
                     break
-                floor = mesh._next_tri
+                floor = int(mesh.tri_table.ids[-1]) + 1  # of the new ids
                 events = mesh.refine_wave(marked)
                 if not events:
                     logger.warning("iteration %d: marked edges produced no "

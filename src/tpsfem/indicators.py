@@ -75,14 +75,18 @@ def recovery_indicator(s, tri_ids):
 # -- auxiliary problem ---------------------------------------------------------
 
 
-def _patch_triangles(mesh, edge_id):
-    """Incident triangles of the edge plus their edge-neighbours."""
-    seed = list(mesh.edge_tris[edge_id])
-    patch = set(seed)
-    for t in seed:
-        for eid in mesh.tri_edge_ids(t):
-            patch.update(mesh.edge_tris[eid])
-    return patch, seed
+def _patch_triangles(mesh, edge_ids):
+    """The patch of each edge of ``edge_ids``: the ids, ascending, of its
+    incident triangles and their edge-neighbours, and the mask of the
+    incident ones."""
+    tab, et = mesh.tri_table, mesh.edge_table
+    seed = et.tris[et.rows(edge_ids)].reshape(-1, 2)
+    full = np.where(seed >= 0, seed, seed[:, :1])
+    ring = et.tris[et.rows(tab.edges[tab.rows(full)])].reshape(len(seed), 12)
+    cand = np.sort(np.hstack([full, ring]), axis=1)
+    keep = (cand >= 0) & (np.diff(cand, axis=1, prepend=-1) != 0)
+    incident = (cand[:, :, None] == seed[:, None, :]).any(axis=2)
+    return [(c[k], i[k]) for c, i, k in zip(cand, incident, keep)]
 
 
 def _containing_rows(tab, origin, within, points):
@@ -132,7 +136,9 @@ def patch_system(s, data, patches, located_by_tri):
     keys, verts = np.unique(patch[:, None] * s.mesh.n_nodes
                             + src.verts[src.rows(tris)], return_inverse=True)
     nodes = keys % s.mesh.n_nodes
-    children, origin, parents = bisect_once(verts.reshape(-1, 3), len(nodes))
+    children, origin, final, parents = bisect_once(verts.reshape(-1, 3),
+                                                   len(nodes))
+    children, origin = children[final], origin[final]
     pts = s.mesh.points[nodes]
     pts = np.vstack([pts, 0.5 * (pts[parents[:, 0]] + pts[parents[:, 1]])])
     local = TriMesh.from_arrays(pts, children, np.full(len(children), 2))
@@ -198,13 +204,11 @@ def auxiliary_indicators(s, data, edge_ids, alpha, located_by_tri=None):
         located_by_tri = locate_by_tri(mesh, data)
     eta = np.zeros(len(edge_ids))
     kept, patches, in_seed = [], [], []
-    for k, eid in enumerate(edge_ids):
-        patch, seed = _patch_triangles(mesh, eid)
-        tris = sorted(patch)
-        if any(len(located_by_tri.get(t, ())) for t in tris):
+    for k, (tris, seed) in enumerate(_patch_triangles(mesh, edge_ids)):
+        if any(len(located_by_tri.get(t, ())) for t in tris.tolist()):
             kept.append(k)
             patches.append(tris)
-            in_seed += [t in seed for t in tris]
+            in_seed.append(seed)
     if not kept:
         return eta
     fem, trace, origin = patch_system(s, data, patches, located_by_tri)
@@ -215,7 +219,7 @@ def auxiliary_indicators(s, data, edge_ids, alpha, located_by_tri=None):
 
     # integrate |grad shat - grad s|^2 over the refined seed triangles
     tab = fem.mesh.tri_table
-    rows = np.asarray(in_seed)[origin]
+    rows = np.concatenate(in_seed)[origin]
     patch = np.repeat(np.arange(len(kept)), [len(p) for p in patches])[origin]
     grad = tab.gradients(shat - c)
     energy = np.bincount(patch[rows],
@@ -245,8 +249,9 @@ def recovery_field(s):
 
 def raise_to_base_edges(values, mesh, tri_ids, etas):
     """Raise ``values[base edge of t]`` to at least ``eta`` for every pair."""
-    for t, eta in zip(tri_ids.tolist(), etas.tolist()):
-        eid = mesh.base_edge_of(t)
+    tab = mesh.tri_table
+    for eid, eta in zip(tab.edges[tab.rows(tri_ids), 0].tolist(),
+                        etas.tolist()):
         values[eid] = max(values.get(eid, 0.0), eta)
 
 
@@ -254,7 +259,7 @@ def auxiliary_field(s, data, alpha, located_by_tri=None):
     """Auxiliary indicators for every refinable edge."""
     edges = s.mesh.refinable_edges()
     etas = auxiliary_indicators(s, data, edges, alpha, located_by_tri)
-    return IndicatorField(values=dict(zip(edges, etas.tolist())),
+    return IndicatorField(values=dict(zip(edges.tolist(), etas.tolist())),
                           kind="auxiliary")
 
 

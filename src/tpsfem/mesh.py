@@ -1,12 +1,18 @@
-"""Triangular meshes with newest-node bisection refinement.
+"""Triangular meshes with newest-node bisection refinement, held in arrays.
 
-The mesh is stored in a node-edge structure: triangles are vertex triples
-oriented counter-clockwise with the newest node in the last slot, and every
-edge keeps the list of its incident triangles (two in the interior, one on
-the boundary).  The edge opposite a triangle's newest node is its base edge;
-bisection always splits a triangle from the newest node to the midpoint of
-the base edge, so refined meshes built from the unit-square seed only ever
-contain isosceles right triangles.
+The nodes of a mesh are the rows of ``points``, each with a boolean
+``node_boundary`` flag.  Its triangles are (a, b, v) rows with ascending
+ids, counter-clockwise with the newest node v last, so (a, b) is the base
+edge.  Its edges are one ascending table of node-pair keys, each carrying
+its edge id; which triangles meet at an edge is derived from the rows on
+demand (``TriTable.edges``, ``EdgeTable.tris``).  Ids are never reused.
+
+Bisection splits a triangle from its newest node to the midpoint of its base
+edge, so refined meshes built from the unit-square seed only ever contain
+isosceles right triangles.  ``bisect_once`` runs one pass of it over a set
+of rows as array operations, the vectorised newest-vertex bisection of
+Funken, Praetorius & Wissgott (2011) and of L. Chen's iFEM ``bisect``; the
+waves of a ``TriMesh`` and the auxiliary indicator's patches all use it.
 """
 
 from collections import namedtuple
@@ -25,6 +31,22 @@ BARY_TOL = 1e-12
 NewNode = namedtuple("NewNode", ["node", "parent_a", "parent_b", "boundary"])
 
 
+def _pair_key(p, q):
+    """One int64 key per unordered node pair; keys sort as (lower, higher)."""
+    p, q = np.asarray(p, dtype=np.int64), np.asarray(q, dtype=np.int64)
+    return np.minimum(p, q) << 32 | np.maximum(p, q)
+
+
+def _pair_nodes(keys):
+    """(k, 2) node pairs, lower id first, of the ``_pair_key`` keys."""
+    return np.column_stack([keys >> 32, keys & 0xFFFFFFFF])
+
+
+def _sides(verts):
+    """(m, 3) keys of the sides (a, b), (b, v), (v, a) of the rows ``verts``."""
+    return _pair_key(verts, np.roll(verts, -1, axis=1))
+
+
 def fill_new_nodes(values, events, known):
     """Give every node of ``events`` not yet ``known`` the mean of its
     parents' rows of ``values``, in place; ``known`` is updated too.
@@ -41,66 +63,95 @@ def fill_new_nodes(values, events, known):
         todo = todo[~ready]
 
 
-def bisect_once(verts, n):
-    """One bisection pass over the rows ``verts`` that splits every base edge.
+def bisect_once(verts, n, rank=None):
+    """One bisection pass over the rows ``verts`` of a conforming mesh.
 
-    ``verts`` holds the rows (a, b, v), v the newest node, of a conforming
-    mesh on the nodes 0, ..., n-1, in the order ``TriMesh.uniform_refine``
-    visits them (ascending triangle id).  Every base edge (a, b) gets its
-    midpoint m as a new node and every row is split into (v, a, m) and
-    (b, v, m); a child whose base edge is another row's base edge is split
-    again the same way.  Returns the (k, 3) children, newest node last, in
-    the order and numbering of ``uniform_refine``; the row each child
-    descends from; and the (j, 2) endpoints of the edges whose midpoints
-    are the new nodes n, n + 1, ....  Raises NotRefinable on cyclic
-    newest-node labels.
+    ``verts`` holds the rows (a, b, v), v the newest node, on the nodes 0,
+    ..., n-1, in ascending triangle id.  ``rank`` ranks each row's base
+    edge, -1 where it is not marked; by default every base edge is marked,
+    ranked by its first row.  A split edge (a, b) gets its midpoint m as a
+    new node and each row at it becomes (v, a, m) and (b, v, m).  An edge is
+    split only after the base edge of the other triangle at it, so a marked
+    edge brings that chain of edges with it, and a child whose base edge is
+    split in the pass is split again.  The order is that of splitting the
+    marked edges one by one in rank order, each after its chain: by the
+    lowest rank whose chain holds the edge, then from the chain's end.
+
+    Returns (children, source, final, parents): every child made, newest
+    node last, in order of creation, so the i-th takes the i-th new
+    triangle id; the row each descends from; whether it is left unsplit;
+    and the (j, 2) endpoints, lower first, of the split edges, whose
+    midpoints are the new nodes n, n + 1, ....  Raises NotRefinable on a
+    chain that does not end (cyclic newest-node labels).
     """
     a, b, v = np.asarray(verts, dtype=np.int64).reshape(-1, 3).T
-    key = lambda p, q: np.minimum(p, q) * n + np.maximum(p, q)
-    edges, first, edge = np.unique(key(a, b), return_index=True,
+    rank = np.arange(len(a)) if rank is None else np.asarray(rank)
+    edges, first, edge = np.unique(_pair_key(a, b), return_index=True,
                                    return_inverse=True)
     # the children's base edges (v, a) and (b, v), as indices into edges
     # where they are base edges of rows too, else -1
-    k = np.stack([key(v, a), key(b, v)])
+    k = _pair_key([v, b], [a, v])
     i = np.searchsorted(edges, k)
     left, right = np.where(np.append(edges, -1)[i] == k, i, -1)
-    # an edge is split after the base edge of the other triangle at it;
-    # creation order is by the first row whose chain holds the edge, then
-    # by the edge's distance to the end of the chain
+    # an edge is split after the base edge of the other triangle at it
     after = np.full(len(edges), -1)
     for side in (left, right):
         after[side[side >= 0]] = edge[side >= 0]
-    row, height = first, np.zeros(len(edges), dtype=np.int64)
-    for _ in range(len(edges) + 1):
-        r = first.copy()
-        np.minimum.at(r, after[after >= 0], row[after >= 0])
-        h = np.where(after >= 0, height[after] + 1, 0)
+    link = after >= 0
+    # each edge takes the lowest rank whose chain holds it and its distance
+    # to the end of the chain: a rank runs down a chain, then the distances
+    # run back up, one edge per step
+    free = np.iinfo(np.int64).max
+    start = np.full(len(edges), free)
+    np.minimum.at(start, edge[rank >= 0], rank[rank >= 0])
+    row, height = start, np.zeros(len(edges), dtype=np.int64)
+    for _ in range(2 * len(edges) + 2):
+        r = start.copy()
+        np.minimum.at(r, after[link], row[link])
+        h = np.where(link & (r < free), height[after] + 1, 0)
         if np.array_equal(r, row) and np.array_equal(h, height):
             break
         row, height = r, h
     else:
         raise NotRefinable("base-edge chains do not terminate "
                            "(cyclic newest-node labels)")
-    order = np.lexsort((height, row))
-    t = np.argsort(order)  # the creation rank of each edge
+    split = row < free
+    order = np.flatnonzero(split)[np.lexsort((height[split], row[split]))]
+    t = np.zeros(len(edges), dtype=np.int64)
+    t[order] = np.arange(len(order))  # the creation rank of each split edge
+    # a split makes two children of each triangle at the edge: of its rows
+    # in id order, then of the child that waited for it
+    size = 2 * (np.bincount(edge, minlength=len(edges)) + link)[order]
+    off = np.zeros(len(edges), dtype=np.int64)
+    off[order] = np.cumsum(size) - size
+    left, right = (np.where((s >= 0) & split[s], s, -1) for s in (left, right))
     m, ml, mr = n + t[edge], n + t[left], n + t[right]
-    # a split makes two children per incident triangle: of the rows in
-    # order, then of the earlier split's child
-    te = 4 * t[edge] + 2 * (np.arange(len(a)) != first[edge])
-    tl, tr = 4 * t[left] + 2, 4 * t[right] + 2
+    te = off[edge] + 2 * (np.arange(len(a)) != first[edge])
+    tl, tr = off[left] + 2, off[right] + 2
     cand = np.stack([(v, a, m), (m, v, ml), (a, m, ml),
                      (b, v, m), (m, b, mr), (v, m, mr)]).transpose(0, 2, 1)
     created = np.stack([te, tl, tl + 1, te + 1, tr, tr + 1])
-    keep = np.stack([left < 0, left >= 0, left >= 0,
-                     right < 0, right >= 0, right >= 0])
-    pick = np.argsort(created[keep])
-    source = np.broadcast_to(np.arange(len(a)), keep.shape)[keep][pick]
-    return (cand[keep][pick], source,
-            np.column_stack([edges[order] // n, edges[order] % n]))
+    cut, lcut, rcut = split[edge], left >= 0, right >= 0
+    made = np.stack([cut, lcut, lcut, cut, rcut, rcut])
+    final = np.stack([cut & ~lcut, lcut, lcut, cut & ~rcut, rcut, rcut])
+    pick = np.argsort(created[made])
+    source = np.broadcast_to(np.arange(len(a)), made.shape)[made][pick]
+    return (cand[made][pick], source, final[made][pick],
+            _pair_nodes(edges[order]))
 
 
-class TriTable(namedtuple("TriTable",
-                          ["ids", "verts", "x", "y", "area", "gx", "gy"])):
+def _rows(self, ids):
+    """Rows of the ``ids``; KeyError for an id the table does not hold."""
+    ids = np.asarray(ids, dtype=np.int64)
+    rows = np.searchsorted(self.ids, ids)
+    found = np.append(self.ids, -1)[rows] == ids
+    if not np.all(found):
+        raise KeyError(f"no alive {self.item} with id {ids[~found][0]}")
+    return rows
+
+
+class TriTable(namedtuple("TriTable", ["ids", "verts", "x", "y", "area",
+                                       "gx", "gy", "edges"])):
     """Geometry of every alive triangle, one row per triangle in id order.
 
     Attributes
@@ -108,24 +159,20 @@ class TriTable(namedtuple("TriTable",
     ids : (m,) ndarray
         Triangle ids, ascending.
     verts : (m, 3) ndarray
-        Vertex triples as stored in ``TriMesh.tris``.
+        The (a, b, v) rows: counter-clockwise, newest node v last.
     x, y : (m, 3) ndarray
         Vertex coordinates.
     area : (m,) ndarray
         Signed areas (positive for counter-clockwise triangles).
     gx, gy : (m, 3) ndarray
         Constant gradients of the three local basis functions.
+    edges : (m, 3) ndarray
+        Edge ids of the sides (a, b), (b, v), (v, a); the first is the base
+        edge.
     """
     __slots__ = ()
-
-    def rows(self, ids):
-        """Rows of the triangles ``ids``; KeyError for ids of no alive triangle."""
-        ids = np.asarray(ids, dtype=np.int64)
-        rows = np.searchsorted(self.ids, ids)
-        found = np.append(self.ids, -1)[rows] == ids
-        if not np.all(found):
-            raise KeyError(f"no alive triangle with id {ids[~found][0]}")
-        return rows
+    item = "triangle"
+    rows = _rows
 
     def bary(self, rows, points):
         """Barycentric coordinates of ``points[k]`` in the triangle of row ``rows[k]``."""
@@ -148,39 +195,53 @@ class TriTable(namedtuple("TriTable",
                                 (self.gy * v).sum(axis=1)])
 
 
-class TriMesh:
-    """Mutable conforming triangular mesh with newest-node labels.
+class EdgeTable(namedtuple("EdgeTable", ["ids", "nodes", "tris"])):
+    """Every edge, one row per edge in id order.
 
     Attributes
     ----------
-    xs, ys : list of float
-        Node coordinates.  Nodes are append-only; ids stay contiguous.
-    node_boundary : list of bool
+    ids : (k,) ndarray
+        Edge ids, ascending.
+    nodes : (k, 2) ndarray
+        End nodes, lower id first.
+    tris : (k, 2) ndarray
+        Ids of the incident triangles, ascending; the second is -1 on the
+        boundary.
+    """
+    __slots__ = ()
+    item = "edge"
+    rows = _rows
+
+
+class TriMesh:
+    """Conforming triangular mesh with newest-node labels, held in arrays.
+
+    Attributes
+    ----------
+    points : (n, 2) ndarray
+        Node coordinates.  Node ids are row numbers; nodes are only added.
+    node_boundary : (n,) bool ndarray
         True for nodes lying on the mesh boundary.
-    tris : dict
-        Alive triangles, id -> (n0, n1, n2).  Vertices are counter-clockwise
-        and n2 is the newest node, so (n0, n1) is the base edge.
-    edges : dict
-        Alive edges, id -> (a, b) with a < b.
-    edge_tris : dict
-        Edge id -> list of incident triangle ids (length 1 or 2).
+
+    The triangles are ascending ids with (a, b, v) rows, read through
+    ``tri_table``; the edges are ascending node-pair keys with edge ids,
+    read in id order through ``edge_table``.  A refinement wave replaces the
+    split triangles by their children, which take new ids in order of
+    creation (those split again in the wave use up ids too), and the split
+    edges by new ones, numbered by first appearance over those children.
     """
 
-    def __init__(self):
-        self.xs = []
-        self.ys = []
-        self.node_boundary = []
-        self.tris = {}
-        self.edges = {}
-        self.edge_tris = {}
-        self._edge_key = {}
-        self._next_tri = 0
-        self._next_edge = 0
-        self._locator = None
-        self._points_cache = None
-        self._table = None
-
-    # -- construction ------------------------------------------------------
+    def __init__(self, points, verts):
+        """The mesh of the counter-clockwise (a, b, v) rows ``verts`` on
+        ``points``; ids follow the rows, then the sides' first appearance."""
+        self.points = points
+        self._ids = np.arange(len(verts))
+        self._verts = verts
+        keys, first = np.unique(_sides(verts), return_index=True)
+        self._keys, self._key_ids = keys, np.argsort(np.argsort(first))
+        self._next_tri, self._next_edge = len(verts), len(keys)
+        self.node_boundary = self._derived_boundary()
+        self._bump()
 
     @classmethod
     def from_arrays(cls, points, triangles, newest):
@@ -197,42 +258,29 @@ class TriMesh:
 
         Boundary flags are derived from edge incidence.
         """
-        mesh = cls()
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        pts = np.array(points, dtype=float).reshape(-1, 2)
         if not np.all(np.isfinite(pts)):
             raise ValueError("non-finite node coordinates")
-        mesh.xs, mesh.ys = pts[:, 0].tolist(), pts[:, 1].tolist()
         # (a, b, v) with the newest node v last, then a and b swapped on
         # clockwise triangles
         nw = np.asarray(newest, dtype=int).reshape(-1, 1)
-        abv = np.take_along_axis(np.asarray(triangles, dtype=int).reshape(-1, 3),
-                                 (nw + [1, 2, 0]) % 3, axis=1)
+        abv = np.take_along_axis(
+            np.asarray(triangles, dtype=np.int64).reshape(-1, 3),
+            (nw + [1, 2, 0]) % 3, axis=1)
         (ax, ay), (bx, by), (vx, vy) = pts[abv].transpose(1, 2, 0)
         cw = (bx - ax) * (vy - ay) - (by - ay) * (vx - ax) < 0
         abv[cw, :2] = abv[cw, 1::-1]
-        for a, b, v in abv.tolist():
-            mesh._add_tri(a, b, v)
-        mesh._recompute_boundary_flags()
-        mesh._bump()
-        return mesh
+        return cls(pts, abv)
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def n_nodes(self):
-        return len(self.xs)
+        return len(self.points)
 
     @property
     def n_tris(self):
-        return len(self.tris)
-
-    @property
-    def points(self):
-        """Node coordinates as an (n, 2) array (cached until the mesh changes)."""
-        if self._points_cache is None or len(self._points_cache) != self.n_nodes:
-            self._points_cache = np.column_stack(
-                [np.asarray(self.xs), np.asarray(self.ys)])
-        return self._points_cache
+        return len(self._ids)
 
     @property
     def tri_table(self):
@@ -242,9 +290,7 @@ class TriMesh:
         return self._table
 
     def _build_table(self):
-        ids = np.sort(np.fromiter(self.tris, dtype=np.int64, count=len(self.tris)))
-        verts = np.array([self.tris[t] for t in ids.tolist()],
-                         dtype=np.int64).reshape(-1, 3)
+        verts = self._verts
         x = self.points[:, 0][verts]
         y = self.points[:, 1][verts]
         # b_i = y_j - y_k, c_i = x_k - x_j  (cyclic), grad b_i = (b_i, c_i) / (2T)
@@ -255,168 +301,126 @@ class TriMesh:
         with np.errstate(divide="ignore", invalid="ignore"):
             gx = bcoef / (2.0 * area[:, None])
             gy = ccoef / (2.0 * area[:, None])
-        return TriTable(ids, verts, x, y, area, gx, gy)
+        return TriTable(self._ids, verts, x, y, area, gx, gy,
+                        self._key_ids[self._side_rows()])
 
-    def node_xy(self, n):
-        return self.xs[n], self.ys[n]
-
-    def edge_id(self, a, b):
-        return self._edge_key.get((a, b) if a < b else (b, a))
-
-    def tri_edge_ids(self, t):
-        n0, n1, n2 = self.tris[t]
-        return (self.edge_id(n0, n1), self.edge_id(n1, n2), self.edge_id(n2, n0))
-
-    def base_edge_of(self, t):
-        """Edge id of the edge opposite triangle ``t``'s newest node."""
-        n0, n1, _ = self.tris[t]
-        return self.edge_id(n0, n1)
-
-    def is_interface_base_edge(self, eid):
-        """True when ``eid`` is the base edge of exactly one of two incident triangles."""
-        ts = self.edge_tris[eid]
-        if len(ts) != 2:
-            return False
-        flags = [self.base_edge_of(t) == eid for t in ts]
-        return flags[0] != flags[1]
+    @property
+    def edge_table(self):
+        """The :class:`EdgeTable` of the alive edges (cached until the mesh changes)."""
+        if self._edges is None:
+            tab, order = self.tri_table, np.argsort(self._key_ids)
+            ids = self._key_ids[order]
+            # the sides grouped by edge, the triangle ids ascending in a group
+            at = np.searchsorted(ids, tab.edges.ravel())
+            side = np.argsort(at, kind="stable")
+            tris = np.full((len(ids), 2), -1)
+            tris[at[side], np.append(0, np.diff(at[side]) == 0)] = np.repeat(
+                tab.ids, 3)[side]
+            self._edges = EdgeTable(ids, _pair_nodes(self._keys[order]),
+                                    tris)
+        return self._edges
 
     def refinable_edges(self):
-        """Ids of edges that are base edges of at least one incident triangle."""
-        out = []
-        for eid, ts in self.edge_tris.items():
-            if any(self.base_edge_of(t) == eid for t in ts):
-                out.append(eid)
-        return out
+        """Ids of edges that are base edges of at least one triangle, ascending."""
+        return np.unique(self.tri_table.edges[:, 0])
 
     def boundary_nodes(self):
         """Sorted ids of the boundary nodes, as an integer array."""
-        return np.flatnonzero(np.asarray(self.node_boundary, dtype=bool))
+        return np.flatnonzero(self.node_boundary)
 
     def interior_nodes(self):
         """Sorted ids of the interior nodes, as an integer array."""
-        return np.flatnonzero(~np.asarray(self.node_boundary, dtype=bool))
+        return np.flatnonzero(~self.node_boundary)
 
-    # -- internal mutation ----------------------------------------------------
+    # -- internal state ---------------------------------------------------
 
     def _bump(self):
         """Drop the caches derived from the nodes and triangles."""
         self._locator = None
-        self._points_cache = None
         self._table = None
+        self._edges = None
 
-    def _get_edge(self, a, b):
-        key = (a, b) if a < b else (b, a)
-        eid = self._edge_key.get(key)
-        if eid is None:
-            eid = self._next_edge
-            self._next_edge += 1
-            self._edge_key[key] = eid
-            self.edges[eid] = key
-            self.edge_tris[eid] = []
-        return eid
+    def _side_rows(self):
+        """(m, 3) rows of the edge key table of each triangle's sides."""
+        return np.searchsorted(self._keys, _sides(self._verts))
 
-    def _add_tri(self, a, b, v):
-        tid = self._next_tri
-        self._next_tri += 1
-        self.tris[tid] = (a, b, v)
-        for u, w in ((a, b), (b, v), (v, a)):
-            self.edge_tris[self._get_edge(u, w)].append(tid)
-        return tid
+    def _edge_counts(self):
+        """Number of incident triangles of each edge, in key order."""
+        return np.bincount(self._side_rows().ravel(),
+                           minlength=len(self._keys))
 
-    def _remove_tri(self, tid):
-        a, b, v = self.tris.pop(tid)
-        for u, w in ((a, b), (b, v), (v, a)):
-            eid = self.edge_id(u, w)
-            if eid is not None:
-                self.edge_tris[eid].remove(tid)
-
-    def _delete_edge(self, eid):
-        a, b = self.edges.pop(eid)
-        del self.edge_tris[eid]
-        del self._edge_key[(a, b)]
+    def _derived_boundary(self):
+        """Node flags: True at the ends of the edges of one triangle."""
+        flags = np.zeros(self.n_nodes, dtype=bool)
+        flags[_pair_nodes(self._keys[self._edge_counts() == 1])] = True
+        return flags
 
     # -- refinement -------------------------------------------------------
-
-    def bisect(self, edge_id):
-        """Bisect a (interface) base edge, recursing through coarser neighbours.
-
-        For a base edge shared by a triangle pair both triangles are split at
-        the edge midpoint and the midpoint becomes the newest node of all
-        children.  For an interface base edge the coarse neighbour is refined
-        first until the edge is the base edge of both sides.
-
-        Returns
-        -------
-        list of NewNode
-            One entry per node created, including those from recursion.
-
-        Raises
-        ------
-        NotRefinable
-            If the edge id is dead/unknown or not a (interface) base edge.
-        """
-        if edge_id not in self.edges:
-            raise NotRefinable(f"edge {edge_id} is not an edge of the mesh")
-        if not any(self.base_edge_of(t) == edge_id for t in self.edge_tris[edge_id]):
-            raise NotRefinable(f"edge {edge_id} is not a base edge of any triangle")
-        created = []
-        stack = [edge_id]
-        budget = 8 * len(self.tris) + 64
-        while stack:
-            budget -= 1
-            if budget < 0:
-                raise NotRefinable("base-edge recursion does not terminate "
-                                   "(cyclic newest-node labels)")
-            eid = stack[-1]
-            if eid not in self.edges:  # consumed by earlier recursion
-                stack.pop()
-                continue
-            blockers = [self.base_edge_of(t) for t in self.edge_tris[eid]
-                        if self.base_edge_of(t) != eid]
-            if blockers:
-                stack.extend(blockers)
-                continue
-            stack.pop()
-            created.append(self._split_base_edge(eid))
-        self._bump()
-        return created
-
-    def _split_base_edge(self, eid):
-        # every incident triangle has eid as its base edge at this point
-        a, b = self.edges[eid]
-        incident = [(tid, self.tris[tid]) for tid in self.edge_tris[eid]]
-        for tid, _ in incident:
-            self._remove_tri(tid)
-        self._delete_edge(eid)
-        boundary = len(incident) == 1
-        mid = len(self.xs)
-        self.xs.append(0.5 * (self.xs[a] + self.xs[b]))
-        self.ys.append(0.5 * (self.ys[a] + self.ys[b]))
-        self.node_boundary.append(boundary)
-        for tid, (p, q, v) in incident:
-            # children (p, mid, v) and (mid, q, v), newest node mid
-            self._add_tri(v, p, mid)
-            self._add_tri(q, v, mid)
-        return NewNode(mid, a, b, boundary)
 
     def uniform_refine(self):
         """Bisect every triangle along its base edge once (one pass).
 
-        Two passes halve the mesh size h.  Returns the list of nodes created.
+        Two passes halve the mesh size h.  Returns the list of NewNode
+        records of the nodes created, in creation order.
         """
-        created = []
-        for tid in sorted(self.tris):
-            if tid in self.tris:
-                created.extend(self.bisect(self.base_edge_of(tid)))
-        return created
+        return self._bisect(np.arange(self.n_tris))
 
     def refine_wave(self, marked_edges):
-        """Bisect each marked edge, skipping ids consumed by earlier recursion."""
-        created = []
-        for eid in sorted(marked_edges):
-            if eid in self.edges:
-                created.extend(self.bisect(eid))
-        return created
+        """Bisect the marked edges in ascending id order, each after the
+        chain of base edges that must be split before it; a marked edge
+        that an earlier chain split is not split again.
+
+        Returns the list of NewNode records of the nodes created, in
+        creation order.  Raises NotRefinable for an id that is not an edge
+        of the mesh or not a base edge of any triangle.
+        """
+        marked = np.unique(np.fromiter(marked_edges, dtype=np.int64))
+        base = self.tri_table.edges[:, 0]
+        for eid in marked[~np.isin(marked, base)].tolist():
+            if eid in self._key_ids:
+                raise NotRefinable(f"edge {eid} is not a base edge of any triangle")
+            raise NotRefinable(f"edge {eid} is not an edge of the mesh")
+        rank = np.searchsorted(marked, base)
+        return self._bisect(np.where(np.append(marked, -1)[rank] == base,
+                                     rank, -1))
+
+    def _bisect(self, rank):
+        """One ``bisect_once`` pass over the triangles with base-edge
+        ranks ``rank``; returns the NewNode records."""
+        tab = self.tri_table
+        children, source, final, parents = bisect_once(tab.verts,
+                                                       self.n_nodes, rank)
+        if not len(children):
+            return []
+        n = self.n_nodes
+        split = _pair_key(parents[:, 0], parents[:, 1])
+        boundary = self._edge_counts()[np.searchsorted(self._keys,
+                                                       split)] == 1
+        self.points = np.vstack([self.points, 0.5 * (
+            self.points[parents[:, 0]] + self.points[parents[:, 1]])])
+        self.node_boundary = np.append(self.node_boundary, boundary)
+        kept = np.ones(len(tab.ids), dtype=bool)
+        kept[source] = False
+        self._ids = np.concatenate([tab.ids[kept],
+                                    self._next_tri + np.flatnonzero(final)])
+        self._verts = np.concatenate([tab.verts[kept], children[final]])
+        self._next_tri += len(children)
+        # the split edges go; the new ones are numbered in order of first
+        # appearance over every child, those split again included
+        sides = _sides(children).ravel()
+        new, first = np.unique(sides[~np.isin(sides, self._keys)],
+                               return_index=True)
+        stay = ~np.isin(self._keys, split)
+        keys = np.concatenate([self._keys[stay], new])
+        ids = np.concatenate([self._key_ids[stay],
+                              self._next_edge + np.argsort(np.argsort(first))])
+        order = np.argsort(keys)
+        self._keys, self._key_ids = keys[order], ids[order]
+        self._next_edge += len(new)
+        self._bump()
+        return [NewNode(*ev) for ev in zip(range(n, self.n_nodes),
+                                           *parents.T.tolist(),
+                                           boundary.tolist())]
 
     # -- point location ----------------------------------------------------
 
@@ -496,45 +500,33 @@ class TriMesh:
         """Fraction of interior nodes closer than ``radius`` to a boundary node."""
         if radius <= 0:
             raise ValueError("radius must be positive")
-        flags = np.asarray(self.node_boundary, dtype=bool)
-        interior = self.points[~flags]
+        interior = self.points[~self.node_boundary]
         if len(interior) == 0:
             raise ZeroInterior("mesh has no interior nodes")
-        boundary = self.points[flags]
-        d, _ = cKDTree(boundary).query(interior, k=1)
+        d, _ = cKDTree(self.points[self.node_boundary]).query(interior, k=1)
         return float(np.count_nonzero(d < radius)) / len(interior)
 
     # -- consistency ---------------------------------------------------------
 
     def validate(self):
         """Raise AssertionError if any structural invariant is violated."""
-        for eid, ts in self.edge_tris.items():
-            assert 1 <= len(ts) <= 2, f"edge {eid} has {len(ts)} incident triangles"
-            a, b = self.edges[eid]
-            for t in ts:
-                assert t in self.tris, f"edge {eid} references dead triangle {t}"
-                assert a in self.tris[t] and b in self.tris[t]
-        derived = self._derive_boundary_flags()
-        tab = self.tri_table
-        flipped = tab.ids[~(tab.area > 0)]
-        assert len(flipped) == 0, f"triangle {flipped[0]} is not counter-clockwise"
-        for tid, (a, b, v) in self.tris.items():
-            assert len({a, b, v}) == 3, f"triangle {tid} has repeated vertices"
-            for eid in self.tri_edge_ids(tid):
-                assert eid is not None and tid in self.edge_tris[eid]
-        for n in range(self.n_nodes):
-            assert self.node_boundary[n] == derived[n], f"boundary flag mismatch at node {n}"
-
-    def _derive_boundary_flags(self):
-        flags = [False] * self.n_nodes
-        for eid, ts in self.edge_tris.items():
-            if len(ts) == 1:
-                a, b = self.edges[eid]
-                flags[a] = flags[b] = True
-        return flags
-
-    def _recompute_boundary_flags(self):
-        self.node_boundary = self._derive_boundary_flags()
+        ids, verts, eids = self._ids, self._verts, self._key_ids
+        assert np.all(np.diff(ids) > 0) and np.all(ids < self._next_tri)
+        assert np.all(np.diff(self._keys) > 0)
+        assert len(np.unique(eids)) == len(eids) and np.all(eids < self._next_edge)
+        assert np.all((0 <= verts) & (verts < self.n_nodes))
+        assert len(self.node_boundary) == self.n_nodes
+        lost = ids[~np.isin(_sides(verts), self._keys).all(axis=1)]
+        assert len(lost) == 0, f"a side of triangle {lost[0]} is not an edge"
+        count, tab = self._edge_counts(), self.tri_table
+        for bad, what in (
+                (eids[(count < 1) | (count > 2)], "edge {} has not 1 or 2 triangles"),
+                (ids[np.any(verts == np.roll(verts, 1, axis=1), axis=1)],
+                 "triangle {} has repeated vertices"),
+                (ids[~(tab.area > 0)], "triangle {} is not counter-clockwise"),
+                (np.flatnonzero(self._derived_boundary() != self.node_boundary),
+                 "boundary flag mismatch at node {}")):
+            assert len(bad) == 0, what.format(bad[0])
 
     # -- submesh extraction ---------------------------------------------------
 
@@ -570,7 +562,6 @@ def build_square_mesh(refine_level=0):
     for _ in range(refine_level):
         mesh.uniform_refine()
         mesh.uniform_refine()
-        mesh._recompute_boundary_flags()
     return mesh
 
 
@@ -593,49 +584,60 @@ def trim_to_irregular(mesh, data):
     return mesh.submesh(retained)
 
 
-def _tri_neighbors(mesh, t):
-    out = []
-    for eid in mesh.tri_edge_ids(t):
-        for u in mesh.edge_tris[eid]:
-            if u != t:
-                out.append(u)
-    return out
+def _tri_neighbors(mesh):
+    """Map triangle id -> ascending ids of the triangles across its sides."""
+    tab, et = mesh.tri_table, mesh.edge_table
+    pair = et.tris[et.rows(tab.edges)]
+    other = np.sort(np.where(pair[..., 0] == tab.ids[:, None], pair[..., 1],
+                             pair[..., 0]), axis=1)
+    return {t: [u for u in row if u >= 0]
+            for t, row in zip(tab.ids.tolist(), other.tolist())}
+
+
+def _components_of(neighbors, tri_set):
+    """Edge-connected components of ``tri_set``, largest first, then by
+    lowest id."""
+    comps, seen = [], set()
+    for t in sorted(tri_set):
+        if t not in seen:
+            comp, queue = {t}, [t]
+            while queue:
+                for v in neighbors[queue.pop()]:
+                    if v in tri_set and v not in comp:
+                        comp.add(v)
+                        queue.append(v)
+            seen |= comp
+            comps.append(comp)
+    return sorted(comps, key=lambda c: (-len(c), min(c)))
 
 
 def _connect_components(mesh, bearing):
-    comps = _components_of(mesh, bearing)
-    comps.sort(key=lambda c: (-len(c), min(c)))
-    retained = set(comps[0])
-    pending = comps[1:]
+    """The components of ``bearing`` joined up: from the largest, a
+    breadth-first search through all triangles runs until it reaches
+    another component, which joins with the path to it, until none is
+    left."""
+    neighbors = _tri_neighbors(mesh)
+    retained, *pending = _components_of(neighbors, bearing)
     while pending:
-        # BFS through all triangles until another component is reached
         parent = {t: None for t in retained}
-        frontier = sorted(retained)
-        hit = None
+        frontier, hit = sorted(retained), None
         while frontier and hit is None:
             nxt = []
-            for u in frontier:
-                for v in sorted(_tri_neighbors(mesh, u)):
-                    if v in parent:
-                        continue
+            for u, v in [(u, v) for u in frontier for v in neighbors[u]]:
+                if v not in parent:
                     parent[v] = u
-                    for i, comp in enumerate(pending):
-                        if v in comp:
-                            hit = (v, i)
-                            break
-                    if hit:
+                    hit = next((i for i, comp in enumerate(pending)
+                                if v in comp), None)
+                    if hit is not None:
                         break
                     nxt.append(v)
-                if hit:
-                    break
             frontier = nxt
         if hit is None:
             raise EmptyResult("disconnected data components cannot be bridged")
-        v, i = hit
-        while v is not None and v not in retained:
+        while v not in retained:
             retained.add(v)
             v = parent[v]
-        retained |= pending.pop(i)
+        retained |= pending.pop(hit)
     return retained
 
 
@@ -682,35 +684,14 @@ def mesh_polygon(loops, refine_level=3):
         raise ValueError("degenerate polygon extent")
     centre = 0.5 * (lo + hi)
     mesh = build_square_mesh(refine_level)
-    mesh.xs = (centre[0] + (np.asarray(mesh.xs) - 0.5) * side).tolist()
-    mesh.ys = (centre[1] + (np.asarray(mesh.ys) - 0.5) * side).tolist()
+    mesh.points = centre + (mesh.points - 0.5) * side
     mesh._bump()
     keep = polygon_triangles(mesh, loops)
     if not keep:
         raise EmptyResult("polygon contains no triangle centroid")
     # polygon trimming is authoritative: keep the largest inside component
     # rather than bridging components through outside triangles
-    comps = _components_of(mesh, keep)
-    comps.sort(key=lambda c: (-len(c), min(c)))
-    return mesh.submesh(comps[0])
-
-
-def _components_of(mesh, tri_set):
-    comps, seen = [], set()
-    for t in sorted(tri_set):
-        if t in seen:
-            continue
-        comp, queue = {t}, [t]
-        seen.add(t)
-        while queue:
-            u = queue.pop()
-            for v in _tri_neighbors(mesh, u):
-                if v in tri_set and v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    queue.append(v)
-        comps.append(comp)
-    return comps
+    return mesh.submesh(_components_of(_tri_neighbors(mesh), keep)[0])
 
 
 # -- file formats ------------------------------------------------------------
@@ -721,12 +702,12 @@ def save_mesh(mesh, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{MESH_SCHEMA}\n")
         fh.write(f"nodes {mesh.n_nodes}\n")
-        for n in range(mesh.n_nodes):
-            fh.write(f"{n} {float(mesh.xs[n])!r} {float(mesh.ys[n])!r} "
-                     f"{1 if mesh.node_boundary[n] else 0}\n")
+        for n, (x, y), flag in zip(range(mesh.n_nodes), mesh.points.tolist(),
+                                   mesh.node_boundary.tolist()):
+            fh.write(f"{n} {x!r} {y!r} {1 if flag else 0}\n")
+        tab = mesh.tri_table
         fh.write(f"tris {mesh.n_tris}\n")
-        for t in sorted(mesh.tris):
-            a, b, v = mesh.tris[t]
+        for t, (a, b, v) in zip(tab.ids.tolist(), tab.verts.tolist()):
             fh.write(f"{t} {a} {b} {v} 2\n")
 
 
@@ -790,7 +771,13 @@ def load_mesh(path):
                              line=rows[k + 1 + i][0])
     mesh = TriMesh.from_arrays([nd[1:3] for nd in nodes],
                                [t[1:4] for t in tris], [t[4] for t in tris])
-    if mesh.node_boundary != [nd[3] == "1" for nd in nodes]:
+    sides = mesh._side_rows()
+    crowded = (np.bincount(sides.ravel())[sides] > 2).any(axis=1)
+    for bad, what in ((crowded, "an edge of more than two triangles"),
+                      (~(mesh.tri_table.area > 0), "a triangle of zero area")):
+        if bad.any():
+            raise ParseError(what, line=rows[k + 1 + np.flatnonzero(bad)[-1]][0])
+    if not np.array_equal(mesh.node_boundary, [nd[3] == "1" for nd in nodes]):
         raise ParseError("stored boundary flags contradict edge incidence")
     return mesh
 

@@ -48,6 +48,18 @@ def make_fan_mesh(interior_xy=(0.5, 0.5)):
     return TriMesh.from_arrays(pts, tris, newest=[2] * 5)
 
 
+def edge_between(mesh, a, b):
+    """Id of the edge joining nodes ``a`` and ``b``."""
+    et = mesh.edge_table
+    return int(et.ids[np.all(et.nodes == sorted((a, b)), axis=1)][0])
+
+
+def base_edge(mesh, t):
+    """Id of the base edge of triangle ``t``."""
+    tab = mesh.tri_table
+    return int(tab.edges[tab.rows([t])[0], 0])
+
+
 @pytest.fixture
 def square_mesh():
     return build_square_mesh(0)

@@ -8,7 +8,7 @@ from scipy.spatial import cKDTree
 from tpsfem.assembly import FemSystem
 from tpsfem.boundary import BoundaryValues
 from tpsfem.data import DataSet
-from tpsfem.exceptions import SingularSystem
+from tpsfem.exceptions import NotRefinable, SingularSystem
 from tpsfem.mesh import TriMesh
 from tpsfem.solver import FIELDS, SaddleSystem, _interleaved, saddle_blocks
 from tpsfem.tps import R_CLAMP
@@ -68,12 +68,18 @@ def tri_gradient(points, values):
     return sum(v * g for v, g in zip(values, grads))
 
 
+def tri_items(mesh):
+    """(id, (a, b, v)) of every triangle of a TriMesh, in ascending id."""
+    tab = mesh.tri_table
+    return list(zip(tab.ids.tolist(), map(tuple, tab.verts.tolist())))
+
+
 def dense_L(mesh):
     """Stiffness matrix by per-triangle quadrature of gradient products."""
     n = mesh.n_nodes
     L = np.zeros((n, n))
     pts = mesh.points
-    for t, tri in mesh.tris.items():
+    for t, tri in tri_items(mesh):
         coords = pts[list(tri)]
         _, grads = linear_basis(coords)
         for i in range(3):
@@ -89,7 +95,7 @@ def dense_G(mesh, axis):
     n = mesh.n_nodes
     G = np.zeros((n, n))
     pts = mesh.points
-    for t, tri in mesh.tris.items():
+    for t, tri in tri_items(mesh):
         coords = pts[list(tri)]
         fns, grads = linear_basis(coords)
         for i in range(3):
@@ -104,12 +110,13 @@ def dense_basis(mesh, data):
     """Basis values b(x_i) of the points inside the mesh, one dense row per
     point in data order, from the per-triangle linear basis functions."""
     rows = []
+    tris = dict(tri_items(mesh))
     ids, _ = mesh.locate(data.x)
     for i, p in enumerate(np.asarray(data.x, dtype=float)):
         t = ids[i]
         if t == -1:
             continue
-        nodes = list(mesh.tris[t])
+        nodes = list(tris[t])
         fns, _ = linear_basis(mesh.points[nodes])
         b = np.zeros(mesh.n_nodes)
         b[nodes] = [fn(p[0], p[1]) for fn in fns]
@@ -130,8 +137,8 @@ def consistent_mass_recovered_gradients(mesh, c):
     n = mesh.n_nodes
     M = np.zeros((n, n))
     rhs = np.zeros((n, 2))
-    for t in mesh.tris:
-        nodes = list(mesh.tris[t])
+    for t, tri in tri_items(mesh):
+        nodes = list(tri)
         coords = mesh.points[nodes]
         a = tri_area(coords)
         g = tri_gradient(coords, c[nodes])
@@ -148,13 +155,13 @@ def lumped_mass_recovery_indicators(mesh, c):
     difference to each triangle's gradient integrated by quadrature."""
     pts = mesh.points
     area, grad = {}, {}
-    for t, tri in mesh.tris.items():
+    for t, tri in tri_items(mesh):
         nodes = list(tri)
         area[t] = tri_area(pts[nodes])
         grad[t] = tri_gradient(pts[nodes], c[nodes])
 
     node_tris = {}
-    for t, tri in mesh.tris.items():
+    for t, tri in tri_items(mesh):
         for n in tri:
             node_tris.setdefault(n, []).append(t)
 
@@ -164,8 +171,8 @@ def lumped_mass_recovery_indicators(mesh, c):
                 / sum(area[t] / 3.0 for t in ts))
 
     out = []
-    for t in sorted(mesh.tris):
-        nodes = list(mesh.tris[t])
+    for t, tri in tri_items(mesh):
+        nodes = list(tri)
         fns, _ = linear_basis(pts[nodes])
         d = [recovered(n) - grad[t] for n in nodes]
         out.append(np.sqrt(tri_quad(pts[nodes], lambda x, y: sum(
@@ -360,23 +367,157 @@ def dense_csrbf_gcv_scores(centers, y, rho, phi, grid, probes, seed):
     return np.array(scores)
 
 
+class RefMesh:
+    """Reference newest-node bisection on dicts, one edge at a time.
+
+    ``xs``, ``ys`` and ``node_boundary`` are lists with one entry per node;
+    ``tris`` maps triangle id -> (a, b, v), counter-clockwise with the
+    newest node v last; ``edges`` maps edge id -> (a, b), a < b; and
+    ``edge_tris`` maps edge id -> the incident triangle ids.  Triangles are
+    added one at a time, each taking the next triangle id and giving its
+    sides (a, b), (b, v), (v, a) the next edge ids where they are new.
+    ``bisect`` splits one base edge after recursing through the base edges
+    that block it; ``TriMesh`` must reproduce it exactly.
+    """
+
+    def __init__(self, points, rows):
+        self.xs = [float(p[0]) for p in points]
+        self.ys = [float(p[1]) for p in points]
+        self.tris, self.edges, self.edge_tris, self._key = {}, {}, {}, {}
+        self._next_tri = self._next_edge = 0
+        for a, b, v in rows:
+            self._add_tri(int(a), int(b), int(v))
+        self.node_boundary = [False] * len(self.xs)
+        for eid, ts in self.edge_tris.items():
+            if len(ts) == 1:
+                for n in self.edges[eid]:
+                    self.node_boundary[n] = True
+
+    @classmethod
+    def of(cls, mesh):
+        """The reference copy of a TriMesh whose triangle ids are 0, 1, ...
+        and whose edge ids follow first appearance, as a new mesh's do."""
+        return cls(mesh.points.tolist(), mesh.tri_table.verts.tolist())
+
+    def edge_id(self, a, b):
+        return self._key.get((a, b) if a < b else (b, a))
+
+    def base_edge_of(self, t):
+        a, b, _ = self.tris[t]
+        return self.edge_id(a, b)
+
+    def refinable_edges(self):
+        """Ids of the base edges, ascending."""
+        return sorted({self.base_edge_of(t) for t in self.tris})
+
+    def _add_tri(self, a, b, v):
+        tid = self._next_tri
+        self._next_tri += 1
+        self.tris[tid] = (a, b, v)
+        for u, w in ((a, b), (b, v), (v, a)):
+            key = (u, w) if u < w else (w, u)
+            if key not in self._key:
+                self._key[key] = self._next_edge
+                self.edges[self._next_edge] = key
+                self.edge_tris[self._next_edge] = []
+                self._next_edge += 1
+            self.edge_tris[self._key[key]].append(tid)
+
+    def bisect(self, edge_id):
+        """Split the base edge ``edge_id`` after the base edges blocking it.
+
+        Returns one (node, parent_a, parent_b, boundary) tuple per node
+        created; raises NotRefinable for an id that is not a base edge of
+        the mesh and on a recursion that does not end.
+        """
+        if edge_id not in self.edges:
+            raise NotRefinable(f"edge {edge_id} is not an edge of the mesh")
+        if all(self.base_edge_of(t) != edge_id
+               for t in self.edge_tris[edge_id]):
+            raise NotRefinable(f"edge {edge_id} is not a base edge")
+        created, stack = [], [edge_id]
+        budget = 8 * len(self.tris) + 64
+        while stack:
+            budget -= 1
+            if budget < 0:
+                raise NotRefinable("base-edge recursion does not terminate")
+            eid = stack[-1]
+            if eid not in self.edges:  # consumed by earlier recursion
+                stack.pop()
+                continue
+            blockers = [self.base_edge_of(t) for t in self.edge_tris[eid]
+                        if self.base_edge_of(t) != eid]
+            if blockers:
+                stack.extend(blockers)
+                continue
+            stack.pop()
+            created.append(self._split(eid))
+        return created
+
+    def _split(self, eid):
+        a, b = self.edges.pop(eid)
+        del self._key[(a, b)]
+        incident = [(t, self.tris.pop(t)) for t in self.edge_tris.pop(eid)]
+        for t, tri in incident:
+            for u, w in zip(tri, tri[1:] + tri[:1]):
+                other = self.edge_id(u, w)
+                if other is not None:
+                    self.edge_tris[other].remove(t)
+        mid = len(self.xs)
+        self.xs.append(0.5 * (self.xs[a] + self.xs[b]))
+        self.ys.append(0.5 * (self.ys[a] + self.ys[b]))
+        self.node_boundary.append(len(incident) == 1)
+        for _, (p, q, v) in incident:
+            self._add_tri(v, p, mid)
+            self._add_tri(q, v, mid)
+        return (mid, a, b, len(incident) == 1)
+
+    def uniform_refine(self):
+        """Bisect the base edge of every triangle alive at the start, in
+        ascending id."""
+        created = []
+        for t in sorted(self.tris):
+            if t in self.tris:
+                created += self.bisect(self.base_edge_of(t))
+        return created
+
+    def refine_wave(self, marked):
+        """Bisect the marked edges in ascending id, skipping the ones an
+        earlier recursion split."""
+        created = []
+        for eid in sorted(marked):
+            if eid in self.edges:
+                created += self.bisect(eid)
+        return created
+
+
 def copy_submesh(mesh, tri_ids):
-    """Standalone copy of the triangles ``tri_ids`` of ``mesh``, built one
-    node and one triangle at a time: its nodes in ascending source id, then
-    its triangles in ascending source id, newest-node labels preserved and
-    boundary flags recomputed."""
-    sub = TriMesh()
+    """The RefMesh of the triangles ``tri_ids`` of the TriMesh ``mesh``,
+    built one node and one triangle at a time: its nodes in ascending source
+    id, then its triangles in ascending source id, newest-node labels kept
+    and boundary flags recomputed."""
+    tab = mesh.tri_table
+    rows = dict(zip(tab.ids.tolist(), tab.verts.tolist()))
     tri_ids = sorted(tri_ids)
-    own = sorted({n for t in tri_ids for n in mesh.tris[t]})
-    node_map = {n: i for i, n in enumerate(own)}
-    sub.xs = [mesh.xs[n] for n in own]
-    sub.ys = [mesh.ys[n] for n in own]
-    for t in tri_ids:
-        a, b, v = mesh.tris[t]
-        sub._add_tri(node_map[a], node_map[b], node_map[v])
-    sub._recompute_boundary_flags()
-    sub._bump()
-    return sub
+    own = sorted({n for t in tri_ids for n in rows[t]})
+    index = {n: i for i, n in enumerate(own)}
+    return RefMesh(mesh.points[own].tolist(),
+                   [[index[n] for n in rows[t]] for t in tri_ids])
+
+
+def assert_same_mesh(mesh, ref):
+    """The TriMesh ``mesh`` holds exactly the state of the RefMesh ``ref``:
+    node coordinates and boundary flags, triangle ids and rows, edge ids,
+    end nodes and incident triangles."""
+    tab, et = mesh.tri_table, mesh.edge_table
+    assert mesh.points.tolist() == [[x, y] for x, y in zip(ref.xs, ref.ys)]
+    assert mesh.node_boundary.tolist() == ref.node_boundary
+    assert tab.ids.tolist() == sorted(ref.tris)
+    assert tab.verts.tolist() == [list(ref.tris[t]) for t in sorted(ref.tris)]
+    assert et.ids.tolist() == sorted(ref.edges)
+    assert et.nodes.tolist() == [list(ref.edges[e]) for e in sorted(ref.edges)]
+    assert et.tris.tolist() == [(ref.edge_tris[e] + [-1])[:2]
+                                for e in sorted(ref.edges)]
 
 
 def patch_auxiliary_indicator(s, data, edge_id, alpha, located_by_tri):
@@ -391,20 +532,25 @@ def patch_auxiliary_indicator(s, data, edge_id, alpha, located_by_tri):
     of the data inside it.
     """
     mesh = s.mesh
-    seed = list(mesh.edge_tris[edge_id])
+    tab, et = mesh.tri_table, mesh.edge_table
+    tris = dict(tri_items(mesh))
+    incident = {e: [t for t in ts if t >= 0]
+                for e, ts in zip(et.ids.tolist(), et.tris.tolist())}
+    sides = dict(zip(tab.ids.tolist(), tab.edges.tolist()))
+    seed = incident[edge_id]
     patch = set(seed)
     for t in seed:
-        for eid in mesh.tri_edge_ids(t):
-            patch.update(mesh.edge_tris[eid])
+        for eid in sides[t]:
+            patch.update(incident[eid])
     pt_idx = [i for t in patch for i in located_by_tri.get(t, ())]
     if not pt_idx:
         return 0.0
     patch_tris = sorted(patch)
-    patch_nodes = sorted({n for t in patch_tris for n in mesh.tris[t]})
+    patch_nodes = sorted({n for t in patch_tris for n in tris[t]})
     index = {n: i for i, n in enumerate(patch_nodes)}
     copy = lambda: TriMesh.from_arrays(
         mesh.points[patch_nodes],
-        [[index[n] for n in mesh.tris[t]] for t in patch_tris],
+        [[index[n] for n in tris[t]] for t in patch_tris],
         [2] * len(patch_tris))
     local, coarse = copy(), copy()
     vals = {name: getattr(s, name)[patch_nodes]
@@ -457,7 +603,7 @@ def per_node_boundary_values(strategy, mesh, new_node, neighbors,
     if strategy.kind == "constant":
         return strategy.constant_value, 0.0, 0.0, 0.0, 0.0
     if strategy.kind == "tps_approximation":
-        p = np.array([mesh.node_xy(new_node)])
+        p = mesh.points[[new_node]]
         c = float(strategy.tps.eval(p)[0])
         g = strategy.tps.eval_grad(p)[0]
         proxy = float(strategy.tps.eval_laplacian_proxy(p)[0])
@@ -514,7 +660,7 @@ def polygon_triangles_loop(mesh, loops):
     testing one centroid at a time."""
     pts = mesh.points
     keep = set()
-    for t, (a, b, v) in mesh.tris.items():
+    for t, (a, b, v) in tri_items(mesh):
         centroid = (pts[a] + pts[b] + pts[v]) / 3.0
         if in_polygon_domain(centroid, loops):
             keep.add(t)

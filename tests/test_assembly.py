@@ -173,7 +173,7 @@ class TestNodeOrderInvariance:
         perm = rng.permutation(mesh.n_nodes)
         inv = np.argsort(perm)
         pts = mesh.points[inv]
-        tris = [[int(perm[n]) for n in mesh.tris[t]] for t in sorted(mesh.tris)]
+        tris = perm[mesh.tri_table.verts]
         remesh = TriMesh.from_arrays(pts, tris, [2] * len(tris))
         L2 = assemble_L(remesh).toarray()
         assert np.allclose(L2[np.ix_(perm, perm)], L, atol=1e-12)

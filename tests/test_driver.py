@@ -8,7 +8,7 @@ from tpsfem.indicators import auxiliary_field
 from tpsfem.gcv import GcvConfig
 from tpsfem.mesh import TriMesh, build_square_mesh
 
-from conftest import all_angles, make_interface_strip
+from conftest import all_angles, base_edge, make_interface_strip
 
 
 def small_gcv():
@@ -26,10 +26,18 @@ class TestRunConfig:
         ("boundary", "spline"), ("gamma", 1.5), ("gamma", -0.1),
         ("gamma", np.nan), ("alpha", 0.0), ("alpha", -1e-6),
         ("alpha", np.inf), ("alpha", np.nan), ("alpha", "gcv"),
-        ("alpha", None)])
+        ("alpha", None), ("tps_samples", 9), ("tps_samples", 0),
+        ("tps_samples", -5)])
     def test_setting_it_would_replace_is_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             RunConfig(**{name: value})
+
+    @pytest.mark.parametrize("n, centres", [(6, 6), (40, 10)])
+    def test_spline_takes_at_most_the_data(self, n, centres):
+        # the fewest samples a run accepts, on data with fewer points or more
+        data = normalized_peaks(n, seed=0)
+        _, tps = driver._make_strategy(RunConfig(tps_samples=10), data, 0)
+        assert len(tps.centers) == centres
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
     def test_gamma_bounds_accepted(self, gamma):
@@ -52,7 +60,7 @@ class TestRefineWave:
 
     def test_all_base_edges_equals_uniform_pass(self):
         a = build_square_mesh(0)
-        marked = {a.base_edge_of(t) for t in a.tris}
+        marked = set(a.tri_table.edges[:, 0].tolist())
         a.refine_wave(marked)
         b = build_square_mesh(0)
         b.uniform_refine()
@@ -61,7 +69,7 @@ class TestRefineWave:
 
     def test_staircase_wave_conforming(self):
         mesh = make_interface_strip(6)
-        marked = [mesh.base_edge_of(0), mesh.base_edge_of(5)]
+        marked = [base_edge(mesh, 0), base_edge(mesh, 5)]
         mesh.refine_wave(marked)
         mesh.validate()
 
@@ -197,9 +205,11 @@ def patch_of(mesh, eid, by_tri):
     Triangle ids are never reused, so equal patches mean an unchanged local
     problem: refinement never alters the values of existing nodes.
     """
-    seed = mesh.edge_tris[eid]
-    tris = set(seed).union(*(mesh.edge_tris[e] for t in seed
-                             for e in mesh.tri_edge_ids(t)))
+    tab, et = mesh.tri_table, mesh.edge_table
+    seed = et.tris[et.rows([eid])[0]]
+    seed = seed[seed >= 0]
+    tris = set(et.tris[et.rows(tab.edges[tab.rows(seed)])].ravel().tolist())
+    tris.discard(-1)
     points = sorted(i for t in tris for i in by_tri.get(t, []))
     return frozenset(tris), tuple(points)
 
@@ -231,7 +241,7 @@ class TestAuxiliaryRefresh:
             full = auxiliary_field(smoother, data, alpha, by_tri).values
             assert set(field.values) == set(full)
             for e in list(computed_on):
-                if e not in mesh.edges:
+                if e not in mesh.edge_table.ids:
                     del computed_on[e]
             same = []
             for e, value in field.values.items():

@@ -18,7 +18,8 @@ from tpsfem.solver import SaddleSystem, Smoother
 from conftest import failing_splu, make_unit_right_triangle, perturbed_splu
 from oracles import (consistent_mass_recovered_gradients,
                      lumped_mass_recovery_indicators,
-                     patch_auxiliary_indicator, tri_area, tri_gradient)
+                     patch_auxiliary_indicator, tri_area, tri_gradient,
+                     tri_items)
 from test_solver import linear_problem
 
 
@@ -32,20 +33,20 @@ class TestRecovery:
     def test_zero_on_linear_surface(self):
         mesh = build_square_mesh(1)
         s, _, _ = linear_smoother(mesh)
-        for eta in recovery_indicator(s, list(mesh.tris)[:20]):
+        for eta in recovery_indicator(s, mesh.tri_table.ids[:20]):
             assert eta <= 1e-8
 
     def test_symmetric_hat_function(self):
         # single interior hat on a symmetric mesh: symmetric triangles agree
         mesh = build_square_mesh(0)
-        centre = next(n for n in range(25)
-                      if abs(mesh.xs[n] - 0.5) < 1e-12
-                      and abs(mesh.ys[n] - 0.5) < 1e-12)
+        centre = next(n for n, p in enumerate(mesh.points)
+                      if np.abs(p - 0.5).max() < 1e-12)
         c = np.zeros(25)
         c[centre] = 1.0
         s = Smoother(mesh=mesh, c=c, g1=np.zeros(25), g2=np.zeros(25),
                      w=np.zeros(25), alpha=1.0)
-        fan = sorted(t for t, tri in mesh.tris.items() if centre in tri)
+        tab = mesh.tri_table
+        fan = tab.ids[(tab.verts == centre).any(axis=1)]
         etas = dict(zip(fan, recovery_indicator(s, fan)))
         vals = sorted(etas.values())
         # 8 incident triangles in two symmetry classes at most
@@ -61,11 +62,11 @@ class TestRecovery:
         s = Smoother(mesh=mesh, c=c, g1=np.zeros(mesh.n_nodes),
                      g2=np.zeros(mesh.n_nodes), w=np.zeros(mesh.n_nodes),
                      alpha=1.0)
-        lumped = recovery_indicator(s, list(mesh.tris))
+        lumped = recovery_indicator(s, mesh.tri_table.ids)
         oracle = []
         recovered = consistent_mass_recovered_gradients(mesh, c)
-        for t in mesh.tris:
-            nodes = list(mesh.tris[t])
+        for _, tri in tri_items(mesh):
+            nodes = list(tri)
             g = tri_gradient(mesh.points[nodes], c[nodes])
             d = recovered[nodes] - g
             area = tri_area(mesh.points[nodes])
@@ -79,20 +80,20 @@ class TestRecovery:
         mesh = build_square_mesh(0)
         rng = np.random.default_rng(4)
         for _ in range(3):
-            edges = sorted(mesh.refinable_edges())
+            edges = mesh.refinable_edges()
             mesh.refine_wave(rng.choice(edges, size=len(edges) // 4,
                                         replace=False).tolist())
         c = rng.normal(size=mesh.n_nodes)
         zeros = np.zeros(mesh.n_nodes)
         s = Smoother(mesh=mesh, c=c, g1=zeros, g2=zeros, w=zeros, alpha=1.0)
         ref = lumped_mass_recovery_indicators(mesh, c)
-        eta = recovery_indicator(s, sorted(mesh.tris))
+        eta = recovery_indicator(s, mesh.tri_table.ids)
         assert np.allclose(eta, ref, rtol=1e-12, atol=1e-12 * ref.max())
 
     def test_pure_function_repeatable(self):
         mesh = build_square_mesh(0)
         s, _, _ = linear_smoother(mesh, seed=5)
-        t = [next(iter(mesh.tris))]
+        t = mesh.tri_table.ids[:1]
         assert recovery_indicator(s, t) == recovery_indicator(s, t)
 
     def test_relabeling_invariance(self):
@@ -101,16 +102,16 @@ class TestRecovery:
         c = rng.normal(size=25)
         zeros = np.zeros(25)
         s = Smoother(mesh=mesh, c=c, g1=zeros, g2=zeros, w=zeros, alpha=1.0)
-        etas = recovery_indicator(s, sorted(mesh.tris))
+        etas = recovery_indicator(s, mesh.tri_table.ids)
         perm = rng.permutation(25)
         inv = np.argsort(perm)
         # new node i corresponds to old node inv[i]
         pts = mesh.points[inv]
-        tris = [[int(perm[n]) for n in mesh.tris[t]] for t in sorted(mesh.tris)]
+        tris = perm[mesh.tri_table.verts]
         mesh2 = TriMesh.from_arrays(pts, tris, [2] * len(tris))
         s2 = Smoother(mesh=mesh2, c=c[inv], g1=zeros, g2=zeros, w=zeros,
                       alpha=1.0)
-        etas2 = recovery_indicator(s2, sorted(mesh2.tris))
+        etas2 = recovery_indicator(s2, mesh2.tri_table.ids)
         assert np.allclose(etas, etas2, atol=1e-12)
 
 
@@ -119,7 +120,7 @@ class TestAuxiliary:
         mesh = build_square_mesh(0)
         s, data, _ = linear_smoother(mesh)
         empty = DataSet(np.array([[5.0, 5.0]]), np.array([0.0]))
-        eid = next(iter(mesh.edges))
+        eid = int(mesh.edge_table.ids[0])
         assert auxiliary_indicator(s, empty, eid, 1e-4) == 0.0
 
     def test_small_on_linear_data(self):
@@ -141,9 +142,11 @@ class TestAuxiliary:
         field = auxiliary_field(s, data, 1e-6)
         # edges in the oscillatory core carry larger eta than the flat rim
         pts = mesh.points
+        et = mesh.edge_table
+        ends = dict(zip(et.ids.tolist(), et.nodes.tolist()))
         core, rim = [], []
         for eid, eta in field.values.items():
-            a, b = mesh.edges[eid]
+            a, b = ends[eid]
             mid = 0.5 * (pts[a] + pts[b])
             if np.all(np.abs(mid - 0.5) < 0.2):
                 core.append(eta)
@@ -207,7 +210,7 @@ class TestAuxiliaryBatch:
         s, data = oracle_case(name)
         mesh = s.mesh
         by_tri = locate_by_tri(mesh, data)
-        edges = sorted(mesh.edges)  # boundary and non-refinable edges too
+        edges = mesh.edge_table.ids  # boundary and non-refinable edges too
         got = auxiliary_indicators(s, data, edges, 1e-5, by_tri)
         ref = np.array([patch_auxiliary_indicator(s, data, e, 1e-5, by_tri)
                         for e in edges])
@@ -223,7 +226,7 @@ class TestAuxiliaryBatch:
         mesh = make_unit_right_triangle()
         s = random_surface(mesh, seed=0)
         data = DataSet(np.array([[0.2, 0.2], [0.5, 0.1]]), np.ones(2))
-        edges = sorted(mesh.edges)
+        edges = mesh.edge_table.ids.tolist()
         by_tri = locate_by_tri(mesh, data)
         ref = [patch_auxiliary_indicator(s, data, e, 1e-4, by_tri)
                for e in edges]
@@ -233,7 +236,7 @@ class TestAuxiliaryBatch:
 
     def test_single_edge_is_batch_entry(self):
         s, data = oracle_case("square-1")
-        edges = sorted(s.mesh.edges)
+        edges = s.mesh.edge_table.ids
         etas = auxiliary_indicators(s, data, edges, 1e-4)
         assert auxiliary_indicator(s, data, edges[7], 1e-4) == etas[7]
         assert auxiliary_indicators(s, data, [], 1e-4).shape == (0,)
@@ -258,9 +261,9 @@ class TestAuxiliaryBatch:
         diag = err.value.diagnostics
         assert set(diag) == {"residual", "unknowns"}
         assert diag["residual"] > 1e-9
-        patches = [sorted(_patch_triangles(s.mesh, e)[0]) for e in edges]
+        patches = [p for p, _ in _patch_triangles(s.mesh, edges)]
         fem = patch_system(s, data, [p for p in patches
-                                     if any(t in by_tri for t in p)],
+                                     if any(t in by_tri for t in p.tolist())],
                            by_tri)[0]
         assert diag["unknowns"] == 4 * len(fem.mesh.interior_nodes())
 

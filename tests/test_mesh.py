@@ -7,10 +7,10 @@ from tpsfem.mesh import (TriMesh, bisect_once, build_square_mesh, load_mesh,
                          load_polygon, mesh_polygon, polygon_triangles,
                          save_mesh, save_polygon, trim_to_irregular)
 
-from conftest import (all_angles, make_fan_mesh, make_interface_strip,
-                      make_two_triangle_square, make_unit_right_triangle,
-                      total_area)
-from oracles import copy_submesh, polygon_triangles_loop
+from conftest import (all_angles, base_edge, edge_between, make_fan_mesh,
+                      make_interface_strip, make_two_triangle_square,
+                      make_unit_right_triangle, total_area)
+from oracles import assert_same_mesh, copy_submesh, polygon_triangles_loop
 
 _ANGLES = np.linspace(0.0, 2.0 * np.pi, 36, endpoint=False)
 
@@ -55,9 +55,8 @@ class TestBuildSquareMesh:
 
     def test_boundary_flags(self):
         mesh = build_square_mesh(0)
-        for n in range(mesh.n_nodes):
-            on_edge = (min(abs(mesh.xs[n]), abs(mesh.xs[n] - 1),
-                           abs(mesh.ys[n]), abs(mesh.ys[n] - 1)) < 1e-12)
+        for n, (x, y) in enumerate(mesh.points):
+            on_edge = min(abs(x), abs(x - 1), abs(y), abs(y - 1)) < 1e-12
             assert mesh.node_boundary[n] == on_edge
 
     def test_negative_level_rejected(self):
@@ -68,8 +67,8 @@ class TestBuildSquareMesh:
 class TestBisect:
     def test_interior_pair(self):
         mesh = make_two_triangle_square()
-        eid = mesh.edge_id(0, 2)
-        new = {ev.node for ev in mesh.bisect(eid)}
+        eid = edge_between(mesh, 0, 2)
+        new = {ev.node for ev in mesh.refine_wave([eid])}
         assert len(new) == 1
         assert mesh.n_nodes == 5
         assert mesh.n_tris == 4
@@ -78,8 +77,8 @@ class TestBisect:
 
     def test_boundary_edge_single_split(self):
         mesh = make_unit_right_triangle()
-        eid = mesh.edge_id(0, 1)
-        new = {ev.node for ev in mesh.bisect(eid)}
+        eid = edge_between(mesh, 0, 1)
+        new = {ev.node for ev in mesh.refine_wave([eid])}
         assert len(new) == 1
         assert mesh.n_tris == 2
         mid = next(iter(new))
@@ -88,32 +87,34 @@ class TestBisect:
 
     def test_midpoint_becomes_newest_of_children(self):
         mesh = make_two_triangle_square()
-        mesh.bisect(mesh.edge_id(0, 2))
-        for _, (_, _, v) in mesh.tris.items():
-            assert v == 4  # the created midpoint
+        mesh.refine_wave([edge_between(mesh, 0, 2)])
+        assert np.all(mesh.tri_table.verts[:, 2] == 4)  # the created midpoint
 
     def test_invalid_edge_id(self):
         mesh = make_two_triangle_square()
-        with pytest.raises(NotRefinable):
-            mesh.bisect(999)
+        with pytest.raises(NotRefinable, match="not an edge"):
+            mesh.refine_wave([999])
 
     def test_non_base_edge_rejected(self):
         mesh = make_two_triangle_square()
-        with pytest.raises(NotRefinable):
-            mesh.bisect(mesh.edge_id(0, 1))  # leg, not a base edge
+        with pytest.raises(NotRefinable, match="not a base edge"):
+            mesh.refine_wave([edge_between(mesh, 0, 1)])  # a leg
 
     def test_interface_chain_recursion_terminates(self):
         # chain depth 2k-1 = 3 for k = 2
         mesh = make_interface_strip(2)
-        eid = mesh.base_edge_of(0)
-        assert mesh.is_interface_base_edge(eid)
-        mesh.bisect(eid)
+        eid = base_edge(mesh, 0)
+        # the base edge of one of its two triangles only
+        et = mesh.edge_table
+        ts = et.tris[et.rows([eid])[0]]
+        assert sorted(base_edge(mesh, t) == eid for t in ts) == [False, True]
+        mesh.refine_wave([eid])
         mesh.validate()
         assert abs(total_area(mesh) - 2.0) < 1e-12
 
     def test_interface_chain_depth_ten(self):
         mesh = make_interface_strip(8)  # chain depth 15
-        mesh.bisect(mesh.base_edge_of(0))
+        mesh.refine_wave([base_edge(mesh, 0)])
         mesh.validate()
         # every strip triangle was forced to split
         assert mesh.n_tris >= 2 * 16
@@ -122,10 +123,12 @@ class TestBisect:
         # every fan triangle's base edge is the next one's leg: the chain
         # of blocking base edges closes on itself
         mesh = make_fan_mesh()
-        mesh = TriMesh.from_arrays(mesh.points, list(mesh.tris.values()),
+        mesh = TriMesh.from_arrays(mesh.points, mesh.tri_table.verts,
                                    [0] * mesh.n_tris)
         with pytest.raises(NotRefinable):
-            mesh.bisect(mesh.base_edge_of(0))
+            mesh.refine_wave([base_edge(mesh, 0)])
+        with pytest.raises(NotRefinable):
+            mesh.uniform_refine()
         with pytest.raises(NotRefinable):
             bisect_once(mesh.tri_table.verts, mesh.n_nodes)
 
@@ -142,9 +145,9 @@ class TestBisect:
 
 class TestUniformRefine:
     def test_one_pass_bisects_every_triangle(self, square_mesh):
-        before = set(square_mesh.tris)
+        before = set(square_mesh.tri_table.ids.tolist())
         square_mesh.uniform_refine()
-        assert not before & set(square_mesh.tris)
+        assert not before & set(square_mesh.tri_table.ids.tolist())
         assert square_mesh.n_tris == 64
         square_mesh.validate()
 
@@ -157,10 +160,9 @@ class TestUniformRefine:
 
 class TestLocate:
     def test_centroid_resolves_to_triangle(self, square_mesh):
-        pts = square_mesh.points
-        for t, (a, b, v) in list(square_mesh.tris.items())[:8]:
-            c = (pts[a] + pts[b] + pts[v]) / 3.0
-            assert square_mesh.locate([c])[0][0] == t
+        tab = square_mesh.tri_table
+        centroid = square_mesh.points[tab.verts[:8]].mean(axis=1)
+        assert np.array_equal(square_mesh.locate(centroid)[0], tab.ids[:8])
 
     def test_outside_returns_none(self, square_mesh):
         assert square_mesh.locate([(1.5, 0.5)])[0][0] == -1
@@ -168,11 +170,11 @@ class TestLocate:
 
     def test_shared_vertex_lowest_id(self, square_mesh):
         # node at (0.25, 0.25) is shared by several triangles
-        nid = next(n for n in range(25)
-                   if abs(square_mesh.xs[n] - 0.25) < 1e-12
-                   and abs(square_mesh.ys[n] - 0.25) < 1e-12)
-        incident = sorted(t for t, tri in square_mesh.tris.items() if nid in tri)
-        assert square_mesh.locate([(0.25, 0.25)])[0][0] == incident[0]
+        nid = next(n for n, p in enumerate(square_mesh.points)
+                   if np.abs(p - 0.25).max() < 1e-12)
+        tab = square_mesh.tri_table
+        incident = tab.ids[(tab.verts == nid).any(axis=1)]
+        assert square_mesh.locate([(0.25, 0.25)])[0][0] == incident.min()
 
     def test_total_on_domain(self):
         mesh = build_square_mesh(1)
@@ -210,11 +212,8 @@ class TestNearBoundaryRatio:
 
 class TestTrim:
     def test_all_triangles_bearing_keeps_mesh(self, square_mesh):
-        pts = square_mesh.points
-        cents = []
-        for t, (a, b, v) in square_mesh.tris.items():
-            cents.append((pts[a] + pts[b] + pts[v]) / 3.0)
-        data = DataSet(np.asarray(cents), np.zeros(len(cents)))
+        cents = square_mesh.points[square_mesh.tri_table.verts].mean(axis=1)
+        data = DataSet(cents, np.zeros(len(cents)))
         out = trim_to_irregular(square_mesh, data)
         assert out.n_tris == square_mesh.n_tris
         assert out.n_nodes == square_mesh.n_nodes
@@ -240,15 +239,17 @@ class TestTrim:
         out = trim_to_irregular(mesh, DataSet(x, np.zeros(100)))
         out.validate()
         # edge-connected: one component
-        seen, stack = set(), [next(iter(out.tris))]
+        tab, et = out.tri_table, out.edge_table
+        seen, stack = set(), [int(tab.ids[0])]
         while stack:
             t = stack.pop()
             if t in seen:
                 continue
             seen.add(t)
-            for eid in out.tri_edge_ids(t):
-                stack.extend(u for u in out.edge_tris[eid] if u not in seen)
-        assert seen == set(out.tris)
+            for pair in et.tris[et.rows(tab.edges[tab.rows([t])[0]])]:
+                stack.extend(u for u in pair.tolist()
+                             if u >= 0 and u not in seen)
+        assert seen == set(tab.ids.tolist())
 
 
 class TestSubmesh:
@@ -258,7 +259,7 @@ class TestSubmesh:
         if case == "trimmed":
             rng = np.random.default_rng(4)
             for _ in range(3):
-                edges = sorted(mesh.refinable_edges())
+                edges = mesh.refinable_edges()
                 mesh.refine_wave(rng.choice(edges, size=len(edges) // 5,
                                             replace=False).tolist())
             ids, _ = mesh.locate(rng.uniform(0.05, 0.6, size=(300, 2)))
@@ -266,10 +267,8 @@ class TestSubmesh:
         else:
             keep = polygon_triangles(mesh, [np.asarray(l, dtype=float)
                                             for l in POLYGONS[case]])
-        got, ref = mesh.submesh(keep), copy_submesh(mesh, keep)
-        for name in ("tris", "edges", "edge_tris", "node_boundary", "xs",
-                     "ys"):
-            assert getattr(got, name) == getattr(ref, name), name
+        got = mesh.submesh(keep)
+        assert_same_mesh(got, copy_submesh(mesh, keep))
         got.validate()
 
 
@@ -324,7 +323,7 @@ class TestPolygon:
 class TestMeshIO:
     def test_roundtrip(self, tmp_path):
         mesh = build_square_mesh(0)
-        mesh.refine_wave([mesh.base_edge_of(next(iter(mesh.tris)))])
+        mesh.refine_wave([base_edge(mesh, 0)])
         path = tmp_path / "mesh.txt"
         save_mesh(mesh, path)
         back = load_mesh(path)
@@ -332,11 +331,10 @@ class TestMeshIO:
         assert back.n_nodes == mesh.n_nodes
         assert back.n_tris == mesh.n_tris
         assert np.allclose(back.points, mesh.points[np.arange(mesh.n_nodes)])
-        # newest-node structure preserved: same base edge vertex sets
-        orig = sorted(frozenset(mesh.edges[mesh.base_edge_of(t)]) for t in mesh.tris)
-        new = sorted(frozenset(back.edges[back.base_edge_of(t)]) for t in back.tris)
-        # node ids are renumbered in creation order, which save preserves
-        assert len(orig) == len(new)
+        # newest-node structure preserved: the same (a, b, v) rows, on the
+        # node ids that save keeps
+        assert np.array_equal(back.tri_table.verts, mesh.tri_table.verts)
+        assert np.array_equal(back.node_boundary, mesh.node_boundary)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "mesh.txt"
@@ -351,8 +349,12 @@ class TestMeshIO:
         (lambda lines: lines[:1] + ["nodes many"] + lines[2:], 2),
         (lambda lines: lines[:-1] + ["1 0 2 99 2"], None),
         (lambda lines: lines[:-1] + ["1 0 2 3 5"], None),
+        # a copy of triangle 0: its base edge gets a third triangle
+        (lambda lines: lines[:-1] + ["31 6 0 1 2"], None),
+        # three nodes on the bottom side of the square
+        (lambda lines: lines[:-1] + ["31 0 1 2 2"], None),
     ], ids=["one-node", "no-last-triangle", "coordinate", "count", "node-id",
-            "newest"])
+            "newest", "three-triangles-at-an-edge", "zero-area"])
     def test_malformed_mesh_file(self, tmp_path, edit, line):
         path = tmp_path / "mesh.txt"
         save_mesh(build_square_mesh(0), path)
@@ -366,18 +368,19 @@ class TestMeshIO:
 class TestNewestNodeLabels:
     def test_children_newest_is_created_midpoint(self, square_mesh):
         before = square_mesh.n_nodes
-        old = set(square_mesh.tris)
-        events = square_mesh.bisect(square_mesh.base_edge_of(0))
+        old = square_mesh.tri_table.ids
+        events = square_mesh.refine_wave([base_edge(square_mesh, 0)])
         new_ids = {ev.node for ev in events}
         assert new_ids == {before}
         # triangle ids are never reused: the children are the new ids
-        children = set(square_mesh.tris) - old
-        assert len(children) == 4
-        for t in children:
-            assert square_mesh.tris[t][2] in new_ids
+        tab = square_mesh.tri_table
+        children = ~np.isin(tab.ids, old)
+        assert np.count_nonzero(children) == 4
+        assert set(tab.verts[children, 2].tolist()) == new_ids
 
     def test_node_parents_recorded(self, square_mesh):
-        events = square_mesh.bisect(square_mesh.base_edge_of(0))
+        events = square_mesh.refine_wave([base_edge(square_mesh, 0)])
         ev = events[0]
-        px = 0.5 * (square_mesh.xs[ev.parent_a] + square_mesh.xs[ev.parent_b])
-        assert abs(square_mesh.xs[ev.node] - px) < 1e-15
+        x = square_mesh.points[:, 0]
+        px = 0.5 * (x[ev.parent_a] + x[ev.parent_b])
+        assert abs(x[ev.node] - px) < 1e-15

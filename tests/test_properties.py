@@ -12,14 +12,17 @@ from tpsfem.assembly import assemble_G, assemble_L
 from tpsfem.boundary import BoundaryStrategy, constant_boundary_values
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.driver import _NodeValues
+from tpsfem.exceptions import NotRefinable
 from tpsfem.indicators import locate_by_tri, patch_system
 from tpsfem.mesh import (BARY_TOL, TriMesh, bisect_once, build_square_mesh,
                          fill_new_nodes, trim_to_irregular)
 from tpsfem.solver import FIELDS, SaddleSystem, Smoother, rmse
 from tpsfem.tps import SamplePlan, fit_tps, sample, select_alpha_tps
 
-from conftest import all_angles, make_interface_strip, total_area
-from oracles import copy_submesh, linear_basis, per_event_extend
+from conftest import (all_angles, base_edge, make_fan_mesh,
+                      make_interface_strip, total_area)
+from oracles import (RefMesh, assert_same_mesh, copy_submesh, linear_basis,
+                     per_event_extend, tri_items)
 from test_solver import linear_problem
 
 #: indices into the sorted refinable edges, one bisection each
@@ -43,8 +46,8 @@ OUTSIDE = (1e-9, 1e-3)
 def refined_square(picks):
     mesh = build_square_mesh(0)
     for i in picks:
-        edges = sorted(mesh.refinable_edges())
-        mesh.bisect(edges[i % len(edges)])
+        edges = mesh.refinable_edges()
+        mesh.refine_wave([edges[i % len(edges)]])
     return mesh
 
 
@@ -53,8 +56,8 @@ def brute_force_locate(mesh, pts):
     barycentric coordinates there, testing every triangle."""
     ids = np.full(len(pts), -1)
     bary = np.full((len(pts), 3), np.nan)
-    for t in sorted(mesh.tris):
-        nodes = list(mesh.tris[t])
+    for t, tri in tri_items(mesh):
+        nodes = list(tri)
         fns, _ = linear_basis(mesh.points[nodes])
         b = np.column_stack([fn(pts[:, 0], pts[:, 1]) for fn in fns])
         new = (ids == -1) & (b.min(axis=1) >= -BARY_TOL)
@@ -66,7 +69,7 @@ def brute_force_locate(mesh, pts):
 def probe_points(mesh, grid, loose):
     """Vertices, edge midpoints, points just outside the hull and the drawn ones."""
     p = mesh.points
-    edges = np.array(list(mesh.edges.values()))
+    edges = mesh.edge_table.nodes
     u = p[mesh.boundary_nodes()][:, 0]
     outside = [np.column_stack([u, np.full_like(u, v)])
                for d in OUTSIDE for v in (-d, 1.0 + d)]
@@ -134,7 +137,7 @@ def test_assembled_matrices_identities(picks):
 def random_patches(mesh, rng, count=5):
     """``count`` random sets of 1 to 6 triangles of ``mesh``; sets may
     overlap, as the patches of neighbouring edges do."""
-    ids = sorted(mesh.tris)
+    ids = mesh.tri_table.ids
     return [rng.choice(ids, size=rng.integers(1, 7), replace=False)
             for _ in range(count)]
 
@@ -149,18 +152,19 @@ def refined_copy(mesh, patches):
     verts = tab.verts[tab.rows(np.concatenate(patches))]
     keys, local = np.unique(patch[:, None] * mesh.n_nodes + verts,
                             return_inverse=True)
-    children, source, parents = bisect_once(local, len(keys))
+    children, source, final, parents = bisect_once(local, len(keys))
     pts = mesh.points[keys % mesh.n_nodes]
     pts = np.vstack([pts, pts[parents].mean(axis=1)])
-    return (TriMesh.from_arrays(pts, children, [2] * len(children)),
-            patch[source])
+    return (TriMesh.from_arrays(pts, children[final], [2] * final.sum()),
+            patch[source[final]])
 
 
-def coordinate_triples(mesh, tri_ids):
-    """Sorted vertex coordinates of the triangles ``tri_ids``, each in
-    stored vertex order (so the newest-node label is compared too)."""
-    return sorted(tuple(mesh.node_xy(n) for n in mesh.tris[t])
-                  for t in tri_ids)
+def coordinate_triples(points, rows):
+    """Sorted vertex coordinates of the (a, b, v) ``rows`` on ``points``,
+    each in stored vertex order (so the newest-node label is compared
+    too)."""
+    return sorted(tuple(tuple(map(float, points[n])) for n in row)
+                  for row in rows)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -184,8 +188,10 @@ def test_stacked_patches_refine_as_alone(picks, seed):
     for p, tris in enumerate(patches):
         alone = copy_submesh(mesh, tris)
         alone.uniform_refine()
-        assert (coordinate_triples(local, local.tri_table.ids[patch == p])
-                == coordinate_triples(alone, alone.tris))
+        assert (coordinate_triples(local.points,
+                                   local.tri_table.verts[patch == p])
+                == coordinate_triples(list(zip(alone.xs, alone.ys)),
+                                      alone.tris.values()))
 
 
 def check_uniform_pass(mesh):
@@ -193,9 +199,10 @@ def check_uniform_pass(mesh):
     numbering included: the same children in the same order, the same new
     nodes, and every child inside its source triangle."""
     tab = mesh.tri_table
-    children, source, parents = bisect_once(tab.verts, mesh.n_nodes)
+    children, source, final, parents = bisect_once(tab.verts, mesh.n_nodes)
     n = mesh.n_nodes
     events = mesh.uniform_refine()
+    children, source = children[final], source[final]
     assert np.array_equal(children, mesh.tri_table.verts)
     assert [e.node for e in events] == list(range(n, mesh.n_nodes))
     assert np.array_equal(np.sort(parents, axis=1),
@@ -282,7 +289,7 @@ def test_wave_values_match_per_event_fill(trimmed, kind, marks, seed,
     values.table = np.random.default_rng(seed).normal(size=(mesh.n_nodes, 5))
     arrays = dict(zip(("c", "g1", "g2", "w", "w_proxy"), values.table.T))
     for picks in marks:
-        edges = sorted(mesh.refinable_edges())
+        edges = mesh.refinable_edges()
         events = mesh.refine_wave({edges[i % len(edges)] for i in picks})
         values.extend(mesh, events, strategy, alpha)
         arrays = per_event_extend(arrays, mesh, events, strategy, alpha)
@@ -303,8 +310,8 @@ def test_fill_new_nodes_reproduces_linear_field(picks, coeffs):
     old = mesh.n_nodes
     events = []
     for i in picks:
-        edges = sorted(mesh.refinable_edges())
-        events += mesh.bisect(edges[i % len(edges)])
+        edges = mesh.refinable_edges()
+        events += mesh.refine_wave([edges[i % len(edges)]])
     a, b, c = coeffs
     exact = a + mesh.points @ np.array([b, c])
     values = np.zeros((mesh.n_nodes, 2))
@@ -312,3 +319,63 @@ def test_fill_new_nodes_reproduces_linear_field(picks, coeffs):
     fill_new_nodes(values, events, np.arange(mesh.n_nodes) < old)
     assert np.allclose(values, np.column_stack([exact, -exact]), rtol=0,
                        atol=1e-12)
+
+
+# -- refinement against the reference recursion ---------------------------------
+
+#: one wave each: None for ``uniform_refine``, else indices into the
+#: refinable edges, each marked
+mixed_waves = st.lists(st.one_of(st.none(),
+                                 st.lists(st.integers(0, 10 ** 6),
+                                          min_size=1, max_size=12)),
+                       min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(trim=st.one_of(st.none(), st.integers(0, 2 ** 16)), marks=mixed_waves)
+def test_refinement_matches_reference(trim, marks):
+    # the array waves reproduce the per-edge recursion exactly: node
+    # coordinates and flags, triangle ids and rows, edge ids, and the
+    # NewNode list in creation order
+    mesh = build_square_mesh(0)
+    if trim is not None:
+        rng = np.random.default_rng(trim)
+        lo = rng.uniform(0.0, 0.5, size=2)
+        x = lo + rng.uniform(0.0, 0.5, size=(40, 2))
+        mesh = trim_to_irregular(build_square_mesh(2),
+                                 DataSet(x, np.zeros(len(x))))
+    ref = RefMesh.of(mesh)
+    assert_same_mesh(mesh, ref)
+    for picks in marks:
+        if picks is None:
+            got, want = mesh.uniform_refine(), ref.uniform_refine()
+        else:
+            edges = ref.refinable_edges()
+            marked = {edges[i % len(edges)] for i in picks}
+            got, want = mesh.refine_wave(marked), ref.refine_wave(marked)
+        assert got == want
+        assert_same_mesh(mesh, ref)
+    mesh.validate()
+
+
+def test_refinement_rejects_what_the_reference_rejects():
+    # cyclic newest-node labels, a leg and an unknown id
+    fan = make_fan_mesh()
+    fan = TriMesh.from_arrays(fan.points, fan.tri_table.verts, [0] * 5)
+    ref = RefMesh.of(fan)
+    with pytest.raises(NotRefinable):
+        ref.bisect(base_edge(fan, 0))
+    for refine in (lambda: fan.refine_wave([base_edge(fan, 0)]),
+                   fan.uniform_refine):
+        with pytest.raises(NotRefinable):
+            refine()
+    mesh = build_square_mesh(0)
+    ref = RefMesh.of(mesh)
+    leg = next(e for e in sorted(ref.edges)
+               if e not in ref.refinable_edges())
+    for eid in (leg, max(ref.edges) + 1):
+        with pytest.raises(NotRefinable):
+            ref.bisect(eid)
+        with pytest.raises(NotRefinable):
+            mesh.refine_wave([base_edge(mesh, 0), eid])
+    assert_same_mesh(mesh, ref)

@@ -140,7 +140,8 @@ class TestCli:
         assert "unrecognized arguments: --no-such-flag" in res.stderr
 
     @pytest.mark.parametrize("flag, value", [("--gcv-probes", "0"),
-                                             ("--alpha", "nan")])
+                                             ("--alpha", "nan"),
+                                             ("--tps-samples", "9")])
     def test_unfittable_setting_usage_error(self, peaks_csv, tmp_path, flag,
                                             value):
         out = tmp_path / "out"

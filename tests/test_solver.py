@@ -346,7 +346,7 @@ class TestEvaluate:
         assert abs(evaluate(self.s, self.mesh.points[12]) - self.s.c[12]) < 1e-14
 
     def test_edge_midpoint_average(self):
-        a, b = next(iter(self.mesh.edges.values()))
+        a, b = self.mesh.edge_table.nodes[0]
         mid = 0.5 * (self.mesh.points[a] + self.mesh.points[b])
         expect = 0.5 * (self.s.c[a] + self.s.c[b])
         assert abs(evaluate(self.s, mid) - expect) < 1e-12
@@ -355,12 +355,14 @@ class TestEvaluate:
         rng = np.random.default_rng(2)
         for p in rng.uniform(0, 1, size=(25, 2)):
             t = self.mesh.locate([p])[0][0]
-            fns, _ = linear_basis(self.mesh.points[list(self.mesh.tris[t])])
+            tab = self.mesh.tri_table
+            nodes = tab.verts[tab.rows([t])[0]]
+            fns, _ = linear_basis(self.mesh.points[nodes])
             bary = np.array([fn(p[0], p[1]) for fn in fns])
-            expect = bary @ self.s.c[list(self.mesh.tris[t])]
+            expect = bary @ self.s.c[nodes]
             assert abs(evaluate(self.s, p) - expect) < 1e-13
             g1, g2 = evaluate_grad(self.s, p)
-            assert abs(g1 - bary @ self.s.g1[list(self.mesh.tris[t])]) < 1e-13
+            assert abs(g1 - bary @ self.s.g1[nodes]) < 1e-13
 
     def test_outside_domain(self):
         with pytest.raises(OutsideDomain):
