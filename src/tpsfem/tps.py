@@ -1,7 +1,11 @@
 """Dense thin plate spline fits on small subsamples.
 
 The spline is the radial kernel r^2 log(r) plus an affine part with the
-usual moment side constraints.  Besides value and gradient kernels, a
+usual moment side constraints.  Fit and smoothing-parameter selection both
+work in the null space of the side constraints (m = n - 3 unknowns): GCV
+reduces the projected kernel to tridiagonal form once, its only O(m^3)
+step, and scores each candidate alpha in O(m); the fit at one alpha costs
+one m x m Cholesky factorisation.  Besides value and gradient kernels, a
 "Laplacian proxy" kernel -log(r) - 4 is evaluated for initialising the
 Lagrange multiplier at boundary nodes; it is kept exactly in this form (it
 is not the analytic Laplacian of r^2 log r, whose radial profile differs).
@@ -92,60 +96,116 @@ def _spline_system(sample):
     return x, y, kernel_value(_distances(x, x)), P
 
 
-def fit_tps(sample, alpha_tps=0.0):
-    """Fit a smoothing TPS to a (small) data set.
+def _reflected_system(sample):
+    """The spline system seen through the Householder reflectors of P = QR.
 
-    Solves the dense symmetric system
-        [K + n*alpha*I  P] [w]   [y]
-        [P^T            0] [a] = [0]
-    with P = [1, x1, x2], which enforces the zero-moment side constraints on
-    the kernel weights.
+    Returns the points x, values y, the raw QR factors (qr, tau) of
+    P = [1, x1, x2] (R is the upper triangle of ``qr[:3]``), Q^T K Q and
+    Q^T y.  The three reflectors are applied to K from both sides with
+    ``dormqr``, so this costs O(n^2) and the complete Q is never formed.
+    With Z the last n-3 columns of Q, an orthonormal basis of the null space
+    of P^T, the trailing (n-3) block of Q^T K Q is Z^T K Z and the tail of
+    Q^T y is Z^T y: the GCVPACK form of Bates, Lindstrom, Wahba & Yandell
+    (1987).
     """
     x, y, K, P = _spline_system(sample)
     n = len(y)
-    M = np.block([[K + n * alpha_tps * np.eye(n), P],
-                  [P.T, np.zeros((3, 3))]])
-    sol = scipy.linalg.solve(M, np.concatenate([y, np.zeros(3)]))
-    return TpsModel(centers=x.copy(), weights=sol[:n], affine=sol[n:],
+    (qr, tau), _ = scipy.linalg.qr(P, mode="raw")
+    QtK = lapack.dormqr("L", "T", qr, tau, K, n)[0]
+    QtKQ = lapack.dormqr("R", "N", qr, tau, QtK, n)[0]
+    Qty = lapack.dormqr("L", "T", qr, tau, y[:, None], 1)[0][:, 0]
+    return x, y, qr, tau, QtKQ, Qty
+
+
+def _coincident_points(x):
+    """Index pairs (i, j), i < j, of sample points with equal coordinates,
+    each later point paired with the first point at its position."""
+    _, first, inverse = np.unique(x, axis=0, return_index=True,
+                                  return_inverse=True)
+    later = np.flatnonzero(first[inverse] != np.arange(len(x)))
+    return [(int(first[inverse[j]]), int(j)) for j in later]
+
+
+def fit_tps(sample, alpha_tps=0.0):
+    """Fit a smoothing TPS to a (small) data set.
+
+    Solves the symmetric system
+        [K + n*alpha*I  P] [w]   [y]
+        [P^T            0] [a] = [0]
+    with P = [1, x1, x2], which enforces the zero-moment side constraints on
+    the kernel weights, in its null-space form: w = Z g with
+    (Z^T K Z + n*alpha*I) g = Z^T y, and R a = Q1^T y - Q1^T K Z g for
+    P = Q1 R (see ``_reflected_system``).  Z^T K Z is positive definite for
+    distinct points, so past the O(n^2) reflected system the fit costs one
+    (n-3)-square Cholesky factorisation.  Interpolation (alpha = 0) through
+    coincident points has no unique solution and raises
+    ``DegenerateGeometry``.
+    """
+    x, y, qr, tau, QtKQ, Qty = _reflected_system(sample)
+    n = len(y)
+    if alpha_tps == 0.0:
+        pairs = _coincident_points(x)
+        if pairs:
+            raise DegenerateGeometry(
+                f"cannot interpolate: {len(pairs)} sample points coincide "
+                f"with earlier ones, index pairs {pairs[:5]}")
+    g = np.zeros(n - 3)
+    if n > 3:
+        C = QtKQ[3:, 3:] + n * alpha_tps * np.eye(n - 3)
+        g = scipy.linalg.cho_solve(scipy.linalg.cho_factor(C), Qty[3:])
+    w = lapack.dormqr("L", "N", qr, tau,
+                      np.concatenate([np.zeros(3), g])[:, None], 1)[0][:, 0]
+    a = scipy.linalg.solve_triangular(qr[:3], Qty[:3] - QtKQ[:3, 3:] @ g)
+    return TpsModel(centers=x.copy(), weights=w, affine=a,
                     alpha_tps=float(alpha_tps))
 
 
 def _gcv_scores(sample, grid):
     """GCV score n*|y - yhat|^2 / (n - tr H)^2 of the spline at each alpha.
 
-    The three Householder reflectors of P = QR are applied to K from both
-    sides, so Q^T K Q costs O(n^2) and the complete Q is never formed; its
-    trailing (n-3) block is Z^T K Z and the tail of Q^T y is Z^T y, with Z
-    the last n-3 columns of Q (the GCVPACK form of Bates, Lindstrom, Wahba &
-    Yandell 1987).
+    One Householder tridiagonalisation T = Q_T^T (Z^T K Z) Q_T (``dsytrd``)
+    is the only O(m^3) step, m = n - 3.  Its eigenvalues lam (``dsterf``,
+    without eigenvectors) give n - tr H = sum(n*alpha / (lam + n*alpha)),
+    and one O(m) tridiagonal solve (``dgtsv``) per candidate gives
+    |y - yhat|^2 = (n*alpha)^2 |(T + n*alpha*I)^-1 Q_T^T Z^T y|^2.  The
+    lower reflectors of ``dsytrd`` form a QR-style set on rows 1..m-1, so
+    ``dormqr`` applies Q_T^T to Z^T y in O(m^2).  A candidate with
+    n - tr H <= 0 scores +inf.
     """
-    _, y, K, P = _spline_system(sample)
+    _, y, _, _, QtKQ, Qty = _reflected_system(sample)
     n = len(y)
-    (qr, tau), _ = scipy.linalg.qr(P, mode="raw")
-    QtK = lapack.dormqr("L", "T", qr, tau, K, n)[0]
-    QtKQ = lapack.dormqr("R", "N", qr, tau, QtK, n)[0]
-    Qty = lapack.dormqr("L", "T", qr, tau, y[:, None], 1)[0][:, 0]
-    lam, U = np.linalg.eigh(QtKQ[3:, 3:])
-    b = U.T @ Qty[3:]
-    s = n * grid[:, None] / (lam + n * grid[:, None])
-    dof = s.sum(axis=1)  # n - tr H
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(dof > 0, n * np.sum((s * b) ** 2, axis=1) / dof ** 2,
-                        np.inf)
+    m = n - 3
+    z = Qty[3:].copy()
+    if m > 1:
+        # the wrapper's default lwork would force the unblocked reduction
+        lwork = int(lapack.dsytrd_lwork(m, lower=1)[0])
+        c, d, e, tau, _ = lapack.dsytrd(QtKQ[3:, 3:], lower=1, lwork=lwork)
+        z[1:] = lapack.dormqr("L", "T", c[1:, :-1], tau, z[1:, None],
+                              m - 1)[0][:, 0]
+        lam = lapack.dsterf(d, e)[0]
+    else:  # already tridiagonal; the dsterf and dgtsv wrappers reject m < 2
+        d = lam = np.diag(QtKQ)[3:]
+    sigma = n * grid
+    dof = np.sum(sigma[:, None] / (lam + sigma[:, None]), axis=1)  # n - tr H
+    scores = np.full(len(grid), np.inf)
+    for k in np.flatnonzero(dof > 0):
+        u = (lapack.dgtsv(e, d + sigma[k], e, z[:, None])[3][:, 0] if m > 1
+             else z / (d + sigma[k]))
+        scores[k] = n * sigma[k] ** 2 * (u @ u) / dof[k] ** 2
+    return scores
 
 
 def select_alpha_tps(sample, alpha_grid=None):
     """Spline smoothing parameter by GCV with the exact trace.
 
     With Z an orthonormal basis of the null space of P^T (the kernel weights
-    are w = Z g) and Z^T K Z = U diag(lam) U^T, each alpha has
-    s = n*alpha / (lam + n*alpha), n - tr H = sum(s) and
-    |y - yhat|^2 = sum((s * U^T Z^T y)^2) (Craven & Wahba 1979), so one
-    eigendecomposition scores the whole grid.  Z^T K Z comes from applying
-    the Householder reflectors of P's QR factorisation to K, as in GCVPACK
-    (Bates, Lindstrom, Wahba & Yandell 1987); the eigendecomposition is the
-    only O(n^3) step.  Returns the first alpha of least score; a candidate
-    with n - tr H <= 0 scores +inf, so n = 3 gives ``grid[0]``.
+    are w = Z g), the trace and residual of each alpha follow from the
+    eigenvalues of Z^T K Z and one solve with Z^T K Z + n*alpha*I (Craven &
+    Wahba 1979).  ``_gcv_scores`` reduces Z^T K Z, m = n - 3 square, to
+    tridiagonal form once, the only O(m^3) step of the selection; each
+    candidate then costs O(m), so a wider grid is cheap.  Returns the first
+    alpha of least score; a candidate with n - tr H <= 0 scores +inf, so
+    n = 3 gives ``grid[0]``.
     """
     grid = (np.geomspace(1e-9, 1e-1, 17) if alpha_grid is None
             else np.asarray(alpha_grid, dtype=float))

@@ -11,7 +11,7 @@ from tpsfem.data import DataSet
 from tpsfem.exceptions import NotRefinable, SingularSystem
 from tpsfem.mesh import TriMesh
 from tpsfem.solver import FIELDS, SaddleSystem, _interleaved, saddle_blocks
-from tpsfem.tps import R_CLAMP
+from tpsfem.tps import R_CLAMP, TpsModel
 
 # 7-point Gauss rule on the reference triangle, exact to degree 5
 _GP = np.array([
@@ -312,6 +312,24 @@ def complete_q_tps_gcv_scores(x, y, grid):
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(dof > 0, n * np.sum((s * b) ** 2, axis=1) / dof ** 2,
                         np.inf)
+
+
+def dense_tps_fit(x, y, alpha):
+    """Smoothing spline from one general dense solve of the bordered system
+
+        [K + n*alpha*I  P] [w]   [y]
+        [P^T            0] [a] = [0],   P = [1, x1, x2].
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    P = np.column_stack([np.ones(n), x])
+    K = masked_kernel_value(summed_radii(x, x)[1])
+    M = np.block([[K + n * alpha * np.eye(n), P],
+                  [P.T, np.zeros((3, 3))]])
+    sol = scipy.linalg.solve(M, np.concatenate([y, np.zeros(3)]))
+    return TpsModel(centers=x.copy(), weights=sol[:n], affine=sol[n:],
+                    alpha_tps=float(alpha))
 
 
 def dense_tps_gcv_scores(x, y, grid):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import coverage_gap
-from oracles import (complete_q_tps_gcv_scores, dense_tps_gcv_scores,
-                     masked_kernel_value, radii_tps_evals, summed_radii)
+from oracles import (complete_q_tps_gcv_scores, dense_tps_fit,
+                     dense_tps_gcv_scores, masked_kernel_value,
+                     radii_tps_evals, summed_radii)
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.exceptions import DegenerateGeometry, InsufficientData
 from tpsfem.tps import (SamplePlan, TpsModel, _gcv_scores, _spline_system,
@@ -121,6 +123,69 @@ class TestFit:
         with pytest.raises(DegenerateGeometry):
             fit_tps(DataSet(x, np.ones(10)), 0.0)
 
+    def test_coincident_points_rejected_at_alpha_zero(self):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(0, 1, size=(30, 2))
+        x[[12, 25]] = x[4]
+        data = DataSet(x, rng.normal(size=30))
+        with pytest.raises(DegenerateGeometry,
+                           match=r"\[\(4, 12\), \(4, 25\)\]"):
+            fit_tps(data, 0.0)
+        # smoothing through repeated coordinates is well posed
+        alpha = select_alpha_tps(data)
+        m = fit_tps(data, alpha)
+        ref = dense_tps_fit(data.x, data.y, alpha)
+        assert np.allclose(m.eval(x), ref.eval(x), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_tiny_samples_interpolate(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-1, 1, size=(n, 2))
+        y = rng.normal(size=n)
+        m = fit_tps(DataSet(x, y), 0.0)
+        assert np.abs(m.eval(x) - y).max() < 1e-12
+        probe = rng.uniform(-1, 1, size=(20, 2))
+        ref = dense_tps_fit(x, y, 0.0)
+        assert np.abs(m.eval(probe) - ref.eval(probe)).max() < 1e-10
+
+
+class TestFitProjection:
+    """The null-space fit against the bordered dense solve on the boundary
+    spline's samples, in a square and an L-shaped region, at interpolation
+    and at the GCV alpha."""
+
+    @pytest.mark.parametrize("n", [100, 300, 600])
+    @pytest.mark.parametrize("lshape", [False, True])
+    def test_peaks_samples_match_dense_fit(self, n, lshape):
+        data = peaks_generate(PeaksSpec(n=4000), seed=n)
+        if lshape:
+            data = data.subset(~((data.x[:, 0] > 0) & (data.x[:, 1] > 0)))
+        samp = sample(data.normalized(), SamplePlan("quadtree", count=n),
+                      seed=n)
+        pts = np.vstack([samp.x, np.random.default_rng(n).uniform(
+            samp.x.min(axis=0), samp.x.max(axis=0), size=(200, 2))])
+        for alpha in (0.0, select_alpha_tps(samp)):
+            got = fit_tps(samp, alpha)
+            ref = dense_tps_fit(samp.x, samp.y, alpha)
+            for f in ("eval", "eval_grad", "eval_laplacian_proxy"):
+                a = getattr(got, f)(pts)
+                b = getattr(ref, f)(pts)
+                assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max(), f
+
+    def test_no_cubic_dense_solver(self, monkeypatch):
+        """Selection and fit use neither an eigendecomposition nor a general
+        dense solve."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense O(n^3) form called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        monkeypatch.setattr(scipy.linalg, "solve", refuse)
+        data = peaks_generate(PeaksSpec(n=4000), seed=0).normalized()
+        samp = sample(data, SamplePlan("quadtree", count=600), seed=0)
+        m = fit_tps(samp, select_alpha_tps(samp))
+        assert np.all(np.isfinite(m.weights))
+
 
 class TestDerivatives:
     def test_gradient_matches_finite_differences(self):
@@ -198,6 +263,21 @@ class TestGcvDense:
                        np.array([1.0, 3.0, -2.0]))
         grid = np.geomspace(1e-6, 1e-2, 5)
         assert select_alpha_tps(data, grid) == grid[0]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tiny_samples_match_dense_oracle(self, n, seed):
+        # n = 4 and 5 leave one and two null-space dimensions; n = 3 leaves
+        # none, where the oracle's tr H misses n by rounding only
+        rng = np.random.default_rng(200 + seed)
+        x = rng.uniform(-1, 1, size=(n, 2))
+        data = DataSet(x, x[:, 0] * x[:, 1] + 0.2 * rng.normal(size=n))
+        if n == 3:
+            grid = np.geomspace(1e-9, 1e-1, 17)
+            assert np.all(_gcv_scores(data, grid) == np.inf)
+            assert select_alpha_tps(data) == grid[0]
+        else:
+            self.assert_matches_oracle(data)
 
 
 class TestGcvProjection:
