@@ -9,17 +9,13 @@ import sys
 EXIT_NUMERICAL = 3
 
 
-def _positive_int(text):
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
-    return int(text)
-
-
-def _tps_samples(text):
-    """fit --tps-samples: an integer of at least 10."""
-    if int(text) < 10:
-        raise argparse.ArgumentTypeError(f"{text} is less than 10")
-    return int(text)
+def _int_at_least(low):
+    """An argparse type: an integer of at least ``low``."""
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text} is less than {low}")
+        return int(text)
+    return integer
 
 
 def _fit_alpha(text):
@@ -45,11 +41,11 @@ def _add_fit_parser(sub):
     p.add_argument("--constant-value", type=float, default=0.0)
     p.add_argument("--alpha", type=_fit_alpha, default="auto",
                    help="'auto' (GCV) or a positive value")
-    p.add_argument("--max-iters", type=int, default=None)
+    p.add_argument("--max-iters", type=_int_at_least(0), default=None)
     p.add_argument("--rmse-tolerance", type=float, default=None)
     p.add_argument("--trim-level", type=int, default=2)
-    p.add_argument("--tps-samples", type=_tps_samples, default=300)
-    p.add_argument("--gcv-probes", type=_positive_int, default=10)
+    p.add_argument("--tps-samples", type=_int_at_least(10), default=300)
+    p.add_argument("--gcv-probes", type=_int_at_least(1), default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--single-thread", action="store_true",
                    help="pin BLAS thread pools for bit-identical reports")

@@ -25,11 +25,10 @@ from .boundary import (BoundaryStrategy, BoundaryValues,
                        new_boundary_node_values)
 from .exceptions import EmptyField, ZeroInterior
 from .gcv import GcvConfig, select_alpha
-# auxiliary_indicator is not called here; the tracer of perfbench/ wraps it
-from .indicators import (auxiliary_field, auxiliary_indicator,
-                         auxiliary_indicators, locate_by_tri, mark,
-                         raise_to_base_edges, recovery_field,
-                         recovery_indicator)
+# auxiliary_indicator and recovery_indicator are not called here; the
+# tracer of perfbench/ wraps them
+from .indicators import (auxiliary_field, auxiliary_indicator, locate_by_tri,
+                         mark, recovery_field, recovery_indicator)
 from .mesh import (build_square_mesh, fill_new_nodes, mesh_polygon,
                    trim_to_irregular)
 from .solver import SaddleSystem, Smoother, max_abs_residual, rmse
@@ -73,6 +72,14 @@ class RunConfig:
                                  f"got {getattr(self, name)!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma!r}")
+        for name in ("max_iters", "stagnation_iters"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be at least 0, got {value!r}")
+        for name in ("stagnation_ratio", "rmse_tolerance"):
+            value = getattr(self, name)
+            if value is not None and np.isnan(value):
+                raise ValueError(f"{name} must not be NaN")
         if not self.tps_samples >= 10:
             raise ValueError(f"tps_samples must be at least 10, "
                              f"got {self.tps_samples!r}")
@@ -184,28 +191,6 @@ def _make_strategy(cfg, data, seed):
     return BoundaryStrategy(kind=kind, tps=tps), tps
 
 
-def _indicator_field(kind, smoother, data, alpha, by_tri):
-    if kind == "recovery":
-        return recovery_field(smoother)
-    return auxiliary_field(smoother, data, alpha, by_tri)
-
-
-def _refresh_field(field, kind, mesh, smoother, data, alpha, by_tri,
-                   new_tri_floor):
-    """Drop dead edges and compute values for edges new to the field."""
-    for eid in np.setdiff1d(list(field.values), mesh.edge_table.ids).tolist():
-        del field.values[eid]
-    if kind == "recovery":
-        ids = mesh.tri_table.ids
-        ids = ids[ids >= new_tri_floor]
-        raise_to_base_edges(field.values, mesh, ids,
-                            recovery_indicator(smoother, ids))
-    else:
-        new = np.setdiff1d(mesh.refinable_edges(), list(field.values))
-        etas = auxiliary_indicators(smoother, data, new, alpha, by_tri)
-        field.values.update(zip(new.tolist(), etas.tolist()))
-
-
 def run(data, cfg=None):
     """Full smoothing pipeline on an (already normalised) data set.
 
@@ -262,19 +247,16 @@ def run(data, cfg=None):
             values.extend(mesh, events, strategy, smoother.alpha)
             refined_total = len(events)
         else:
-            field, floor, refined_total = None, None, 0
+            field, floor, refined_total = None, 0, 0
             while mesh.n_nodes < 2 * prev_nodes:
                 # the field is brought up to date only before a wave reads
                 # it; after the last wave comes the fit
-                by_tri = (locate_by_tri(mesh, data)
-                          if cfg.indicator == "auxiliary" else None)
-                if field is None:
-                    field = _indicator_field(cfg.indicator, smoother, data,
-                                             smoother.alpha, by_tri)
+                view = values.view(mesh, smoother.alpha)
+                if cfg.indicator == "recovery":
+                    field = recovery_field(view, field, floor)
                 else:
-                    _refresh_field(field, cfg.indicator, mesh,
-                                   values.view(mesh, smoother.alpha), data,
-                                   smoother.alpha, by_tri, floor)
+                    field = auxiliary_field(view, data, smoother.alpha,
+                                            locate_by_tri(mesh, data), field)
                 try:
                     marked = mark(field, cfg.gamma)
                 except EmptyField:

@@ -1,11 +1,12 @@
-"""Per-edge and per-element refinement error indicators.
+"""Per-edge and per-element refinement error indicators, held in arrays.
 
 Two indicators drive adaptive refinement:
 
 * recovery: the piecewise constant gradient of the surface is projected onto
   the nodes (lumped-mass L2 projection) and each element's indicator is the
   exact integral of the squared difference between the recovered linear
-  gradient field and the element's constant gradient.
+  gradient field and the element's constant gradient.  An edge gets the
+  largest indicator of the triangles it is the base edge of.
 
 * auxiliary: for an edge, a small local smoothing problem is solved on a
   once-uniformly-bisected copy of the surrounding triangle patch, with
@@ -13,6 +14,10 @@ Two indicators drive adaptive refinement:
   the data points inside the patch; the indicator integrates the squared
   gradient difference between the local and global surfaces over the edge's
   incident triangles.
+
+A field is two arrays, the refinable edges and their values; a builder
+carries over the values of a field from before the last refinement wave.
+The data by triangle are one table and the patches one padded id array.
 
 The auxiliary problems of many edges are solved as one system.  The
 patches are stacked straight from the global triangle table, each with its
@@ -36,15 +41,16 @@ import scipy.sparse as sp
 from .assembly import FemSystem, Located, assemble_G, assemble_L
 from .boundary import BoundaryValues
 from .exceptions import EmptyField
-from .mesh import TriMesh, bisect_once, fill_new_nodes
+from .mesh import TriMesh, _grouped, bisect_once, fill_new_nodes
 from .solver import FIELDS, SaddleSystem
 
 
 @dataclass
 class IndicatorField:
-    """Edge-keyed indicator values of one kind ("recovery" or "auxiliary")."""
-    values: dict
-    kind: str
+    """Indicator values of the refinable edges of a mesh: ``edges`` holds
+    their ids, ascending, and ``values`` the indicator of each."""
+    edges: np.ndarray
+    values: np.ndarray
 
 
 def recovery_indicator(s, tri_ids):
@@ -75,18 +81,28 @@ def recovery_indicator(s, tri_ids):
 # -- auxiliary problem ---------------------------------------------------------
 
 
+def _members(table, groups):
+    """The members of the ``groups`` of a ``mesh._grouped`` table ``(order,
+    start)``, group after group, and the index into ``groups`` of each."""
+    order, start = table
+    count = start[groups + 1] - start[groups]
+    at = np.repeat(np.arange(len(groups)), count)
+    first = np.repeat(start[groups] - np.cumsum(count) + count, count)
+    return order[first + np.arange(len(at))], at
+
+
 def _patch_triangles(mesh, edge_ids):
     """The patch of each edge of ``edge_ids``: the ids, ascending, of its
-    incident triangles and their edge-neighbours, and the mask of the
-    incident ones."""
+    incident triangles and their edge-neighbours, as one (k, 14) array with
+    -1 in the slots left over, and the mask of the incident ones."""
     tab, et = mesh.tri_table, mesh.edge_table
     seed = et.tris[et.rows(edge_ids)].reshape(-1, 2)
     full = np.where(seed >= 0, seed, seed[:, :1])
     ring = et.tris[et.rows(tab.edges[tab.rows(full)])].reshape(len(seed), 12)
     cand = np.sort(np.hstack([full, ring]), axis=1)
     keep = (cand >= 0) & (np.diff(cand, axis=1, prepend=-1) != 0)
-    incident = (cand[:, :, None] == seed[:, None, :]).any(axis=2)
-    return [(c[k], i[k]) for c, i, k in zip(cand, incident, keep)]
+    incident = keep & (cand[:, :, None] == seed[:, None, :]).any(axis=2)
+    return np.where(keep, cand, -1), incident
 
 
 def _containing_rows(tab, origin, within, points):
@@ -94,32 +110,27 @@ def _containing_rows(tab, origin, within, points):
     the point's ``within`` triangle, and its barycentric coordinates there.
 
     The descendant where the point's smallest barycentric coordinate is
-    largest holds it; on a shared edge either side gives the same basis
-    values.
+    largest holds it, the first such one on a tie; on a shared edge either
+    side gives the same basis values.
     """
-    order = np.argsort(origin, kind="stable")
-    count = np.bincount(origin)
-    start = np.cumsum(count) - count
-    k = np.arange(count.max())
-    valid = k < count[within][:, None]
-    cand = order[start[within][:, None] + np.where(valid, k, 0)]
-    bary = tab.bary(cand.ravel(), np.repeat(points, len(k), axis=0))
-    bary = bary.reshape(len(points), len(k), 3)
-    pick = np.where(valid, bary.min(axis=2), -np.inf).argmax(axis=1)
-    hit = np.arange(len(points))
-    return cand[hit, pick], bary[hit, pick]
+    cand, at = _members(_grouped(origin, origin.max() + 1), within)
+    bary = tab.bary(cand, points[at])
+    low, first = bary.min(axis=1), np.searchsorted(at, np.arange(len(points)))
+    best = np.flatnonzero(low == np.maximum.reduceat(low, first)[at])
+    pick = best[np.searchsorted(at[best], np.arange(len(points)))]
+    return cand[pick], bary[pick]
 
 
 def patch_system(s, data, patches, located_by_tri):
     """The local problems of the triangle sets ``patches`` as one FemSystem.
 
-    The patches are stacked straight from the triangle table of ``s.mesh``,
-    each with its own nodes, and refined once by ``bisect_once``.  The
-    Dirichlet values are the global surface's fields on every patch
-    boundary.  Every data point of a patch triangle is one row of the basis
-    matrix B of that patch, placed among the refined descendants of its
-    triangle without another point location.  A and d average over each
-    patch's own points, so every patch must hold at least one.
+    ``patches`` holds one patch per row: triangle ids of ``s.mesh``, -1 in
+    unused slots.  They are stacked, each with its own nodes, and refined
+    once by ``bisect_once``.  The Dirichlet values are the global surface's
+    fields on every patch boundary.  Every point of a patch triangle in the
+    ``locate_by_tri`` table is one row of the basis matrix B of that patch,
+    placed among its triangle's descendants without another location.  A
+    and d average over each patch's own points, so each must hold one.
 
     Returns
     -------
@@ -131,10 +142,10 @@ def patch_system(s, data, patches, located_by_tri):
         follow, and so on.
     """
     src = s.mesh.tri_table
-    tris = np.concatenate(patches)
-    patch = np.repeat(np.arange(len(patches)), [len(p) for p in patches])
-    keys, verts = np.unique(patch[:, None] * s.mesh.n_nodes
-                            + src.verts[src.rows(tris)], return_inverse=True)
+    patch, col = np.nonzero(patches >= 0)
+    tris = src.rows(patches[patch, col])
+    keys, verts = np.unique(patch[:, None] * s.mesh.n_nodes + src.verts[tris],
+                            return_inverse=True)
     nodes = keys % s.mesh.n_nodes
     children, origin, final, parents = bisect_once(verts.reshape(-1, 3),
                                                    len(nodes))
@@ -143,10 +154,7 @@ def patch_system(s, data, patches, located_by_tri):
     pts = np.vstack([pts, 0.5 * (pts[parents[:, 0]] + pts[parents[:, 1]])])
     local = TriMesh.from_arrays(pts, children, np.full(len(children), 2))
     tab = local.tri_table
-    inside = [np.asarray(located_by_tri.get(t, ()), dtype=np.int64)
-              for t in tris.tolist()]
-    within = np.repeat(np.arange(len(tris)), [len(i) for i in inside])
-    point = np.concatenate(inside)
+    point, within = _members(located_by_tri, tris)
     rows, bary = _containing_rows(tab, origin, within,
                                   np.asarray(data.x, dtype=float)[point])
     n, k = local.n_nodes, len(point)
@@ -190,9 +198,9 @@ def auxiliary_indicators(s, data, edge_ids, alpha, located_by_tri=None):
     edge_ids : sequence of int
     alpha : float
         Smoothing parameter of the local problems (the global one).
-    located_by_tri : dict, optional
-        Map triangle id -> indices into ``data`` of the points it contains;
-        computed on the fly when absent.
+    located_by_tri : (ndarray, ndarray), optional
+        The ``locate_by_tri(s.mesh, data)`` table of the data points by
+        triangle; computed on the fly when absent.
 
     An edge whose patch holds no data point, or whose refined patch has no
     interior node, gets 0.  The solve keeps the solver's contract: one
@@ -203,14 +211,13 @@ def auxiliary_indicators(s, data, edge_ids, alpha, located_by_tri=None):
     if located_by_tri is None:
         located_by_tri = locate_by_tri(mesh, data)
     eta = np.zeros(len(edge_ids))
-    kept, patches, in_seed = [], [], []
-    for k, (tris, seed) in enumerate(_patch_triangles(mesh, edge_ids)):
-        if any(len(located_by_tri.get(t, ())) for t in tris.tolist()):
-            kept.append(k)
-            patches.append(tris)
-            in_seed.append(seed)
-    if not kept:
+    patches, incident = _patch_triangles(mesh, edge_ids)
+    held = np.diff(located_by_tri[1])[np.searchsorted(mesh.tri_table.ids,
+                                                      patches)]
+    kept = np.flatnonzero(((patches >= 0) & (held > 0)).any(axis=1))
+    if not len(kept):
         return eta
+    patches, incident = patches[kept], incident[kept]
     fem, trace, origin = patch_system(s, data, patches, located_by_tri)
     c = trace[:, FIELDS.index("c")]
     shat = c
@@ -219,10 +226,10 @@ def auxiliary_indicators(s, data, edge_ids, alpha, located_by_tri=None):
 
     # integrate |grad shat - grad s|^2 over the refined seed triangles
     tab = fem.mesh.tri_table
-    rows = np.concatenate(in_seed)[origin]
-    patch = np.repeat(np.arange(len(kept)), [len(p) for p in patches])[origin]
+    patch, col = np.nonzero(patches >= 0)
+    rows = incident[patch, col][origin]
     grad = tab.gradients(shat - c)
-    energy = np.bincount(patch[rows],
+    energy = np.bincount(patch[origin][rows],
                          (tab.area * np.sum(grad ** 2, axis=1))[rows],
                          minlength=len(kept))
     eta[kept] = np.sqrt(energy)
@@ -239,43 +246,50 @@ def auxiliary_indicator(s, data, edge_id, alpha, located_by_tri=None):
 # -- field construction and marking ---------------------------------------------
 
 
-def recovery_field(s):
-    """Element indicators mapped to base edges (max over incident triangles)."""
-    values = {}
-    ids = s.mesh.tri_table.ids
-    raise_to_base_edges(values, s.mesh, ids, recovery_indicator(s, ids))
-    return IndicatorField(values=values, kind="recovery")
+def _carried(field, edges):
+    """The values ``field`` holds for the ascending ``edges``, 0 for those
+    it lacks, and the mask of the edges it holds."""
+    field = field or IndicatorField(edges[:0], np.zeros(0))
+    values, known = np.zeros(len(edges)), np.isin(edges, field.edges)
+    values[known] = field.values[np.isin(field.edges, edges)]
+    return values, known
 
 
-def raise_to_base_edges(values, mesh, tri_ids, etas):
-    """Raise ``values[base edge of t]`` to at least ``eta`` for every pair."""
-    tab = mesh.tri_table
-    for eid, eta in zip(tab.edges[tab.rows(tri_ids), 0].tolist(),
-                        etas.tolist()):
-        values[eid] = max(values.get(eid, 0.0), eta)
-
-
-def auxiliary_field(s, data, alpha, located_by_tri=None):
-    """Auxiliary indicators for every refinable edge."""
+def recovery_field(s, field=None, new_tri_floor=0):
+    """Recovery field of ``s``: each refinable edge gets the largest element
+    indicator of the triangles it is the base edge of, among those with ids
+    from ``new_tri_floor`` on and the value it carries over from ``field``."""
+    tab = s.mesh.tri_table
     edges = s.mesh.refinable_edges()
-    etas = auxiliary_indicators(s, data, edges, alpha, located_by_tri)
-    return IndicatorField(values=dict(zip(edges.tolist(), etas.tolist())),
-                          kind="auxiliary")
+    values, _ = _carried(field, edges)
+    rows = np.flatnonzero(tab.ids >= new_tri_floor)
+    np.maximum.at(values, np.searchsorted(edges, tab.edges[rows, 0]),
+                  recovery_indicator(s, tab.ids[rows]))
+    return IndicatorField(edges, values)
+
+
+def auxiliary_field(s, data, alpha, located_by_tri=None, field=None):
+    """Auxiliary indicators of every refinable edge; only the edges that
+    ``field`` lacks are computed, in one ``auxiliary_indicators`` batch."""
+    edges = s.mesh.refinable_edges()
+    values, known = _carried(field, edges)
+    values[~known] = auxiliary_indicators(s, data, edges[~known], alpha,
+                                          located_by_tri)
+    return IndicatorField(edges, values)
 
 
 def locate_by_tri(mesh, data):
-    """Map triangle id -> ascending array of data indices located inside it."""
+    """The ``mesh._grouped`` table ``(order, start)`` of one ``mesh.locate``:
+    the indices into ``data`` of the points in the triangle of row r of
+    ``mesh.tri_table`` are ``order[start[r]:start[r + 1]]``, ascending."""
     ids, _ = mesh.locate(data.x)
-    idx = np.flatnonzero(ids >= 0)
-    idx = idx[np.argsort(ids[idx], kind="stable")]
-    tris, first = np.unique(ids[idx], return_index=True)
-    return dict(zip(tris.tolist(), np.split(idx, first[1:])))
+    inside = np.flatnonzero(ids >= 0)
+    order, start = _grouped(mesh.tri_table.rows(ids[inside]), mesh.n_tris)
+    return inside[order], start
 
 
 def mark(field, fraction_cap=0.5):
-    """Maximum marking: edges with eta >= fraction_cap * max(eta)."""
-    if not field.values:
+    """Maximum marking: the edges with eta >= fraction_cap * max(eta)."""
+    if not len(field.values):
         raise EmptyField("indicator field has no entries")
-    peak = max(field.values.values())
-    thr = fraction_cap * peak
-    return {eid for eid, eta in field.values.items() if eta >= thr}
+    return field.edges[field.values >= fraction_cap * field.values.max()]

@@ -47,6 +47,14 @@ def _sides(verts):
     return _pair_key(verts, np.roll(verts, -1, axis=1))
 
 
+def _grouped(keys, n):
+    """The positions of the integer ``keys`` in [0, n), grouped by key: the
+    positions of key g are ``order[start[g]:start[g + 1]]``, ascending."""
+    order = np.argsort(keys, kind="stable")
+    start = np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=n))])
+    return order, start
+
+
 def fill_new_nodes(values, events, known):
     """Give every node of ``events`` not yet ``known`` the mean of its
     parents' rows of ``values``, in place; ``known`` is updated too.
@@ -443,9 +451,7 @@ class TriMesh:
         rows = np.repeat(np.arange(len(count)), count)
         k = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
         bins = (i0[rows] + k // nj[rows]) * ng + j0[rows] + k % nj[rows]
-        start = np.concatenate(
-            [[0], np.cumsum(np.bincount(bins, minlength=ng * ng))])
-        order = np.argsort(bins, kind="stable")
+        order, start = _grouped(bins, ng * ng)
         self._locator = (xmin, ymin, xmax, ymax, sx, sy, ng, start, rows[order])
 
     def locate(self, points):

@@ -8,7 +8,8 @@ from scipy.spatial import cKDTree
 from tpsfem.assembly import FemSystem
 from tpsfem.boundary import BoundaryValues
 from tpsfem.data import DataSet
-from tpsfem.exceptions import NotRefinable, SingularSystem
+from tpsfem.exceptions import EmptyField, NotRefinable, SingularSystem
+from tpsfem.indicators import auxiliary_indicators, recovery_indicator
 from tpsfem.mesh import TriMesh
 from tpsfem.solver import FIELDS, SaddleSystem, _interleaved, saddle_blocks
 from tpsfem.tps import R_CLAMP, TpsModel
@@ -596,6 +597,86 @@ def patch_auxiliary_indicator(s, data, edge_id, alpha, located_by_tri):
     diff = tab.gradients(shat.c - vals["c"])[rows]
     return float(np.sqrt(np.sum(tab.area[rows] * np.sum(diff ** 2, axis=1))))
 
+
+
+# -- the indicator field as edge-keyed dicts ------------------------------------
+
+
+def located_dict(mesh, data):
+    """Map triangle id -> ascending indices of the data points inside it,
+    from one ``mesh.locate``."""
+    ids, _ = mesh.locate(data.x)
+    out = {}
+    for i, t in enumerate(ids.tolist()):
+        if t >= 0:
+            out.setdefault(t, []).append(i)
+    return {t: np.array(p) for t, p in out.items()}
+
+
+def raise_to_base_edges(values, mesh, tri_ids, etas):
+    """Raise ``values[base edge of t]`` to at least ``eta`` for every pair."""
+    tab = mesh.tri_table
+    for eid, eta in zip(tab.edges[tab.rows(tri_ids), 0].tolist(),
+                        etas.tolist()):
+        values[eid] = max(values.get(eid, 0.0), eta)
+
+
+def dict_field(kind, s, data, alpha, located_by_tri):
+    """The indicator field of ``kind`` on a fresh mesh, as a dict edge id ->
+    value; the per-edge values come from the package's batch functions."""
+    if kind == "recovery":
+        values = {}
+        ids = s.mesh.tri_table.ids
+        raise_to_base_edges(values, s.mesh, ids, recovery_indicator(s, ids))
+        return values
+    edges = s.mesh.refinable_edges()
+    etas = auxiliary_indicators(s, data, edges, alpha, located_by_tri)
+    return dict(zip(edges.tolist(), etas.tolist()))
+
+
+def refresh_dict_field(values, kind, s, data, alpha, located_by_tri,
+                       new_tri_floor):
+    """Bring the dict field ``values`` up to date after a refinement wave
+    whose first new triangle id is ``new_tri_floor``: drop dead edges, and
+    raise (recovery) or compute (auxiliary) the values of the edges the wave
+    touched."""
+    mesh = s.mesh
+    for eid in np.setdiff1d(list(values), mesh.edge_table.ids).tolist():
+        del values[eid]
+    if kind == "recovery":
+        ids = mesh.tri_table.ids
+        ids = ids[ids >= new_tri_floor]
+        raise_to_base_edges(values, mesh, ids, recovery_indicator(s, ids))
+    else:
+        new = np.setdiff1d(mesh.refinable_edges(), list(values))
+        etas = auxiliary_indicators(s, data, new, alpha, located_by_tri)
+        values.update(zip(new.tolist(), etas.tolist()))
+
+
+def dict_mark(values, fraction_cap):
+    """Maximum marking of the dict field ``values``, as a set of edge ids."""
+    if not values:
+        raise EmptyField("indicator field has no entries")
+    thr = fraction_cap * max(values.values())
+    return {eid for eid, eta in values.items() if eta >= thr}
+
+
+def padded_containing_rows(tab, origin, within, points):
+    """Row of ``tab`` holding each point among the rows whose ``origin`` is
+    the point's ``within`` triangle, and its barycentric coordinates there:
+    every point is tested against a padded row of candidates, and the first
+    with the largest smallest barycentric coordinate wins."""
+    order = np.argsort(origin, kind="stable")
+    count = np.bincount(origin)
+    start = np.cumsum(count) - count
+    k = np.arange(count.max())
+    valid = k < count[within][:, None]
+    cand = order[start[within][:, None] + np.where(valid, k, 0)]
+    bary = tab.bary(cand.ravel(), np.repeat(points, len(k), axis=0))
+    bary = bary.reshape(len(points), len(k), 3)
+    pick = np.where(valid, bary.min(axis=2), -np.inf).argmax(axis=1)
+    hit = np.arange(len(points))
+    return cand[hit, pick], bary[hit, pick]
 
 def csrbf_eval_loop(model, pts, phi):
     """CSRBF model values one point at a time: the kernel ``phi`` summed

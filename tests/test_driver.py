@@ -27,7 +27,8 @@ class TestRunConfig:
         ("gamma", np.nan), ("alpha", 0.0), ("alpha", -1e-6),
         ("alpha", np.inf), ("alpha", np.nan), ("alpha", "gcv"),
         ("alpha", None), ("tps_samples", 9), ("tps_samples", 0),
-        ("tps_samples", -5)])
+        ("tps_samples", -5), ("stagnation_iters", -1), ("max_iters", -1),
+        ("stagnation_ratio", np.nan), ("rmse_tolerance", np.nan)])
     def test_setting_it_would_replace_is_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             RunConfig(**{name: value})
@@ -200,7 +201,8 @@ class TestDeterminism:
 
 
 def patch_of(mesh, eid, by_tri):
-    """The triangles of an edge's auxiliary patch and the data inside them.
+    """The triangles of an edge's auxiliary patch and the data inside them,
+    read from the ``locate_by_tri`` table ``by_tri``.
 
     Triangle ids are never reused, so equal patches mean an unchanged local
     problem: refinement never alters the values of existing nodes.
@@ -210,7 +212,9 @@ def patch_of(mesh, eid, by_tri):
     seed = seed[seed >= 0]
     tris = set(et.tris[et.rows(tab.edges[tab.rows(seed)])].ravel().tolist())
     tris.discard(-1)
-    points = sorted(i for t in tris for i in by_tri.get(t, []))
+    order, start = by_tri
+    points = sorted(i for r in tab.rows(sorted(tris)).tolist()
+                    for i in order[start[r]:start[r + 1]].tolist())
     return frozenset(tris), tuple(points)
 
 
@@ -225,34 +229,31 @@ class TestAuxiliaryRefresh:
         cfg = RunConfig(indicator="auxiliary", alpha=1e-6, max_iters=1,
                         stagnation_iters=0)
         computed_on, checked = {}, []
-        real_field, real_refresh = driver._indicator_field, driver._refresh_field
 
-        def indicator_field(kind, smoother, data, alpha, by_tri):
-            field = real_field(kind, smoother, data, alpha, by_tri)
-            computed_on.clear()
-            computed_on.update({e: patch_of(smoother.mesh, e, by_tri)
-                                for e in field.values})
-            return field
-
-        def refresh_field(field, kind, mesh, smoother, data, alpha, by_tri,
-                          floor):
-            real_refresh(field, kind, mesh, smoother, data, alpha, by_tri,
-                         floor)
-            full = auxiliary_field(smoother, data, alpha, by_tri).values
-            assert set(field.values) == set(full)
+        def field_update(smoother, data, alpha, by_tri, old):
+            mesh = smoother.mesh
+            field = auxiliary_field(smoother, data, alpha, by_tri, old)
+            if old is None:
+                computed_on.clear()
+                computed_on.update({e: patch_of(mesh, e, by_tri)
+                                    for e in field.edges.tolist()})
+                return field
+            full = auxiliary_field(smoother, data, alpha, by_tri)
+            assert set(field.edges.tolist()) == set(full.edges.tolist())
+            full = dict(zip(full.edges.tolist(), full.values.tolist()))
             for e in list(computed_on):
                 if e not in mesh.edge_table.ids:
                     del computed_on[e]
             same = []
-            for e, value in field.values.items():
+            for e, value in zip(field.edges.tolist(), field.values.tolist()):
                 patch = patch_of(mesh, e, by_tri)
                 if computed_on.setdefault(e, patch) == patch:
                     assert abs(value - full[e]) <= 1e-12 * abs(full[e])
                     same.append(e)
             checked.append(len(same))
+            return field
 
-        monkeypatch.setattr(driver, "_indicator_field", indicator_field)
-        monkeypatch.setattr(driver, "_refresh_field", refresh_field)
+        monkeypatch.setattr(driver, "auxiliary_field", field_update)
         run(data, cfg)
         assert len(checked) >= 2 and min(checked) > 0
 
@@ -261,22 +262,53 @@ class TestAuxiliaryRefresh:
         # every later wave; after the last wave comes the fit, which does
         # not read the field
         data = normalized_peaks(1500, seed=0)
-        refreshes, waves = [], []
-        real_indicators, real_wave = (driver.auxiliary_indicators,
-                                      TriMesh.refine_wave)
+        updates, waves = [], []
+        real_field, real_wave = driver.auxiliary_field, TriMesh.refine_wave
 
-        def indicators(*args, **kwargs):
-            refreshes.append(1)
-            return real_indicators(*args, **kwargs)
+        def field_update(smoother, data, alpha, by_tri, old):
+            updates.append(old is not None)
+            return real_field(smoother, data, alpha, by_tri, old)
 
         def refine_wave(mesh, marked):
             waves.append(1)
             return real_wave(mesh, marked)
 
-        monkeypatch.setattr(driver, "auxiliary_indicators", indicators)
+        monkeypatch.setattr(driver, "auxiliary_field", field_update)
         monkeypatch.setattr(TriMesh, "refine_wave", refine_wave)
         _, records = run(data, RunConfig(indicator="auxiliary", alpha=1e-6,
                                          max_iters=2, stagnation_iters=0))
         iterations = len(records) - 1
         assert iterations == 2 and len(waves) > 2 * iterations
-        assert len(refreshes) == len(waves) - iterations
+        assert len(updates) == len(waves)
+        assert sum(updates) == len(waves) - iterations
+
+
+class TestFieldLayout:
+    @pytest.mark.parametrize("settings", [
+        dict(domain="irregular", indicator="recovery", alpha=1e-6),
+        dict(indicator="auxiliary", alpha=1e-6)])
+    def test_field_holds_the_refinable_edges_at_every_marking(
+            self, monkeypatch, settings):
+        # the field is two arrays aligned with mesh.refinable_edges(); a
+        # field update carries values over by edge id, so this must hold
+        # before every marking, the first wave of an iteration and the later
+        # ones alike
+        data = normalized_peaks(1500, seed=0)
+        meshes, marks = [], []
+        real_mesh, real_mark = driver.initial_mesh, driver.mark
+
+        def initial_mesh(*args):
+            meshes.append(real_mesh(*args))
+            return meshes[-1]
+
+        def mark(field, gamma):
+            assert np.array_equal(field.edges, meshes[0].refinable_edges())
+            assert len(field.values) == len(field.edges)
+            marks.append(1)
+            return real_mark(field, gamma)
+
+        monkeypatch.setattr(driver, "initial_mesh", initial_mesh)
+        monkeypatch.setattr(driver, "mark", mark)
+        _, records = run(data, RunConfig(max_iters=2, stagnation_iters=0,
+                                         **settings))
+        assert len(marks) > len(records) - 1 == 2

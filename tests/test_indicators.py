@@ -16,7 +16,7 @@ from tpsfem.mesh import (TriMesh, build_square_mesh, mesh_polygon,
 from tpsfem.solver import SaddleSystem, Smoother
 
 from conftest import failing_splu, make_unit_right_triangle, perturbed_splu
-from oracles import (consistent_mass_recovered_gradients,
+from oracles import (consistent_mass_recovered_gradients, located_dict,
                      lumped_mass_recovery_indicators,
                      patch_auxiliary_indicator, tri_area, tri_gradient,
                      tri_items)
@@ -145,7 +145,7 @@ class TestAuxiliary:
         et = mesh.edge_table
         ends = dict(zip(et.ids.tolist(), et.nodes.tolist()))
         core, rim = [], []
-        for eid, eta in field.values.items():
+        for eid, eta in zip(field.edges.tolist(), field.values.tolist()):
             a, b = ends[eid]
             mid = 0.5 * (pts[a] + pts[b])
             if np.all(np.abs(mid - 0.5) < 0.2):
@@ -209,10 +209,10 @@ class TestAuxiliaryBatch:
     def test_matches_per_patch_oracle(self, name):
         s, data = oracle_case(name)
         mesh = s.mesh
-        by_tri = locate_by_tri(mesh, data)
+        by_tri, located = locate_by_tri(mesh, data), located_dict(mesh, data)
         edges = mesh.edge_table.ids  # boundary and non-refinable edges too
         got = auxiliary_indicators(s, data, edges, 1e-5, by_tri)
-        ref = np.array([patch_auxiliary_indicator(s, data, e, 1e-5, by_tri)
+        ref = np.array([patch_auxiliary_indicator(s, data, e, 1e-5, located)
                         for e in edges])
         assert np.all(np.abs(got - ref) <= 1e-10 * ref)
         assert ref.max() > 0
@@ -227,8 +227,8 @@ class TestAuxiliaryBatch:
         s = random_surface(mesh, seed=0)
         data = DataSet(np.array([[0.2, 0.2], [0.5, 0.1]]), np.ones(2))
         edges = mesh.edge_table.ids.tolist()
-        by_tri = locate_by_tri(mesh, data)
-        ref = [patch_auxiliary_indicator(s, data, e, 1e-4, by_tri)
+        located = located_dict(mesh, data)
+        ref = [patch_auxiliary_indicator(s, data, e, 1e-4, located)
                for e in edges]
         assert ref == [0.0] * len(edges)
         assert np.array_equal(auxiliary_indicators(s, data, edges, 1e-4),
@@ -261,33 +261,44 @@ class TestAuxiliaryBatch:
         diag = err.value.diagnostics
         assert set(diag) == {"residual", "unknowns"}
         assert diag["residual"] > 1e-9
-        patches = [p for p, _ in _patch_triangles(s.mesh, edges)]
-        fem = patch_system(s, data, [p for p in patches
-                                     if any(t in by_tri for t in p.tolist())],
-                           by_tri)[0]
+        patches, _ = _patch_triangles(s.mesh, edges)
+        located = located_dict(s.mesh, data)
+        held = [any(t in located for t in p[p >= 0].tolist())
+                for p in patches]
+        fem = patch_system(s, data, patches[held], by_tri)[0]
         assert diag["unknowns"] == 4 * len(fem.mesh.interior_nodes())
+
+
+def field_of(values):
+    """The IndicatorField of the dict edge id -> value ``values``."""
+    return IndicatorField(np.fromiter(values, dtype=np.int64),
+                          np.fromiter(values.values(), dtype=float))
+
+
+def marked(field, *gamma):
+    return set(mark(field, *gamma).tolist())
 
 
 class TestMark:
     def test_all_equal_all_marked(self):
-        field = IndicatorField(values={1: 0.5, 2: 0.5, 3: 0.5}, kind="recovery")
-        assert mark(field) == {1, 2, 3}
+        field = field_of({1: 0.5, 2: 0.5, 3: 0.5})
+        assert marked(field) == {1, 2, 3}
 
     def test_single_spike(self):
-        field = IndicatorField(values={1: 1.0, 2: 0.1, 3: 0.2}, kind="recovery")
-        assert mark(field, 0.5) == {1}
+        field = field_of({1: 1.0, 2: 0.1, 3: 0.2})
+        assert marked(field, 0.5) == {1}
 
     def test_gamma_zero_marks_everything(self):
-        field = IndicatorField(values={1: 1.0, 2: 0.0}, kind="recovery")
-        assert mark(field, 0.0) == {1, 2}
+        field = field_of({1: 1.0, 2: 0.0})
+        assert marked(field, 0.0) == {1, 2}
 
     def test_empty_field(self):
         with pytest.raises(EmptyField):
-            mark(IndicatorField(values={}, kind="recovery"))
+            mark(field_of({}))
 
     def test_recovery_field_keys_are_refinable_edges(self):
         mesh = build_square_mesh(0)
         s, _, _ = linear_smoother(mesh, seed=3)
         field = recovery_field(s)
         refinable = set(mesh.refinable_edges())
-        assert set(field.values) <= refinable
+        assert set(field.edges.tolist()) <= refinable

@@ -13,7 +13,9 @@ from tpsfem.boundary import BoundaryStrategy, constant_boundary_values
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.driver import _NodeValues
 from tpsfem.exceptions import NotRefinable
-from tpsfem.indicators import locate_by_tri, patch_system
+from tpsfem.indicators import (_containing_rows, auxiliary_field,
+                               locate_by_tri, mark, patch_system,
+                               recovery_field)
 from tpsfem.mesh import (BARY_TOL, TriMesh, bisect_once, build_square_mesh,
                          fill_new_nodes, trim_to_irregular)
 from tpsfem.solver import FIELDS, SaddleSystem, Smoother, rmse
@@ -21,8 +23,10 @@ from tpsfem.tps import SamplePlan, fit_tps, sample, select_alpha_tps
 
 from conftest import (all_angles, base_edge, make_fan_mesh,
                       make_interface_strip, total_area)
-from oracles import (RefMesh, assert_same_mesh, copy_submesh, linear_basis,
-                     per_event_extend, tri_items)
+from oracles import (RefMesh, assert_same_mesh, copy_submesh, dict_field,
+                     dict_mark, linear_basis, located_dict,
+                     padded_containing_rows, per_event_extend,
+                     refresh_dict_field, tri_items)
 from test_solver import linear_problem
 
 #: indices into the sorted refinable edges, one bisection each
@@ -236,14 +240,80 @@ def test_stacked_patch_data_matrix_is_symmetric(picks, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, size=(150, 2))
     data = DataSet(x, rng.normal(size=len(x)))
-    by_tri = locate_by_tri(mesh, data)
-    patches = [[t for t in p if t in by_tri] or [min(by_tri)]
+    by_tri, located = locate_by_tri(mesh, data), located_dict(mesh, data)
+    patches = [[t for t in p if t in located] or [min(located)]
                for p in random_patches(mesh, rng)]
+    padded = np.full((len(patches), 14), -1)
+    for row, p in zip(padded, patches):
+        row[:len(p)] = sorted(p)
     s = Smoother(mesh=mesh, alpha=1.0,
                  **{f: rng.normal(size=mesh.n_nodes) for f in FIELDS})
-    A = patch_system(s, data, patches, by_tri)[0].A
+    A = patch_system(s, data, padded, by_tri)[0].A
     assert A.nnz > 0
     assert (A != A.T).nnz == 0
+
+
+#: barycentric weights in quarters: vertices, edge midpoints and the points
+#: of the bisector from the newest node, which two children share
+quarters = [(i, j, 4 - i - j) for i in range(5) for j in range(5 - i)]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(picks=bisections, seed=st.integers(0, 2 ** 16))
+def test_containing_rows_match_padded_oracle(picks, seed):
+    # the children of one bisection pass, and points of their parents on
+    # a dyadic grid, so that many lie on a shared edge and tie
+    mesh = refined_square(picks)
+    tab = mesh.tri_table
+    children, source, final, parents = bisect_once(tab.verts, mesh.n_nodes)
+    p = mesh.points
+    local = TriMesh.from_arrays(np.vstack([p, p[parents].mean(axis=1)]),
+                                children[final], [2] * final.sum())
+    rng = np.random.default_rng(seed)
+    within = rng.integers(0, len(tab.ids), size=60)
+    weights = np.array(quarters)[rng.integers(0, len(quarters), size=60)]
+    points = np.einsum("kj,kjd->kd", weights / 4.0, p[tab.verts[within]])
+    got = _containing_rows(local.tri_table, source[final], within, points)
+    ref = padded_containing_rows(local.tri_table, source[final], within,
+                                 points)
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1])
+
+
+@pytest.mark.parametrize("kind", ["recovery", "auxiliary"])
+@settings(max_examples=25, deadline=None, database=None)
+@given(picks=st.lists(st.integers(0, 10 ** 6), max_size=12),
+       marks=st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1,
+                               max_size=6), max_size=3),
+       seed=st.integers(0, 2 ** 16), gamma=st.floats(0.0, 1.0))
+def test_field_matches_dict_oracle(kind, picks, marks, seed, gamma):
+    # a field built on a fresh mesh and brought up to date after each of
+    # a few random waves, on a new random surface every time, against the
+    # edge-keyed dict bookkeeping it replaced
+    mesh = refined_square(picks)
+    rng = np.random.default_rng(seed)
+    data = DataSet(rng.uniform(0.0, 1.0, size=(150, 2)),
+                   rng.normal(size=150))
+    field, values, floor = None, None, 0
+    for wave in marks + [None]:
+        s = Smoother(mesh=mesh, alpha=1.0,
+                     **{f: rng.normal(size=mesh.n_nodes) for f in FIELDS})
+        by_tri = locate_by_tri(mesh, data)
+        if kind == "recovery":
+            field = recovery_field(s, field, floor)
+        else:
+            field = auxiliary_field(s, data, 1e-4, by_tri, field)
+        if values is None:
+            values = dict_field(kind, s, data, 1e-4, by_tri)
+        else:
+            refresh_dict_field(values, kind, s, data, 1e-4, by_tri, floor)
+        assert field.edges.tolist() == sorted(values)
+        assert field.values.tolist() == [values[e] for e in sorted(values)]
+        assert set(mark(field, gamma).tolist()) == dict_mark(values, gamma)
+        if wave is not None:
+            edges = mesh.refinable_edges()
+            floor = int(mesh.tri_table.ids[-1]) + 1
+            mesh.refine_wave(edges[np.asarray(wave) % len(edges)])
 
 
 # -- values of the nodes a refinement wave creates ------------------------------

@@ -141,7 +141,8 @@ class TestCli:
 
     @pytest.mark.parametrize("flag, value", [("--gcv-probes", "0"),
                                              ("--alpha", "nan"),
-                                             ("--tps-samples", "9")])
+                                             ("--tps-samples", "9"),
+                                             ("--max-iters", "-1")])
     def test_unfittable_setting_usage_error(self, peaks_csv, tmp_path, flag,
                                             value):
         out = tmp_path / "out"
