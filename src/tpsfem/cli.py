@@ -6,6 +6,7 @@ import json
 import os
 import sys
 
+EXIT_USAGE = 2  # argparse's code for a bad command line
 EXIT_NUMERICAL = 3
 
 
@@ -43,7 +44,7 @@ def _add_fit_parser(sub):
                    help="'auto' (GCV) or a positive value")
     p.add_argument("--max-iters", type=_int_at_least(0), default=None)
     p.add_argument("--rmse-tolerance", type=float, default=None)
-    p.add_argument("--trim-level", type=int, default=2)
+    p.add_argument("--trim-level", type=_int_at_least(0), default=2)
     p.add_argument("--tps-samples", type=_int_at_least(10), default=300)
     p.add_argument("--gcv-probes", type=_int_at_least(1), default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -121,14 +122,19 @@ def _cmd_fit(args):
 
     data = ingest(args.data)
     polygon = load_polygon(args.polygon) if args.polygon else None
-    cfg = RunConfig(domain=args.domain, refine=args.refine,
-                    indicator=args.indicator, boundary=args.boundary,
-                    constant_value=args.constant_value, alpha=args.alpha,
-                    max_iters=args.max_iters,
-                    rmse_tolerance=args.rmse_tolerance,
-                    trim_level=args.trim_level, tps_samples=args.tps_samples,
-                    gcv=GcvConfig(probes=args.gcv_probes), seed=args.seed,
-                    polygon=polygon)
+    try:
+        cfg = RunConfig(domain=args.domain, refine=args.refine,
+                        indicator=args.indicator, boundary=args.boundary,
+                        constant_value=args.constant_value, alpha=args.alpha,
+                        max_iters=args.max_iters,
+                        rmse_tolerance=args.rmse_tolerance,
+                        trim_level=args.trim_level,
+                        tps_samples=args.tps_samples,
+                        gcv=GcvConfig(probes=args.gcv_probes), seed=args.seed,
+                        polygon=polygon)
+    except ValueError as err:  # a setting only RunConfig checks
+        print(f"tpsfem fit: error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     os.makedirs(args.out, exist_ok=True)
     try:
         smoother, records = run(data, cfg)

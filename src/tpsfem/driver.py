@@ -25,8 +25,8 @@ from .boundary import (BoundaryStrategy, BoundaryValues,
                        new_boundary_node_values)
 from .exceptions import EmptyField, ZeroInterior
 from .gcv import GcvConfig, select_alpha
-# auxiliary_indicator and recovery_indicator are not called here; the
-# tracer of perfbench/ wraps them
+# auxiliary_indicator, recovery_indicator and select_alpha_tps are not
+# called here; the tracer of perfbench/ wraps them
 from .indicators import (auxiliary_field, auxiliary_indicator, locate_by_tri,
                          mark, recovery_field, recovery_indicator)
 from .mesh import (build_square_mesh, fill_new_nodes, mesh_polygon,
@@ -185,8 +185,7 @@ def _make_strategy(cfg, data, seed):
                                 constant_value=cfg.constant_value), None
     count = min(cfg.tps_samples, len(data))
     samp = sample(data, SamplePlan("quadtree", count=count), seed=seed)
-    alpha_tps = select_alpha_tps(samp)
-    tps = fit_tps(samp, alpha_tps)
+    tps = fit_tps(samp, "auto")
     kind = "tps_approximation" if cfg.boundary == "tps" else "nodal_average"
     return BoundaryStrategy(kind=kind, tps=tps), tps
 

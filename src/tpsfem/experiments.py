@@ -4,7 +4,7 @@ import numpy as np
 
 from .data import (PeaksSpec, peaks_generate, peaks_grad, peaks_laplacian,
                    peaks_value)
-from .tps import SamplePlan, fit_tps, sample, select_alpha_tps
+from .tps import SamplePlan, fit_tps, sample
 
 
 def _band_plan(strategy, count, spec):
@@ -40,15 +40,14 @@ def boundary_accuracy_rows(seeds=(0,), nhat_grid=(100, 200, 300, 400, 600),
             for nhat in nhat_grid:
                 subsample = sample(data, _band_plan(strategy, nhat, spec),
                                    seed=seed + 1)
-                alpha = select_alpha_tps(subsample)
-                model = fit_tps(subsample, alpha)
+                model = fit_tps(subsample, "auto")
                 pred = model.eval(xt)
                 grad = model.eval_grad(xt)
                 lap = model.eval_laplacian_proxy(xt)
                 rows.append({
                     "strategy": strategy,
                     "nhat": int(nhat),
-                    "alpha": float(alpha),
+                    "alpha": model.alpha_tps,
                     "rmse_f": rmse(pred, f_true),
                     "rmse_fx": rmse(grad[:, 0], fx_true),
                     "rmse_fy": rmse(grad[:, 1], fy_true),

@@ -2,13 +2,16 @@
 
 The spline is the radial kernel r^2 log(r) plus an affine part with the
 usual moment side constraints.  Fit and smoothing-parameter selection both
-work in the null space of the side constraints (m = n - 3 unknowns): GCV
+work in the null space of the side constraints (m = n - 3 unknowns).  GCV
 reduces the projected kernel to tridiagonal form once, its only O(m^3)
-step, and scores each candidate alpha in O(m); the fit at one alpha costs
-one m x m Cholesky factorisation.  Besides value and gradient kernels, a
-"Laplacian proxy" kernel -log(r) - 4 is evaluated for initialising the
-Lagrange multiplier at boundary nodes; it is kept exactly in this form (it
-is not the analytic Laplacian of r^2 log r, whose radial profile differs).
+step, and scores each candidate alpha in O(m).  ``fit_tps(sample, "auto")``
+selects and fits from that one reduction: the winning candidate's
+tridiagonal solve is carried back to the null space in O(m^2), with no
+factorisation.  A fit at a given alpha costs one m x m Cholesky
+factorisation.  Besides value and gradient kernels, a "Laplacian proxy"
+kernel -log(r) - 4 is evaluated for initialising the Lagrange multiplier at
+boundary nodes; it is kept exactly in this form (it is not the analytic
+Laplacian of r^2 log r, whose radial profile differs).
 """
 
 import math
@@ -22,6 +25,9 @@ from .exceptions import DegenerateGeometry, InsufficientData
 
 #: radius floor for the log in the Laplacian proxy kernel
 R_CLAMP = 1e-12
+
+#: the smoothing parameters GCV chooses from, unless a grid is given
+ALPHA_TPS_GRID = np.geomspace(1e-9, 1e-1, 17)
 
 
 def kernel_value(r):
@@ -93,7 +99,19 @@ def _spline_system(sample):
     P = np.column_stack([np.ones(n), x])
     if np.linalg.matrix_rank(P) < 3:
         raise DegenerateGeometry("sample points are collinear")
-    return x, y, kernel_value(_distances(x, x)), P
+    # kernel_value(_distances(x, x)), bitwise, in two n x n buffers
+    K = np.subtract.outer(x[:, 0], x[:, 0])
+    np.multiply(K, K, out=K)
+    sq = np.subtract.outer(x[:, 1], x[:, 1])
+    np.multiply(sq, sq, out=sq)
+    np.add(K, sq, out=K)
+    np.sqrt(K, out=K)
+    np.multiply(K, K, out=sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(K, out=K)
+        np.multiply(sq, K, out=K)
+    K[np.isnan(K)] = 0.0  # 0 * log(0): the diagonal and coincident points
+    return x, y, K, P
 
 
 def _reflected_system(sample):
@@ -126,6 +144,73 @@ def _coincident_points(x):
     return [(int(first[inverse[j]]), int(j)) for j in later]
 
 
+@dataclass
+class _Tridiagonal:
+    """Z^T K Z = Q_T T Q_T^T, m = n - 3 square, with T tridiagonal.
+
+    One Householder tridiagonalisation (``dsytrd``) is the only O(m^3) step.
+    ``d`` and ``e`` are the diagonal and subdiagonal of T, ``lam`` its
+    eigenvalues (``dsterf``, without eigenvectors) and ``z`` = Q_T^T Z^T y.
+    The lower reflectors of ``dsytrd`` (``reflectors``, ``tau``) form a
+    QR-style set on rows 1..m-1, so ``dormqr`` applies Q_T or Q_T^T to a
+    vector in O(m^2).  For m <= 1, Z^T K Z is already tridiagonal and Q_T is
+    the identity.
+    """
+    reflectors: np.ndarray
+    tau: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
+    lam: np.ndarray
+    z: np.ndarray
+
+    @classmethod
+    def reduce(cls, QtKQ, Qty):
+        """The reduction of the null-space blocks of ``_reflected_system``."""
+        m = len(Qty) - 3
+        z = Qty[3:].copy()
+        if m <= 1:  # the dsterf and dgtsv wrappers reject m < 2
+            d = np.diag(QtKQ)[3:]
+            return cls(None, None, d, np.zeros(0), d, z)
+        # the wrapper's default lwork would force the unblocked reduction
+        lwork = int(lapack.dsytrd_lwork(m, lower=1)[0])
+        c, d, e, tau, _ = lapack.dsytrd(QtKQ[3:, 3:], lower=1, lwork=lwork)
+        reflectors = c[1:, :-1]
+        z[1:] = lapack.dormqr("L", "T", reflectors, tau, z[1:, None],
+                              m - 1)[0][:, 0]
+        return cls(reflectors, tau, d, e, lapack.dsterf(d, e)[0], z)
+
+    def solve(self, sigma):
+        """u = (T + sigma*I)^-1 z, one O(m) tridiagonal solve."""
+        if len(self.d) <= 1:
+            return self.z / (self.d + sigma)
+        return lapack.dgtsv(self.e, self.d + sigma, self.e,
+                            self.z[:, None])[3][:, 0]
+
+    def to_null_space(self, u):
+        """g = Q_T u, the null-space coordinates of a solution of ``solve``."""
+        g = u.copy()
+        if len(g) > 1:
+            g[1:] = lapack.dormqr("L", "N", self.reflectors, self.tau,
+                                  u[1:, None], len(g) - 1)[0][:, 0]
+        return g
+
+    def gcv_scores(self, grid):
+        """GCV score n*|y - yhat|^2 / (n - tr H)^2 at each alpha of ``grid``.
+
+        n - tr H = sum(n*alpha / (lam + n*alpha)), and |y - yhat|^2 =
+        (n*alpha)^2 |u|^2 with u from ``solve(n*alpha)``.  A candidate with
+        n - tr H <= 0 scores +inf.
+        """
+        n = len(self.z) + 3
+        sigma = n * grid
+        dof = np.sum(sigma[:, None] / (self.lam + sigma[:, None]), axis=1)
+        scores = np.full(len(grid), np.inf)
+        for k in np.flatnonzero(dof > 0):
+            u = self.solve(sigma[k])
+            scores[k] = n * sigma[k] ** 2 * (u @ u) / dof[k] ** 2
+        return scores
+
+
 def fit_tps(sample, alpha_tps=0.0):
     """Fit a smoothing TPS to a (small) data set.
 
@@ -135,24 +220,36 @@ def fit_tps(sample, alpha_tps=0.0):
     with P = [1, x1, x2], which enforces the zero-moment side constraints on
     the kernel weights, in its null-space form: w = Z g with
     (Z^T K Z + n*alpha*I) g = Z^T y, and R a = Q1^T y - Q1^T K Z g for
-    P = Q1 R (see ``_reflected_system``).  Z^T K Z is positive definite for
-    distinct points, so past the O(n^2) reflected system the fit costs one
-    (n-3)-square Cholesky factorisation.  Interpolation (alpha = 0) through
-    coincident points has no unique solution and raises
-    ``DegenerateGeometry``.
+    P = Q1 R (see ``_reflected_system``).  Past the O(n^2) reflected system:
+
+    - a given alpha costs one (n-3)-square Cholesky factorisation of
+      Z^T K Z + n*alpha*I, which is positive definite for distinct points.
+      Interpolation (alpha = 0) through coincident points has no unique
+      solution and raises ``DegenerateGeometry``.
+    - ``alpha_tps="auto"`` picks alpha as ``select_alpha_tps`` does, from
+      the same scores, and fits at it from the same reduction: one O(m^3)
+      tridiagonalisation of Z^T K Z (m = n - 3), O(m) per candidate, and an
+      O(m^2) back-transform g = Q_T u of the winner's tridiagonal solve u.
+      The chosen alpha is the model's ``alpha_tps``.
     """
     x, y, qr, tau, QtKQ, Qty = _reflected_system(sample)
     n = len(y)
-    if alpha_tps == 0.0:
-        pairs = _coincident_points(x)
-        if pairs:
-            raise DegenerateGeometry(
-                f"cannot interpolate: {len(pairs)} sample points coincide "
-                f"with earlier ones, index pairs {pairs[:5]}")
-    g = np.zeros(n - 3)
-    if n > 3:
-        C = QtKQ[3:, 3:] + n * alpha_tps * np.eye(n - 3)
-        g = scipy.linalg.cho_solve(scipy.linalg.cho_factor(C), Qty[3:])
+    if alpha_tps == "auto":
+        tri = _Tridiagonal.reduce(QtKQ, Qty)
+        k = np.argmin(tri.gcv_scores(ALPHA_TPS_GRID))
+        alpha_tps = ALPHA_TPS_GRID[k]
+        g = tri.to_null_space(tri.solve(n * alpha_tps))
+    else:
+        if alpha_tps == 0.0:
+            pairs = _coincident_points(x)
+            if pairs:
+                raise DegenerateGeometry(
+                    f"cannot interpolate: {len(pairs)} sample points "
+                    f"coincide with earlier ones, index pairs {pairs[:5]}")
+        g = np.zeros(n - 3)
+        if n > 3:
+            C = QtKQ[3:, 3:] + n * alpha_tps * np.eye(n - 3)
+            g = scipy.linalg.cho_solve(scipy.linalg.cho_factor(C), Qty[3:])
     w = lapack.dormqr("L", "N", qr, tau,
                       np.concatenate([np.zeros(3), g])[:, None], 1)[0][:, 0]
     a = scipy.linalg.solve_triangular(qr[:3], Qty[:3] - QtKQ[:3, 3:] @ g)
@@ -161,38 +258,10 @@ def fit_tps(sample, alpha_tps=0.0):
 
 
 def _gcv_scores(sample, grid):
-    """GCV score n*|y - yhat|^2 / (n - tr H)^2 of the spline at each alpha.
-
-    One Householder tridiagonalisation T = Q_T^T (Z^T K Z) Q_T (``dsytrd``)
-    is the only O(m^3) step, m = n - 3.  Its eigenvalues lam (``dsterf``,
-    without eigenvectors) give n - tr H = sum(n*alpha / (lam + n*alpha)),
-    and one O(m) tridiagonal solve (``dgtsv``) per candidate gives
-    |y - yhat|^2 = (n*alpha)^2 |(T + n*alpha*I)^-1 Q_T^T Z^T y|^2.  The
-    lower reflectors of ``dsytrd`` form a QR-style set on rows 1..m-1, so
-    ``dormqr`` applies Q_T^T to Z^T y in O(m^2).  A candidate with
-    n - tr H <= 0 scores +inf.
-    """
-    _, y, _, _, QtKQ, Qty = _reflected_system(sample)
-    n = len(y)
-    m = n - 3
-    z = Qty[3:].copy()
-    if m > 1:
-        # the wrapper's default lwork would force the unblocked reduction
-        lwork = int(lapack.dsytrd_lwork(m, lower=1)[0])
-        c, d, e, tau, _ = lapack.dsytrd(QtKQ[3:, 3:], lower=1, lwork=lwork)
-        z[1:] = lapack.dormqr("L", "T", c[1:, :-1], tau, z[1:, None],
-                              m - 1)[0][:, 0]
-        lam = lapack.dsterf(d, e)[0]
-    else:  # already tridiagonal; the dsterf and dgtsv wrappers reject m < 2
-        d = lam = np.diag(QtKQ)[3:]
-    sigma = n * grid
-    dof = np.sum(sigma[:, None] / (lam + sigma[:, None]), axis=1)  # n - tr H
-    scores = np.full(len(grid), np.inf)
-    for k in np.flatnonzero(dof > 0):
-        u = (lapack.dgtsv(e, d + sigma[k], e, z[:, None])[3][:, 0] if m > 1
-             else z / (d + sigma[k]))
-        scores[k] = n * sigma[k] ** 2 * (u @ u) / dof[k] ** 2
-    return scores
+    """GCV score of the spline at each alpha of ``grid``: one reflected
+    system and one ``_Tridiagonal`` reduction, then O(m) per candidate."""
+    _, _, _, _, QtKQ, Qty = _reflected_system(sample)
+    return _Tridiagonal.reduce(QtKQ, Qty).gcv_scores(grid)
 
 
 def select_alpha_tps(sample, alpha_grid=None):
@@ -204,10 +273,11 @@ def select_alpha_tps(sample, alpha_grid=None):
     Wahba 1979).  ``_gcv_scores`` reduces Z^T K Z, m = n - 3 square, to
     tridiagonal form once, the only O(m^3) step of the selection; each
     candidate then costs O(m), so a wider grid is cheap.  Returns the first
-    alpha of least score; a candidate with n - tr H <= 0 scores +inf, so
-    n = 3 gives ``grid[0]``.
+    alpha of least score (``ALPHA_TPS_GRID`` by default); a candidate with
+    n - tr H <= 0 scores +inf, so n = 3 gives ``grid[0]``.
+    ``fit_tps(sample, "auto")`` selects from the same scores and fits too.
     """
-    grid = (np.geomspace(1e-9, 1e-1, 17) if alpha_grid is None
+    grid = (ALPHA_TPS_GRID if alpha_grid is None
             else np.asarray(alpha_grid, dtype=float))
     return float(grid[np.argmin(_gcv_scores(sample, grid))])
 
@@ -289,24 +359,22 @@ def sample(data, plan, seed=0):
     else:
         candidates = np.arange(n)
     cap = max(1, math.ceil(4.0 * n / plan.count))
-    leaves = []
-    for depth, order, idx in _quadtree_leaves(x[candidates], cap):
-        leaves.append((depth, order, candidates[idx]))
-    chosen = []
+    leaves = [candidates[idx]
+              for _, _, idx in _quadtree_leaves(x[candidates], cap)]
+    members = np.concatenate(leaves)
+    start = np.cumsum([0] + [len(idx) for idx in leaves[:-1]])
     taken = np.zeros(n, dtype=bool)
-    # one random pick per leaf, largest cells first, cycling until filled
-    while len(chosen) < plan.count:
-        progress = False
-        for depth, order, idx in leaves:
-            if len(chosen) >= plan.count:
-                break
-            avail = idx[~taken[idx]]
-            if len(avail) == 0:
-                continue
-            pick = int(avail[rng.integers(len(avail))])
-            taken[pick] = True
-            chosen.append(pick)
-            progress = True
-        if not progress:
+    left = plan.count
+    # one random pick per leaf, largest cells first, cycling until filled;
+    # a pass draws its picks at once, the stream of one draw per leaf
+    while left > 0:
+        avail = ~taken[members]
+        counts = np.add.reduceat(avail, start)
+        open_leaves = np.flatnonzero(counts)[:left]
+        if len(open_leaves) == 0:
             raise InsufficientData("sampling exhausted candidate points")
-    return data.subset(np.sort(np.asarray(chosen)))
+        first = np.cumsum(counts) - counts  # each leaf's first available
+        ranks = first[open_leaves] + rng.integers(0, counts[open_leaves])
+        taken[members[np.flatnonzero(avail)[ranks]]] = True
+        left -= len(open_leaves)
+    return data.subset(np.flatnonzero(taken))

@@ -8,11 +8,12 @@ from scipy.spatial import cKDTree
 from tpsfem.assembly import FemSystem
 from tpsfem.boundary import BoundaryValues
 from tpsfem.data import DataSet
-from tpsfem.exceptions import EmptyField, NotRefinable, SingularSystem
+from tpsfem.exceptions import (EmptyField, InsufficientData, NotRefinable,
+                               SingularSystem)
 from tpsfem.indicators import auxiliary_indicators, recovery_indicator
 from tpsfem.mesh import TriMesh
 from tpsfem.solver import FIELDS, SaddleSystem, _interleaved, saddle_blocks
-from tpsfem.tps import R_CLAMP, TpsModel
+from tpsfem.tps import R_CLAMP, TpsModel, _quadtree_leaves
 
 # 7-point Gauss rule on the reference triangle, exact to degree 5
 _GP = np.array([
@@ -331,6 +332,46 @@ def dense_tps_fit(x, y, alpha):
     sol = scipy.linalg.solve(M, np.concatenate([y, np.zeros(3)]))
     return TpsModel(centers=x.copy(), weights=sol[:n], affine=sol[n:],
                     alpha_tps=float(alpha))
+
+
+def loop_sample(data, plan, seed=0):
+    """``tps.sample`` of the quadtree strategies with one scalar draw per
+    leaf: each pass visits the leaves largest first and picks one untaken
+    point of each, until the plan's count is reached."""
+    x = np.asarray(data.x, dtype=float)
+    n = len(x)
+    if plan.count > n:
+        raise InsufficientData(f"requested {plan.count} of {n} points")
+    rng = np.random.default_rng(seed)
+    if plan.strategy == "quadtree_boundary_band":
+        xmin, xmax, ymin, ymax = plan.band
+        inside = ((x[:, 0] > xmin) & (x[:, 0] < xmax)
+                  & (x[:, 1] > ymin) & (x[:, 1] < ymax))
+        candidates = np.flatnonzero(~inside)
+        if len(candidates) < plan.count:
+            raise InsufficientData("not enough points outside the band")
+    else:
+        candidates = np.arange(n)
+    cap = max(1, int(np.ceil(4.0 * n / plan.count)))
+    leaves = [candidates[idx]
+              for _, _, idx in _quadtree_leaves(x[candidates], cap)]
+    chosen = []
+    taken = np.zeros(n, dtype=bool)
+    while len(chosen) < plan.count:
+        progress = False
+        for idx in leaves:
+            if len(chosen) >= plan.count:
+                break
+            avail = idx[~taken[idx]]
+            if len(avail) == 0:
+                continue
+            pick = int(avail[rng.integers(len(avail))])
+            taken[pick] = True
+            chosen.append(pick)
+            progress = True
+        if not progress:
+            raise InsufficientData("sampling exhausted candidate points")
+    return data.subset(np.sort(np.asarray(chosen)))
 
 
 def dense_tps_gcv_scores(x, y, grid):

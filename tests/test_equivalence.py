@@ -2,12 +2,15 @@
 
 A refactor must leave the refinement decisions (node, marked and refined
 edge counts) exactly as they are, and alpha and the RMSE of every iteration
-within 1e-10 relative.  The irregular-recovery-tps run (fixed alpha) was
-recorded from the code before the saddle system was built from one block
-matrix.  The square-auxiliary-gcv and irregular-auxiliary runs were
-re-recorded when the GCV selection became one golden-section search on
-log(alpha) between the grid's ends, in place of a grid scan plus a local
-golden refinement: that change moves the chosen alpha by design.  The
+within 1e-10 relative.  The boundary spline's GCV alpha (``tps_alpha``) must
+stay exactly as it is: every run fits that spline, for the Dirichlet or the
+nodal-average values, and at 60 samples all five pick the grid's lowest
+alpha.  The irregular-recovery-tps run (fixed alpha) was recorded from the
+code before the saddle system was built from one block matrix.  The
+square-auxiliary-gcv and irregular-auxiliary runs were re-recorded when the
+GCV selection became one golden-section search on log(alpha) between the
+grid's ends, in place of a grid scan plus a local golden refinement: that
+change moves the chosen alpha by design.  The
 square-uniform-gcv and polygon-recovery-tps runs were recorded from the
 code before every bisection went through one array kernel and the mesh
 dropped its dict-based edge bookkeeping; they pin the uniform refinement
@@ -34,14 +37,16 @@ RUNS = {
              gcv=GcvConfig(alpha_grid=np.geomspace(1e-10, 1.0, 11), probes=5,
                            refine_iters=4)),
         [(25, 0, 0, 2.2944562176907705e-08, 0.08328260929528335),
-         (50, 15, 25, 2.2944562176907705e-08, 0.07393374655479025)]),
+         (50, 15, 25, 2.2944562176907705e-08, 0.07393374655479025)],
+        1e-09),
     # trimmed domain, recovery indicator, Dirichlet values from the spline
     "irregular-recovery-tps": (
         dict(domain="irregular", boundary="tps", alpha=1e-6, max_iters=2,
              stagnation_iters=0, tps_samples=60),
         [(118, 0, 0, 1e-06, 0.06549288010369607),
          (279, 154, 161, 1e-06, 0.053711767575150345),
-         (714, 403, 435, 1e-06, 0.04963086312024144)]),
+         (714, 403, 435, 1e-06, 0.04963086312024144)],
+        1e-09),
     # trimmed domain, auxiliary indicator with the default marking, alpha by
     # GCV: 29 incremental refreshes of the auxiliary field
     "irregular-auxiliary": (
@@ -49,14 +54,16 @@ RUNS = {
              stagnation_iters=0, tps_samples=60),
         [(118, 0, 0, 6.6464946918740086e-09, 0.04913208912353292),
          (279, 100, 161, 1.4054565132199838e-08, 0.03558938860310491),
-         (663, 205, 384, 9.665070747168059e-09, 0.02257228345384677)]),
+         (663, 205, 384, 9.665070747168059e-09, 0.02257228345384677)],
+        1e-09),
     # square domain, uniform refinement, alpha by GCV
     "square-uniform-gcv": (
         dict(refine="uniform", max_iters=2, stagnation_iters=0,
              tps_samples=60),
         [(25, 0, 0, 9.247221279299621e-09, 0.08327920975668654),
          (41, 0, 16, 8.998059014795248e-09, 0.06786950495455706),
-         (81, 0, 40, 1.5096407580794675e-08, 0.05762306671978971)]),
+         (81, 0, 40, 1.5096407580794675e-08, 0.05762306671978971)],
+        1e-09),
     # the unit square with a square hole, meshed by mesh_polygon; recovery
     # indicator, Dirichlet values from the spline
     "polygon-recovery-tps": (
@@ -64,7 +71,8 @@ RUNS = {
              alpha=1e-6, max_iters=2, stagnation_iters=0, tps_samples=60),
         [(284, 0, 0, 1e-06, 0.032716677664895236),
          (578, 283, 294, 1e-06, 0.022593009857691988),
-         (1567, 915, 989, 1e-06, 0.01938980500163692)]),
+         (1567, 915, 989, 1e-06, 0.01938980500163692)],
+        1e-09),
 }
 
 
@@ -75,8 +83,9 @@ def peaks_300():
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_records_pinned(peaks_300, name):
-    settings, expected = RUNS[name]
-    _, records = run(peaks_300, RunConfig(seed=0, **settings))
+    settings, expected, tps_alpha = RUNS[name]
+    smoother, records = run(peaks_300, RunConfig(seed=0, **settings))
+    assert smoother.info["tps_alpha"] == tps_alpha
     got = [(r.nodes, r.marked_edges, r.refined_edges) for r in records]
     assert got == [e[:3] for e in expected]
     for r, (*_, alpha, rmse) in zip(records, expected):

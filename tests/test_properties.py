@@ -1,6 +1,6 @@
 """Property tests of newest-node bisection, batched point location, the
 element matrices, the stacked auxiliary patch problems, the values of new
-nodes and the exactness of the fit on affine data."""
+nodes, the exactness of the fit on affine data and the spline subsample."""
 
 from functools import lru_cache
 
@@ -12,7 +12,7 @@ from tpsfem.assembly import assemble_G, assemble_L
 from tpsfem.boundary import BoundaryStrategy, constant_boundary_values
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.driver import _NodeValues
-from tpsfem.exceptions import NotRefinable
+from tpsfem.exceptions import InsufficientData, NotRefinable
 from tpsfem.indicators import (_containing_rows, auxiliary_field,
                                locate_by_tri, mark, patch_system,
                                recovery_field)
@@ -24,7 +24,7 @@ from tpsfem.tps import SamplePlan, fit_tps, sample, select_alpha_tps
 from conftest import (all_angles, base_edge, make_fan_mesh,
                       make_interface_strip, total_area)
 from oracles import (RefMesh, assert_same_mesh, copy_submesh, dict_field,
-                     dict_mark, linear_basis, located_dict,
+                     dict_mark, linear_basis, located_dict, loop_sample,
                      padded_containing_rows, per_event_extend,
                      refresh_dict_field, tri_items)
 from test_solver import linear_problem
@@ -449,3 +449,32 @@ def test_refinement_rejects_what_the_reference_rejects():
         with pytest.raises(NotRefinable):
             mesh.refine_wave([base_edge(mesh, 0), eid])
     assert_same_mesh(mesh, ref)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=st.integers(1, 400), share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1), band=st.booleans(),
+       snap=st.sampled_from([None, 4, 32]))
+def test_sample_matches_per_leaf_loop(n, share, seed, band, snap):
+    """One draw per pass picks bitwise the points of one draw per leaf.
+
+    ``snap`` rounds the points to a coarse grid, so that coincident points
+    fill leaves that stop splitting at the depth limit."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(n, 2))
+    if snap is not None:
+        x = np.round(x * snap) / snap
+    data = DataSet(x, np.arange(n, dtype=float))  # y holds the indices
+    count = max(1, int(round(share * n)))
+    plan = (SamplePlan("quadtree_boundary_band", count=count,
+                       band=(-0.5, 0.5, -0.5, 0.5)) if band
+            else SamplePlan("quadtree", count=count))
+    try:
+        ref = loop_sample(data, plan, seed=seed)
+    except InsufficientData:
+        with pytest.raises(InsufficientData):
+            sample(data, plan, seed=seed)
+        return
+    got = sample(data, plan, seed=seed)
+    assert np.array_equal(got.y, ref.y)
+    assert np.array_equal(got.x, ref.x)

@@ -38,13 +38,14 @@ class TestRunReport:
     def test_spline_alpha_reported(self, boundary, monkeypatch):
         import tpsfem.driver as driver
         picked = []
-        select = driver.select_alpha_tps
+        fit = driver.fit_tps
 
-        def recording(samp):
-            picked.append(select(samp))
-            return picked[-1]
+        def recording(samp, alpha_tps):
+            model = fit(samp, alpha_tps)
+            picked.append(model.alpha_tps)
+            return model
 
-        monkeypatch.setattr(driver, "select_alpha_tps", recording)
+        monkeypatch.setattr(driver, "fit_tps", recording)
         cfg, records, smoother = tiny_run(boundary=boundary)
         expect = None if boundary == "constant" else picked[0]
         assert len(picked) == (boundary != "constant")
@@ -142,14 +143,20 @@ class TestCli:
     @pytest.mark.parametrize("flag, value", [("--gcv-probes", "0"),
                                              ("--alpha", "nan"),
                                              ("--tps-samples", "9"),
-                                             ("--max-iters", "-1")])
+                                             ("--max-iters", "-1"),
+                                             ("--trim-level", "-1"),
+                                             ("--rmse-tolerance", "nan")])
     def test_unfittable_setting_usage_error(self, peaks_csv, tmp_path, flag,
                                             value):
+        # argparse checks every flag here but the tolerance; RunConfig does
+        expect = (f"argument {flag}: {value} is" if flag != "--rmse-tolerance"
+                  else "rmse_tolerance must not be NaN")
         out = tmp_path / "out"
         res = run_cli(["fit", str(peaks_csv), flag, value, "--out", str(out)],
                       tmp_path)
         assert res.returncode == 2
-        assert f"argument {flag}: {value} is" in res.stderr
+        assert expect in res.stderr
+        assert "Traceback" not in res.stderr
         assert not out.exists()
 
     def test_report_merge(self, peaks_csv, tmp_path):

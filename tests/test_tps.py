@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import lapack
+
+import tpsfem.tps as tps
 
 from conftest import coverage_gap
 from oracles import (complete_q_tps_gcv_scores, dense_tps_fit,
                      dense_tps_gcv_scores, masked_kernel_value,
                      radii_tps_evals, summed_radii)
+from tpsfem.boundary import _spline_rows
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.exceptions import DegenerateGeometry, InsufficientData
-from tpsfem.tps import (SamplePlan, TpsModel, _gcv_scores, _spline_system,
-                        fit_tps, kernel_laplacian_proxy, kernel_value, sample,
-                        select_alpha_tps)
+from tpsfem.tps import (SamplePlan, TpsModel, _distances, _gcv_scores,
+                        _spline_system, fit_tps, kernel_laplacian_proxy,
+                        kernel_value, sample, select_alpha_tps)
 
 
 def random_model(seed):
@@ -20,6 +24,15 @@ def random_model(seed):
     w -= w.mean()  # moment constraints are irrelevant for kernel evals
     return TpsModel(centers=centers, weights=w,
                     affine=rng.normal(size=3), alpha_tps=0.0)
+
+
+def peaks_sample(n, lshape):
+    """A quadtree sample of ``n`` normalised peaks points from the square or
+    the L-shape left by dropping the upper right quadrant."""
+    data = peaks_generate(PeaksSpec(n=4000), seed=n)
+    if lshape:
+        data = data.subset(~((data.x[:, 0] > 0) & (data.x[:, 1] > 0)))
+    return sample(data.normalized(), SamplePlan("quadtree", count=n), seed=n)
 
 
 class TestKernels:
@@ -62,6 +75,7 @@ class TestKernelBuild:
         _, _, K, _ = _spline_system(DataSet(x, rng.normal(size=len(x))))
         ref = masked_kernel_value(summed_radii(x, x)[1])
         assert np.array_equal(K, ref)
+        assert np.array_equal(K, kernel_value(_distances(x, x)))
         assert np.count_nonzero(K == 0.0) > len(x)
 
     def test_model_evals(self):
@@ -157,11 +171,7 @@ class TestFitProjection:
     @pytest.mark.parametrize("n", [100, 300, 600])
     @pytest.mark.parametrize("lshape", [False, True])
     def test_peaks_samples_match_dense_fit(self, n, lshape):
-        data = peaks_generate(PeaksSpec(n=4000), seed=n)
-        if lshape:
-            data = data.subset(~((data.x[:, 0] > 0) & (data.x[:, 1] > 0)))
-        samp = sample(data.normalized(), SamplePlan("quadtree", count=n),
-                      seed=n)
+        samp = peaks_sample(n, lshape)
         pts = np.vstack([samp.x, np.random.default_rng(n).uniform(
             samp.x.min(axis=0), samp.x.max(axis=0), size=(200, 2))])
         for alpha in (0.0, select_alpha_tps(samp)):
@@ -183,8 +193,67 @@ class TestFitProjection:
         monkeypatch.setattr(scipy.linalg, "solve", refuse)
         data = peaks_generate(PeaksSpec(n=4000), seed=0).normalized()
         samp = sample(data, SamplePlan("quadtree", count=600), seed=0)
-        m = fit_tps(samp, select_alpha_tps(samp))
+        for m in (fit_tps(samp, select_alpha_tps(samp)),
+                  fit_tps(samp, "auto")):
+            assert np.all(np.isfinite(m.weights))
+
+
+class TestFitAuto:
+    """Selection and fit from one reduction: the alpha of select_alpha_tps
+    and the fit of its Cholesky path and of the bordered dense solve."""
+
+    @staticmethod
+    def tiny_sample(n, seed):
+        rng = np.random.default_rng(300 + seed)
+        x = rng.uniform(-1, 1, size=(n, 2))
+        return DataSet(x, x[:, 0] * x[:, 1] + 0.2 * rng.normal(size=n))
+
+    @staticmethod
+    def assert_matches(data):
+        alpha = select_alpha_tps(data)
+        got = fit_tps(data, "auto")
+        assert got.alpha_tps == alpha
+        pts = np.random.default_rng(len(data)).uniform(
+            data.x.min(axis=0), data.x.max(axis=0), size=(200, 2))
+        # at n = 3 the weights are 0 and the oracle's about 1e-17
+        floor = np.abs(data.y).max()
+        refs = (fit_tps(data, alpha), dense_tps_fit(data.x, data.y, alpha))
+        for ref in refs:
+            for a, b in ((got.weights, ref.weights), (got.affine, ref.affine),
+                         (_spline_rows(got, pts, alpha),
+                          _spline_rows(ref, pts, alpha))):
+                assert (np.abs(a - b).max()
+                        <= 1e-10 * max(np.abs(b).max(), floor))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tiny_samples(self, n, seed):
+        self.assert_matches(self.tiny_sample(n, seed))
+
+    @pytest.mark.parametrize("n", [300, 600])
+    @pytest.mark.parametrize("lshape", [False, True])
+    def test_peaks_samples(self, n, lshape):
+        self.assert_matches(peaks_sample(n, lshape))
+
+    def test_one_reflected_system_one_reduction_no_cholesky(self,
+                                                            monkeypatch):
+        calls = {"_reflected_system": 0, "dsytrd": 0, "cho_factor": 0}
+
+        def counting(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(tps, "_reflected_system")
+        counting(lapack, "dsytrd")
+        counting(scipy.linalg, "cho_factor")
+        m = fit_tps(peaks_sample(300, True), "auto")
         assert np.all(np.isfinite(m.weights))
+        assert calls == {"_reflected_system": 1, "dsytrd": 1,
+                         "cho_factor": 0}
 
 
 class TestDerivatives:
@@ -287,11 +356,7 @@ class TestGcvProjection:
     @pytest.mark.parametrize("n", [100, 300, 600])
     @pytest.mark.parametrize("lshape", [False, True])
     def test_peaks_samples_match_complete_q(self, n, lshape):
-        data = peaks_generate(PeaksSpec(n=4000), seed=n)
-        if lshape:
-            data = data.subset(~((data.x[:, 0] > 0) & (data.x[:, 1] > 0)))
-        samp = sample(data.normalized(), SamplePlan("quadtree", count=n),
-                      seed=n)
+        samp = peaks_sample(n, lshape)
         grid = np.geomspace(1e-9, 1e-1, 17)
         ref = complete_q_tps_gcv_scores(samp.x, samp.y, grid)
         got = _gcv_scores(samp, grid)
