@@ -41,7 +41,7 @@ import scipy.sparse as sp
 from .assembly import FemSystem, Located, assemble_G, assemble_L
 from .boundary import BoundaryValues
 from .exceptions import EmptyField
-from .mesh import TriMesh, _grouped, bisect_once, fill_new_nodes
+from .mesh import TriMesh, _bary, _grouped, bisect_once, fill_new_nodes
 from .solver import FIELDS, SaddleSystem
 
 
@@ -114,11 +114,12 @@ def _containing_rows(tab, origin, within, points):
     side gives the same basis values.
     """
     cand, at = _members(_grouped(origin, origin.max() + 1), within)
-    bary = tab.bary(cand, points[at])
-    low, first = bary.min(axis=1), np.searchsorted(at, np.arange(len(points)))
+    lam = _bary(tab.frame.take(cand, axis=1), points[at, 0], points[at, 1])
+    low = np.minimum(np.minimum(lam[0], lam[1]), lam[2])
+    first = np.searchsorted(at, np.arange(len(points)))
     best = np.flatnonzero(low == np.maximum.reduceat(low, first)[at])
     pick = best[np.searchsorted(at[best], np.arange(len(points)))]
-    return cand[pick], bary[pick]
+    return cand[pick], np.column_stack([l[pick] for l in lam])
 
 
 def patch_system(s, data, patches, located_by_tri):

@@ -30,6 +30,11 @@ BARY_TOL = 1e-12
 #: a node created by bisection, with the endpoints of the split edge
 NewNode = namedtuple("NewNode", ["node", "parent_a", "parent_b", "boundary"])
 
+#: the point locator of a mesh: its node bounding box, cut into ng x ng bins
+#: of sx by sy; the rows listed in bin g are ``rows[start[g]:start[g + 1]]``
+_Bins = namedtuple("_Bins", ["xmin", "ymin", "xmax", "ymax", "sx", "sy",
+                             "ng", "start", "rows"])
+
 
 def _pair_key(p, q):
     """One int64 key per unordered node pair; keys sort as (lower, higher)."""
@@ -50,7 +55,9 @@ def _sides(verts):
 def _grouped(keys, n):
     """The positions of the integer ``keys`` in [0, n), grouped by key: the
     positions of key g are ``order[start[g]:start[g + 1]]``, ascending."""
-    order = np.argsort(keys, kind="stable")
+    # numpy sorts integer types of up to 16 bits stably by radix, so the
+    # keys are sorted in the narrowest type that holds them
+    order = np.argsort(keys.astype(np.min_scalar_type(n)), kind="stable")
     start = np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=n))])
     return order, start
 
@@ -148,6 +155,18 @@ def bisect_once(verts, n, rank=None):
             _pair_nodes(edges[order]))
 
 
+def _bary(frame, x, y):
+    """Barycentric coordinates (l0, l1, l2) of the points (x[k], y[k]) in
+    the triangles of the ``TriTable.frame`` columns ``frame[:, k]``, as
+    three 1-D arrays: l1 and l2 by Cramer's rule, l0 = 1 - l1 - l2.  A
+    degenerate triangle (den = 0) gives inf or NaN."""
+    x0, y0, v0x, v0y, v1x, v1y, den = frame
+    v2x, v2y = x - x0, y - y0
+    l1 = (v2x * v1y - v2y * v1x) / den
+    l2 = (v0x * v2y - v0y * v2x) / den
+    return 1.0 - l1 - l2, l1, l2
+
+
 def _rows(self, ids):
     """Rows of the ``ids``; KeyError for an id the table does not hold."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -159,7 +178,7 @@ def _rows(self, ids):
 
 
 class TriTable(namedtuple("TriTable", ["ids", "verts", "x", "y", "area",
-                                       "gx", "gy", "edges"])):
+                                       "gx", "gy", "edges", "frame"])):
     """Geometry of every alive triangle, one row per triangle in id order.
 
     Attributes
@@ -177,6 +196,12 @@ class TriTable(namedtuple("TriTable", ["ids", "verts", "x", "y", "area",
     edges : (m, 3) ndarray
         Edge ids of the sides (a, b), (b, v), (v, a); the first is the base
         edge.
+    frame : (7, m) ndarray
+        Each triangle's barycentric frame, one column per triangle: the
+        first vertex (x0, y0), the sides v0 = (x1 - x0, y1 - y0) and v1 =
+        (x2 - x0, y2 - y0) from it, and den = v0x * v1y - v0y * v1x.  These
+        are the operands of every barycentric coordinate, formed once per
+        triangle instead of once per (point, triangle) pair.
     """
     __slots__ = ()
     item = "triangle"
@@ -184,17 +209,8 @@ class TriTable(namedtuple("TriTable", ["ids", "verts", "x", "y", "area",
 
     def bary(self, rows, points):
         """Barycentric coordinates of ``points[k]`` in the triangle of row ``rows[k]``."""
-        x0, y0 = self.x[rows, 0], self.y[rows, 0]
-        v0x, v0y = self.x[rows, 1] - x0, self.y[rows, 1] - y0
-        v1x, v1y = self.x[rows, 2] - x0, self.y[rows, 2] - y0
-        v2x, v2y = points[:, 0] - x0, points[:, 1] - y0
-        del x0, y0  # large batches: the live temporaries set the peak memory
-        den = v0x * v1y - v0y * v1x
-        out = np.empty((len(den), 3))
-        np.divide(v2x * v1y - v2y * v1x, den, out=out[:, 1])
-        np.divide(v0x * v2y - v0y * v2x, den, out=out[:, 2])
-        out[:, 0] = 1.0 - out[:, 1] - out[:, 2]
-        return out
+        lam = _bary(self.frame.take(rows, axis=1), points[:, 0], points[:, 1])
+        return np.column_stack(lam)
 
     def gradients(self, values):
         """(m, 2) constant gradient of the linear interpolant of nodal ``values``."""
@@ -309,8 +325,12 @@ class TriMesh:
         with np.errstate(divide="ignore", invalid="ignore"):
             gx = bcoef / (2.0 * area[:, None])
             gy = ccoef / (2.0 * area[:, None])
+        v0x, v0y = x[:, 1] - x[:, 0], y[:, 1] - y[:, 0]
+        v1x, v1y = x[:, 2] - x[:, 0], y[:, 2] - y[:, 0]
+        frame = np.stack([x[:, 0], y[:, 0], v0x, v0y, v1x, v1y,
+                          v0x * v1y - v0y * v1x])
         return TriTable(self._ids, verts, x, y, area, gx, gy,
-                        self._key_ids[self._side_rows()])
+                        self._key_ids[self._side_rows()], frame)
 
     @property
     def edge_table(self):
@@ -437,7 +457,7 @@ class TriMesh:
         pts = self.points
         xmin, ymin = pts.min(axis=0)
         xmax, ymax = pts.max(axis=0)
-        ng = int(np.clip(np.sqrt(2 * len(tab.ids)) + 1, 1, 1024))
+        ng = int(np.clip(3 * (np.sqrt(2 * len(tab.ids)) + 1), 1, 1024))
         sx = (xmax - xmin) / ng or 1.0
         sy = (ymax - ymin) / ng or 1.0
         i0 = np.clip(((tab.x.min(axis=1) - xmin) / sx).astype(int), 0, ng - 1)
@@ -452,7 +472,8 @@ class TriMesh:
         k = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
         bins = (i0[rows] + k // nj[rows]) * ng + j0[rows] + k % nj[rows]
         order, start = _grouped(bins, ng * ng)
-        self._locator = (xmin, ymin, xmax, ymax, sx, sy, ng, start, rows[order])
+        self._locator = _Bins(xmin, ymin, xmax, ymax, sx, sy, ng, start,
+                              rows[order])
 
     def locate(self, points):
         """Triangles whose closed hulls contain the points.
@@ -465,15 +486,24 @@ class TriMesh:
         -------
         (ids, bary)
             ``ids`` is the (k,) array of triangle ids, -1 for points outside
-            the mesh; ``bary`` the (k, 3) barycentric coordinates in those
-            triangles (NaN outside).  Points on shared edges or vertices
-            resolve to the lowest incident triangle id.
+            the mesh; ``bary`` the C-ordered (k, 3) barycentric coordinates
+            in those triangles (NaN outside).  Points on shared edges or
+            vertices resolve to the lowest incident triangle id.
+
+        The bounding box of the nodes is cut into ng x ng bins, ng = 3
+        (sqrt(2m) + 1) for m triangles (at most 1024), and each bin lists
+        the rows of the triangles whose bounding boxes overlap it,
+        ascending.  Pass k tests the k-th row of each unresolved point's
+        bin, from the triangle's ``TriTable.frame`` column, and a point is
+        resolved at its first hit: the lowest id whose barycentric
+        coordinates are all at least -BARY_TOL.  NaN coordinates (from a
+        degenerate triangle) never hit.
         """
         p = np.asarray(points, dtype=float).reshape(-1, 2)
         if self._locator is None:
             self._build_locator()
         xmin, ymin, xmax, ymax, sx, sy, ng, start, bin_rows = self._locator
-        x, y = p[:, 0], p[:, 1]
+        x, y = p.T
         pad = 1e-12
         q = np.flatnonzero((x >= xmin - pad) & (x <= xmax + pad)
                            & (y >= ymin - pad) & (y <= ymax + pad))
@@ -483,22 +513,25 @@ class TriMesh:
         count = start[b + 1] - first
         tab = self.tri_table
         ids = np.full(len(p), -1, dtype=np.int64)
-        out = np.full((len(p), 3), np.nan)
+        bary = np.full((3, len(p)), np.nan)
         # test the k-th candidate of every unresolved point in pass k; rows
         # ascend within a bin, so a point's first hit has the lowest id
         k = 0
         live = count > 0
-        while live.any():
-            q, first, count = q[live], first[live], count[live]
-            rows = bin_rows[first + k]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bary = tab.bary(rows, p[q])
-            hit = bary.min(axis=1) >= -BARY_TOL
-            ids[q[hit]] = tab.ids[rows[hit]]
-            out[q[hit]] = bary[hit]
-            k += 1
-            live = ~hit & (count > k)
-        return ids, out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while live.any():
+                q, first, count = q[live], first[live], count[live]
+                rows = bin_rows[first + k]
+                lam = _bary(tab.frame.take(rows, axis=1), x[q], y[q])
+                low = np.minimum(np.minimum(lam[0], lam[1]), lam[2])
+                hit = low >= -BARY_TOL
+                at = q[hit]
+                ids[at] = tab.ids[rows[hit]]
+                for col, l in zip(bary, lam):
+                    col[at] = l[hit]
+                k += 1
+                live = ~hit & (count > k)
+        return ids, np.ascontiguousarray(bary.T)
 
     # -- derived metrics ----------------------------------------------------
 

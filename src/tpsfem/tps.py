@@ -22,6 +22,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .exceptions import DegenerateGeometry, InsufficientData
+from .mesh import _grouped
 
 #: radius floor for the log in the Laplacian proxy kernel
 R_CLAMP = 1e-12
@@ -304,39 +305,48 @@ class SamplePlan:
 
 
 def _quadtree_leaves(x, cap):
-    """Subdivide the bounding box until every leaf holds <= cap points.
+    """Subdivide the bounding box of ``x`` until every leaf holds <= cap
+    points or lies at depth 41.
 
-    Returns leaves as (depth, creation_order, point_indices) so callers can
-    process the largest cells first in a deterministic order.
+    A cell splits at its midpoint into the quadrants q = [x1 > mid1] + 2
+    [x2 > mid2]; an empty quadrant makes no cell.  The cells are built one
+    depth at a time, in parent order and then quadrant order.  Returns
+    ``(members, start)``: the points of leaf g, ascending, are
+    ``members[start[g]:start[g + 1]]``; the leaves come by depth, the
+    shallowest (largest) first, and within a depth in the order of their
+    quadrant paths.
     """
-    lo = x.min(axis=0)
-    hi = x.max(axis=0)
-    span = np.maximum(hi - lo, 1e-300)
-    leaves = []
-    counter = [0]
-
-    def split(idx, lo, hi, depth):
-        order = counter[0]
-        counter[0] += 1
-        if len(idx) <= cap or depth > 40:
-            leaves.append((depth, order, idx))
-            return
-        mid = 0.5 * (lo + hi)
-        right = x[idx, 0] > mid[0]
-        top = x[idx, 1] > mid[1]
-        quads = [idx[~right & ~top], idx[right & ~top],
-                 idx[~right & top], idx[right & top]]
-        corners = [(lo, mid),
-                   (np.array([mid[0], lo[1]]), np.array([hi[0], mid[1]])),
-                   (np.array([lo[0], mid[1]]), np.array([mid[0], hi[1]])),
-                   (mid, hi)]
-        for q, (qlo, qhi) in zip(quads, corners):
-            if len(q):
-                split(q, qlo, qhi, depth + 1)
-
-    split(np.arange(len(x)), lo, lo + span, 0)
-    leaves.sort(key=lambda t: (t[0], t[1]))
-    return leaves
+    xs, ys = np.array(x.T, order="C")
+    lo = np.array([xs.min(), ys.min()])
+    span = np.maximum(np.array([xs.max(), ys.max()]) - lo, 1e-300)
+    # the cells of one depth, in order, with corners (clo[c], chi[c]); the
+    # points not yet in a leaf, ascending, with their cells and coordinates
+    clo, chi = lo[None, :], (lo + span)[None, :]
+    idx, cell = np.arange(len(x)), np.zeros(len(x), dtype=np.int64)
+    leaf_of = np.empty(len(x), dtype=np.int64)
+    leaves = 0
+    for depth in range(42):
+        count = np.bincount(cell, minlength=len(clo))
+        leaf = (count <= cap) | (depth > 40)
+        if leaf.any():
+            done = leaf[cell]
+            leaf_of[idx[done]] = leaves + np.cumsum(leaf)[cell[done]] - 1
+            leaves += np.count_nonzero(leaf)
+            keep = ~done
+            idx, cell, xs, ys = idx[keep], cell[keep], xs[keep], ys[keep]
+            if not len(idx):
+                break
+        mid = 0.5 * (clo + chi)
+        key = 4 * cell + (xs > mid[cell, 0]) + 2 * (ys > mid[cell, 1])
+        present = np.bincount(key, minlength=4 * len(clo)) > 0
+        cell = np.cumsum(present)[key] - 1
+        child = np.flatnonzero(present)
+        parent, right, top = child // 4, child % 2 == 1, child % 4 >= 2
+        clo = np.column_stack([np.where(right, mid[parent, 0], clo[parent, 0]),
+                               np.where(top, mid[parent, 1], clo[parent, 1])])
+        chi = np.column_stack([np.where(right, chi[parent, 0], mid[parent, 0]),
+                               np.where(top, chi[parent, 1], mid[parent, 1])])
+    return _grouped(leaf_of, leaves)
 
 
 def sample(data, plan, seed=0):
@@ -359,10 +369,8 @@ def sample(data, plan, seed=0):
     else:
         candidates = np.arange(n)
     cap = max(1, math.ceil(4.0 * n / plan.count))
-    leaves = [candidates[idx]
-              for _, _, idx in _quadtree_leaves(x[candidates], cap)]
-    members = np.concatenate(leaves)
-    start = np.cumsum([0] + [len(idx) for idx in leaves[:-1]])
+    members, start = _quadtree_leaves(x[candidates], cap)
+    members, start = candidates[members], start[:-1]
     taken = np.zeros(n, dtype=bool)
     left = plan.count
     # one random pick per leaf, largest cells first, cycling until filled;

@@ -11,9 +11,9 @@ from tpsfem.data import DataSet
 from tpsfem.exceptions import (EmptyField, InsufficientData, NotRefinable,
                                SingularSystem)
 from tpsfem.indicators import auxiliary_indicators, recovery_indicator
-from tpsfem.mesh import TriMesh
+from tpsfem.mesh import BARY_TOL, TriMesh
 from tpsfem.solver import FIELDS, SaddleSystem, _interleaved, saddle_blocks
-from tpsfem.tps import R_CLAMP, TpsModel, _quadtree_leaves
+from tpsfem.tps import R_CLAMP, TpsModel
 
 # 7-point Gauss rule on the reference triangle, exact to degree 5
 _GP = np.array([
@@ -334,6 +334,43 @@ def dense_tps_fit(x, y, alpha):
                     alpha_tps=float(alpha))
 
 
+def recursive_quadtree_leaves(x, cap):
+    """Subdivide the bounding box until every leaf holds <= cap points, by
+    depth-first recursion with boolean masks at every cell.
+
+    Returns leaves as (depth, creation_order, point_indices), sorted by
+    depth, then creation order.
+    """
+    lo = x.min(axis=0)
+    hi = x.max(axis=0)
+    span = np.maximum(hi - lo, 1e-300)
+    leaves = []
+    counter = [0]
+
+    def split(idx, lo, hi, depth):
+        order = counter[0]
+        counter[0] += 1
+        if len(idx) <= cap or depth > 40:
+            leaves.append((depth, order, idx))
+            return
+        mid = 0.5 * (lo + hi)
+        right = x[idx, 0] > mid[0]
+        top = x[idx, 1] > mid[1]
+        quads = [idx[~right & ~top], idx[right & ~top],
+                 idx[~right & top], idx[right & top]]
+        corners = [(lo, mid),
+                   (np.array([mid[0], lo[1]]), np.array([hi[0], mid[1]])),
+                   (np.array([lo[0], mid[1]]), np.array([mid[0], hi[1]])),
+                   (mid, hi)]
+        for q, (qlo, qhi) in zip(quads, corners):
+            if len(q):
+                split(q, qlo, qhi, depth + 1)
+
+    split(np.arange(len(x)), lo, lo + span, 0)
+    leaves.sort(key=lambda t: (t[0], t[1]))
+    return leaves
+
+
 def loop_sample(data, plan, seed=0):
     """``tps.sample`` of the quadtree strategies with one scalar draw per
     leaf: each pass visits the leaves largest first and picks one untaken
@@ -354,7 +391,7 @@ def loop_sample(data, plan, seed=0):
         candidates = np.arange(n)
     cap = max(1, int(np.ceil(4.0 * n / plan.count)))
     leaves = [candidates[idx]
-              for _, _, idx in _quadtree_leaves(x[candidates], cap)]
+              for _, _, idx in recursive_quadtree_leaves(x[candidates], cap)]
     chosen = []
     taken = np.zeros(n, dtype=bool)
     while len(chosen) < plan.count:
@@ -702,6 +739,22 @@ def dict_mark(values, fraction_cap):
     return {eid for eid, eta in values.items() if eta >= thr}
 
 
+def pair_bary(tab, rows, points):
+    """Barycentric coordinates of ``points[k]`` in the triangle of row
+    ``rows[k]``, each pair forming its six differences and its determinant
+    from the vertex coordinates."""
+    x0, y0 = tab.x[rows, 0], tab.y[rows, 0]
+    v0x, v0y = tab.x[rows, 1] - x0, tab.y[rows, 1] - y0
+    v1x, v1y = tab.x[rows, 2] - x0, tab.y[rows, 2] - y0
+    v2x, v2y = points[:, 0] - x0, points[:, 1] - y0
+    den = v0x * v1y - v0y * v1x
+    out = np.empty((len(den), 3))
+    np.divide(v2x * v1y - v2y * v1x, den, out=out[:, 1])
+    np.divide(v0x * v2y - v0y * v2x, den, out=out[:, 2])
+    out[:, 0] = 1.0 - out[:, 1] - out[:, 2]
+    return out
+
+
 def padded_containing_rows(tab, origin, within, points):
     """Row of ``tab`` holding each point among the rows whose ``origin`` is
     the point's ``within`` triangle, and its barycentric coordinates there:
@@ -713,11 +766,68 @@ def padded_containing_rows(tab, origin, within, points):
     k = np.arange(count.max())
     valid = k < count[within][:, None]
     cand = order[start[within][:, None] + np.where(valid, k, 0)]
-    bary = tab.bary(cand.ravel(), np.repeat(points, len(k), axis=0))
+    bary = pair_bary(tab, cand.ravel(), np.repeat(points, len(k), axis=0))
     bary = bary.reshape(len(points), len(k), 3)
     pick = np.where(valid, bary.min(axis=2), -np.inf).argmax(axis=1)
     hit = np.arange(len(points))
     return cand[hit, pick], bary[hit, pick]
+
+
+def locator_bins(mesh, ng):
+    """``(xmin, ymin, sx, sy, start, rows)``: the bounding box of the nodes
+    cut into ng x ng bins, and the rows, ascending, of the triangles whose
+    bounding boxes overlap bin g in ``rows[start[g]:start[g + 1]]``."""
+    tab = mesh.tri_table
+    xmin, ymin = mesh.points.min(axis=0)
+    xmax, ymax = mesh.points.max(axis=0)
+    sx = (xmax - xmin) / ng or 1.0
+    sy = (ymax - ymin) / ng or 1.0
+    i0 = np.clip(((tab.x.min(axis=1) - xmin) / sx).astype(int), 0, ng - 1)
+    i1 = np.clip(((tab.x.max(axis=1) - xmin) / sx).astype(int), 0, ng - 1)
+    j0 = np.clip(((tab.y.min(axis=1) - ymin) / sy).astype(int), 0, ng - 1)
+    j1 = np.clip(((tab.y.max(axis=1) - ymin) / sy).astype(int), 0, ng - 1)
+    listed = [[] for _ in range(ng * ng)]
+    for r in range(len(tab.ids)):
+        for i in range(i0[r], i1[r] + 1):
+            for j in range(j0[r], j1[r] + 1):
+                listed[i * ng + j].append(r)
+    start = np.cumsum([0] + [len(b) for b in listed])
+    rows = np.array([r for b in listed for r in b], dtype=np.int64)
+    return xmin, ymin, sx, sy, start, rows
+
+
+def binned_locate(mesh, points):
+    """``mesh.locate`` on sqrt(2m) + 1 bins a side, with one (k, 3)
+    barycentric table per pass and its row minimum as the hit test."""
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    tab = mesh.tri_table
+    ng = int(np.clip(np.sqrt(2 * len(tab.ids)) + 1, 1, 1024))
+    xmin, ymin, sx, sy, start, bin_rows = locator_bins(mesh, ng)
+    xmax, ymax = mesh.points.max(axis=0)
+    x, y = p[:, 0], p[:, 1]
+    pad = 1e-12
+    q = np.flatnonzero((x >= xmin - pad) & (x <= xmax + pad)
+                       & (y >= ymin - pad) & (y <= ymax + pad))
+    b = (np.clip(((x[q] - xmin) / sx).astype(int), 0, ng - 1) * ng
+         + np.clip(((y[q] - ymin) / sy).astype(int), 0, ng - 1))
+    first = start[b]
+    count = start[b + 1] - first
+    ids = np.full(len(p), -1, dtype=np.int64)
+    out = np.full((len(p), 3), np.nan)
+    k = 0
+    live = count > 0
+    while live.any():
+        q, first, count = q[live], first[live], count[live]
+        rows = bin_rows[first + k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bary = pair_bary(tab, rows, p[q])
+        hit = bary.min(axis=1) >= -BARY_TOL
+        ids[q[hit]] = tab.ids[rows[hit]]
+        out[q[hit]] = bary[hit]
+        k += 1
+        live = ~hit & (count > k)
+    return ids, out
+
 
 def csrbf_eval_loop(model, pts, phi):
     """CSRBF model values one point at a time: the kernel ``phi`` summed

@@ -10,7 +10,17 @@ from tpsfem.mesh import (TriMesh, bisect_once, build_square_mesh, load_mesh,
 from conftest import (all_angles, base_edge, edge_between, make_fan_mesh,
                       make_interface_strip, make_two_triangle_square,
                       make_unit_right_triangle, total_area)
-from oracles import assert_same_mesh, copy_submesh, polygon_triangles_loop
+from oracles import (assert_same_mesh, copy_submesh, locator_bins,
+                     polygon_triangles_loop)
+
+
+def l_shaped_data(n):
+    """The points of n uniform draws over the unit square (seed 0) outside
+    its upper right quarter."""
+    x = np.random.default_rng(0).uniform(0.0, 1.0, size=(n, 2))
+    x = x[(x[:, 0] < 0.5) | (x[:, 1] < 0.5)]
+    return DataSet(x, np.zeros(len(x)))
+
 
 _ANGLES = np.linspace(0.0, 2.0 * np.pi, 36, endpoint=False)
 
@@ -188,6 +198,38 @@ class TestLocate:
     def test_locate_after_refinement(self, square_mesh):
         square_mesh.uniform_refine()
         assert square_mesh.locate([(0.5, 0.5)])[0][0] != -1
+
+    @pytest.mark.parametrize("case", ["refined", "trimmed"])
+    def test_bins_match_loop_oracle(self, case):
+        mesh = build_square_mesh(1)
+        mesh.refine_wave(mesh.refinable_edges()[::3].tolist())
+        if case == "trimmed":
+            mesh = trim_to_irregular(mesh, l_shaped_data(300))
+        mesh.locate([(0.5, 0.5)])
+        bins = mesh._locator
+        start, rows = locator_bins(mesh, bins.ng)[-2:]
+        assert np.array_equal(bins.start, start)
+        assert np.array_equal(bins.rows, rows)
+
+    @pytest.mark.parametrize("case, ng, mean, peak", [
+        ("square-6", 1024, 3.120, 8),
+        ("trimmed", 157, 1.860, 8),
+    ])
+    def test_bin_occupancy_pinned(self, case, ng, mean, peak):
+        # the locator's selectivity, triangles listed per bin: a coarser
+        # grid lists more, so every point tests more candidates.  The
+        # level-6 square (131072 triangles) reaches the 1024-bin cap; the
+        # trimmed mesh has 1330 triangles
+        if case == "square-6":
+            mesh = build_square_mesh(6)
+        else:
+            mesh = trim_to_irregular(build_square_mesh(3),
+                                     l_shaped_data(4000))
+        mesh.locate([(0.25, 0.25)])
+        bins = mesh._locator
+        assert bins.ng == ng
+        assert round(len(bins.rows) / ng ** 2, 3) == mean
+        assert np.diff(bins.start).max() == peak
 
 
 class TestNearBoundaryRatio:

@@ -17,16 +17,19 @@ from tpsfem.indicators import (_containing_rows, auxiliary_field,
                                locate_by_tri, mark, patch_system,
                                recovery_field)
 from tpsfem.mesh import (BARY_TOL, TriMesh, bisect_once, build_square_mesh,
-                         fill_new_nodes, trim_to_irregular)
+                         fill_new_nodes, mesh_polygon, trim_to_irregular)
 from tpsfem.solver import FIELDS, SaddleSystem, Smoother, rmse
-from tpsfem.tps import SamplePlan, fit_tps, sample, select_alpha_tps
+from tpsfem.tps import (SamplePlan, _quadtree_leaves, fit_tps, sample,
+                        select_alpha_tps)
 
 from conftest import (all_angles, base_edge, make_fan_mesh,
                       make_interface_strip, total_area)
-from oracles import (RefMesh, assert_same_mesh, copy_submesh, dict_field,
-                     dict_mark, linear_basis, located_dict, loop_sample,
-                     padded_containing_rows, per_event_extend,
-                     refresh_dict_field, tri_items)
+from oracles import (RefMesh, assert_same_mesh, binned_locate, copy_submesh,
+                     dict_field, dict_mark, linear_basis, located_dict,
+                     loop_sample, padded_containing_rows, per_event_extend,
+                     recursive_quadtree_leaves, refresh_dict_field,
+                     tri_items)
+from test_equivalence import HOLED_SQUARE
 from test_solver import linear_problem
 
 #: indices into the sorted refinable edges, one bisection each
@@ -43,15 +46,38 @@ grid_points = st.lists(
 loose_points = st.lists(
     st.tuples(st.floats(-0.1, 1.1), st.floats(-0.1, 1.1)), max_size=20)
 
+#: the meshes of ``located_mesh``
+mesh_kinds = st.sampled_from(["refined", "trimmed", "holed"])
+
 #: distances from the hull used for points just outside it
 OUTSIDE = (1e-9, 1e-3)
 
 
-def refined_square(picks):
-    mesh = build_square_mesh(0)
+def refined_at(mesh, picks):
+    """``mesh`` after one bisection wave per pick, of the pick-th refinable
+    edge (modulo their count)."""
     for i in picks:
         edges = mesh.refinable_edges()
         mesh.refine_wave([edges[i % len(edges)]])
+    return mesh
+
+
+def refined_square(picks):
+    return refined_at(build_square_mesh(0), picks)
+
+
+def located_mesh(kind, picks, seed):
+    """A mesh to locate points in: the unit square refined at ``picks``, that
+    mesh trimmed to the triangles of random points in an L-shape, or the
+    square with a square hole, meshed by mesh_polygon and refined at
+    ``picks``."""
+    if kind == "holed":
+        return refined_at(mesh_polygon(HOLED_SQUARE, refine_level=1), picks)
+    mesh = refined_square(picks)
+    if kind == "trimmed":
+        x = np.random.default_rng(seed).uniform(0.0, 1.0, size=(60, 2))
+        x = x[(x[:, 0] < 0.5) | (x[:, 1] < 0.5)]
+        mesh = trim_to_irregular(mesh, DataSet(x, np.zeros(len(x))))
     return mesh
 
 
@@ -70,22 +96,52 @@ def brute_force_locate(mesh, pts):
     return ids, bary
 
 
+def outside_points(mesh):
+    """Points at each distance of OUTSIDE below, above, left and right of
+    the unit square, in line with the boundary nodes, and off the middle of
+    every boundary edge, away from its triangle."""
+    p, et, tab = mesh.points, mesh.edge_table, mesh.tri_table
+    u = p[mesh.boundary_nodes()][:, 0]
+    square = [np.column_stack([u, np.full_like(u, v)])
+              for d in OUTSIDE for v in (-d, 1.0 + d)]
+    square += [o[:, ::-1] for o in square]
+    rim = et.tris[:, 1] < 0
+    a, b = p[et.nodes[rim, 0]], p[et.nodes[rim, 1]]
+    centroid = p[tab.verts[tab.rows(et.tris[rim, 0])]].mean(axis=1)
+    mid = 0.5 * (a + b)
+    normal = (b - a)[:, ::-1] * [1.0, -1.0]
+    normal *= np.sign(np.einsum("ij,ij->i", normal, mid - centroid))[:, None]
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    return np.vstack(square + [mid + d * normal for d in OUTSIDE])
+
+
+def bin_boundaries(mesh, ng):
+    """The bin corners of an ng x ng grid over the nodes' bounding box."""
+    lo, hi = mesh.points.min(axis=0), mesh.points.max(axis=0)
+    bx, by = (lo[:, None] + np.arange(ng + 1) * ((hi - lo) / ng)[:, None])
+    return np.column_stack([np.repeat(bx, ng + 1), np.tile(by, ng + 1)])
+
+
 def probe_points(mesh, grid, loose):
-    """Vertices, edge midpoints, points just outside the hull and the drawn ones."""
+    """Vertices, edge midpoints, points just outside the hull, the corners
+    of the locator's bins and of bins three times coarser, and the drawn
+    ones."""
     p = mesh.points
     edges = mesh.edge_table.nodes
-    u = p[mesh.boundary_nodes()][:, 0]
-    outside = [np.column_stack([u, np.full_like(u, v)])
-               for d in OUTSIDE for v in (-d, 1.0 + d)]
-    outside += [o[:, ::-1] for o in outside]
-    return np.vstack([p, 0.5 * (p[edges[:, 0]] + p[edges[:, 1]]), *outside,
+    mesh.locate(p[:1])
+    ng = mesh._locator.ng
+    return np.vstack([p, 0.5 * (p[edges[:, 0]] + p[edges[:, 1]]),
+                      outside_points(mesh), bin_boundaries(mesh, ng),
+                      bin_boundaries(mesh, int(np.sqrt(2 * mesh.n_tris) + 1)),
                       np.reshape(grid, (-1, 2)), np.reshape(loose, (-1, 2))])
 
 
-@settings(max_examples=150, deadline=None, database=None)
-@given(picks=bisections, grid=grid_points, loose=loose_points)
-def test_locate_matches_brute_force(picks, grid, loose):
-    mesh = refined_square(picks)
+@settings(max_examples=450, deadline=None, database=None)
+@given(kind=mesh_kinds, picks=bisections, seed=st.integers(0, 2 ** 16),
+       grid=grid_points, loose=loose_points)
+def test_locate_matches_brute_force(kind, picks, seed, grid, loose):
+    # 150 examples per mesh kind on average
+    mesh = located_mesh(kind, picks, seed)
     pts = probe_points(mesh, grid, loose)
     ids, bary = mesh.locate(pts)
     ref_ids, ref_bary = brute_force_locate(mesh, pts)
@@ -93,6 +149,23 @@ def test_locate_matches_brute_force(picks, grid, loose):
     inside = ids != -1
     assert np.allclose(bary[inside], ref_bary[inside], rtol=0, atol=1e-12)
     assert np.isnan(bary[~inside]).all()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(kind=mesh_kinds, picks=bisections, seed=st.integers(0, 2 ** 16),
+       grid=grid_points, loose=loose_points)
+def test_locate_matches_binned_oracle_bitwise(kind, picks, seed, grid, loose):
+    # the per-triangle frame, the column-wise hit test and the finer bins
+    # give the ids and coordinates of the coarser bins and per-pair
+    # arithmetic bit for bit
+    mesh = located_mesh(kind, picks, seed)
+    pts = probe_points(mesh, grid, loose)
+    ids, bary = mesh.locate(pts)
+    ref_ids, ref_bary = binned_locate(mesh, pts)
+    assert np.array_equal(ids, ref_ids)
+    assert bary.flags.c_contiguous and bary.shape == (len(pts), 3)
+    assert np.array_equal(bary, ref_bary, equal_nan=True)
+    assert np.isnan(bary[ids == -1]).all()
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -449,6 +522,28 @@ def test_refinement_rejects_what_the_reference_rejects():
         with pytest.raises(NotRefinable):
             mesh.refine_wave([base_edge(mesh, 0), eid])
     assert_same_mesh(mesh, ref)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=st.integers(1, 300), cap=st.integers(1, 20),
+       seed=st.integers(0, 2 ** 32 - 1), snap=st.sampled_from([None, 4, 32]),
+       copies=st.integers(0, 60))
+def test_quadtree_leaves_match_recursion(n, cap, seed, snap, copies):
+    """The breadth-first leaves are the depth-first recursion's, in its
+    order: ``copies`` more copies of the first point fill a leaf that stops
+    splitting only at the depth limit once there are more than ``cap``."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(n, 2))
+    if snap is not None:
+        x = np.round(x * snap) / snap
+    x = np.vstack([x, np.repeat(x[:1], copies, axis=0)])
+    members, start = _quadtree_leaves(x, cap)
+    ref = recursive_quadtree_leaves(x, cap)
+    if copies >= cap:
+        assert ref[-1][0] == 41
+    assert len(start) == len(ref) + 1
+    for g, (_, _, idx) in enumerate(ref):
+        assert np.array_equal(members[start[g]:start[g + 1]], idx)
 
 
 @settings(max_examples=100, deadline=None, database=None)
