@@ -101,11 +101,10 @@ class Located:
 
 def locate_dataset(mesh, data):
     """Locate every data point; points outside the mesh are dropped."""
-    ids, bary = mesh.locate(data.x)
-    idx = np.flatnonzero(ids >= 0)
-    tab = mesh.tri_table
-    k = len(idx)
-    B = sp.csr_matrix((bary[idx].ravel(), tab.verts[tab.rows(ids[idx])].ravel(),
+    rows, bary = mesh.locate(data.x)
+    idx = np.flatnonzero(rows >= 0)
+    tab, k = mesh.tri_table, len(idx)
+    B = sp.csr_matrix((bary[idx].ravel(), tab.verts[rows[idx]].ravel(),
                        np.arange(0, 3 * k + 1, 3)), shape=(k, mesh.n_nodes))
     return Located(idx, B, len(data) - k)
 

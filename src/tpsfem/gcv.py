@@ -10,6 +10,13 @@ they are the canonical basis scaled by sqrt(n), for which the mean is the
 exact trace.  Probes are drawn once per selection and shared across all
 candidate alphas, so the score is a smooth deterministic function of alpha;
 a golden-section search on log(alpha) between the grid's ends minimises it.
+
+Everything that does not depend on alpha is built once: the saddle system
+at alpha = 1 and its static node order once per FemSystem (see ``solver``),
+and the probe block W = B_I^T Z / n once per selection.  A candidate then
+costs one rescaled copy of the matrix, one static-pivot factorisation and
+one block solve, and its trace is n * mean(sum(W * C_I)) over the probe
+solutions C_I, with no sparse product.
 """
 
 import math
@@ -50,15 +57,16 @@ def _probe_matrix(n, probes, rng):
 def _block_solve(system, probe_matrix):
     """Data solution and Hutchinson mean from one block solve.
 
-    The probe columns are B_I^T Z / n in the c rows with zero Dirichlet data
-    (B_I: basis columns of interior nodes); their solutions C_I give the
-    mean of z^T B_I C_I."""
-    B = system.fem.eliminated.interior_basis
+    The probe columns are W = B_I^T Z / n in the c rows with zero Dirichlet
+    data (B_I: basis columns of interior nodes); with their solutions C_I,
+    z^T B_I c = n (w . c) gives the mean of z^T B_I C_I without a sparse
+    product.  W is formed once per probe matrix and FemSystem."""
+    W = system.fem.eliminated.probe_rhs(probe_matrix)
     rhs = np.zeros((system.n_unknowns, 1 + probe_matrix.shape[1]))
     rhs[:, 0] = system.rhs
-    rhs[0::4, 1:] = B.T @ probe_matrix / system.fem.located.n_used
+    rhs[0::4, 1:] = W
     x, _ = system.solve_raw(rhs)
-    tr = np.mean(np.sum(probe_matrix * (B @ x[0::4, 1:]), axis=0))
+    tr = system.fem.located.n_used * np.mean(np.sum(W * x[0::4, 1:], axis=0))
     return x[:, 0], float(tr)
 
 

@@ -283,9 +283,9 @@ def locate_by_tri(mesh, data):
     """The ``mesh._grouped`` table ``(order, start)`` of one ``mesh.locate``:
     the indices into ``data`` of the points in the triangle of row r of
     ``mesh.tri_table`` are ``order[start[r]:start[r + 1]]``, ascending."""
-    ids, _ = mesh.locate(data.x)
-    inside = np.flatnonzero(ids >= 0)
-    order, start = _grouped(mesh.tri_table.rows(ids[inside]), mesh.n_tris)
+    rows, _ = mesh.locate(data.x)
+    inside = np.flatnonzero(rows >= 0)
+    order, start = _grouped(rows[inside], mesh.n_tris)
     return inside[order], start
 
 

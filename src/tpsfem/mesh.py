@@ -484,11 +484,13 @@ class TriMesh:
 
         Returns
         -------
-        (ids, bary)
-            ``ids`` is the (k,) array of triangle ids, -1 for points outside
-            the mesh; ``bary`` the C-ordered (k, 3) barycentric coordinates
-            in those triangles (NaN outside).  Points on shared edges or
-            vertices resolve to the lowest incident triangle id.
+        (rows, bary)
+            ``rows`` is the (k,) array of the triangles' rows of
+            ``tri_table``, -1 for points outside the mesh (their ids are
+            ``tri_table.ids[rows]``); ``bary`` the C-ordered (k, 3)
+            barycentric coordinates in those triangles (NaN outside).
+            Points on shared edges or vertices resolve to the lowest
+            incident triangle id.
 
         The bounding box of the nodes is cut into ng x ng bins, ng = 3
         (sqrt(2m) + 1) for m triangles (at most 1024), and each bin lists
@@ -512,7 +514,7 @@ class TriMesh:
         first = start[b]
         count = start[b + 1] - first
         tab = self.tri_table
-        ids = np.full(len(p), -1, dtype=np.int64)
+        found = np.full(len(p), -1, dtype=np.int64)
         bary = np.full((3, len(p)), np.nan)
         # test the k-th candidate of every unresolved point in pass k; rows
         # ascend within a bin, so a point's first hit has the lowest id
@@ -526,12 +528,12 @@ class TriMesh:
                 low = np.minimum(np.minimum(lam[0], lam[1]), lam[2])
                 hit = low >= -BARY_TOL
                 at = q[hit]
-                ids[at] = tab.ids[rows[hit]]
+                found[at] = rows[hit]
                 for col, l in zip(bary, lam):
                     col[at] = l[hit]
                 k += 1
                 live = ~hit & (count > k)
-        return ids, np.ascontiguousarray(bary.T)
+        return found, np.ascontiguousarray(bary.T)
 
     # -- derived metrics ----------------------------------------------------
 
@@ -615,8 +617,8 @@ def trim_to_irregular(mesh, data):
     is restored by breadth-first search from the largest component.  Returns
     a new mesh with renumbered nodes and recomputed boundary flags.
     """
-    ids, _ = mesh.locate(data.x)
-    bearing = set(ids[ids >= 0].tolist())
+    rows, _ = mesh.locate(data.x)
+    bearing = set(mesh.tri_table.ids[rows[rows >= 0]].tolist())
     if not bearing:
         raise EmptyResult("no triangle contains a data point")
     retained = _connect_components(mesh, bearing)

@@ -11,17 +11,33 @@ over all nodes,
 
 This block layout is written down once, in ``saddle_blocks``.  The Dirichlet
 values of the boundary nodes are eliminated generically: the interior rows
-and columns of K form the matrix, and the boundary columns times the
-boundary values move to the right-hand side.  Unknowns are ordered in
-interleaved per-node blocks [c g1 g2 w] for factorisation locality.
+and columns of K form the matrix, and the boundary columns K_IB times the
+boundary values move to the right-hand side.  Right-hand sides and
+solutions are ordered in interleaved per-node blocks [c g1 g2 w].
 
 Only the two aL blocks depend on alpha, so the eliminated system is built
-once per FemSystem at alpha = 1 (``EliminatedSystem``) and each alpha is a
-copy of its values with the aL entries multiplied by alpha.  That product
-is the one a build at alpha would form, so the matrix, its sparsity pattern
-and every solution are bitwise those of a build from scratch.  The one
-solve is a sparse direct factorisation, SingularSystem if it fails, and one
-residual check, NonConvergence if a column misses RESIDUAL_TOL.
+once per FemSystem at alpha = 1 (``EliminatedSystem``), straight from the
+blocks' entries, and each alpha is a copy of its values with the aL entries
+multiplied by alpha.  That product is the one a build at alpha would form,
+so the matrix values and the right-hand side are bitwise those of a build
+from scratch.
+
+The interior matrix is held in a static order, found once per FemSystem.
+The nodes follow SuperLU's minimum-degree order of the interior node graph
+(the pattern of all four blocks).  Each node keeps its four columns
+[c g1 g2 w] and has its c and w rows swapped, so that the diagonal reads
+L_ii, aL_ii, aL_ii, L_ii: positive at every node, also where A_ii = 0
+because no data point lies near it.  Every alpha is then factorised in
+that order with static pivoting (``STATIC_PIVOTING``): SuperLU orders
+nothing per call and takes each diagonal pivot as it is.  The zero-pivot
+rule is SuperLU's own: with a pivot threshold of 0, a diagonal that is
+exactly zero when its turn comes is replaced by the largest entry of its
+column, and only a column with no nonzero entry left, which means the
+matrix is singular, fails; ``factorize`` raises SingularSystem, as for
+any failed factorisation.  No second, threshold-pivoted factorisation is
+tried: the one solve is direct, mapped through the two permutations, and
+one max-norm residual check (NonConvergence if a column misses
+RESIDUAL_TOL) guards it.
 """
 
 import time
@@ -36,33 +52,62 @@ from .exceptions import (DimensionMismatch, NonConvergence, OutsideDomain,
                          SingularSystem)
 
 RESIDUAL_TOL = 1e-9
-#: the unknowns of one node, in block and in interleaving order
+#: the unknowns of one node, in block, interleaving and static column order
 FIELDS = ("c", "g1", "g2", "w")
 #: the fields whose diagonal blocks ``saddle_blocks`` multiplies by alpha
 ALPHA_FIELDS = ("g1", "g2")
-
-
-def _interleaved(nodes, n):
-    """Indices into K of the FIELDS of ``nodes``, node by node."""
-    return (nodes[:, None] + n * np.arange(len(FIELDS))).ravel()
+#: the row of each field of FIELDS in its node's block of the static order:
+#: c and w swap, so that every diagonal entry is an L_ii or an aL_ii
+ROW_SLOT = np.array([3, 1, 2, 0])
+#: ``splu`` options of the per-alpha factorisation: the matrix is already in
+#: its fill-reducing order, and each diagonal pivot is taken as it is
+STATIC_PIVOTING = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0}
 
 
 def saddle_blocks(A, L, G1, G2, alpha):
-    """The 4x4 block layout of K, rows and columns in FIELDS order, for
-    ``sp.bmat``; None marks a zero block."""
+    """The 4x4 block layout of K, rows and columns in FIELDS order; None
+    marks a zero block."""
     return [[A, None, None, L],
             [None, alpha * L, None, -G1.T],
             [None, None, alpha * L, -G2.T],
             [L, -G1, -G2, None]]
 
 
-def _alpha_entries(M):
-    """Positions in ``M.data`` of the entries of the alpha-scaled blocks,
-    for ``M`` with interleaved rows and columns."""
-    coo = M.tocoo()
-    f = coo.row % len(FIELDS)
-    scaled = np.isin(f, [FIELDS.index(name) for name in ALPHA_FIELDS])
-    return np.flatnonzero(scaled & (f == coo.col % len(FIELDS)))
+def _block_entries(fem):
+    """The nonzero entries of K at alpha = 1 as arrays (f, g, row, col,
+    value): the FIELDS indices of the entry's block row and column, and its
+    row and column node."""
+    parts = []
+    for f, blocks in enumerate(saddle_blocks(fem.A, fem.L, fem.G1, fem.G2,
+                                             1.0)):
+        for g, block in enumerate(blocks):
+            if block is not None:
+                # a CSR block, or the CSC transpose of one
+                major = np.repeat(np.arange(len(block.indptr) - 1,
+                                            dtype=block.indices.dtype),
+                                  np.diff(block.indptr))
+                row, col = ((major, block.indices) if block.format == "csr"
+                            else (block.indices, major))
+                keep = block.data != 0.0
+                m = np.count_nonzero(keep)
+                parts.append((np.full(m, f, dtype=np.int8),
+                              np.full(m, g, dtype=np.int8),
+                              row[keep], col[keep], block.data[keep]))
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
+def _compressed(kind, rows, cols, values, scaled, shape):
+    """CSR or CSC (``kind``) matrix of distinct triplets, indices sorted,
+    and the positions in its data of the entries flagged ``scaled``."""
+    if kind is sp.csc_matrix:
+        (major, minor), (n_minor, n_major) = (cols, rows), shape
+    else:
+        (major, minor), (n_major, n_minor) = (rows, cols), shape
+    order = np.argsort(major.astype(np.int64) * n_minor + minor)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(major,
+                                                        minlength=n_major))])
+    M = kind((values[order], minor[order], indptr), shape=shape)
+    return M, np.flatnonzero(scaled[order])
 
 
 def _scaled(M, entries, alpha):
@@ -76,46 +121,130 @@ def _scaled(M, entries, alpha):
 class EliminatedSystem:
     """The eliminated saddle system of one FemSystem at alpha = 1.
 
-    Built once per FemSystem (``FemSystem.eliminated``).  It holds the
-    interior and boundary node sets, the interior matrix (CSC, explicit
-    zeros dropped), its boundary columns K_IB (CSR) and the interior basis
-    columns B_I of the located data.  ``at(alpha)`` rescales the two aL
-    blocks; no boundary values are stored, so any set can be eliminated.
+    Built once per FemSystem (``FemSystem.eliminated``), straight from the
+    entries of ``saddle_blocks``, and checked once: the matrices and d must
+    match the mesh, and the mesh must have interior nodes.  It holds the
+    interior and boundary node sets and the boundary columns K_IB (CSR,
+    rows interleaved, columns block by block: the c, g1, g2 and w values of
+    the boundary nodes).  The static order and the interior matrix in it
+    (``ordered``) are built on first use, because finding the order is a
+    factorisation: its failure surfaces where a factorisation is asked for.
+    ``matrix_at`` and ``boundary_rhs`` rescale the two aL blocks; no
+    boundary values are stored, so any set can be eliminated.
     """
 
     def __init__(self, fem):
-        n = fem.mesh.n_nodes
-        self.interior = fem.mesh.interior_nodes()
-        self.boundary = fem.mesh.boundary_nodes()
+        mesh = fem.mesh
+        n = self.n_nodes = mesh.n_nodes
+        for name in ("A", "L", "G1", "G2"):
+            mat = getattr(fem, name)
+            if mat.shape != (n, n):
+                raise DimensionMismatch(f"{name} has shape {mat.shape}, "
+                                        f"mesh has {n} nodes")
+        if len(fem.d) != n:
+            raise DimensionMismatch("d length does not match node count")
+        self.interior = mesh.interior_nodes()
+        self.boundary = mesh.boundary_nodes()
         self.interior.flags.writeable = False
         self.boundary.flags.writeable = False
-        K = sp.bmat(saddle_blocks(fem.A, fem.L, fem.G1, fem.G2, 1.0),
-                    format="csr")
-        rows = K[_interleaved(self.interior, n)]
-        # bmat keeps the explicit zeros of its blocks; dropping them keeps
-        # the sparsity pattern, and with it SuperLU's ordering, minimal.
-        # A positive alpha keeps nonzero entries nonzero, so the pattern
-        # serves every alpha.
-        self._matrix = rows[:, _interleaved(self.interior, n)].tocsc()
-        self._matrix.eliminate_zeros()
-        self._matrix_alpha = _alpha_entries(self._matrix)
-        self._ib = rows[:, _interleaved(self.boundary, n)]
-        self._ib_alpha = _alpha_entries(self._ib)
+        if len(self.interior) == 0:
+            raise SingularSystem("mesh has no interior nodes")
+        k, nb = len(self.interior), len(self.boundary)
+        f, g, row, col, value = _block_entries(fem)
+        pos = np.empty(n, dtype=np.int64)
+        pos[self.interior] = np.arange(k)
+        pos[self.boundary] = np.arange(nb)
+        on_boundary = np.asarray(mesh.node_boundary, dtype=bool)
+        scaled = (f == g) & np.isin(f, [FIELDS.index(name)
+                                        for name in ALPHA_FIELDS])
+        inner = ~on_boundary[row]
+        ii = inner & ~on_boundary[col]
+        ib = inner & on_boundary[col]
+        # block by block columns: a row's K_IB x_B then sums its terms in
+        # the order of a build that slices interleaved columns out of K
+        self._ib, self._ib_alpha = _compressed(
+            sp.csr_matrix, 4 * pos[row[ib]] + f[ib],
+            nb * g[ib].astype(np.int64) + pos[col[ib]], value[ib], scaled[ib],
+            (4 * k, 4 * nb))
+        self._interior_entries = (f[ii], g[ii], pos[row[ii]], pos[col[ii]],
+                                  value[ii], scaled[ii])
         self._located = fem.located
+        self._checked_bv = None
+        self._probes = None
 
     @cached_property
-    def interior_basis(self):
-        """B_I: the basis matrix columns of the interior nodes."""
-        return self._located.basis[:, self.interior]
+    def ordered(self):
+        """(rows, cols, matrix, alpha entries) of the static order.
 
-    def at(self, alpha):
-        """Interior matrix and boundary columns K_IB at ``alpha``.
+        Static row r and column j are the interleaved rows[r] and cols[j],
+        so ``matrix`` is the interleaved interior matrix K_II[rows][:, cols]
+        at alpha = 1 (CSC, explicit zeros dropped); the alpha entries are
+        the positions in its data of the aL entries.
 
-        alpha * (1.0 * L_ij) is the product a build at alpha forms, so both
-        are bitwise those of building K at alpha and slicing it.
+        The node order is SuperLU's minimum-degree order of the interior
+        node graph, which is factorised with it: a symmetric matrix with
+        the pattern of all four blocks, strictly diagonally dominant so
+        that it is SPD.  L_II alone does not have that pattern: L_pq
+        vanishes across the hypotenuse of a right triangle, where G1 and
+        G2 do not.  Interleaved node p goes to static node perm_c[p].
         """
-        return (_scaled(self._matrix, self._matrix_alpha, alpha),
-                _scaled(self._ib, self._ib_alpha, alpha))
+        f, g, i, j, value, scaled = self._interior_entries
+        k = len(self.interior)
+        graph = sp.csc_matrix((np.where(i == j, float(len(i)), 1.0), (i, j)),
+                              shape=(k, k))
+        try:
+            perm_c = spla.splu(graph, permc_spec="MMD_AT_PLUS_A",
+                               diag_pivot_thresh=0,
+                               options={"SymmetricMode": True}).perm_c
+        except RuntimeError as err:
+            raise SingularSystem(f"node order factorisation failed: {err}"
+                                 ) from err
+        matrix, alpha = _compressed(sp.csc_matrix, 4 * perm_c[i] + ROW_SLOT[f],
+                                    4 * perm_c[j] + g, value, scaled,
+                                    (4 * k, 4 * k))
+        nodes = np.empty(k, dtype=np.int64)
+        nodes[perm_c] = np.arange(k)
+        rows = (4 * nodes[:, None] + np.argsort(ROW_SLOT)).ravel()
+        cols = (4 * nodes[:, None] + np.arange(len(FIELDS))).ravel()
+        del self._interior_entries  # held in ``matrix`` from now on
+        return rows, cols, matrix, alpha
+
+    def boundary_order(self, bv):
+        """Positions that sort ``bv``'s arrays by node; raises
+        DimensionMismatch unless its nodes are the boundary node set.
+        Checked once per array of nodes."""
+        if self._checked_bv is None or self._checked_bv[0] is not bv.nodes:
+            order = np.argsort(bv.nodes)
+            if not np.array_equal(bv.nodes[order], self.boundary):
+                raise DimensionMismatch("boundary values do not cover the "
+                                        "boundary node set")
+            self._checked_bv = (bv.nodes, order)
+        return self._checked_bv[1]
+
+    def probe_rhs(self, probe_matrix):
+        """B_I^T Z / n for the probe matrix Z (B_I: the basis columns of
+        the interior nodes), the probe block of a GCV solve.  The block of
+        the last Z is kept, so Z must not change after its first use."""
+        if self._probes is None or self._probes[0] is not probe_matrix:
+            B = self._located.basis[:, self.interior]
+            self._probes = (probe_matrix,
+                            B.T @ probe_matrix / self._located.n_used)
+        return self._probes[1]
+
+    def boundary_rhs(self, alpha, bvals):
+        """-K_IB x_B at ``alpha`` (interleaved) for the sorted boundary
+        values ``bvals``, a dict over FIELDS."""
+        x_b = np.concatenate([bvals[name] for name in FIELDS])
+        return -(_scaled(self._ib, self._ib_alpha, alpha) @ x_b)
+
+    def matrix_at(self, alpha):
+        """Interior matrix in the static order at ``alpha``.
+
+        alpha * (1.0 * L_ij) is the product a build at alpha forms, so its
+        values are bitwise those of building K at alpha and slicing it.
+        """
+        _, _, matrix, entries = self.ordered
+        return _scaled(matrix, entries, alpha)
 
 
 @dataclass
@@ -141,76 +270,77 @@ class SaddleSystem:
     """Eliminated saddle system at one alpha, with a reusable factorisation.
 
     The matrix is the FemSystem's ``EliminatedSystem`` (built once at
-    alpha = 1) rescaled to ``alpha``; the right-hand side is d in the c rows
-    minus K_IB x_B for the boundary values ``bv`` (default ``fem.bv``).
+    alpha = 1) rescaled to ``alpha``, in the static order; ``rows`` and
+    ``cols`` give the interleaved row and column of each of its rows and
+    columns.  The right-hand side is interleaved: d in the c rows minus
+    K_IB x_B for the boundary values ``bv`` (default ``fem.bv``).
     ``factorizations`` counts the direct factorisations; ``residual`` is the
     largest max-norm relative residual of the last solve.  alpha must be
     positive and finite.
     """
 
     def __init__(self, fem, alpha, bv=None):
+        if not 0 < alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
         if bv is None:
             bv = fem.bv
         if bv is None:
             raise DimensionMismatch("no boundary values supplied")
-        mesh = fem.mesh
-        n = mesh.n_nodes
-        for name in ("A", "L", "G1", "G2"):
-            mat = getattr(fem, name)
-            if mat.shape != (n, n):
-                raise DimensionMismatch(f"{name} has shape {mat.shape}, "
-                                        f"mesh has {n} nodes")
-        if len(fem.d) != n:
-            raise DimensionMismatch("d length does not match node count")
-        if not 0 < alpha < np.inf:
-            raise ValueError(f"alpha must be positive and finite, got {alpha}")
-        order = np.argsort(bv.nodes)
-        if not np.array_equal(np.sort(bv.nodes), mesh.boundary_nodes()):
-            raise DimensionMismatch("boundary values do not cover the "
-                                    "boundary node set")
         unit = fem.eliminated
+        if fem.mesh.n_nodes != unit.n_nodes:
+            raise DimensionMismatch(f"mesh has {fem.mesh.n_nodes} nodes, its "
+                                    f"system was built for {unit.n_nodes}")
+        order = unit.boundary_order(bv)
         self.fem = fem
         self.alpha = alpha
         self.interior = unit.interior
         self.boundary = unit.boundary
-        if len(self.interior) == 0:
-            raise SingularSystem("mesh has no interior nodes")
         self.bvals = {"c": bv.c[order], "g1": bv.g1[order],
                       "g2": bv.g2[order], "w": bv.w_at(alpha)[order]}
-
-        self.matrix, K_IB = unit.at(alpha)
-        x_b = np.column_stack([self.bvals[name] for name in FIELDS]).ravel()
-        self.rhs = -(K_IB @ x_b)
+        self.rhs = unit.boundary_rhs(alpha, self.bvals)
         self.rhs[0::4] += fem.d[self.interior]
+        self.n_unknowns = len(self.rhs)
         self._lu = None
         self.factorizations = 0
         self.residual = None
 
+    @cached_property
+    def matrix(self):
+        """Interior matrix at alpha in the static order (CSC)."""
+        return self.fem.eliminated.matrix_at(self.alpha)
+
     @property
-    def n_unknowns(self):
-        return self.matrix.shape[0]
+    def rows(self):
+        return self.fem.eliminated.ordered[0]
+
+    @property
+    def cols(self):
+        return self.fem.eliminated.ordered[1]
 
     def factorize(self):
         if self._lu is None:
             try:
-                self._lu = spla.splu(self.matrix)
+                self._lu = spla.splu(self.matrix, **STATIC_PIVOTING)
             except RuntimeError as err:
                 raise SingularSystem(f"direct factorisation failed: {err}") from err
             self.factorizations += 1
         return self._lu
 
     def solve_raw(self, rhs=None):
-        """Solve for one right-hand side or an (m, p) block of them.
+        """Solve for one right-hand side or an (m, p) block of them, both
+        interleaved: the rows of b go to the static order and the solution
+        comes back from it.
 
         Raises NonConvergence unless every column reaches a max-norm
         relative residual within RESIDUAL_TOL; a NaN residual is a miss.
         """
         b = self.rhs if rhs is None else rhs
         t0 = time.perf_counter()
-        cols = b.reshape(len(b), -1)
-        x = self.factorize().solve(cols)
-        scale = np.abs(cols).max(axis=0)
-        r = np.abs(self.matrix @ x - cols).max(axis=0)
+        lu = self.factorize()
+        static = b.reshape(len(b), -1)[self.rows]
+        y = lu.solve(static)
+        scale = np.abs(static).max(axis=0)
+        r = np.abs(self.matrix @ y - static).max(axis=0)
         worst = (r / np.where(scale > 0, scale, 1.0)).max(initial=0.0)
         if not worst <= RESIDUAL_TOL:
             raise NonConvergence(
@@ -218,6 +348,8 @@ class SaddleSystem:
                 diagnostics={"residual": float(worst),
                              "unknowns": self.n_unknowns})
         self.residual = float(worst)
+        x = np.empty_like(y)
+        x[self.cols] = y
         return x.reshape(b.shape), time.perf_counter() - t0
 
     def scatter(self, x):
@@ -260,22 +392,21 @@ def interpolate(mesh, values, points):
 
     Points outside the mesh yield NaN.
     """
-    ids, bary = mesh.locate(points)
-    inside = ids >= 0
-    tab = mesh.tri_table
-    out = np.full(len(ids), np.nan)
+    rows, bary = mesh.locate(points)
+    inside = rows >= 0
+    nodes = mesh.tri_table.verts[rows[inside]]
+    out = np.full(len(rows), np.nan)
     out[inside] = np.einsum("ij,ij->i", bary[inside],
-                            np.asarray(values)[tab.verts[tab.rows(ids[inside])]])
+                            np.asarray(values)[nodes])
     return out
 
 
 def _point_values(s, p, names):
     """Interpolated nodal fields ``names`` of ``s`` at one point."""
-    ids, bary = s.mesh.locate([p])
-    if ids[0] < 0:
+    rows, bary = s.mesh.locate([p])
+    if rows[0] < 0:
         raise OutsideDomain(f"point {p} is outside the mesh")
-    tab = s.mesh.tri_table
-    nodes = tab.verts[tab.rows(ids[0])]
+    nodes = s.mesh.tri_table.verts[rows[0]]
     return tuple(float(bary[0] @ getattr(s, name)[nodes]) for name in names)
 
 

@@ -111,8 +111,11 @@ def perturbed_splu(monkeypatch, perturb):
     splu = spla.splu
 
     class Perturbed:
-        def __init__(self, matrix):
-            self._lu = splu(matrix)
+        def __init__(self, matrix, **kwargs):
+            self._lu = splu(matrix, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._lu, name)
 
         def solve(self, b):
             return perturb(self._lu.solve(b))

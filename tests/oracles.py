@@ -3,6 +3,7 @@
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 from tpsfem.assembly import FemSystem
@@ -12,7 +13,7 @@ from tpsfem.exceptions import (EmptyField, InsufficientData, NotRefinable,
                                SingularSystem)
 from tpsfem.indicators import auxiliary_indicators, recovery_indicator
 from tpsfem.mesh import BARY_TOL, TriMesh
-from tpsfem.solver import FIELDS, SaddleSystem, _interleaved, saddle_blocks
+from tpsfem.solver import FIELDS, SaddleSystem, saddle_blocks
 from tpsfem.tps import R_CLAMP, TpsModel
 
 # 7-point Gauss rule on the reference triangle, exact to degree 5
@@ -108,12 +109,19 @@ def dense_G(mesh, axis):
     return G
 
 
+def located_ids(mesh, points):
+    """``mesh.locate`` with the triangle ids in place of their rows of
+    ``mesh.tri_table`` (-1 outside)."""
+    rows, bary = mesh.locate(points)
+    return np.where(rows >= 0, mesh.tri_table.ids[rows], -1), bary
+
+
 def dense_basis(mesh, data):
     """Basis values b(x_i) of the points inside the mesh, one dense row per
     point in data order, from the per-triangle linear basis functions."""
     rows = []
     tris = dict(tri_items(mesh))
-    ids, _ = mesh.locate(data.x)
+    ids, _ = located_ids(mesh, data.x)
     for i, p in enumerate(np.asarray(data.x, dtype=float)):
         t = ids[i]
         if t == -1:
@@ -128,7 +136,7 @@ def dense_basis(mesh, data):
 
 def dense_A_d(mesh, data):
     """Data projection sum(b b^T)/n and sum(b y)/n from dense basis rows."""
-    ids, _ = mesh.locate(data.x)
+    ids, _ = located_ids(mesh, data.x)
     B = dense_basis(mesh, data)
     y = np.asarray(data.y, dtype=float)[ids >= 0]
     return B.T @ B / len(B), B.T @ y / len(B)
@@ -183,6 +191,11 @@ def lumped_mass_recovery_indicators(mesh, c):
     return np.array(out)
 
 
+def _interleaved(nodes, n):
+    """Indices into K of the FIELDS of ``nodes``, node by node."""
+    return (nodes[:, None] + n * np.arange(len(FIELDS))).ravel()
+
+
 def rebuilt_saddle_system(fem, alpha, bv=None):
     """(matrix, rhs) of the eliminated saddle system built from scratch at
     ``alpha``: one bmat of the blocks, then interior rows, interior and
@@ -203,6 +216,15 @@ def rebuilt_saddle_system(fem, alpha, bv=None):
     rhs = -(rows[:, _interleaved(boundary, n)] @ x_b)
     rhs[0::4] += fem.d[interior]
     return matrix, rhs
+
+
+def pivoted_saddle_solve(fem, alpha, bv=None):
+    """Interleaved solution of the rebuilt saddle system, factorised by
+    SuperLU with threshold partial pivoting in its own column order: the
+    solver's factorisation before it ordered the system once per mesh and
+    pivoted statically."""
+    matrix, rhs = rebuilt_saddle_system(fem, alpha, bv)
+    return spla.splu(matrix).solve(rhs)
 
 
 def dense_saddle_solve(fem, alpha, bv):
@@ -670,7 +692,7 @@ def patch_auxiliary_indicator(s, data, edge_id, alpha, located_by_tri):
         return 0.0
     tab = local.tri_table
     centroid = np.column_stack([tab.x.mean(axis=1), tab.y.mean(axis=1)])
-    within = coarse.locate(centroid)[0]
+    within = located_ids(coarse, centroid)[0]
     rows = np.flatnonzero([patch_tris[t] in seed for t in within.tolist()])
     diff = tab.gradients(shat.c - vals["c"])[rows]
     return float(np.sqrt(np.sum(tab.area[rows] * np.sum(diff ** 2, axis=1))))
@@ -683,7 +705,7 @@ def patch_auxiliary_indicator(s, data, edge_id, alpha, located_by_tri):
 def located_dict(mesh, data):
     """Map triangle id -> ascending indices of the data points inside it,
     from one ``mesh.locate``."""
-    ids, _ = mesh.locate(data.x)
+    ids, _ = located_ids(mesh, data.x)
     out = {}
     for i, t in enumerate(ids.tolist()):
         if t >= 0:
@@ -797,7 +819,7 @@ def locator_bins(mesh, ng):
 
 
 def binned_locate(mesh, points):
-    """``mesh.locate`` on sqrt(2m) + 1 bins a side, with one (k, 3)
+    """``located_ids`` on sqrt(2m) + 1 bins a side, with one (k, 3)
     barycentric table per pass and its row minimum as the hit test."""
     p = np.asarray(points, dtype=float).reshape(-1, 2)
     tab = mesh.tri_table

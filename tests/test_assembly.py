@@ -10,7 +10,7 @@ from tpsfem.exceptions import (DegenerateTriangle, NoDataInDomain,
 from tpsfem.mesh import TriMesh, build_square_mesh
 
 from conftest import make_two_triangle_square, make_unit_right_triangle
-from oracles import dense_A_d, dense_G, dense_L
+from oracles import dense_A_d, dense_G, dense_L, located_ids
 
 
 def random_refined_mesh(seed, waves=3):
@@ -44,7 +44,7 @@ class TestBasisEval:
         mesh = build_square_mesh(0)
         rng = np.random.default_rng(1)
         for p in rng.uniform(0, 1, size=(20, 2)):
-            t = mesh.locate([p])[0][0]
+            t = located_ids(mesh, [p])[0][0]
             vals, grads = basis_eval(mesh, t, p)
             assert abs(vals.sum() - 1.0) < 1e-12
             assert np.allclose(grads.sum(axis=1), 0.0, atol=1e-12)

@@ -10,8 +10,8 @@ from tpsfem.mesh import (TriMesh, bisect_once, build_square_mesh, load_mesh,
 from conftest import (all_angles, base_edge, edge_between, make_fan_mesh,
                       make_interface_strip, make_two_triangle_square,
                       make_unit_right_triangle, total_area)
-from oracles import (assert_same_mesh, copy_submesh, locator_bins,
-                     polygon_triangles_loop)
+from oracles import (assert_same_mesh, copy_submesh, located_ids,
+                     locator_bins, polygon_triangles_loop)
 
 
 def l_shaped_data(n):
@@ -172,7 +172,8 @@ class TestLocate:
     def test_centroid_resolves_to_triangle(self, square_mesh):
         tab = square_mesh.tri_table
         centroid = square_mesh.points[tab.verts[:8]].mean(axis=1)
-        assert np.array_equal(square_mesh.locate(centroid)[0], tab.ids[:8])
+        assert np.array_equal(located_ids(square_mesh, centroid)[0],
+                              tab.ids[:8])
 
     def test_outside_returns_none(self, square_mesh):
         assert square_mesh.locate([(1.5, 0.5)])[0][0] == -1
@@ -184,7 +185,8 @@ class TestLocate:
                    if np.abs(p - 0.25).max() < 1e-12)
         tab = square_mesh.tri_table
         incident = tab.ids[(tab.verts == nid).any(axis=1)]
-        assert square_mesh.locate([(0.25, 0.25)])[0][0] == incident.min()
+        assert located_ids(square_mesh, [(0.25, 0.25)])[0][0] == \
+            incident.min()
 
     def test_total_on_domain(self):
         mesh = build_square_mesh(1)
@@ -304,7 +306,7 @@ class TestSubmesh:
                 edges = mesh.refinable_edges()
                 mesh.refine_wave(rng.choice(edges, size=len(edges) // 5,
                                             replace=False).tolist())
-            ids, _ = mesh.locate(rng.uniform(0.05, 0.6, size=(300, 2)))
+            ids, _ = located_ids(mesh, rng.uniform(0.05, 0.6, size=(300, 2)))
             keep = set(ids[ids >= 0].tolist())
         else:
             keep = polygon_triangles(mesh, [np.asarray(l, dtype=float)

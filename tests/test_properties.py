@@ -6,9 +6,9 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from tpsfem.assembly import assemble_G, assemble_L
+from tpsfem.assembly import FemSystem, assemble_G, assemble_L
 from tpsfem.boundary import BoundaryStrategy, constant_boundary_values
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.driver import _NodeValues
@@ -18,7 +18,7 @@ from tpsfem.indicators import (_containing_rows, auxiliary_field,
                                recovery_field)
 from tpsfem.mesh import (BARY_TOL, TriMesh, bisect_once, build_square_mesh,
                          fill_new_nodes, mesh_polygon, trim_to_irregular)
-from tpsfem.solver import FIELDS, SaddleSystem, Smoother, rmse
+from tpsfem.solver import RESIDUAL_TOL, FIELDS, SaddleSystem, Smoother, rmse
 from tpsfem.tps import (SamplePlan, _quadtree_leaves, fit_tps, sample,
                         select_alpha_tps)
 
@@ -26,11 +26,12 @@ from conftest import (all_angles, base_edge, make_fan_mesh,
                       make_interface_strip, total_area)
 from oracles import (RefMesh, assert_same_mesh, binned_locate, copy_submesh,
                      dict_field, dict_mark, linear_basis, located_dict,
-                     loop_sample, padded_containing_rows, per_event_extend,
+                     located_ids, loop_sample, padded_containing_rows,
+                     per_event_extend, pivoted_saddle_solve,
                      recursive_quadtree_leaves, refresh_dict_field,
                      tri_items)
 from test_equivalence import HOLED_SQUARE
-from test_solver import linear_problem
+from test_solver import linear_problem, random_bv
 
 #: indices into the sorted refinable edges, one bisection each
 bisections = st.lists(st.integers(0, 10 ** 6), max_size=30)
@@ -143,7 +144,7 @@ def test_locate_matches_brute_force(kind, picks, seed, grid, loose):
     # 150 examples per mesh kind on average
     mesh = located_mesh(kind, picks, seed)
     pts = probe_points(mesh, grid, loose)
-    ids, bary = mesh.locate(pts)
+    ids, bary = located_ids(mesh, pts)
     ref_ids, ref_bary = brute_force_locate(mesh, pts)
     assert np.array_equal(ids, ref_ids)
     inside = ids != -1
@@ -160,7 +161,7 @@ def test_locate_matches_binned_oracle_bitwise(kind, picks, seed, grid, loose):
     # arithmetic bit for bit
     mesh = located_mesh(kind, picks, seed)
     pts = probe_points(mesh, grid, loose)
-    ids, bary = mesh.locate(pts)
+    ids, bary = located_ids(mesh, pts)
     ref_ids, ref_bary = binned_locate(mesh, pts)
     assert np.array_equal(ids, ref_ids)
     assert bary.flags.c_contiguous and bary.shape == (len(pts), 3)
@@ -189,6 +190,38 @@ def test_affine_data_reproduced_for_any_alpha(log_alpha, coeffs, seed):
     data, fem, _ = linear_problem(mesh, n=60, seed=seed, coeffs=coeffs)
     s = SaddleSystem(fem, 10.0 ** log_alpha).solve()
     assert rmse(s, data, fem.located) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(kind=mesh_kinds, picks=bisections, seed=st.integers(0, 2 ** 16),
+       log_alpha=st.floats(-10.0, 0.0))
+def test_static_solve_matches_pivoted_oracle(kind, picks, seed, log_alpha):
+    # no data point in the triangles of one interior node, so that its
+    # A_ii = 0, and random boundary values with a Laplacian proxy
+    mesh = located_mesh(kind, picks, seed)
+    interior = mesh.interior_nodes()
+    assume(len(interior))
+    rng = np.random.default_rng(seed)
+    empty = rng.choice(interior)
+    x = rng.uniform(mesh.points.min(axis=0), mesh.points.max(axis=0),
+                    size=(30, 2))
+    rows = mesh.locate(x)[0]
+    inside = np.flatnonzero(rows >= 0)
+    inside = inside[(mesh.tri_table.verts[rows[inside]] != empty).all(axis=1)]
+    assume(len(inside))
+    x = x[inside]
+    fem = FemSystem.build(mesh, DataSet(x, rng.normal(size=len(x))),
+                          bv=random_bv(mesh, rng))
+    assert fem.A[empty, empty] == 0.0
+    alpha = 10.0 ** log_alpha
+    system = SaddleSystem(fem, alpha)
+    got, _ = system.solve_raw()
+    assert system.residual <= RESIDUAL_TOL
+    # the c/w row swap leaves no zero on the diagonal: no row exchange
+    perm_r = system.factorize().perm_r
+    assert np.array_equal(perm_r, np.arange(len(perm_r)))
+    ref = pivoted_saddle_solve(fem, alpha)
+    assert np.abs(got - ref).max() <= 1e-8 * np.abs(ref).max()
 
 
 def check_element_identities(L, G1, G2, verts, x, area):

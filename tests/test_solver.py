@@ -12,8 +12,10 @@ from tpsfem.exceptions import (DimensionMismatch, OutsideDomain,
                                SingularSystem)
 from tpsfem.gcv import GcvConfig
 from tpsfem.mesh import build_square_mesh, mesh_polygon, trim_to_irregular
-from tpsfem.solver import (RESIDUAL_TOL, SaddleSystem, constraint_residual,
-                           evaluate, evaluate_grad, max_abs_residual, rmse)
+from tpsfem import solver
+from tpsfem.solver import (RESIDUAL_TOL, STATIC_PIVOTING, SaddleSystem,
+                           constraint_residual, evaluate, evaluate_grad,
+                           max_abs_residual, rmse)
 
 from oracles import dense_saddle_solve, linear_basis, rebuilt_saddle_system
 
@@ -79,7 +81,8 @@ class TestBuildSystem:
         mesh = build_square_mesh(0)
         data, fem, _ = linear_problem(mesh)
         sys_ = SaddleSystem(fem, 0.37)
-        diff = (sys_.matrix - sys_.matrix.T).tocoo()
+        K = interleaved_matrix(sys_)
+        diff = (K - K.T).tocoo()
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
     def test_dimension_mismatch(self):
@@ -142,12 +145,31 @@ def rescale_case(name):
         random_bv(mesh, rng)
 
 
+def interleaved_matrix(system):
+    """A SaddleSystem's matrix taken back from its static order to the
+    interleaved order of its right-hand side."""
+    return system.matrix[np.argsort(system.rows)][:, np.argsort(system.cols)]
+
+
+def static_matrix(system, matrix):
+    """An interleaved reference matrix in a SaddleSystem's static order,
+    canonical CSC; rows and cols must be permutations."""
+    m = system.n_unknowns
+    for perm in (system.rows, system.cols):
+        assert np.array_equal(np.sort(perm), np.arange(m))
+    out = matrix[system.rows][:, system.cols].tocsc()
+    out.sort_indices()
+    return out
+
+
 def assert_same_system(system, matrix, rhs):
-    """Bitwise equality of a SaddleSystem's matrix and rhs with a reference."""
+    """Bitwise equality of a SaddleSystem's matrix and rhs with a reference
+    in interleaved order, the matrix compared in the system's static order."""
     got = system.matrix
     assert got.format == "csc"
+    ref = static_matrix(system, matrix)
     for name in ("data", "indices", "indptr"):
-        assert getattr(got, name).tobytes() == getattr(matrix, name).tobytes()
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
     assert system.rhs.tobytes() == rhs.tobytes()
 
 
@@ -173,8 +195,13 @@ class TestRescaledSystem:
     def test_solution_bitwise_equal_to_rebuilt_system(self):
         fem, _ = rescale_case("trimmed")
         matrix, rhs = rebuilt_saddle_system(fem, 1e-9)
-        x, _ = SaddleSystem(fem, 1e-9).solve_raw()
-        assert x.tobytes() == spla.splu(matrix).solve(rhs).tobytes()
+        system = SaddleSystem(fem, 1e-9)
+        x, _ = system.solve_raw()
+        y = spla.splu(static_matrix(system, matrix),
+                      **STATIC_PIVOTING).solve(rhs[system.rows])
+        expect = np.empty_like(y)
+        expect[system.cols] = y
+        assert x.tobytes() == expect.tobytes()
 
     def test_alpha_sequence_matches_fresh_builds(self):
         fem, _ = rescale_case("square")
@@ -183,14 +210,20 @@ class TestRescaledSystem:
             assert_same_system(SaddleSystem(fem, alpha), *fresh[alpha])
 
     def test_built_once_per_fem_system(self, monkeypatch):
+        # the blocks are read and the node order found once; each alpha
+        # is one factorisation
         fem, _ = rescale_case("square")
-        calls = []
-        bmat = sp.bmat
-        monkeypatch.setattr(sp, "bmat",
-                            lambda *a, **k: calls.append(1) or bmat(*a, **k))
+        calls, lus = [], []
+        blocks, splu = solver.saddle_blocks, spla.splu
+        monkeypatch.setattr(solver, "saddle_blocks",
+                            lambda *a, **k: calls.append(1) or blocks(*a, **k))
+        monkeypatch.setattr(spla, "splu",
+                            lambda *a, **k: lus.append(k) or splu(*a, **k))
         for alpha in (1e-3, 1.0, 1e-3):
             SaddleSystem(fem, alpha).solve()
         assert len(calls) == 1
+        assert lus[0]["permc_spec"] == "MMD_AT_PLUS_A"
+        assert lus[1:] == [STATIC_PIVOTING] * 3
 
     def test_systems_do_not_share_values(self):
         fem, _ = rescale_case("square")
@@ -215,6 +248,47 @@ class TestRescaledSystem:
         SaddleSystem(fem, 1e-3)
         with pytest.raises(ValueError):
             SaddleSystem(fem, alpha)
+
+
+class TestStaticPivoting:
+    """The zero-pivot rule: SuperLU exchanges a zero diagonal pivot for the
+    largest entry of its column, and a static factorisation that fails
+    raises SingularSystem without a second, pivoted one."""
+
+    def test_zero_diagonal_pivot_is_exchanged(self):
+        fem, _ = rescale_case("trimmed")
+        system = SaddleSystem(fem, 1e-6)
+        x, _ = system.solve_raw()
+        M = system.matrix.tocsr()
+        b = system.rhs[system.rows]
+        # swap row 0 with a row that has no entry in column 0
+        r = int(np.flatnonzero(M[:, 0].toarray().ravel() == 0.0)[0])
+        swap = np.arange(M.shape[0])
+        swap[[0, r]] = [r, 0]
+        M, b = M[swap].tocsc(), b[swap]
+        assert M[0, 0] == 0.0
+        lu = spla.splu(M, **STATIC_PIVOTING)
+        assert lu.perm_r[0] != 0
+        y = lu.solve(b)
+        assert np.abs(M @ y - b).max() <= RESIDUAL_TOL * np.abs(b).max()
+        assert np.abs(y - x[system.cols]).max() <= 1e-10 * np.abs(x).max()
+
+    def test_failed_static_factorisation_is_not_retried(self, monkeypatch):
+        fem, _ = rescale_case("square")
+        calls = []
+        splu = spla.splu
+
+        def static_fails(matrix, **kwargs):
+            calls.append(kwargs.get("permc_spec"))
+            if kwargs == STATIC_PIVOTING:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(matrix, **kwargs)
+        monkeypatch.setattr(spla, "splu", static_fails)
+        system = SaddleSystem(fem, 1e-3)
+        with pytest.raises(SingularSystem, match="direct factorisation failed"):
+            system.solve()
+        assert (system.factorizations, system.residual) == (0, None)
+        assert calls == ["MMD_AT_PLUS_A", "NATURAL"]
 
 
 class TestSolve:
@@ -354,9 +428,8 @@ class TestEvaluate:
     def test_random_points_match_barycentric_oracle(self):
         rng = np.random.default_rng(2)
         for p in rng.uniform(0, 1, size=(25, 2)):
-            t = self.mesh.locate([p])[0][0]
-            tab = self.mesh.tri_table
-            nodes = tab.verts[tab.rows([t])[0]]
+            row = self.mesh.locate([p])[0][0]
+            nodes = self.mesh.tri_table.verts[row]
             fns, _ = linear_basis(self.mesh.points[nodes])
             bary = np.array([fn(p[0], p[1]) for fn in fns])
             expect = bary @ self.s.c[nodes]
