@@ -41,6 +41,7 @@ RESIDUAL_TOL) guards it.
 """
 
 import time
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -224,10 +225,11 @@ class EliminatedSystem:
     def probe_rhs(self, probe_matrix):
         """B_I^T Z / n for the probe matrix Z (B_I: the basis columns of
         the interior nodes), the probe block of a GCV solve.  The block of
-        the last Z is kept, so Z must not change after its first use."""
-        if self._probes is None or self._probes[0] is not probe_matrix:
+        the last Z is kept while Z lives, so Z must not change after its
+        first use; a weak reference leaves Z's lifetime to the caller."""
+        if self._probes is None or self._probes[0]() is not probe_matrix:
             B = self._located.basis[:, self.interior]
-            self._probes = (probe_matrix,
+            self._probes = (weakref.ref(probe_matrix),
                             B.T @ probe_matrix / self._located.n_used)
         return self._probes[1]
 

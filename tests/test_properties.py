@@ -18,7 +18,7 @@ from tpsfem.indicators import (_containing_rows, auxiliary_field,
                                recovery_field)
 from tpsfem.mesh import (BARY_TOL, TriMesh, bisect_once, build_square_mesh,
                          fill_new_nodes, mesh_polygon, trim_to_irregular)
-from tpsfem.solver import RESIDUAL_TOL, FIELDS, SaddleSystem, Smoother, rmse
+from tpsfem.solver import FIELDS, RESIDUAL_TOL, SaddleSystem, Smoother, rmse
 from tpsfem.tps import (SamplePlan, _quadtree_leaves, fit_tps, sample,
                         select_alpha_tps)
 
