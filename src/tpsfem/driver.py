@@ -263,7 +263,7 @@ def run(data, cfg=None):
                     break
                 floor = int(mesh.tri_table.ids[-1]) + 1  # of the new ids
                 events = mesh.refine_wave(marked)
-                if not events:
+                if not len(events):
                     logger.warning("iteration %d: marked edges produced no "
                                    "refinement", k)
                     break

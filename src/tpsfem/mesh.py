@@ -6,6 +6,7 @@ ids, counter-clockwise with the newest node v last, so (a, b) is the base
 edge.  Its edges are one ascending table of node-pair keys, each carrying
 its edge id; which triangles meet at an edge is derived from the rows on
 demand (``TriTable.edges``, ``EdgeTable.tris``).  Ids are never reused.
+Sets of triangles are boolean masks over the ``tri_table`` rows.
 
 Bisection splits a triangle from its newest node to the midpoint of its base
 edge, so refined meshes built from the unit-square seed only ever contain
@@ -13,11 +14,14 @@ isosceles right triangles.  ``bisect_once`` runs one pass of it over a set
 of rows as array operations, the vectorised newest-vertex bisection of
 Funken, Praetorius & Wissgott (2011) and of L. Chen's iFEM ``bisect``; the
 waves of a ``TriMesh`` and the auxiliary indicator's patches all use it.
+A wave returns the nodes it made as (j, 3) [node, parent_a, parent_b] rows.
 """
 
 from collections import namedtuple
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
 from .exceptions import EmptyResult, NotRefinable, ParseError, ZeroInterior
@@ -26,9 +30,6 @@ MESH_SCHEMA = "tpsfem-mesh v1"
 
 #: tolerance for barycentric containment tests
 BARY_TOL = 1e-12
-
-#: a node created by bisection, with the endpoints of the split edge
-NewNode = namedtuple("NewNode", ["node", "parent_a", "parent_b", "boundary"])
 
 #: the point locator of a mesh: its node bounding box, cut into ng x ng bins
 #: of sx by sy; the rows listed in bin g are ``rows[start[g]:start[g + 1]]``
@@ -65,11 +66,10 @@ def _grouped(keys, n):
 def fill_new_nodes(values, events, known):
     """Give every node of ``events`` not yet ``known`` the mean of its
     parents' rows of ``values``, in place; ``known`` is updated too.
-    ``events`` holds NewNode records or an array of (node, parent_a,
-    parent_b) rows.  A parent may be a node of the same events, so a row is
-    filled as soon as both parents are known."""
-    todo = np.array(events, dtype=np.int64, ndmin=2)[:, :3].reshape(-1, 3)
-    todo = todo[~known[todo[:, 0]]]
+    ``events`` is the (j, 3) int array of [node, parent_a, parent_b] rows
+    that a refinement wave returns.  A parent may be a node of the same
+    events, so a row is filled as soon as both parents are known."""
+    todo = events[~known[events[:, 0]]]
     while len(todo):
         node, a, b = todo.T
         ready = known[a] & known[b]
@@ -388,8 +388,9 @@ class TriMesh:
     def uniform_refine(self):
         """Bisect every triangle along its base edge once (one pass).
 
-        Two passes halve the mesh size h.  Returns the list of NewNode
-        records of the nodes created, in creation order.
+        Two passes halve the mesh size h.  Returns the (j, 3) int64 array
+        of the nodes created, in creation order: one [node, parent_a,
+        parent_b] row each, the parents being the ends of the split edge.
         """
         return self._bisect(np.arange(self.n_tris))
 
@@ -398,9 +399,10 @@ class TriMesh:
         chain of base edges that must be split before it; a marked edge
         that an earlier chain split is not split again.
 
-        Returns the list of NewNode records of the nodes created, in
-        creation order.  Raises NotRefinable for an id that is not an edge
-        of the mesh or not a base edge of any triangle.
+        Returns the (j, 3) int64 array of the nodes created, in creation
+        order, as ``uniform_refine`` does; (0, 3) when none is.  Raises
+        NotRefinable for an id that is not an edge of the mesh or not a
+        base edge of any triangle.
         """
         marked = np.unique(np.fromiter(marked_edges, dtype=np.int64))
         base = self.tri_table.edges[:, 0]
@@ -414,13 +416,13 @@ class TriMesh:
 
     def _bisect(self, rank):
         """One ``bisect_once`` pass over the triangles with base-edge
-        ranks ``rank``; returns the NewNode records."""
+        ranks ``rank``; returns the [node, parent_a, parent_b] rows."""
         tab = self.tri_table
-        children, source, final, parents = bisect_once(tab.verts,
-                                                       self.n_nodes, rank)
-        if not len(children):
-            return []
         n = self.n_nodes
+        children, source, final, parents = bisect_once(tab.verts, n, rank)
+        events = np.column_stack([np.arange(n, n + len(parents)), parents])
+        if not len(children):
+            return events
         split = _pair_key(parents[:, 0], parents[:, 1])
         boundary = self._edge_counts()[np.searchsorted(self._keys,
                                                        split)] == 1
@@ -446,9 +448,7 @@ class TriMesh:
         self._keys, self._key_ids = keys[order], ids[order]
         self._next_edge += len(new)
         self._bump()
-        return [NewNode(*ev) for ev in zip(range(n, self.n_nodes),
-                                           *parents.T.tolist(),
-                                           boundary.tolist())]
+        return events
 
     # -- point location ----------------------------------------------------
 
@@ -571,12 +571,12 @@ class TriMesh:
 
     # -- submesh extraction ---------------------------------------------------
 
-    def submesh(self, tri_ids):
-        """Standalone copy of the triangles ``tri_ids``: their nodes in
-        ascending id, then the triangles in ascending id, with newest-node
-        labels kept and boundary flags recomputed."""
-        tab = self.tri_table
-        verts = tab.verts[tab.rows(sorted(tri_ids))]
+    def submesh(self, keep):
+        """Standalone copy of the triangles of the ``tri_table`` row mask
+        ``keep``: their nodes in ascending id, then the triangles in
+        ascending id, with newest-node labels kept and boundary flags
+        recomputed."""
+        verts = self.tri_table.verts[keep]
         nodes, local = np.unique(verts, return_inverse=True)
         return TriMesh.from_arrays(self.points[nodes], local.reshape(-1, 3),
                                    np.full(len(verts), 2))
@@ -614,71 +614,66 @@ def trim_to_irregular(mesh, data):
 
     Triangles are retained when they contain at least one data point or when
     they bridge otherwise disconnected data-bearing components; connectivity
-    is restored by breadth-first search from the largest component.  Returns
-    a new mesh with renumbered nodes and recomputed boundary flags.
+    is restored by breadth-first searches from the largest component over
+    the rows that share a side.  Returns a new mesh with renumbered nodes
+    and recomputed boundary flags.
     """
-    rows, _ = mesh.locate(data.x)
-    bearing = set(mesh.tri_table.ids[rows[rows >= 0]].tolist())
-    if not bearing:
+    bearing = np.isin(np.arange(mesh.n_tris), mesh.locate(data.x)[0])
+    if not bearing.any():
         raise EmptyResult("no triangle contains a data point")
-    retained = _connect_components(mesh, bearing)
-    return mesh.submesh(retained)
+    return mesh.submesh(_connect_components(mesh, bearing))
 
 
-def _tri_neighbors(mesh):
-    """Map triangle id -> ascending ids of the triangles across its sides."""
-    tab, et = mesh.tri_table, mesh.edge_table
-    pair = et.tris[et.rows(tab.edges)]
-    other = np.sort(np.where(pair[..., 0] == tab.ids[:, None], pair[..., 1],
-                             pair[..., 0]), axis=1)
-    return {t: [u for u in row if u >= 0]
-            for t, row in zip(tab.ids.tolist(), other.tolist())}
+def _side_graph(mesh):
+    """CSR adjacency of the m triangle rows that share a side, each row's
+    neighbours ascending (the canonical CSR form), and a spare row m with
+    none."""
+    et = mesh.edge_table
+    pairs = mesh.tri_table.rows(et.tris[et.tris[:, 1] >= 0])
+    src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
+    return sp.csr_array((np.ones(len(src)), (src, dst)),
+                        shape=(mesh.n_tris + 1, mesh.n_tris + 1))
 
 
-def _components_of(neighbors, tri_set):
-    """Edge-connected components of ``tri_set``, largest first, then by
-    lowest id."""
-    comps, seen = [], set()
-    for t in sorted(tri_set):
-        if t not in seen:
-            comp, queue = {t}, [t]
-            while queue:
-                for v in neighbors[queue.pop()]:
-                    if v in tri_set and v not in comp:
-                        comp.add(v)
-                        queue.append(v)
-            seen |= comp
-            comps.append(comp)
-    return sorted(comps, key=lambda c: (-len(c), min(c)))
+def _components(graph, mask):
+    """Labels of the side-connected components of the rows in ``mask``,
+    numbered in the order of each component's lowest row (-1 outside
+    ``mask``), and the label of the largest, the lowest on a tie."""
+    rows = np.flatnonzero(mask)
+    _, labels = csgraph.connected_components(graph[rows][:, rows],
+                                             directed=False)
+    out = np.full(len(mask), -1)
+    out[rows] = labels
+    return out, np.argmax(np.bincount(labels))
 
 
 def _connect_components(mesh, bearing):
-    """The components of ``bearing`` joined up: from the largest, a
-    breadth-first search through all triangles runs until it reaches
-    another component, which joins with the path to it, until none is
-    left."""
-    neighbors = _tri_neighbors(mesh)
-    retained, *pending = _components_of(neighbors, bearing)
-    while pending:
-        parent = {t: None for t in retained}
-        frontier, hit = sorted(retained), None
-        while frontier and hit is None:
-            nxt = []
-            for u, v in [(u, v) for u in frontier for v in neighbors[u]]:
-                if v not in parent:
-                    parent[v] = u
-                    hit = next((i for i, comp in enumerate(pending)
-                                if v in comp), None)
-                    if hit is not None:
-                        break
-                    nxt.append(v)
-            frontier = nxt
-        if hit is None:
+    """The mask of the components of the rows ``bearing`` joined up: from
+    the largest, a breadth-first search through all rows finds the nearest
+    other component, which joins with the path to it, until none is left.
+    Each search starts at the spare row m of ``_side_graph``, linked to
+    the retained rows in ascending order, so each row is reached from the
+    first row to reach it."""
+    graph = _side_graph(mesh)
+    labels, largest = _components(graph, bearing)
+    retained = labels == largest
+    pending = bearing & ~retained
+    m = len(bearing)
+    while pending.any():
+        start = np.flatnonzero(retained)
+        linked = graph + sp.csr_array((np.ones(len(start)), (
+            np.full(len(start), m), start)), shape=graph.shape)
+        order, parent = csgraph.breadth_first_order(linked, m, directed=True)
+        order = order[1:]  # order[0] is the spare row
+        hits = order[pending[order]]
+        if not len(hits):
             raise EmptyResult("disconnected data components cannot be bridged")
-        while v not in retained:
-            retained.add(v)
+        v = hits[0]
+        while not retained[v]:
+            retained[v] = True
             v = parent[v]
-        retained |= pending.pop(hit)
+        retained |= labels == labels[hits[0]]
+        pending &= ~retained
     return retained
 
 
@@ -702,12 +697,11 @@ def inside_polygon(points, loops):
 
 
 def polygon_triangles(mesh, loops):
-    """Ids of the triangles whose centroid lies in the domain of ``loops``."""
+    """Ascending ids of the triangles whose centroid lies in the domain of
+    ``loops``."""
     tab = mesh.tri_table
-    pts = mesh.points
-    a, b, v = tab.verts.T
-    centroid = (pts[a] + pts[b] + pts[v]) / 3.0
-    return set(tab.ids[inside_polygon(centroid, loops)].tolist())
+    centroid = np.column_stack([tab.x.sum(axis=1), tab.y.sum(axis=1)]) / 3.0
+    return tab.ids[inside_polygon(centroid, loops)]
 
 
 def mesh_polygon(loops, refine_level=3):
@@ -727,12 +721,13 @@ def mesh_polygon(loops, refine_level=3):
     mesh = build_square_mesh(refine_level)
     mesh.points = centre + (mesh.points - 0.5) * side
     mesh._bump()
-    keep = polygon_triangles(mesh, loops)
-    if not keep:
+    keep = np.isin(mesh.tri_table.ids, polygon_triangles(mesh, loops))
+    if not keep.any():
         raise EmptyResult("polygon contains no triangle centroid")
     # polygon trimming is authoritative: keep the largest inside component
     # rather than bridging components through outside triangles
-    return mesh.submesh(_components_of(_tri_neighbors(mesh), keep)[0])
+    labels, largest = _components(_side_graph(mesh), keep)
+    return mesh.submesh(labels == largest)
 
 
 # -- file formats ------------------------------------------------------------

@@ -75,7 +75,7 @@ def snap_control_points(data, plan):
     h = plan.grid_h
     gx = np.arange(lo[0], hi[0] + 0.5 * h, h)
     gy = np.arange(lo[1], hi[1] + 0.5 * h, h)
-    nodes = np.array([(a, b) for a in gx for b in gy])
+    nodes = np.column_stack([np.repeat(gx, len(gy)), np.tile(gy, len(gx))])
     d, idx = cKDTree(x).query(nodes, k=1, distance_upper_bound=plan.snap_tolerance)
     hits = idx[np.isfinite(d)]
     unique = np.unique(hits)

@@ -340,8 +340,11 @@ class SaddleSystem:
         t0 = time.perf_counter()
         lu = self.factorize()
         static = b.reshape(len(b), -1)[self.rows]
+        # an exact power-of-two scale brings each column's largest entry
+        # into [0.5, 1), so a subnormal right-hand side keeps its precision
+        scale, exp = np.frexp(np.abs(static).max(axis=0))
+        static = np.ldexp(static, -exp)
         y = lu.solve(static)
-        scale = np.abs(static).max(axis=0)
         r = np.abs(self.matrix @ y - static).max(axis=0)
         worst = (r / np.where(scale > 0, scale, 1.0)).max(initial=0.0)
         if not worst <= RESIDUAL_TOL:
@@ -351,7 +354,7 @@ class SaddleSystem:
                              "unknowns": self.n_unknowns})
         self.residual = float(worst)
         x = np.empty_like(y)
-        x[self.cols] = y
+        x[self.cols] = np.ldexp(y, exp)
         return x.reshape(b.shape), time.perf_counter() - t0
 
     def scatter(self, x):

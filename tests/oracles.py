@@ -9,8 +9,8 @@ from scipy.spatial import cKDTree
 from tpsfem.assembly import FemSystem
 from tpsfem.boundary import BoundaryValues
 from tpsfem.data import DataSet
-from tpsfem.exceptions import (EmptyField, InsufficientData, NotRefinable,
-                               SingularSystem)
+from tpsfem.exceptions import (EmptyField, EmptyResult, InsufficientData,
+                               NotRefinable, SingularSystem)
 from tpsfem.indicators import auxiliary_indicators, recovery_indicator
 from tpsfem.mesh import BARY_TOL, TriMesh
 from tpsfem.solver import FIELDS, SaddleSystem, saddle_blocks
@@ -674,11 +674,10 @@ def patch_auxiliary_indicator(s, data, edge_id, alpha, located_by_tri):
     local, coarse = copy(), copy()
     vals = {name: getattr(s, name)[patch_nodes]
             for name in ("c", "g1", "g2", "w")}
-    for ev in local.uniform_refine():
+    for _, a, b in local.uniform_refine().tolist():
         for name in vals:
-            vals[name] = np.append(
-                vals[name],
-                0.5 * (vals[name][ev.parent_a] + vals[name][ev.parent_b]))
+            vals[name] = np.append(vals[name],
+                                   0.5 * (vals[name][a] + vals[name][b]))
     bnodes = np.asarray(local.boundary_nodes(), dtype=int)
     bv = BoundaryValues(nodes=bnodes, **{name: v[bnodes]
                                          for name, v in vals.items()})
@@ -887,22 +886,91 @@ def per_node_boundary_values(strategy, mesh, new_node, neighbors,
 
 def per_event_extend(arrays, mesh, events, strategy, alpha):
     """Arrays "c", "g1", "g2", "w", "w_proxy" grown by the nodes of one
-    refinement wave, filled event by event in creation order: boundary nodes
-    by ``per_node_boundary_values``, the others as the mean of their
+    refinement wave, filled event by event in creation order from its
+    [node, parent_a, parent_b] rows ``events``: boundary nodes by
+    ``per_node_boundary_values``, the others as the mean of their
     parents."""
     grow = np.zeros(mesh.n_nodes - len(arrays["c"]))
     arrays = {name: np.concatenate([v, grow]) for name, v in arrays.items()}
-    for ev in events:
-        if ev.boundary:
-            new = per_node_boundary_values(
-                strategy, mesh, ev.node, (ev.parent_a, ev.parent_b), arrays,
-                alpha=alpha)
+    for node, a, b in events.tolist():
+        if mesh.node_boundary[node]:
+            new = per_node_boundary_values(strategy, mesh, node, (a, b),
+                                           arrays, alpha=alpha)
         else:
-            new = [0.5 * (v[ev.parent_a] + v[ev.parent_b])
-                   for v in arrays.values()]
+            new = [0.5 * (v[a] + v[b]) for v in arrays.values()]
         for v, value in zip(arrays.values(), new):
-            v[ev.node] = value
+            v[node] = value
     return arrays
+
+
+# -- trimming on triangle-id sets -----------------------------------------------
+
+
+def tri_neighbors(mesh):
+    """Map triangle id -> ascending ids of the triangles across its sides."""
+    tab, et = mesh.tri_table, mesh.edge_table
+    pair = et.tris[et.rows(tab.edges)]
+    other = np.sort(np.where(pair[..., 0] == tab.ids[:, None], pair[..., 1],
+                             pair[..., 0]), axis=1)
+    return {t: [u for u in row if u >= 0]
+            for t, row in zip(tab.ids.tolist(), other.tolist())}
+
+
+def components_of(neighbors, tri_set):
+    """Edge-connected components of ``tri_set``, largest first, then by
+    lowest id."""
+    comps, seen = [], set()
+    for t in sorted(tri_set):
+        if t not in seen:
+            comp, queue = {t}, [t]
+            while queue:
+                for v in neighbors[queue.pop()]:
+                    if v in tri_set and v not in comp:
+                        comp.add(v)
+                        queue.append(v)
+            seen |= comp
+            comps.append(comp)
+    return sorted(comps, key=lambda c: (-len(c), min(c)))
+
+
+def connect_components(mesh, bearing):
+    """The components of the id set ``bearing`` joined up: from the
+    largest, a breadth-first search through all triangles runs until it
+    reaches another component, which joins with the path to it, until none
+    is left."""
+    neighbors = tri_neighbors(mesh)
+    retained, *pending = components_of(neighbors, bearing)
+    while pending:
+        parent = {t: None for t in retained}
+        frontier, hit = sorted(retained), None
+        while frontier and hit is None:
+            nxt = []
+            for u, v in [(u, v) for u in frontier for v in neighbors[u]]:
+                if v not in parent:
+                    parent[v] = u
+                    hit = next((i for i, comp in enumerate(pending)
+                                if v in comp), None)
+                    if hit is not None:
+                        break
+                    nxt.append(v)
+            frontier = nxt
+        if hit is None:
+            raise EmptyResult("disconnected data components cannot be bridged")
+        while v not in retained:
+            retained.add(v)
+            v = parent[v]
+        retained |= pending.pop(hit)
+    return retained
+
+
+def trimmed_ids(mesh, points):
+    """Ids of the triangles ``trim_to_irregular`` keeps for the data
+    ``points``, from the id sets above."""
+    ids, _ = located_ids(mesh, points)
+    bearing = set(ids[ids >= 0].tolist())
+    if not bearing:
+        raise EmptyResult("no triangle contains a data point")
+    return connect_components(mesh, bearing)
 
 
 def point_in_polygon(p, loop):

@@ -56,7 +56,8 @@ class TestRefineWave:
     def test_empty_marked_set_is_noop(self):
         mesh = build_square_mesh(0)
         before = mesh.n_nodes
-        assert mesh.refine_wave(set()) == []
+        events = mesh.refine_wave(set())
+        assert events.shape == (0, 3) and events.dtype == np.int64
         assert mesh.n_nodes == before
 
     def test_all_base_edges_equals_uniform_pass(self):

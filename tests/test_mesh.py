@@ -10,8 +10,9 @@ from tpsfem.mesh import (TriMesh, bisect_once, build_square_mesh, load_mesh,
 from conftest import (all_angles, base_edge, edge_between, make_fan_mesh,
                       make_interface_strip, make_two_triangle_square,
                       make_unit_right_triangle, total_area)
-from oracles import (assert_same_mesh, copy_submesh, located_ids,
-                     locator_bins, polygon_triangles_loop)
+from oracles import (assert_same_mesh, components_of, copy_submesh,
+                     located_ids, locator_bins, polygon_triangles_loop,
+                     tri_neighbors, trimmed_ids)
 
 
 def l_shaped_data(n):
@@ -33,6 +34,10 @@ POLYGONS = {
                  (0.0, 1.0)]],
     "36-gon": [0.5 + 0.5 * np.column_stack([np.cos(_ANGLES),
                                             np.sin(_ANGLES)])],
+    # two blocks joined by a corridor that holds no triangle centroid
+    "dumbbell": [[(0.0, 0.0), (0.4, 0.0), (0.4, 0.49), (0.6, 0.49),
+                  (0.6, 0.2), (1.0, 0.2), (1.0, 0.8), (0.6, 0.8), (0.6, 0.51),
+                  (0.4, 0.51), (0.4, 1.0), (0.0, 1.0)]],
 }
 
 
@@ -78,7 +83,7 @@ class TestBisect:
     def test_interior_pair(self):
         mesh = make_two_triangle_square()
         eid = edge_between(mesh, 0, 2)
-        new = {ev.node for ev in mesh.refine_wave([eid])}
+        new = set(mesh.refine_wave([eid])[:, 0].tolist())
         assert len(new) == 1
         assert mesh.n_nodes == 5
         assert mesh.n_tris == 4
@@ -88,7 +93,7 @@ class TestBisect:
     def test_boundary_edge_single_split(self):
         mesh = make_unit_right_triangle()
         eid = edge_between(mesh, 0, 1)
-        new = {ev.node for ev in mesh.refine_wave([eid])}
+        new = set(mesh.refine_wave([eid])[:, 0].tolist())
         assert len(new) == 1
         assert mesh.n_tris == 2
         mid = next(iter(new))
@@ -295,6 +300,24 @@ class TestTrim:
                              if u >= 0 and u not in seen)
         assert seen == set(tab.ids.tolist())
 
+    def test_pockets_bridged_as_the_id_set_oracle(self):
+        # four pockets far apart on a level-3 square refined at one corner:
+        # the largest is joined to the other three by the shortest paths
+        # of a breadth-first search
+        mesh = build_square_mesh(3)
+        mesh.refine_wave(mesh.refinable_edges()[:40].tolist())
+        rng = np.random.default_rng(5)
+        x = np.vstack([c + rng.uniform(-r, r, size=(k, 2)) for c, r, k in (
+            ((0.1, 0.1), 0.06, 80), ((0.85, 0.2), 0.03, 20),
+            ((0.5, 0.55), 0.04, 30), ((0.15, 0.9), 0.02, 10))])
+        ids, _ = located_ids(mesh, x)
+        bearing = set(ids[ids >= 0].tolist())
+        assert len(components_of(tri_neighbors(mesh), bearing)) >= 3
+        want = trimmed_ids(mesh, x)
+        assert len(want) > len(bearing)
+        out = trim_to_irregular(mesh, DataSet(x, np.zeros(len(x))))
+        assert_same_mesh(out, copy_submesh(mesh, want))
+
 
 class TestSubmesh:
     @pytest.mark.parametrize("case", ["trimmed", "l-shape", "holed-quad"])
@@ -311,7 +334,7 @@ class TestSubmesh:
         else:
             keep = polygon_triangles(mesh, [np.asarray(l, dtype=float)
                                             for l in POLYGONS[case]])
-        got = mesh.submesh(keep)
+        got = mesh.submesh(np.isin(mesh.tri_table.ids, list(keep)))
         assert_same_mesh(got, copy_submesh(mesh, keep))
         got.validate()
 
@@ -340,8 +363,21 @@ class TestPolygon:
         loops = [np.asarray(l, dtype=float) for l in POLYGONS[name]]
         mesh = build_square_mesh(level)
         kept = polygon_triangles(mesh, loops)
-        assert kept == polygon_triangles_loop(mesh, loops)
+        assert np.all(np.diff(kept) > 0)
+        assert set(kept.tolist()) == polygon_triangles_loop(mesh, loops)
         assert 0 < len(kept) < mesh.n_tris
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(POLYGONS))
+    def test_largest_component_matches_id_set_oracle(self, name, level):
+        loops = [np.asarray(l, dtype=float) for l in POLYGONS[name]]
+        square = build_square_mesh(level)
+        comps = components_of(tri_neighbors(square),
+                              polygon_triangles_loop(square, loops))
+        if name == "dumbbell":
+            assert len(comps) == 2
+        assert_same_mesh(mesh_polygon(loops, refine_level=level),
+                         copy_submesh(square, comps[0]))
 
     def test_bad_polygon_file(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -414,7 +450,7 @@ class TestNewestNodeLabels:
         before = square_mesh.n_nodes
         old = square_mesh.tri_table.ids
         events = square_mesh.refine_wave([base_edge(square_mesh, 0)])
-        new_ids = {ev.node for ev in events}
+        new_ids = set(events[:, 0].tolist())
         assert new_ids == {before}
         # triangle ids are never reused: the children are the new ids
         tab = square_mesh.tri_table
@@ -424,7 +460,7 @@ class TestNewestNodeLabels:
 
     def test_node_parents_recorded(self, square_mesh):
         events = square_mesh.refine_wave([base_edge(square_mesh, 0)])
-        ev = events[0]
+        node, parent_a, parent_b = events[0]
         x = square_mesh.points[:, 0]
-        px = 0.5 * (x[ev.parent_a] + x[ev.parent_b])
-        assert abs(x[ev.node] - px) < 1e-15
+        px = 0.5 * (x[parent_a] + x[parent_b])
+        assert abs(x[node] - px) < 1e-15

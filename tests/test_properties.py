@@ -1,18 +1,19 @@
 """Property tests of newest-node bisection, batched point location, the
 element matrices, the stacked auxiliary patch problems, the values of new
-nodes, the exactness of the fit on affine data and the spline subsample."""
+nodes, the exactness of the fit on affine data, trimming and the spline
+subsample."""
 
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tpsfem.assembly import FemSystem, assemble_G, assemble_L
 from tpsfem.boundary import BoundaryStrategy, constant_boundary_values
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.driver import _NodeValues
-from tpsfem.exceptions import InsufficientData, NotRefinable
+from tpsfem.exceptions import EmptyResult, InsufficientData, NotRefinable
 from tpsfem.indicators import (_containing_rows, auxiliary_field,
                                locate_by_tri, mark, patch_system,
                                recovery_field)
@@ -29,7 +30,7 @@ from oracles import (RefMesh, assert_same_mesh, binned_locate, copy_submesh,
                      located_ids, loop_sample, padded_containing_rows,
                      per_event_extend, pivoted_saddle_solve,
                      recursive_quadtree_leaves, refresh_dict_field,
-                     tri_items)
+                     tri_items, trimmed_ids)
 from test_equivalence import HOLED_SQUARE
 from test_solver import linear_problem, random_bv
 
@@ -183,9 +184,11 @@ def test_bisection_preserves_invariants(picks):
 @given(log_alpha=st.floats(-8.0, 2.0),
        coeffs=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
        seed=st.integers(0, 2 ** 16))
+@example(log_alpha=0.0, coeffs=(0.0, 0.0, 5e-324), seed=0)
 def test_affine_data_reproduced_for_any_alpha(log_alpha, coeffs, seed):
     # an affine surface has zero gradient energy and zero misfit, so it is
-    # the minimiser whatever the smoothing weight
+    # the minimiser whatever the smoothing weight; the example's data are
+    # subnormal, so the solve must scale its right-hand side to check it
     mesh = build_square_mesh(1)
     data, fem, _ = linear_problem(mesh, n=60, seed=seed, coeffs=coeffs)
     s = SaddleSystem(fem, 10.0 ** log_alpha).solve()
@@ -314,10 +317,9 @@ def check_uniform_pass(mesh):
     events = mesh.uniform_refine()
     children, source = children[final], source[final]
     assert np.array_equal(children, mesh.tri_table.verts)
-    assert [e.node for e in events] == list(range(n, mesh.n_nodes))
+    assert events[:, 0].tolist() == list(range(n, mesh.n_nodes))
     assert np.array_equal(np.sort(parents, axis=1),
-                          np.sort([e[1:3] for e in events], axis=1)
-                          .reshape(-1, 2))
+                          np.sort(events[:, 1:], axis=1))
     p = mesh.points
     assert np.array_equal(p[n:], 0.5 * (p[parents[:, 0]] + p[parents[:, 1]]))
     centroid = p[children].mean(axis=1)
@@ -484,10 +486,11 @@ def test_fill_new_nodes_reproduces_linear_field(picks, coeffs):
     # parents is a linear field's value there
     mesh = build_square_mesh(0)
     old = mesh.n_nodes
-    events = []
+    events = np.empty((0, 3), dtype=np.int64)
     for i in picks:
         edges = mesh.refinable_edges()
-        events += mesh.refine_wave([edges[i % len(edges)]])
+        events = np.concatenate([events,
+                                 mesh.refine_wave([edges[i % len(edges)]])])
     a, b, c = coeffs
     exact = a + mesh.points @ np.array([b, c])
     values = np.zeros((mesh.n_nodes, 2))
@@ -512,7 +515,8 @@ mixed_waves = st.lists(st.one_of(st.none(),
 def test_refinement_matches_reference(trim, marks):
     # the array waves reproduce the per-edge recursion exactly: node
     # coordinates and flags, triangle ids and rows, edge ids, and the
-    # NewNode list in creation order
+    # created nodes in creation order: their parents, and their boundary
+    # flags in node_boundary
     mesh = build_square_mesh(0)
     if trim is not None:
         rng = np.random.default_rng(trim)
@@ -529,7 +533,10 @@ def test_refinement_matches_reference(trim, marks):
             edges = ref.refinable_edges()
             marked = {edges[i % len(edges)] for i in picks}
             got, want = mesh.refine_wave(marked), ref.refine_wave(marked)
-        assert got == want
+        assert got.dtype == np.int64 and got.shape == (len(want), 3)
+        assert got.tolist() == [list(w[:3]) for w in want]
+        assert (mesh.node_boundary[got[:, 0]].tolist()
+                == [w[3] for w in want])
         assert_same_mesh(mesh, ref)
     mesh.validate()
 
@@ -555,6 +562,41 @@ def test_refinement_rejects_what_the_reference_rejects():
         with pytest.raises(NotRefinable):
             mesh.refine_wave([base_edge(mesh, 0), eid])
     assert_same_mesh(mesh, ref)
+
+
+# -- trimming against the search over triangle-id sets --------------------------
+
+#: 1 to 7 pockets of data: a centre, a half-width and a point count each
+pockets = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                             st.floats(0.005, 0.15), st.integers(1, 25)),
+                   min_size=1, max_size=7)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(kind=st.sampled_from(["square", "refined", "trimmed"]),
+       level=st.integers(1, 3), picks=bisections, spots=pockets,
+       seed=st.integers(0, 2 ** 16))
+def test_trim_matches_id_set_oracle(kind, level, picks, spots, seed):
+    # the mask and graph search keeps exactly the triangles that the
+    # breadth-first search over id sets keeps, bridges included
+    mesh = build_square_mesh(level)
+    if kind != "square":
+        mesh = refined_at(mesh, picks)
+    rng = np.random.default_rng(seed)
+    if kind == "trimmed":
+        x = rng.uniform(0.0, 1.0, size=(200, 2))
+        x = x[(x[:, 0] < 0.5) | (x[:, 1] < 0.5)]
+        mesh = trim_to_irregular(mesh, DataSet(x, np.zeros(len(x))))
+    x = np.vstack([(cx, cy) + rng.uniform(-r, r, size=(k, 2))
+                   for cx, cy, r, k in spots])
+    data = DataSet(x, np.zeros(len(x)))
+    try:
+        want = trimmed_ids(mesh, x)
+    except EmptyResult:
+        with pytest.raises(EmptyResult):
+            trim_to_irregular(mesh, data)
+        return
+    assert_same_mesh(trim_to_irregular(mesh, data), copy_submesh(mesh, want))
 
 
 @settings(max_examples=100, deadline=None, database=None)
