@@ -22,7 +22,6 @@ from collections import namedtuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
-from scipy.spatial import cKDTree
 
 from .exceptions import EmptyResult, NotRefinable, ParseError, ZeroInterior
 
@@ -538,14 +537,47 @@ class TriMesh:
     # -- derived metrics ----------------------------------------------------
 
     def near_boundary_ratio(self, radius):
-        """Fraction of interior nodes closer than ``radius`` to a boundary node."""
+        """Fraction of interior nodes closer than ``radius`` to a boundary node.
+
+        ``driver.run`` asks this once per fit, so it answers from a numpy
+        cell grid, not a k-d tree: ``scipy.spatial`` loads ``scipy.special``
+        with it, about 0.1 s of start-up and 7 MiB of memory for one query.
+        The nodes fall into square cells of side max(radius, extent / 2**24),
+        widened by 2**-20 so that rounding cannot put two points nearer than
+        ``radius`` two cells apart.  The three cells of each row of a node's
+        3 x 3 neighbourhood have consecutive keys, so one ``searchsorted``
+        pass over the sorted boundary keys finds the boundary nodes there.
+        A node is near when one of them has sqrt(d0*d0 + d1*d1) < radius,
+        the distance of ``cKDTree``.  The cost is linear in those candidate
+        pairs: a radius near the mesh's extent pairs every interior node
+        with every boundary node.
+        """
         if radius <= 0:
             raise ValueError("radius must be positive")
-        interior = self.points[~self.node_boundary]
-        if len(interior) == 0:
+        if self.node_boundary.all():
             raise ZeroInterior("mesh has no interior nodes")
-        d, _ = cKDTree(self.points[self.node_boundary]).query(interior, k=1)
-        return float(np.count_nonzero(d < radius)) / len(interior)
+        pts = self.points
+        lo = pts.min(axis=0)
+        extent = (pts.max(axis=0) - lo).max()
+        side = max(radius, extent / 2**24) * (1 + 2**-20)
+        # cells from 1, so that every neighbour of a cell has a key >= 0
+        cell = ((pts - lo) / side).astype(np.int64) + 1
+        width = cell[:, 0].max() + 2
+        key = cell[:, 1] * width + cell[:, 0]
+        # ascending keys let the searches below walk forwards
+        order = np.argsort(key, kind="stable")
+        bnd = order[self.node_boundary[order]]
+        inner = order[~self.node_boundary[order]]
+        row = (key[inner] + width * np.arange(-1, 2)[:, None]).ravel()
+        first = np.searchsorted(key[bnd], row - 1, side="left")
+        count = np.searchsorted(key[bnd], row + 1, side="right") - first
+        node = np.repeat(np.tile(inner, 3), count)
+        other = bnd[np.arange(len(node))
+                    - np.repeat(np.cumsum(count) - count - first, count)]
+        d0, d1 = (pts[node] - pts[other]).T
+        near = np.zeros(self.n_nodes, dtype=bool)
+        near[node[np.sqrt(d0 * d0 + d1 * d1) < radius]] = True
+        return float(np.count_nonzero(near)) / len(inner)
 
     # -- consistency ---------------------------------------------------------
 

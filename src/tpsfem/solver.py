@@ -63,6 +63,8 @@ ROW_SLOT = np.array([3, 1, 2, 0])
 #: ``splu`` options of the per-alpha factorisation: the matrix is already in
 #: its fill-reducing order, and each diagonal pivot is taken as it is
 STATIC_PIVOTING = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0}
+#: points that ``interpolate`` locates and interpolates per pass
+QUERY_BLOCK = 8192
 
 
 def saddle_blocks(A, L, G1, G2, alpha):
@@ -395,14 +397,20 @@ def constraint_residual(s, fem):
 def interpolate(mesh, values, points):
     """Piecewise linear interpolation of nodal values at many points.
 
-    Points outside the mesh yield NaN.
+    Points outside the mesh yield NaN.  The points are located and
+    interpolated QUERY_BLOCK at a time, into the preallocated output, so the
+    temporaries do not grow with the number of points; each value depends
+    on its own point alone, so the blocks change no answer.
     """
-    rows, bary = mesh.locate(points)
-    inside = rows >= 0
-    nodes = mesh.tri_table.verts[rows[inside]]
-    out = np.full(len(rows), np.nan)
-    out[inside] = np.einsum("ij,ij->i", bary[inside],
-                            np.asarray(values)[nodes])
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    values = np.asarray(values)
+    out = np.full(len(p), np.nan)
+    for lo in range(0, len(p), QUERY_BLOCK):
+        rows, bary = mesh.locate(p[lo:lo + QUERY_BLOCK])
+        inside = rows >= 0
+        nodes = mesh.tri_table.verts[rows[inside]]
+        out[lo:lo + QUERY_BLOCK][inside] = np.einsum(
+            "ij,ij->i", bary[inside], values[nodes])
     return out
 
 

@@ -111,6 +111,7 @@ def _spline_system(sample):
     with np.errstate(divide="ignore", invalid="ignore"):
         np.log(K, out=K)
         np.multiply(sq, K, out=K)
+    del sq  # before the mask, so that two n x n buffers are the most
     K[np.isnan(K)] = 0.0  # 0 * log(0): the diagonal and coincident points
     return x, y, K, P
 
@@ -125,13 +126,15 @@ def _reflected_system(sample):
     With Z the last n-3 columns of Q, an orthonormal basis of the null space
     of P^T, the trailing (n-3) block of Q^T K Q is Z^T K Z and the tail of
     Q^T y is Z^T y: the GCVPACK form of Bates, Lindstrom, Wahba & Yandell
-    (1987).
+    (1987).  Q^T K Q is Fortran-ordered and takes the memory of K.
     """
     x, y, K, P = _spline_system(sample)
     n = len(y)
     (qr, tau), _ = scipy.linalg.qr(P, mode="raw")
-    QtK = lapack.dormqr("L", "T", qr, tau, K, n)[0]
-    QtKQ = lapack.dormqr("R", "N", qr, tau, QtK, n)[0]
+    # K is exactly symmetric, so K.T, its Fortran-ordered view, is K: both
+    # passes overwrite it in place rather than copy it
+    QtK = lapack.dormqr("L", "T", qr, tau, K.T, n, overwrite_c=1)[0]
+    QtKQ = lapack.dormqr("R", "N", qr, tau, QtK, n, overwrite_c=1)[0]
     Qty = lapack.dormqr("L", "T", qr, tau, y[:, None], 1)[0][:, 0]
     return x, y, qr, tau, QtKQ, Qty
 
@@ -166,7 +169,14 @@ class _Tridiagonal:
 
     @classmethod
     def reduce(cls, QtKQ, Qty):
-        """The reduction of the null-space blocks of ``_reflected_system``."""
+        """The reduction of the null-space blocks of ``_reflected_system``.
+
+        It overwrites ``QtKQ``: Z^T K Z is packed into the first m*m
+        entries of its Fortran-ordered memory and reduced there, and the
+        reflectors are then packed into the first (m-1)^2, so that LAPACK
+        gets them contiguous and copies none of them.  Each packing step
+        overlaps its source, so numpy copies that block once, transiently.
+        """
         m = len(Qty) - 3
         z = Qty[3:].copy()
         if m <= 1:  # the dsterf and dgtsv wrappers reject m < 2
@@ -174,8 +184,13 @@ class _Tridiagonal:
             return cls(None, None, d, np.zeros(0), d, z)
         # the wrapper's default lwork would force the unblocked reduction
         lwork = int(lapack.dsytrd_lwork(m, lower=1)[0])
-        c, d, e, tau, _ = lapack.dsytrd(QtKQ[3:, 3:], lower=1, lwork=lwork)
-        reflectors = c[1:, :-1]
+        memory = np.ravel(QtKQ, order="F")
+        c = memory[:m * m].reshape(m, m, order="F")
+        c[...] = QtKQ[3:, 3:]
+        c, d, e, tau, _ = lapack.dsytrd(c, lower=1, lwork=lwork,
+                                        overwrite_a=1)
+        reflectors = memory[:(m - 1) ** 2].reshape(m - 1, m - 1, order="F")
+        reflectors[...] = c[1:, :-1]
         z[1:] = lapack.dormqr("L", "T", reflectors, tau, z[1:, None],
                               m - 1)[0][:, 0]
         return cls(reflectors, tau, d, e, lapack.dsterf(d, e)[0], z)
@@ -235,6 +250,11 @@ def fit_tps(sample, alpha_tps=0.0):
     """
     x, y, qr, tau, QtKQ, Qty = _reflected_system(sample)
     n = len(y)
+    # Q1^T K Z, copied before the reduction overwrites QtKQ.  Four rows are
+    # copied so that the leading dimension stays above 3: OpenBLAS sums a
+    # 3-row block of leading dimension 3 in another order, and the product
+    # below would then differ from that of QtKQ[:3, 3:] in the last bit.
+    QtKZ = QtKQ[:4, 3:].copy(order="F")[:3]
     if alpha_tps == "auto":
         tri = _Tridiagonal.reduce(QtKQ, Qty)
         k = np.argmin(tri.gcv_scores(ALPHA_TPS_GRID))
@@ -253,7 +273,7 @@ def fit_tps(sample, alpha_tps=0.0):
             g = scipy.linalg.cho_solve(scipy.linalg.cho_factor(C), Qty[3:])
     w = lapack.dormqr("L", "N", qr, tau,
                       np.concatenate([np.zeros(3), g])[:, None], 1)[0][:, 0]
-    a = scipy.linalg.solve_triangular(qr[:3], Qty[:3] - QtKQ[:3, 3:] @ g)
+    a = scipy.linalg.solve_triangular(qr[:3], Qty[:3] - QtKZ @ g)
     return TpsModel(centers=x.copy(), weights=w, affine=a,
                     alpha_tps=float(alpha_tps))
 

@@ -4,6 +4,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 from scipy.spatial import cKDTree
 
 from tpsfem.assembly import FemSystem
@@ -14,7 +15,8 @@ from tpsfem.exceptions import (EmptyField, EmptyResult, InsufficientData,
 from tpsfem.indicators import auxiliary_indicators, recovery_indicator
 from tpsfem.mesh import BARY_TOL, TriMesh
 from tpsfem.solver import FIELDS, SaddleSystem, saddle_blocks
-from tpsfem.tps import R_CLAMP, TpsModel
+from tpsfem.tps import (ALPHA_TPS_GRID, R_CLAMP, TpsModel, _spline_system,
+                        _Tridiagonal)
 
 # 7-point Gauss rule on the reference triangle, exact to degree 5
 _GP = np.array([
@@ -354,6 +356,42 @@ def dense_tps_fit(x, y, alpha):
     sol = scipy.linalg.solve(M, np.concatenate([y, np.zeros(3)]))
     return TpsModel(centers=x.copy(), weights=sol[:n], affine=sol[n:],
                     alpha_tps=float(alpha))
+
+
+def copying_auto_tps_fit(sample):
+    """``fit_tps(sample, "auto")`` with LAPACK working on copies: Q^T K Q
+    from two out-of-place ``dormqr`` passes, ``dsytrd`` of its strided
+    trailing block, and the reflectors left as the strided lower block of
+    ``dsytrd``'s output.  Returns (weights, affine, alpha); needs n >= 5."""
+    x, y, K, P = _spline_system(sample)
+    n = len(y)
+    m = n - 3
+    (qr, tau), _ = scipy.linalg.qr(P, mode="raw")
+    QtK = lapack.dormqr("L", "T", qr, tau, K, n)[0]
+    QtKQ = lapack.dormqr("R", "N", qr, tau, QtK, n)[0]
+    Qty = lapack.dormqr("L", "T", qr, tau, y[:, None], 1)[0][:, 0]
+    lwork = int(lapack.dsytrd_lwork(m, lower=1)[0])
+    c, d, e, t, _ = lapack.dsytrd(QtKQ[3:, 3:], lower=1, lwork=lwork)
+    z = Qty[3:].copy()
+    z[1:] = lapack.dormqr("L", "T", c[1:, :-1], t, z[1:, None], m - 1)[0][:, 0]
+    tri = _Tridiagonal(c[1:, :-1], t, d, e, lapack.dsterf(d, e)[0], z)
+    alpha = ALPHA_TPS_GRID[np.argmin(tri.gcv_scores(ALPHA_TPS_GRID))]
+    g = tri.to_null_space(tri.solve(n * alpha))
+    w = lapack.dormqr("L", "N", qr, tau,
+                      np.concatenate([np.zeros(3), g])[:, None], 1)[0][:, 0]
+    a = scipy.linalg.solve_triangular(qr[:3], Qty[:3] - QtKQ[:3, 3:] @ g)
+    return w, a, float(alpha)
+
+
+def one_call_interpolate(mesh, values, points):
+    """``solver.interpolate`` with every point located in one call."""
+    rows, bary = mesh.locate(points)
+    inside = rows >= 0
+    out = np.full(len(rows), np.nan)
+    out[inside] = np.einsum("ij,ij->i", bary[inside],
+                            np.asarray(values)[mesh.tri_table.verts[
+                                rows[inside]]])
+    return out
 
 
 def recursive_quadtree_leaves(x, cap):
@@ -848,6 +886,15 @@ def binned_locate(mesh, points):
         k += 1
         live = ~hit & (count > k)
     return ids, out
+
+
+def kdtree_near_boundary_ratio(mesh, radius):
+    """``TriMesh.near_boundary_ratio`` from a k-d tree of the boundary
+    nodes: the share of interior nodes whose nearest boundary node lies
+    closer than ``radius``."""
+    interior = mesh.points[~mesh.node_boundary]
+    d, _ = cKDTree(mesh.points[mesh.node_boundary]).query(interior, k=1)
+    return float(np.count_nonzero(d < radius)) / len(interior)
 
 
 def csrbf_eval_loop(model, pts, phi):

@@ -258,6 +258,13 @@ class TestNearBoundaryRatio:
         with pytest.raises(ValueError):
             square_mesh.near_boundary_ratio(0.0)
 
+    def test_exact_spacing_is_not_near(self, square_mesh):
+        """Eight of the nine interior nodes of the level-0 square lie
+        exactly 0.25 from the boundary: strictly closer than 0.25 holds for
+        none of them, and for all eight once the radius grows by one ulp."""
+        assert square_mesh.near_boundary_ratio(0.25) == 0.0
+        assert square_mesh.near_boundary_ratio(np.nextafter(0.25, 1)) == 8 / 9
+
 
 class TestTrim:
     def test_all_triangles_bearing_keeps_mesh(self, square_mesh):

@@ -27,7 +27,8 @@ from conftest import (all_angles, base_edge, make_fan_mesh,
                       make_interface_strip, total_area)
 from oracles import (RefMesh, assert_same_mesh, binned_locate, copy_submesh,
                      dict_field, dict_mark, linear_basis, located_dict,
-                     located_ids, loop_sample, padded_containing_rows,
+                     kdtree_near_boundary_ratio, located_ids, loop_sample,
+                     padded_containing_rows,
                      per_event_extend, pivoted_saddle_solve,
                      recursive_quadtree_leaves, refresh_dict_field,
                      tri_items, trimmed_ids)
@@ -168,6 +169,25 @@ def test_locate_matches_binned_oracle_bitwise(kind, picks, seed, grid, loose):
     assert bary.flags.c_contiguous and bary.shape == (len(pts), 3)
     assert np.array_equal(bary, ref_bary, equal_nan=True)
     assert np.isnan(bary[ids == -1]).all()
+
+
+#: radii from 1e-6 to 10, and the node spacings of the refined squares
+near_radii = st.one_of(st.floats(-6.0, 1.0).map(lambda e: 10.0 ** e),
+                       st.sampled_from([0.25, 0.125, 0.0625, 0.03125]))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(kind=st.sampled_from(["square", "refined", "trimmed", "holed"]),
+       picks=bisections, seed=st.integers(0, 2 ** 16), radius=near_radii)
+@example(kind="square", picks=[], seed=0, radius=0.25)
+def test_near_boundary_ratio_matches_kdtree(kind, picks, seed, radius):
+    # the square is level 0, 1 or 2; a radius equal to a node spacing must
+    # stay a strict bound, as the k-d tree's d < radius is
+    mesh = (build_square_mesh(seed % 3) if kind == "square"
+            else located_mesh(kind, picks, seed))
+    assume(not mesh.node_boundary.all())
+    assert (mesh.near_boundary_ratio(radius)
+            == kdtree_near_boundary_ratio(mesh, radius))
 
 
 @settings(max_examples=150, deadline=None, database=None)

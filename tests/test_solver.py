@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -16,7 +18,9 @@ from tpsfem.solver import (RESIDUAL_TOL, STATIC_PIVOTING, SaddleSystem,
                            constraint_residual, evaluate, evaluate_grad,
                            max_abs_residual, rmse)
 
-from oracles import dense_saddle_solve, linear_basis, rebuilt_saddle_system
+from oracles import (dense_saddle_solve, linear_basis, one_call_interpolate,
+                     rebuilt_saddle_system)
+from test_equivalence import HOLED_SQUARE
 
 
 def linear_field(a0=0.3, a1=0.7, a2=-0.4):
@@ -439,6 +443,49 @@ class TestEvaluate:
     def test_outside_domain(self):
         with pytest.raises(OutsideDomain):
             evaluate(self.s, (2.0, 2.0))
+
+
+class TestInterpolate:
+    """The blocked query: bit for bit the one-call form, in a working set
+    that does not grow with the number of points."""
+
+    @pytest.mark.parametrize("holed", [False, True])
+    def test_blocks_match_one_call(self, holed):
+        mesh = (mesh_polygon(HOLED_SQUARE, refine_level=2) if holed
+                else build_square_mesh(3))
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=mesh.n_nodes)
+        pts = rng.uniform(-0.2, 1.2, size=(3 * solver.QUERY_BLOCK + 17, 2))
+        got = solver.interpolate(mesh, values, pts)
+        ref = one_call_interpolate(mesh, values, pts)
+        assert got.tobytes() == ref.tobytes()
+        outside = np.isnan(got)
+        assert 0 < outside.sum() < len(pts)
+        assert outside[-17:].any() and not outside[-17:].all()
+
+    def test_short_and_empty_queries(self):
+        mesh = build_square_mesh(1)
+        values = np.arange(mesh.n_nodes, dtype=float)
+        assert solver.interpolate(mesh, values, np.zeros((0, 2))).shape == (0,)
+        for pts in ([(0.3, 0.6)], [(0.3, 0.6), (2.0, 0.5)]):
+            assert (solver.interpolate(mesh, values, pts).tobytes()
+                    == one_call_interpolate(mesh, values, pts).tobytes())
+
+    def test_million_points_peak_below_16_mb(self):
+        """The output alone is 8 MB; one call over all points held about
+        17 times that."""
+        mesh = build_square_mesh(3)
+        values = np.random.default_rng(0).normal(size=mesh.n_nodes)
+        pts = np.random.default_rng(1).uniform(0.0, 1.0, size=(10 ** 6, 2))
+        solver.interpolate(mesh, values, pts[:10])
+        tracemalloc.start()
+        try:
+            out = solver.interpolate(mesh, values, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(out).all()
+        assert peak < 16e6
 
 
 class TestMetrics:

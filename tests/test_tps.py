@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,8 +8,8 @@ from scipy.linalg import lapack
 import tpsfem.tps as tps
 
 from conftest import coverage_gap
-from oracles import (complete_q_tps_gcv_scores, dense_tps_fit,
-                     dense_tps_gcv_scores, masked_kernel_value,
+from oracles import (complete_q_tps_gcv_scores, copying_auto_tps_fit,
+                     dense_tps_fit, dense_tps_gcv_scores, masked_kernel_value,
                      radii_tps_evals, summed_radii)
 from tpsfem.boundary import _spline_rows
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
@@ -254,6 +256,36 @@ class TestFitAuto:
         assert np.all(np.isfinite(m.weights))
         assert calls == {"_reflected_system": 1, "dsytrd": 1,
                          "cho_factor": 0}
+
+
+class TestInPlaceReduction:
+    """The reflected system and its reduction overwrite the kernel matrix
+    rather than copy it, and change no bit of the fit."""
+
+    @pytest.mark.parametrize("n", [5, 6, 300, 600])
+    @pytest.mark.parametrize("lshape", [False, True])
+    def test_bitwise_equal_to_copying_fit(self, n, lshape):
+        samp = (TestFitAuto.tiny_sample(n, 0) if n < 10
+                else peaks_sample(n, lshape))
+        got = fit_tps(samp, "auto")
+        w, a, alpha = copying_auto_tps_fit(samp)
+        assert got.weights.tobytes() == w.tobytes()
+        assert got.affine.tobytes() == a.tobytes()
+        assert got.alpha_tps == alpha
+
+    def test_auto_fit_holds_at_most_two_kernel_buffers(self):
+        """At n = 600 one n x n buffer is 2.75 MiB: the kernel build and the
+        packing of Z^T K Z each hold two at a time, never three."""
+        samp = peaks_sample(600, True)
+        assert len(samp) == 600
+        fit_tps(samp, "auto")
+        tracemalloc.start()
+        try:
+            fit_tps(samp, "auto")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.9 * 2 ** 20
 
 
 class TestDerivatives:
