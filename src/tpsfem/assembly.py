@@ -132,8 +132,9 @@ def assemble_A_d(mesh, data, located=None):
 class FemSystem:
     """Assembled matrices of the smoothing problem on one mesh.
 
-    ``bv`` holds the Dirichlet boundary values used when the saddle system is
-    built (their eliminated contributions become the right-hand side).
+    ``bv`` holds the Dirichlet boundary values, read once, at the first
+    solve, when the saddle system is built (their eliminated contributions
+    become the right-hand side).
     """
     mesh: object
     A: sp.csr_matrix

@@ -27,6 +27,14 @@ def _fit_alpha(text):
     return text if text == "auto" else float(text)
 
 
+def _baseline_alpha(text):
+    """baseline --alpha: 'gcv' or a finite float of at least 0."""
+    if text != "gcv" and not 0 <= float(text) < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"{text} is neither 'gcv' nor finite and at least 0")
+    return text if text == "gcv" else float(text)
+
+
 def _add_fit_parser(sub):
     p = sub.add_parser("fit", help="run the smoothing pipeline on a CSV")
     p.add_argument("data", help="CSV file with columns x1, x2, y")
@@ -66,7 +74,8 @@ def _add_baseline_parser(sub):
                    help="choose rho covering this many data points")
     p.add_argument("--rho", type=float, default=None,
                    help="explicit support radius")
-    p.add_argument("--alpha", default="gcv")
+    p.add_argument("--alpha", type=_baseline_alpha, default="gcv",
+                   help="'gcv' or a value of at least 0")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="tpsfem_out")
 
@@ -190,8 +199,7 @@ def _cmd_baseline(args):
         else:
             rho = choose_rho(data.x[idx], data, args.cover or 100)
         model = fit_csrbf(data, args.method, rho=rho, control_idx=idx,
-                          alpha=("gcv" if args.alpha == "gcv"
-                                 else float(args.alpha)), seed=args.seed)
+                          alpha=args.alpha, seed=args.seed)
         seconds = model.solve_seconds
     nnz, ratio = report_sparsity(model)
     rmse_v, max_v = baseline_metrics(model, data)

@@ -88,15 +88,13 @@ class DataSet:
                        scale=scale, warnings=warnings)
 
 
-def ingest(path, fmt="csv_xyz"):
+def ingest(path):
     """Read a CSV of scattered points and normalise it.
 
     The first three numeric columns are x1, x2, y; extra columns are
     ignored.  Raises ParseError with the offending line number on malformed
     rows or non-finite values (``nan``, ``inf``) and DegenerateExtent when the bounding box has zero width.
     """
-    if fmt != "csv_xyz":
-        raise ValueError(f"unknown format {fmt!r}")
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -13,10 +13,10 @@ a golden-section search on log(alpha) between the grid's ends minimises it.
 
 Everything that does not depend on alpha is built once: the saddle system
 at alpha = 1 and its static node order once per FemSystem (see ``solver``),
-and the probe block W = B_I^T Z / n once per selection.  A candidate then
-costs one rescaled copy of the matrix, one static-pivot factorisation and
-one block solve, and its trace is n * mean(sum(W * C_I)) over the probe
-solutions C_I, with no sparse product.
+and the probe block W = B_I^T Z / n once per selection (``probe_block``).
+A candidate then costs one rescaled copy of the matrix, one static-pivot
+factorisation and one block solve, and its trace is n * mean(sum(W * C_I))
+over the probe solutions C_I, with no sparse product.
 """
 
 import math
@@ -54,15 +54,21 @@ def _probe_matrix(n, probes, rng):
     return rng.choice([-1.0, 1.0], size=(n, probes))
 
 
-def _block_solve(system, probe_matrix):
+def probe_block(fem, probe_matrix):
+    """W = B_I^T Z / n for the probe matrix Z (B_I: the basis columns of the
+    interior nodes), the probe columns of a GCV block solve."""
+    loc = fem.located
+    B = loc.basis[:, fem.mesh.interior_nodes()]
+    return B.T @ probe_matrix / loc.n_used
+
+
+def _block_solve(system, W):
     """Data solution and Hutchinson mean from one block solve.
 
-    The probe columns are W = B_I^T Z / n in the c rows with zero Dirichlet
-    data (B_I: basis columns of interior nodes); with their solutions C_I,
-    z^T B_I c = n (w . c) gives the mean of z^T B_I C_I without a sparse
-    product.  W is formed once per probe matrix and FemSystem."""
-    W = system.fem.eliminated.probe_rhs(probe_matrix)
-    rhs = np.zeros((system.n_unknowns, 1 + probe_matrix.shape[1]))
+    The probe columns are the block W (``probe_block``) in the c rows with
+    zero Dirichlet data; with their solutions C_I, z^T B_I c = n (w . c)
+    gives the mean of z^T B_I C_I without a sparse product."""
+    rhs = np.zeros((system.n_unknowns, 1 + W.shape[1]))
     rhs[:, 0] = system.rhs
     rhs[0::4, 1:] = W
     x, _ = system.solve_raw(rhs)
@@ -76,18 +82,16 @@ def influence_trace(system, probe_matrix=None):
     if probe_matrix is None:
         n = system.fem.located.n_used
         probe_matrix = _probe_matrix(n, n, None)
-    return _block_solve(system, probe_matrix)[1]
+    return _block_solve(system, probe_block(system.fem, probe_matrix))[1]
 
 
-def gcv_score(fem, alpha, data, probes=10, seed=0, probe_matrix=None):
-    """GCV score of one candidate alpha; +inf when the estimated trace
-    reaches the number of data points (degenerate denominator)."""
+def gcv_score(fem, alpha, data, W):
+    """GCV score of one candidate alpha for the probe block W; +inf when
+    the estimated trace reaches the number of data points."""
     loc = fem.located
     n = loc.n_used
-    if probe_matrix is None:
-        probe_matrix = _probe_matrix(n, probes, np.random.default_rng(seed))
     system = SaddleSystem(fem, alpha)
-    x, tr = _block_solve(system, probe_matrix)
+    x, tr = _block_solve(system, W)
     y = np.asarray(data.y, dtype=float)[loc.indices]
     misfit = float(np.sum((loc.basis @ system.scatter(x)["c"] - y) ** 2))
     if tr >= n:
@@ -104,13 +108,12 @@ def select_alpha(fem, data, cfg=None, seed=0):
     """
     cfg = cfg or GcvConfig()
     rng = np.random.default_rng(seed)
-    probe_matrix = _probe_matrix(fem.located.n_used, cfg.probes, rng)
+    W = probe_block(fem, _probe_matrix(fem.located.n_used, cfg.probes, rng))
     cache = {}
 
     def score(alpha):
         if alpha not in cache:
-            cache[alpha] = gcv_score(fem, alpha, data,
-                                     probe_matrix=probe_matrix)
+            cache[alpha] = gcv_score(fem, alpha, data, W)
         return cache[alpha]
 
     lo, hi = cfg.alpha_grid[0], cfg.alpha_grid[-1]

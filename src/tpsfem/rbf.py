@@ -176,6 +176,17 @@ def _csrbf_gcv(K, y, alphas, probes, seed):
     return best_alpha if best_alpha is not None else float(alphas[0])
 
 
+def _checked_inputs(data, control_idx, plan, alpha):
+    """``control_idx``, else the points ``plan`` snaps; ``alpha`` checked."""
+    if alpha != "gcv" and not 0 <= float(alpha) < np.inf:
+        raise ValueError(f"alpha must be 'gcv' or finite and >= 0: {alpha}")
+    if control_idx is not None:
+        return control_idx
+    if plan is None:
+        raise ValueError("need control_idx or a ControlPointPlan")
+    return snap_control_points(data, plan)
+
+
 def fit_csrbf(data, kernel, rho, control_idx=None, plan=None, alpha="gcv",
               alpha_grid=None, probes=10, seed=0):
     """Ridge collocation of a CSRBF at snapped control points.
@@ -186,10 +197,7 @@ def fit_csrbf(data, kernel, rho, control_idx=None, plan=None, alpha="gcv",
     """
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
-    if control_idx is None:
-        if plan is None:
-            raise ValueError("need control_idx or a ControlPointPlan")
-        control_idx = snap_control_points(data, plan)
+    control_idx = _checked_inputs(data, control_idx, plan, alpha)
     centers = np.asarray(data.x, dtype=float)[control_idx]
     y = np.asarray(data.y, dtype=float)[control_idx]
     K = _csrbf_matrix(centers, rho, kernel)
@@ -213,10 +221,7 @@ def fit_csrbf(data, kernel, rho, control_idx=None, plan=None, alpha="gcv",
 
 def fit_global_tps(data, control_idx=None, plan=None, alpha="gcv"):
     """Dense TPS on the snapped control points (100% dense system)."""
-    if control_idx is None:
-        if plan is None:
-            raise ValueError("need control_idx or a ControlPointPlan")
-        control_idx = snap_control_points(data, plan)
+    control_idx = _checked_inputs(data, control_idx, plan, alpha)
     subset = DataSet(np.asarray(data.x, dtype=float)[control_idx],
                      np.asarray(data.y, dtype=float)[control_idx])
     if alpha == "gcv":

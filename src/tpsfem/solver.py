@@ -20,7 +20,8 @@ once per FemSystem at alpha = 1 (``EliminatedSystem``), straight from the
 blocks' entries, and each alpha is a copy of its values with the aL entries
 multiplied by alpha.  That product is the one a build at alpha would form,
 so the matrix values and the right-hand side are bitwise those of a build
-from scratch.
+from scratch.  The FemSystem's boundary values are read, checked and
+sorted by node with it, once.
 
 The interior matrix is held in a static order, found once per FemSystem.
 The nodes follow SuperLU's minimum-degree order of the interior node graph
@@ -41,8 +42,7 @@ RESIDUAL_TOL) guards it.
 """
 
 import time
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -126,14 +126,14 @@ class EliminatedSystem:
 
     Built once per FemSystem (``FemSystem.eliminated``), straight from the
     entries of ``saddle_blocks``, and checked once: the matrices and d must
-    match the mesh, and the mesh must have interior nodes.  It holds the
-    interior and boundary node sets and the boundary columns K_IB (CSR,
-    rows interleaved, columns block by block: the c, g1, g2 and w values of
-    the boundary nodes).  The static order and the interior matrix in it
-    (``ordered``) are built on first use, because finding the order is a
-    factorisation: its failure surfaces where a factorisation is asked for.
-    ``matrix_at`` and ``boundary_rhs`` rescale the two aL blocks; no
-    boundary values are stored, so any set can be eliminated.
+    match the mesh, the mesh must have interior nodes and ``fem.bv`` must
+    cover exactly the boundary node set.  It holds the interior and
+    boundary node sets, ``bv`` sorted by node and the boundary columns K_IB
+    (CSR, rows interleaved, columns block by block: the c, g1, g2 and w
+    values of the boundary nodes).  The static order and the interior
+    matrix in it (``ordered``) are built on first use, because finding the
+    order is a factorisation: its failure surfaces where a factorisation is
+    asked for.  ``matrix_at`` and ``boundary_rhs`` rescale the two aL blocks.
     """
 
     def __init__(self, fem):
@@ -146,12 +146,23 @@ class EliminatedSystem:
                                         f"mesh has {n} nodes")
         if len(fem.d) != n:
             raise DimensionMismatch("d length does not match node count")
+        bv = fem.bv
+        if bv is None:
+            raise DimensionMismatch("no boundary values supplied")
         self.interior = mesh.interior_nodes()
         self.boundary = mesh.boundary_nodes()
         self.interior.flags.writeable = False
         self.boundary.flags.writeable = False
         if len(self.interior) == 0:
             raise SingularSystem("mesh has no interior nodes")
+        order = np.argsort(bv.nodes)
+        if not np.array_equal(bv.nodes[order], self.boundary):
+            raise DimensionMismatch("boundary values do not cover the "
+                                    "boundary node set")
+        self.bv = replace(bv, nodes=self.boundary, **{
+            name: np.asarray(getattr(bv, name))[order]
+            for name in ("c", "g1", "g2", "w", "w_proxy")
+            if getattr(bv, name) is not None})
         k, nb = len(self.interior), len(self.boundary)
         f, g, row, col, value = _block_entries(fem)
         pos = np.empty(n, dtype=np.int64)
@@ -171,9 +182,6 @@ class EliminatedSystem:
             (4 * k, 4 * nb))
         self._interior_entries = (f[ii], g[ii], pos[row[ii]], pos[col[ii]],
                                   value[ii], scaled[ii])
-        self._located = fem.located
-        self._checked_bv = None
-        self._probes = None
 
     @cached_property
     def ordered(self):
@@ -211,29 +219,6 @@ class EliminatedSystem:
         cols = (4 * nodes[:, None] + np.arange(len(FIELDS))).ravel()
         del self._interior_entries  # held in ``matrix`` from now on
         return rows, cols, matrix, alpha
-
-    def boundary_order(self, bv):
-        """Positions that sort ``bv``'s arrays by node; raises
-        DimensionMismatch unless its nodes are the boundary node set.
-        Checked once per array of nodes."""
-        if self._checked_bv is None or self._checked_bv[0] is not bv.nodes:
-            order = np.argsort(bv.nodes)
-            if not np.array_equal(bv.nodes[order], self.boundary):
-                raise DimensionMismatch("boundary values do not cover the "
-                                        "boundary node set")
-            self._checked_bv = (bv.nodes, order)
-        return self._checked_bv[1]
-
-    def probe_rhs(self, probe_matrix):
-        """B_I^T Z / n for the probe matrix Z (B_I: the basis columns of
-        the interior nodes), the probe block of a GCV solve.  The block of
-        the last Z is kept while Z lives, so Z must not change after its
-        first use; a weak reference leaves Z's lifetime to the caller."""
-        if self._probes is None or self._probes[0]() is not probe_matrix:
-            B = self._located.basis[:, self.interior]
-            self._probes = (weakref.ref(probe_matrix),
-                            B.T @ probe_matrix / self._located.n_used)
-        return self._probes[1]
 
     def boundary_rhs(self, alpha, bvals):
         """-K_IB x_B at ``alpha`` (interleaved) for the sorted boundary
@@ -277,30 +262,25 @@ class SaddleSystem:
     alpha = 1) rescaled to ``alpha``, in the static order; ``rows`` and
     ``cols`` give the interleaved row and column of each of its rows and
     columns.  The right-hand side is interleaved: d in the c rows minus
-    K_IB x_B for the boundary values ``bv`` (default ``fem.bv``).
+    K_IB x_B for ``fem.bv``, which the EliminatedSystem checked and sorted.
     ``factorizations`` counts the direct factorisations; ``residual`` is the
     largest max-norm relative residual of the last solve.  alpha must be
     positive and finite.
     """
 
-    def __init__(self, fem, alpha, bv=None):
+    def __init__(self, fem, alpha):
         if not 0 < alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {alpha}")
-        if bv is None:
-            bv = fem.bv
-        if bv is None:
-            raise DimensionMismatch("no boundary values supplied")
         unit = fem.eliminated
         if fem.mesh.n_nodes != unit.n_nodes:
             raise DimensionMismatch(f"mesh has {fem.mesh.n_nodes} nodes, its "
                                     f"system was built for {unit.n_nodes}")
-        order = unit.boundary_order(bv)
+        bv = unit.bv
         self.fem = fem
         self.alpha = alpha
         self.interior = unit.interior
         self.boundary = unit.boundary
-        self.bvals = {"c": bv.c[order], "g1": bv.g1[order],
-                      "g2": bv.g2[order], "w": bv.w_at(alpha)[order]}
+        self.bvals = {"c": bv.c, "g1": bv.g1, "g2": bv.g2, "w": bv.w_at(alpha)}
         self.rhs = unit.boundary_rhs(alpha, self.bvals)
         self.rhs[0::4] += fem.d[self.interior]
         self.n_unknowns = len(self.rhs)

@@ -239,7 +239,8 @@ def fit_tps(sample, alpha_tps=0.0):
     P = Q1 R (see ``_reflected_system``).  Past the O(n^2) reflected system:
 
     - a given alpha costs one (n-3)-square Cholesky factorisation of
-      Z^T K Z + n*alpha*I, which is positive definite for distinct points.
+      Z^T K Z + n*alpha*I, formed and factorised in the memory of Q^T K Q;
+      it is positive definite for distinct points.
       Interpolation (alpha = 0) through coincident points has no unique
       solution and raises ``DegenerateGeometry``.
     - ``alpha_tps="auto"`` picks alpha as ``select_alpha_tps`` does, from
@@ -250,7 +251,7 @@ def fit_tps(sample, alpha_tps=0.0):
     """
     x, y, qr, tau, QtKQ, Qty = _reflected_system(sample)
     n = len(y)
-    # Q1^T K Z, copied before the reduction overwrites QtKQ.  Four rows are
+    # Q1^T K Z, copied before the steps below overwrite QtKQ.  Four rows are
     # copied so that the leading dimension stays above 3: OpenBLAS sums a
     # 3-row block of leading dimension 3 in another order, and the product
     # below would then differ from that of QtKQ[:3, 3:] in the last bit.
@@ -267,10 +268,12 @@ def fit_tps(sample, alpha_tps=0.0):
                 raise DegenerateGeometry(
                     f"cannot interpolate: {len(pairs)} sample points "
                     f"coincide with earlier ones, index pairs {pairs[:5]}")
-        g = np.zeros(n - 3)
-        if n > 3:
-            C = QtKQ[3:, 3:] + n * alpha_tps * np.eye(n - 3)
-            g = scipy.linalg.cho_solve(scipy.linalg.cho_factor(C), Qty[3:])
+        m = n - 3  # packed as ``_Tridiagonal.reduce`` packs Z^T K Z
+        C = np.ravel(QtKQ, order="F")[:m * m].reshape(m, m, order="F")
+        C[...] = QtKQ[3:, 3:]
+        C.flat[::m + 1] += n * alpha_tps
+        g = scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(C, overwrite_a=True), Qty[3:])
     w = lapack.dormqr("L", "N", qr, tau,
                       np.concatenate([np.zeros(3), g])[:, None], 1)[0][:, 0]
     a = scipy.linalg.solve_triangular(qr[:3], Qty[:3] - QtKZ @ g)

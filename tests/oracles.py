@@ -15,8 +15,8 @@ from tpsfem.exceptions import (EmptyField, EmptyResult, InsufficientData,
 from tpsfem.indicators import auxiliary_indicators, recovery_indicator
 from tpsfem.mesh import BARY_TOL, TriMesh
 from tpsfem.solver import FIELDS, SaddleSystem, saddle_blocks
-from tpsfem.tps import (ALPHA_TPS_GRID, R_CLAMP, TpsModel, _spline_system,
-                        _Tridiagonal)
+from tpsfem.tps import (ALPHA_TPS_GRID, R_CLAMP, TpsModel, _reflected_system,
+                        _spline_system, _Tridiagonal)
 
 # 7-point Gauss rule on the reference triangle, exact to degree 5
 _GP = np.array([
@@ -381,6 +381,20 @@ def copying_auto_tps_fit(sample):
                       np.concatenate([np.zeros(3), g])[:, None], 1)[0][:, 0]
     a = scipy.linalg.solve_triangular(qr[:3], Qty[:3] - QtKQ[:3, 3:] @ g)
     return w, a, float(alpha)
+
+
+def copying_given_alpha_tps_fit(sample, alpha):
+    """``fit_tps(sample, alpha)`` with Z^T K Z + n*alpha*I formed as a new
+    matrix beside Q^T K Q and factorised on a copy.  Returns (weights,
+    affine)."""
+    x, y, qr, tau, QtKQ, Qty = _reflected_system(sample)
+    n = len(y)
+    C = QtKQ[3:, 3:] + n * alpha * np.eye(n - 3)
+    g = scipy.linalg.cho_solve(scipy.linalg.cho_factor(C), Qty[3:])
+    w = lapack.dormqr("L", "N", qr, tau,
+                      np.concatenate([np.zeros(3), g])[:, None], 1)[0][:, 0]
+    a = scipy.linalg.solve_triangular(qr[:3], Qty[:3] - QtKQ[:3, 3:] @ g)
+    return w, a
 
 
 def one_call_interpolate(mesh, values, points):

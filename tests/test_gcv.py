@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,8 +10,9 @@ from tpsfem.assembly import FemSystem
 from tpsfem.boundary import boundary_values_from_callables
 from tpsfem.data import DataSet
 from tpsfem.exceptions import NonConvergence, SingularSystem
+from tpsfem import gcv
 from tpsfem.gcv import (GOLDEN, GcvConfig, _probe_matrix, gcv_score,
-                        influence_trace, select_alpha)
+                        influence_trace, probe_block, select_alpha)
 from tpsfem.mesh import build_square_mesh
 from tpsfem.solver import RESIDUAL_TOL, SaddleSystem, rmse
 
@@ -27,6 +30,13 @@ def noisy_problem(mesh, n=120, seed=0, noise=0.1):
     return data, fem
 
 
+def rademacher_block(fem, probes, seed=0):
+    """The probe block of ``probes`` probes drawn as ``select_alpha`` draws
+    them under ``seed``."""
+    Z = _probe_matrix(fem.located.n_used, probes, np.random.default_rng(seed))
+    return probe_block(fem, Z)
+
+
 class TestGcvScore:
     def test_exact_trace_matches_dense_oracle(self):
         mesh = build_square_mesh(0)  # 25 nodes
@@ -42,7 +52,7 @@ class TestGcvScore:
         y = data.y[fem.located.indices]
         misfit = np.sum((predicted_values(s, fem.located) - y) ** 2)
         expect = n * misfit / (n - np.trace(infl)) ** 2
-        got = gcv_score(fem, alpha, data, probes=n)
+        got = gcv_score(fem, alpha, data, rademacher_block(fem, n))
         assert abs(got - expect) / expect < 1e-8
 
     def test_large_alpha_finite_score(self):
@@ -51,14 +61,14 @@ class TestGcvScore:
         x = rng.uniform(0.1, 0.9, size=(60, 2))
         data = DataSet(x, 0.5 + 0.05 * rng.normal(size=60))
         fem = FemSystem.build(mesh, data, bv=zero_bv(mesh))
-        v = gcv_score(fem, 1e6, data, probes=8, seed=0)
+        v = gcv_score(fem, 1e6, data, rademacher_block(fem, 8))
         assert np.isfinite(v)
 
     def test_deterministic_given_seed(self):
         mesh = build_square_mesh(0)
         data, fem = noisy_problem(mesh, n=80, seed=5)
-        a = gcv_score(fem, 1e-2, data, probes=6, seed=42)
-        b = gcv_score(fem, 1e-2, data, probes=6, seed=42)
+        a, b = (gcv_score(fem, 1e-2, data, rademacher_block(fem, 6, seed=42))
+                for _ in range(2))
         assert a == b
 
 
@@ -176,10 +186,10 @@ class TestSelectAlpha:
         fem = FemSystem.build(mesh, data, bv=zero_bv(mesh))
         cfg = GcvConfig(alpha_grid=np.array([1e-9, 1e-2]), probes=20)
         alpha = select_alpha(fem, data, cfg, seed=0)
-        Z = _probe_matrix(fem.located.n_used, 20, np.random.default_rng(0))
+        W = rademacher_block(fem, 20)
         scan = np.geomspace(1e-9, 1e-2, 61)
-        scores = [gcv_score(fem, a, data, probe_matrix=Z) for a in scan]
-        chosen = gcv_score(fem, alpha, data, probe_matrix=Z)
+        scores = [gcv_score(fem, a, data, W) for a in scan]
+        chosen = gcv_score(fem, alpha, data, W)
         j = int(np.argmin(scores))
         gap = abs(math.log10(alpha / scan[j]))
         assert chosen <= 1.001 * scores[j], (
@@ -194,6 +204,26 @@ class TestSelectAlpha:
         a1 = select_alpha(fem, data, cfg, seed=3)
         a2 = select_alpha(fem, data, cfg, seed=3)
         assert a1 == a2
+
+    def test_probe_block_formed_once_and_not_kept(self, monkeypatch):
+        # each selection forms its block once and passes it to every score;
+        # nothing holds it, the FemSystem included, once the selection ends
+        data, fem = noisy_problem(build_square_mesh(0), n=90, seed=9)
+        made, form = [], gcv.probe_block
+
+        def recording(*args):
+            W = form(*args)
+            made.append(weakref.ref(W))
+            return W
+
+        monkeypatch.setattr(gcv, "probe_block", recording)
+        cfg = GcvConfig(alpha_grid=np.geomspace(1e-8, 1, 9), probes=5,
+                        refine_iters=5)
+        for seed in (3, 4):
+            select_alpha(fem, data, cfg, seed=seed)
+        assert len(made) == 2
+        gc.collect()
+        assert all(ref() is None for ref in made)
 
     def test_result_inside_bracket(self):
         mesh = build_square_mesh(0)
@@ -223,10 +253,11 @@ class TestGoldenSearch:
     def search(self, monkeypatch, curve, refine_iters=12):
         calls = []
 
-        def stub(fem, alpha, data, probe_matrix=None):
+        def stub(fem, alpha, data, W):
             calls.append(alpha)
             return curve(math.log10(alpha))
 
+        monkeypatch.setattr("tpsfem.gcv.probe_block", lambda fem, Z: None)
         monkeypatch.setattr("tpsfem.gcv.gcv_score", stub)
         cfg = GcvConfig(alpha_grid=self.GRID, probes=4,
                         refine_iters=refine_iters)

@@ -162,6 +162,17 @@ class TestFits:
         assert r < 0.5
 
 
+    @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
+    def test_bad_alpha_rejected(self, alpha):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        data = DataSet(pts, np.ones(4))
+        with pytest.raises(ValueError, match="alpha must be"):
+            fit_csrbf(data, "wendland", rho=0.5, control_idx=np.arange(4),
+                      alpha=alpha)
+        with pytest.raises(ValueError, match="alpha must be"):
+            fit_global_tps(data, control_idx=np.arange(4), alpha=alpha)
+
+
 class TestSparsity:
     def test_ratio_increases_with_rho(self):
         data = peaks_generate(PeaksSpec(n=3000), seed=6)

@@ -159,6 +159,21 @@ class TestCli:
         assert "Traceback" not in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("method, value", [("tps", "foo"),
+                                               ("tps", "nan"),
+                                               ("tps", "-1"),
+                                               ("wendland", "-1")])
+    def test_bad_baseline_alpha_usage_error(self, peaks_csv, tmp_path, method,
+                                            value):
+        out = tmp_path / "b"
+        res = run_cli(["baseline", str(peaks_csv), "--method", method,
+                       "--grid-h", "0.05", "--alpha", value,
+                       "--out", str(out)], tmp_path)
+        assert res.returncode == 2
+        assert "argument --alpha:" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
     def test_report_merge(self, peaks_csv, tmp_path):
         out1 = tmp_path / "o1"
         out2 = tmp_path / "o2"

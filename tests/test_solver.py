@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -74,7 +75,7 @@ class TestBuildSystem:
     def test_zero_boundary_values_give_data_only_rhs(self):
         mesh = build_square_mesh(0)
         data, fem, _ = linear_problem(mesh)
-        sys_ = SaddleSystem(fem, 1.0, zero_bv(mesh))
+        sys_ = SaddleSystem(dataclasses.replace(fem, bv=zero_bv(mesh)), 1.0)
         assert np.array_equal(sys_.rhs[0::4], fem.d[sys_.interior])
         rest = np.delete(sys_.rhs, np.s_[0::4])
         assert len(rest) == 3 * len(sys_.interior)
@@ -98,7 +99,7 @@ class TestBuildSystem:
         bad.g2 = bad.g2[:-1]
         bad.w = bad.w[:-1]
         with pytest.raises(DimensionMismatch):
-            SaddleSystem(fem, 1.0, bad)
+            SaddleSystem(dataclasses.replace(fem, bv=bad), 1.0)
 
     def test_matches_dense_oracle_small(self):
         mesh = build_square_mesh(0)
@@ -187,11 +188,11 @@ class TestRescaledSystem:
     def test_bitwise_equal_to_rebuilt_system(self, name):
         fem, other = rescale_case(name)
         assert len(fem.mesh.interior_nodes()) > 0
-        for bv in (None, other):
+        for given in (fem, dataclasses.replace(fem, bv=other)):
             for alpha in self.ALPHAS:
-                system = SaddleSystem(fem, alpha, bv)
-                assert_same_system(system, *rebuilt_saddle_system(fem, alpha,
-                                                                  bv))
+                system = SaddleSystem(given, alpha)
+                assert_same_system(system, *rebuilt_saddle_system(given,
+                                                                  alpha))
         # the oracle's pattern holds entries of every alpha-scaled block
         assert system.matrix.nnz > 4 * len(system.interior)
 
@@ -237,6 +238,32 @@ class TestRescaledSystem:
         first.rhs[:] = np.nan
         assert_same_system(second, *ref)
         assert_same_system(SaddleSystem(fem, 1e-3), *ref)
+
+    def test_shuffled_boundary_values_give_the_same_system(self):
+        # the boundary values are sorted by node once, when the alpha = 1
+        # system is built; their given order changes no bit
+        fem, _ = rescale_case("trimmed")
+        bv = fem.bv
+        perm = np.random.default_rng(0).permutation(len(bv.nodes))
+        shuffled = dataclasses.replace(fem, bv=BoundaryValues(
+            bv.nodes[perm], bv.c[perm], bv.g1[perm], bv.g2[perm],
+            bv.w[perm], bv.w_proxy[perm]))
+        assert np.any(np.diff(shuffled.bv.nodes) < 0)
+        for alpha in (1e-9, 1e-3):
+            got, ref = SaddleSystem(shuffled, alpha), SaddleSystem(fem, alpha)
+            for name in ("data", "indices", "indptr"):
+                assert (getattr(got.matrix, name).tobytes()
+                        == getattr(ref.matrix, name).tobytes())
+            assert got.rhs.tobytes() == ref.rhs.tobytes()
+            s, expect = got.solve(), ref.solve()
+            for name in ("c", "g1", "g2", "w"):
+                assert (getattr(s, name).tobytes()
+                        == getattr(expect, name).tobytes())
+
+    def test_missing_boundary_values_raise_dimension_mismatch(self):
+        fem, _ = rescale_case("square")
+        with pytest.raises(DimensionMismatch, match="no boundary values"):
+            SaddleSystem(dataclasses.replace(fem, bv=None), 1e-3)
 
     def test_refined_mesh_raises_dimension_mismatch(self):
         fem, _ = rescale_case("square")

@@ -9,7 +9,8 @@ import tpsfem.tps as tps
 
 from conftest import coverage_gap
 from oracles import (complete_q_tps_gcv_scores, copying_auto_tps_fit,
-                     dense_tps_fit, dense_tps_gcv_scores, masked_kernel_value,
+                     copying_given_alpha_tps_fit, dense_tps_fit,
+                     dense_tps_gcv_scores, masked_kernel_value,
                      radii_tps_evals, summed_radii)
 from tpsfem.boundary import _spline_rows
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
@@ -286,6 +287,29 @@ class TestInPlaceReduction:
         finally:
             tracemalloc.stop()
         assert peak <= 5.9 * 2 ** 20
+
+    @pytest.mark.parametrize("n", [3, 5, 600])
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-6, 1e-3])
+    def test_given_alpha_bitwise_equal_to_copying_fit(self, n, alpha):
+        samp = (TestFitAuto.tiny_sample(n, 0) if n < 10
+                else peaks_sample(n, True))
+        got = fit_tps(samp, alpha)
+        w, a = copying_given_alpha_tps_fit(samp, alpha)
+        assert got.weights.tobytes() == w.tobytes()
+        assert got.affine.tobytes() == a.tobytes()
+
+    def test_given_alpha_fit_holds_at_most_two_kernel_buffers(self):
+        """Z^T K Z + n*alpha*I is packed into the memory of Q^T K Q and
+        factorised there, beside no identity and no sum matrix."""
+        samp = peaks_sample(600, True)
+        fit_tps(samp, 1e-6)
+        tracemalloc.start()
+        try:
+            fit_tps(samp, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2 ** 20
 
 
 class TestDerivatives:
