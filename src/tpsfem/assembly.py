@@ -82,6 +82,11 @@ class Located:
     ----------
     indices : (k,) ndarray
         Indices into the data arrays of the points found inside the mesh.
+    rows : (k,) ndarray
+        The ``tri_table`` row of the triangle holding each of those points,
+        the lowest id among those that hold it (``TriMesh.locate``).  They
+        group the points by triangle (``indicators.locate_by_tri``), so a
+        mesh state is located once.
     basis : (k, n_nodes) csr_matrix
         Row i holds the basis values b(x_i) of point ``indices[i]``: its
         barycentric coordinates at the vertices of its triangle.  The data
@@ -91,6 +96,7 @@ class Located:
         Number of points outside the mesh (excluded from fits and metrics).
     """
     indices: np.ndarray
+    rows: np.ndarray
     basis: sp.csr_matrix
     n_dropped: int
 
@@ -98,15 +104,22 @@ class Located:
     def n_used(self):
         return self.basis.shape[0]
 
+    @classmethod
+    def from_rows(cls, mesh, rows, bary):
+        """The record of one ``mesh.locate`` result: the ``tri_table`` row of
+        each data point, -1 outside the mesh, and its (k, 3) barycentric
+        coordinates there."""
+        idx = np.flatnonzero(rows >= 0)
+        tab, k = mesh.tri_table, len(idx)
+        B = sp.csr_matrix((bary[idx].ravel(), tab.verts[rows[idx]].ravel(),
+                           np.arange(0, 3 * k + 1, 3)),
+                          shape=(k, mesh.n_nodes))
+        return cls(idx, rows[idx], B, len(rows) - k)
+
 
 def locate_dataset(mesh, data):
     """Locate every data point; points outside the mesh are dropped."""
-    rows, bary = mesh.locate(data.x)
-    idx = np.flatnonzero(rows >= 0)
-    tab, k = mesh.tri_table, len(idx)
-    B = sp.csr_matrix((bary[idx].ravel(), tab.verts[rows[idx]].ravel(),
-                       np.arange(0, 3 * k + 1, 3)), shape=(k, mesh.n_nodes))
-    return Located(idx, B, len(data) - k)
+    return Located.from_rows(mesh, *mesh.locate(data.x))
 
 
 def assemble_A_d(mesh, data, located=None):
@@ -146,8 +159,12 @@ class FemSystem:
     bv: object = None
 
     @classmethod
-    def build(cls, mesh, data, bv=None):
-        located = locate_dataset(mesh, data)
+    def build(cls, mesh, data, bv=None, located=None):
+        """The system of ``data`` on ``mesh``.  ``located`` is the data's
+        ``Located`` on this mesh when the caller holds it already, as a run
+        does after trimming; otherwise the data are located here."""
+        if located is None:
+            located = locate_dataset(mesh, data)
         A, d = assemble_A_d(mesh, data, located)
         return cls(mesh=mesh, A=A, d=d, L=assemble_L(mesh),
                    G1=assemble_G(mesh, 1), G2=assemble_G(mesh, 2),

@@ -68,10 +68,10 @@ class BoundaryValues:
 
 def _spline_rows(tps, pts, alpha):
     """(k, 5) rows c, g1, g2, w, w_proxy of a fitted TPS at (k, 2) points:
-    c = t(x), (g1, g2) = grad t(x) and w = -alpha * laplacian_proxy(x)."""
-    proxy = tps.eval_laplacian_proxy(pts)
-    return np.column_stack([tps.eval(pts), tps.eval_grad(pts),
-                            -alpha * proxy, proxy])
+    c = t(x), (g1, g2) = grad t(x) and w = -alpha * laplacian_proxy(x),
+    all three from one distance matrix (``TpsModel.eval_all``)."""
+    value, grad, proxy = tps.eval_all(pts)
+    return np.column_stack([value, grad, -alpha * proxy, proxy])
 
 
 def initial_boundary_values(mesh, tps, alpha):

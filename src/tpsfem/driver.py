@@ -11,6 +11,11 @@ boundary strategy fixes the rows of the wave's new boundary nodes with one
 batched call (``new_boundary_node_values``); every other new node then
 warm-starts as the mean of its bisected edge's endpoints
 (``mesh.fill_new_nodes``), the rule the auxiliary patch problems use too.
+
+The data are located at most once per mesh state.  Trimming hands its
+location to the first fit, and the first auxiliary wave of an iteration
+groups the fit's location by triangle; only a refined mesh is located
+again.
 """
 
 import logging
@@ -19,7 +24,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .assembly import FemSystem
+from .assembly import FemSystem, Located, locate_dataset
 from .boundary import (BoundaryStrategy, BoundaryValues,
                        constant_boundary_values, initial_boundary_values,
                        new_boundary_node_values)
@@ -128,13 +133,18 @@ def _seed_for(seed, tag):
 
 
 def initial_mesh(data, cfg):
+    """The first mesh of a run and the data's ``Located`` on it, which
+    trimming carries over from its own location; None for the domains made
+    without locating the data."""
     if cfg.domain == "square":
-        return build_square_mesh(0)
+        return build_square_mesh(0), None
     if cfg.domain == "irregular":
-        return trim_to_irregular(build_square_mesh(cfg.trim_level), data)
+        mesh, rows, bary = trim_to_irregular(
+            build_square_mesh(cfg.trim_level), data)
+        return mesh, Located.from_rows(mesh, rows, bary)
     if cfg.polygon is None:
         raise ValueError("polygon domain requires cfg.polygon loops")
-    return mesh_polygon(cfg.polygon, refine_level=cfg.trim_level)
+    return mesh_polygon(cfg.polygon, refine_level=cfg.trim_level), None
 
 
 class _NodeValues:
@@ -199,7 +209,7 @@ def run(data, cfg=None):
     """
     cfg = cfg or RunConfig()
     gcv_cfg = cfg.gcv or GcvConfig()
-    mesh = initial_mesh(data, cfg)
+    mesh, located = initial_mesh(data, cfg)
     strategy, tps = _make_strategy(cfg, data, _seed_for(cfg.seed, 0))
 
     if strategy.kind == "constant":
@@ -213,9 +223,9 @@ def run(data, cfg=None):
     stop = None
     max_iters = cfg.resolved_max_iters()
 
-    def fit(iteration, marked, refined):
+    def fit(iteration, marked, refined, located):
         bv = values.boundary_values(mesh)
-        fem = FemSystem.build(mesh, data, bv=bv)
+        fem = FemSystem.build(mesh, data, bv=bv, located=located)
         if cfg.alpha == "auto":
             alpha = select_alpha(fem, data, gcv_cfg,
                                  seed=_seed_for(cfg.seed, 100 + iteration))
@@ -236,13 +246,17 @@ def run(data, cfg=None):
             marked_edges=marked, refined_edges=refined))
         return s, fem
 
-    smoother, fem = fit(0, 0, 0)
+    smoother, fem = fit(0, 0, 0, located)
 
     for k in range(1, max_iters + 1):
         prev_nodes = mesh.n_nodes
         marked_total = 0
+        # the data's location on the current mesh, None once a wave has
+        # changed it: each mesh state is located at most once
+        located = fem.located
         if cfg.refine == "uniform":
             events = mesh.uniform_refine()
+            located = None
             values.extend(mesh, events, strategy, smoother.alpha)
             refined_total = len(events)
         else:
@@ -254,8 +268,11 @@ def run(data, cfg=None):
                 if cfg.indicator == "recovery":
                     field = recovery_field(view, field, floor)
                 else:
+                    if located is None:
+                        located = locate_dataset(mesh, data)
                     field = auxiliary_field(view, data, smoother.alpha,
-                                            locate_by_tri(mesh, data), field)
+                                            locate_by_tri(mesh, located),
+                                            field)
                 try:
                     marked = mark(field, cfg.gamma)
                 except EmptyField:
@@ -267,13 +284,14 @@ def run(data, cfg=None):
                     logger.warning("iteration %d: marked edges produced no "
                                    "refinement", k)
                     break
+                located = None
                 values.extend(mesh, events, strategy, smoother.alpha)
                 marked_total += len(marked)
                 refined_total += len(events)
             if refined_total == 0:
                 stop = "no_refinement"
                 break
-        smoother, fem = fit(k, marked_total, refined_total)
+        smoother, fem = fit(k, marked_total, refined_total, located)
 
         if cfg.rmse_tolerance is not None and records[-1].rmse <= cfg.rmse_tolerance:
             stop = "tolerance"

@@ -41,9 +41,7 @@ def boundary_accuracy_rows(seeds=(0,), nhat_grid=(100, 200, 300, 400, 600),
                 subsample = sample(data, _band_plan(strategy, nhat, spec),
                                    seed=seed + 1)
                 model = fit_tps(subsample, "auto")
-                pred = model.eval(xt)
-                grad = model.eval_grad(xt)
-                lap = model.eval_laplacian_proxy(xt)
+                pred, grad, lap = model.eval_all(xt)
                 rows.append({
                     "strategy": strategy,
                     "nhat": int(nhat),

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import FemSystem, Located, assemble_G, assemble_L
+from .assembly import (FemSystem, Located, assemble_G, assemble_L,
+                       locate_dataset)
 from .boundary import BoundaryValues
 from .exceptions import EmptyField
 from .mesh import TriMesh, _bary, _grouped, bisect_once, fill_new_nodes
@@ -179,7 +180,7 @@ def patch_system(s, data, patches, located_by_tri):
                                     for i, f in enumerate(FIELDS)})
     fem = FemSystem(mesh=local, A=A, d=d, L=assemble_L(local),
                     G1=assemble_G(local, 1), G2=assemble_G(local, 2),
-                    located=Located(point, B, 0), bv=bv)
+                    located=Located(point, rows, B, 0), bv=bv)
     return fem, trace, origin
 
 
@@ -200,8 +201,8 @@ def auxiliary_indicators(s, data, edge_ids, alpha, located_by_tri=None):
     alpha : float
         Smoothing parameter of the local problems (the global one).
     located_by_tri : (ndarray, ndarray), optional
-        The ``locate_by_tri(s.mesh, data)`` table of the data points by
-        triangle; computed on the fly when absent.
+        The ``locate_by_tri`` table of the data points by triangle of
+        ``s.mesh``; the data are located when it is absent.
 
     An edge whose patch holds no data point, or whose refined patch has no
     interior node, gets 0.  The solve keeps the solver's contract: one
@@ -210,7 +211,7 @@ def auxiliary_indicators(s, data, edge_ids, alpha, located_by_tri=None):
     """
     mesh = s.mesh
     if located_by_tri is None:
-        located_by_tri = locate_by_tri(mesh, data)
+        located_by_tri = locate_by_tri(mesh, locate_dataset(mesh, data))
     eta = np.zeros(len(edge_ids))
     patches, incident = _patch_triangles(mesh, edge_ids)
     held = np.diff(located_by_tri[1])[np.searchsorted(mesh.tri_table.ids,
@@ -279,14 +280,13 @@ def auxiliary_field(s, data, alpha, located_by_tri=None, field=None):
     return IndicatorField(edges, values)
 
 
-def locate_by_tri(mesh, data):
-    """The ``mesh._grouped`` table ``(order, start)`` of one ``mesh.locate``:
-    the indices into ``data`` of the points in the triangle of row r of
-    ``mesh.tri_table`` are ``order[start[r]:start[r + 1]]``, ascending."""
-    rows, _ = mesh.locate(data.x)
-    inside = np.flatnonzero(rows >= 0)
-    order, start = _grouped(rows[inside], mesh.n_tris)
-    return inside[order], start
+def locate_by_tri(mesh, located):
+    """The ``mesh._grouped`` table ``(order, start)`` of the data's
+    ``Located`` on ``mesh``: the indices into the data of the points in the
+    triangle of row r of ``mesh.tri_table`` are ``order[start[r]:start[r +
+    1]]``, ascending."""
+    order, start = _grouped(located.rows, mesh.n_tris)
+    return located.indices[order], start
 
 
 def mark(field, fraction_cap=0.5):

@@ -647,13 +647,25 @@ def trim_to_irregular(mesh, data):
     Triangles are retained when they contain at least one data point or when
     they bridge otherwise disconnected data-bearing components; connectivity
     is restored by breadth-first searches from the largest component over
-    the rows that share a side.  Returns a new mesh with renumbered nodes
-    and recomputed boundary flags.
+    the rows that share a side.
+
+    Returns ``(trimmed, rows, bary)``: a new mesh with renumbered nodes and
+    recomputed boundary flags, and the data's ``locate`` on it, carried over
+    from the one ``locate`` on ``mesh``.  A point's triangle, the lowest id
+    that holds it, holds data, so it is kept, and no other kept triangle
+    with a lower id holds the point.  The submesh keeps the rows in order
+    with their vertex coordinates, so a point's row is renumbered and its
+    barycentric coordinates are bitwise unchanged: they are what a fresh
+    ``trimmed.locate(data.x)`` gives.
     """
-    bearing = np.isin(np.arange(mesh.n_tris), mesh.locate(data.x)[0])
+    rows, bary = mesh.locate(data.x)
+    bearing = np.zeros(mesh.n_tris, dtype=bool)
+    bearing[rows[rows >= 0]] = True
     if not bearing.any():
         raise EmptyResult("no triangle contains a data point")
-    return mesh.submesh(_connect_components(mesh, bearing))
+    keep = _connect_components(mesh, bearing)
+    renumbered = np.where(rows >= 0, np.cumsum(keep)[rows] - 1, -1)
+    return mesh.submesh(keep), renumbered, bary
 
 
 def _side_graph(mesh):

@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 
 from .data import DataSet
 from .exceptions import NoControlPoints, SingularSystem
-from .tps import fit_tps, select_alpha_tps
+from .tps import fit_tps
 
 
 def _kdtree(points):
@@ -220,14 +220,18 @@ def fit_csrbf(data, kernel, rho, control_idx=None, plan=None, alpha="gcv",
 
 
 def fit_global_tps(data, control_idx=None, plan=None, alpha="gcv"):
-    """Dense TPS on the snapped control points (100% dense system)."""
+    """Dense TPS on the snapped control points (100% dense system).
+
+    ``alpha="gcv"`` selects alpha and fits from one reduction,
+    ``fit_tps(subset, "auto")``.  Returns the model and the seconds of that
+    ``fit_tps`` call: with "gcv" they cover the selection and the fit, with
+    a given alpha the fit alone.
+    """
     control_idx = _checked_inputs(data, control_idx, plan, alpha)
     subset = DataSet(np.asarray(data.x, dtype=float)[control_idx],
                      np.asarray(data.y, dtype=float)[control_idx])
-    if alpha == "gcv":
-        alpha = select_alpha_tps(subset)
     t0 = time.perf_counter()
-    model = fit_tps(subset, float(alpha))
+    model = fit_tps(subset, "auto" if alpha == "gcv" else float(alpha))
     seconds = time.perf_counter() - t0
     return model, seconds
 

@@ -4,17 +4,22 @@ The spline is the radial kernel r^2 log(r) plus an affine part with the
 usual moment side constraints.  Fit and smoothing-parameter selection both
 work in the null space of the side constraints (m = n - 3 unknowns).  GCV
 reduces the projected kernel to tridiagonal form once, its only O(m^3)
-step, and scores each candidate alpha in O(m).  ``fit_tps(sample, "auto")``
-selects and fits from that one reduction: the winning candidate's
-tridiagonal solve is carried back to the null space in O(m^2), with no
-factorisation.  A fit at a given alpha costs one m x m Cholesky
-factorisation.  Besides value and gradient kernels, a "Laplacian proxy"
+step, and scores each candidate alpha in O(m): the trace of its influence
+matrix comes from the forward and backward LDL^T pivots of the shifted
+tridiagonal (Meurant 1992), so no eigenvalue is computed.
+``fit_tps(sample, "auto")`` selects and fits from that one reduction: the
+winning candidate's tridiagonal solve is carried back to the null space in
+O(m^2), with no factorisation.  A fit at a given alpha costs one m x m
+Cholesky factorisation.  Either fit holds one n x n buffer: the kernel is
+built into it in blocks of rows, and every later step works in its memory.
+Besides value and gradient kernels, a "Laplacian proxy"
 kernel -log(r) - 4 is evaluated for initialising the Lagrange multiplier at
 boundary nodes; it is kept exactly in this form (it is not the analytic
 Laplacian of r^2 log r, whose radial profile differs).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +34,12 @@ R_CLAMP = 1e-12
 
 #: the smoothing parameters GCV chooses from, unless a grid is given
 ALPHA_TPS_GRID = np.geomspace(1e-9, 1e-1, 17)
+
+#: kernel entries formed per block of rows of the n x n kernel matrix
+KERNEL_BLOCK = 2 ** 14
+
+#: columns moved per step when a block is packed to the front of its memory
+PACK_COLUMNS = 64
 
 
 def kernel_value(r):
@@ -66,27 +77,39 @@ class TpsModel:
     affine: np.ndarray  # (a0, a1, a2)
     alpha_tps: float
 
-    def eval(self, pts):
-        """Spline values at (k, 2) points."""
+    def _radii(self, pts):
+        """(k, 2) float points and their (k, c) distances to the centers."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = _distances(pts, self.centers)
+        return pts, _distances(pts, self.centers)
+
+    def _value(self, pts, r):
         base = self.affine[0] + pts @ self.affine[1:]
         return base + kernel_value(r) @ self.weights
 
-    def eval_grad(self, pts):
-        """Spline gradients at (k, 2) points, shape (k, 2)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    def _grad(self, pts, r):
         diff = pts[:, None, :] - self.centers[None, :, :]
-        r = _distances(pts, self.centers)
         fac = _grad_factor(r) * self.weights[None, :]
         grad = np.einsum("kc,kcd->kd", fac, diff)
         return grad + self.affine[1:][None, :]
 
+    def eval(self, pts):
+        """Spline values at (k, 2) points."""
+        return self._value(*self._radii(pts))
+
+    def eval_grad(self, pts):
+        """Spline gradients at (k, 2) points, shape (k, 2)."""
+        return self._grad(*self._radii(pts))
+
     def eval_laplacian_proxy(self, pts):
         """Weighted multiplier-row kernel sums (no affine contribution)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = _distances(pts, self.centers)
-        return kernel_laplacian_proxy(r) @ self.weights
+        return kernel_laplacian_proxy(self._radii(pts)[1]) @ self.weights
+
+    def eval_all(self, pts):
+        """``eval``, ``eval_grad`` and ``eval_laplacian_proxy`` at (k, 2)
+        points, bitwise, from one distance matrix."""
+        pts, r = self._radii(pts)
+        return (self._value(pts, r), self._grad(pts, r),
+                kernel_laplacian_proxy(r) @ self.weights)
 
 
 def _spline_system(sample):
@@ -100,19 +123,12 @@ def _spline_system(sample):
     P = np.column_stack([np.ones(n), x])
     if np.linalg.matrix_rank(P) < 3:
         raise DegenerateGeometry("sample points are collinear")
-    # kernel_value(_distances(x, x)), bitwise, in two n x n buffers
-    K = np.subtract.outer(x[:, 0], x[:, 0])
-    np.multiply(K, K, out=K)
-    sq = np.subtract.outer(x[:, 1], x[:, 1])
-    np.multiply(sq, sq, out=sq)
-    np.add(K, sq, out=K)
-    np.sqrt(K, out=K)
-    np.multiply(K, K, out=sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.log(K, out=K)
-        np.multiply(sq, K, out=K)
-    del sq  # before the mask, so that two n x n buffers are the most
-    K[np.isnan(K)] = 0.0  # 0 * log(0): the diagonal and coincident points
+    # kernel_value(_distances(x, x)) in blocks of rows, so that the only
+    # n x n buffer is K
+    K = np.empty((n, n))
+    rows = max(1, KERNEL_BLOCK // n)
+    for i in range(0, n, rows):
+        K[i:i + rows] = kernel_value(_distances(x[i:i + rows], x))
     return x, y, K, P
 
 
@@ -139,6 +155,24 @@ def _reflected_system(sample):
     return x, y, qr, tau, QtKQ, Qty
 
 
+def _pack_front(memory, block):
+    """Copy ``block``, a Fortran-ordered view into the 1-D ``memory``, into
+    the front of ``memory`` as a Fortran-ordered array, and return that.
+
+    The columns move in steps of ``PACK_COLUMNS``, first to last, so numpy
+    copies at most one step's columns to a temporary where a step overlaps
+    its own source.  This is safe when the front copy of each column ends
+    before the next column's source starts, as it does for Z^T K Z, the
+    trailing block of Q^T K Q, and for the reflectors, the block below the
+    first row of the reduced Z^T K Z.
+    """
+    rows, cols = block.shape
+    out = memory[:rows * cols].reshape(rows, cols, order="F")
+    for j in range(0, cols, PACK_COLUMNS):
+        out[:, j:j + PACK_COLUMNS] = block[:, j:j + PACK_COLUMNS]
+    return out
+
+
 def _coincident_points(x):
     """Index pairs (i, j), i < j, of sample points with equal coordinates,
     each later point paired with the first point at its position."""
@@ -153,9 +187,10 @@ class _Tridiagonal:
     """Z^T K Z = Q_T T Q_T^T, m = n - 3 square, with T tridiagonal.
 
     One Householder tridiagonalisation (``dsytrd``) is the only O(m^3) step.
-    ``d`` and ``e`` are the diagonal and subdiagonal of T, ``lam`` its
-    eigenvalues (``dsterf``, without eigenvectors) and ``z`` = Q_T^T Z^T y.
-    The lower reflectors of ``dsytrd`` (``reflectors``, ``tau``) form a
+    ``d`` and ``e`` are the diagonal and subdiagonal of T and ``z`` =
+    Q_T^T Z^T y.  No eigenvalue of T is computed: ``gcv_scores`` takes the
+    trace of each candidate's influence matrix from LDL^T pivots of T.  The
+    lower reflectors of ``dsytrd`` (``reflectors``, ``tau``) form a
     QR-style set on rows 1..m-1, so ``dormqr`` applies Q_T or Q_T^T to a
     vector in O(m^2).  For m <= 1, Z^T K Z is already tridiagonal and Q_T is
     the identity.
@@ -164,7 +199,6 @@ class _Tridiagonal:
     tau: np.ndarray
     d: np.ndarray
     e: np.ndarray
-    lam: np.ndarray
     z: np.ndarray
 
     @classmethod
@@ -174,26 +208,23 @@ class _Tridiagonal:
         It overwrites ``QtKQ``: Z^T K Z is packed into the first m*m
         entries of its Fortran-ordered memory and reduced there, and the
         reflectors are then packed into the first (m-1)^2, so that LAPACK
-        gets them contiguous and copies none of them.  Each packing step
-        overlaps its source, so numpy copies that block once, transiently.
+        gets them contiguous and copies none of them (``_pack_front``).
         """
         m = len(Qty) - 3
         z = Qty[3:].copy()
-        if m <= 1:  # the dsterf and dgtsv wrappers reject m < 2
+        if m <= 1:  # the dgtsv wrapper rejects m < 2
             d = np.diag(QtKQ)[3:]
-            return cls(None, None, d, np.zeros(0), d, z)
+            return cls(None, None, d, np.zeros(0), z)
         # the wrapper's default lwork would force the unblocked reduction
         lwork = int(lapack.dsytrd_lwork(m, lower=1)[0])
         memory = np.ravel(QtKQ, order="F")
-        c = memory[:m * m].reshape(m, m, order="F")
-        c[...] = QtKQ[3:, 3:]
+        c = _pack_front(memory, QtKQ[3:, 3:])
         c, d, e, tau, _ = lapack.dsytrd(c, lower=1, lwork=lwork,
                                         overwrite_a=1)
-        reflectors = memory[:(m - 1) ** 2].reshape(m - 1, m - 1, order="F")
-        reflectors[...] = c[1:, :-1]
+        reflectors = _pack_front(memory, c[1:, :-1])
         z[1:] = lapack.dormqr("L", "T", reflectors, tau, z[1:, None],
                               m - 1)[0][:, 0]
-        return cls(reflectors, tau, d, e, lapack.dsterf(d, e)[0], z)
+        return cls(reflectors, tau, d, e, z)
 
     def solve(self, sigma):
         """u = (T + sigma*I)^-1 z, one O(m) tridiagonal solve."""
@@ -210,20 +241,39 @@ class _Tridiagonal:
                                   u[1:, None], len(g) - 1)[0][:, 0]
         return g
 
+    def residual_dof(self, sigma):
+        """n - tr H = sigma * trace((T + sigma*I)^-1), or None when T +
+        sigma*I is not positive definite.
+
+        The i-th diagonal entry of the inverse of a positive definite
+        tridiagonal A is 1 / (p_i + q_i - a_ii), with p the pivots of
+        A = L D L^T from the top and q those from the bottom (Meurant 1992),
+        so two ``dpttrf`` calls give the trace in O(m).
+        """
+        a = self.d + sigma
+        if len(a) <= 1:  # the dpttrf wrapper rejects m < 2
+            return sigma * np.sum(1.0 / a) if np.all(a > 0) else None
+        down, _, fail_down = lapack.dpttrf(a, self.e)
+        up, _, fail_up = lapack.dpttrf(a[::-1], self.e[::-1])
+        if fail_down or fail_up:
+            return None
+        return sigma * np.sum(1.0 / (down + up[::-1] - a))
+
     def gcv_scores(self, grid):
         """GCV score n*|y - yhat|^2 / (n - tr H)^2 at each alpha of ``grid``.
 
-        n - tr H = sum(n*alpha / (lam + n*alpha)), and |y - yhat|^2 =
-        (n*alpha)^2 |u|^2 with u from ``solve(n*alpha)``.  A candidate with
-        n - tr H <= 0 scores +inf.
+        n - tr H comes from ``residual_dof(n*alpha)`` and |y - yhat|^2 =
+        (n*alpha)^2 |u|^2 with u from ``solve(n*alpha)``.  A candidate whose
+        T + n*alpha*I is not positive definite, or with n - tr H <= 0 (m =
+        0), scores +inf.
         """
         n = len(self.z) + 3
-        sigma = n * grid
-        dof = np.sum(sigma[:, None] / (self.lam + sigma[:, None]), axis=1)
         scores = np.full(len(grid), np.inf)
-        for k in np.flatnonzero(dof > 0):
-            u = self.solve(sigma[k])
-            scores[k] = n * sigma[k] ** 2 * (u @ u) / dof[k] ** 2
+        for k, sigma in enumerate(n * np.asarray(grid, dtype=float)):
+            dof = self.residual_dof(sigma)
+            if dof is not None and dof > 0:
+                u = self.solve(sigma)
+                scores[k] = n * sigma ** 2 * (u @ u) / dof ** 2
         return scores
 
 
@@ -248,7 +298,15 @@ def fit_tps(sample, alpha_tps=0.0):
       tridiagonalisation of Z^T K Z (m = n - 3), O(m) per candidate, and an
       O(m^2) back-transform g = Q_T u of the winner's tridiagonal solve u.
       The chosen alpha is the model's ``alpha_tps``.
+
+    Any other ``alpha_tps`` than "auto" or a finite value >= 0 raises
+    ValueError.
     """
+    auto = isinstance(alpha_tps, str) and alpha_tps == "auto"
+    if not auto and not (isinstance(alpha_tps, numbers.Real)
+                         and 0 <= alpha_tps < np.inf):
+        raise ValueError("alpha_tps must be 'auto' or finite and >= 0, "
+                         f"got {alpha_tps!r}")
     x, y, qr, tau, QtKQ, Qty = _reflected_system(sample)
     n = len(y)
     # Q1^T K Z, copied before the steps below overwrite QtKQ.  Four rows are
@@ -256,7 +314,7 @@ def fit_tps(sample, alpha_tps=0.0):
     # 3-row block of leading dimension 3 in another order, and the product
     # below would then differ from that of QtKQ[:3, 3:] in the last bit.
     QtKZ = QtKQ[:4, 3:].copy(order="F")[:3]
-    if alpha_tps == "auto":
+    if auto:
         tri = _Tridiagonal.reduce(QtKQ, Qty)
         k = np.argmin(tri.gcv_scores(ALPHA_TPS_GRID))
         alpha_tps = ALPHA_TPS_GRID[k]
@@ -268,10 +326,9 @@ def fit_tps(sample, alpha_tps=0.0):
                 raise DegenerateGeometry(
                     f"cannot interpolate: {len(pairs)} sample points "
                     f"coincide with earlier ones, index pairs {pairs[:5]}")
-        m = n - 3  # packed as ``_Tridiagonal.reduce`` packs Z^T K Z
-        C = np.ravel(QtKQ, order="F")[:m * m].reshape(m, m, order="F")
-        C[...] = QtKQ[3:, 3:]
-        C.flat[::m + 1] += n * alpha_tps
+        # packed as ``_Tridiagonal.reduce`` packs Z^T K Z
+        C = _pack_front(np.ravel(QtKQ, order="F"), QtKQ[3:, 3:])
+        C.flat[::len(C) + 1] += n * alpha_tps
         g = scipy.linalg.cho_solve(
             scipy.linalg.cho_factor(C, overwrite_a=True), Qty[3:])
     w = lapack.dormqr("L", "N", qr, tau,
@@ -292,17 +349,23 @@ def select_alpha_tps(sample, alpha_grid=None):
     """Spline smoothing parameter by GCV with the exact trace.
 
     With Z an orthonormal basis of the null space of P^T (the kernel weights
-    are w = Z g), the trace and residual of each alpha follow from the
-    eigenvalues of Z^T K Z and one solve with Z^T K Z + n*alpha*I (Craven &
-    Wahba 1979).  ``_gcv_scores`` reduces Z^T K Z, m = n - 3 square, to
-    tridiagonal form once, the only O(m^3) step of the selection; each
-    candidate then costs O(m), so a wider grid is cheap.  Returns the first
-    alpha of least score (``ALPHA_TPS_GRID`` by default); a candidate with
-    n - tr H <= 0 scores +inf, so n = 3 gives ``grid[0]``.
+    are w = Z g), the trace and residual of each alpha follow from Z^T K Z +
+    n*alpha*I (Craven & Wahba 1979).  ``_gcv_scores`` reduces Z^T K Z, m =
+    n - 3 square, to tridiagonal form T once, the only O(m^3) step of the
+    selection; each candidate then costs O(m), the trace from the LDL^T
+    pivots of T + n*alpha*I and the residual from one tridiagonal solve, so
+    a wider grid is cheap.  Returns the first alpha of least score
+    (``ALPHA_TPS_GRID`` by default); a candidate with n - tr H <= 0 scores
+    +inf, so n = 3 gives ``grid[0]``.  A given grid must be finite,
+    positive and strictly increasing, else ValueError.
     ``fit_tps(sample, "auto")`` selects from the same scores and fits too.
     """
     grid = (ALPHA_TPS_GRID if alpha_grid is None
             else np.asarray(alpha_grid, dtype=float))
+    if (grid.ndim != 1 or not len(grid) or not np.all(np.isfinite(grid))
+            or not np.all(grid > 0) or np.any(np.diff(grid) <= 0)):
+        raise ValueError("alpha_grid must be finite, positive and strictly "
+                         f"increasing, got {alpha_grid!r}")
     return float(grid[np.argmin(_gcv_scores(sample, grid))])
 
 

@@ -358,6 +358,26 @@ def dense_tps_fit(x, y, alpha):
                     alpha_tps=float(alpha))
 
 
+def eigenvalue_residual_dof(tri, sigma):
+    """n - tr H = sum(sigma / (lam + sigma)) of a ``_Tridiagonal`` with m
+    >= 2, from the eigenvalues lam of T (``dsterf``, no eigenvectors)."""
+    lam = lapack.dsterf(tri.d, tri.e)[0]
+    return np.sum(sigma / (lam + sigma))
+
+
+def eigenvalue_gcv_scores(tri, grid):
+    """``_Tridiagonal.gcv_scores`` with n - tr H from ``dsterf``'s
+    eigenvalues of T: a candidate with n - tr H <= 0 scores +inf."""
+    n = len(tri.z) + 3
+    scores = np.full(len(grid), np.inf)
+    for k, sigma in enumerate(n * np.asarray(grid, dtype=float)):
+        dof = eigenvalue_residual_dof(tri, sigma)
+        if dof > 0:
+            u = tri.solve(sigma)
+            scores[k] = n * sigma ** 2 * (u @ u) / dof ** 2
+    return scores
+
+
 def copying_auto_tps_fit(sample):
     """``fit_tps(sample, "auto")`` with LAPACK working on copies: Q^T K Q
     from two out-of-place ``dormqr`` passes, ``dsytrd`` of its strided
@@ -374,7 +394,7 @@ def copying_auto_tps_fit(sample):
     c, d, e, t, _ = lapack.dsytrd(QtKQ[3:, 3:], lower=1, lwork=lwork)
     z = Qty[3:].copy()
     z[1:] = lapack.dormqr("L", "T", c[1:, :-1], t, z[1:, None], m - 1)[0][:, 0]
-    tri = _Tridiagonal(c[1:, :-1], t, d, e, lapack.dsterf(d, e)[0], z)
+    tri = _Tridiagonal(c[1:, :-1], t, d, e, z)
     alpha = ALPHA_TPS_GRID[np.argmin(tri.gcv_scores(ALPHA_TPS_GRID))]
     g = tri.to_null_space(tri.solve(n * alpha))
     w = lapack.dormqr("L", "N", qr, tau,

@@ -284,6 +284,30 @@ class TestAuxiliaryRefresh:
         assert sum(updates) == len(waves) - iterations
 
 
+class TestLocateOnce:
+    @pytest.mark.parametrize("settings, calls", [
+        (dict(domain="irregular", indicator="recovery"), 2),
+        (dict(indicator="auxiliary"), 3)])
+    def test_each_mesh_state_is_located_once(self, monkeypatch, settings,
+                                             calls):
+        # trimming hands its location to the first fit, and the first
+        # auxiliary wave of an iteration groups the fit's location: an
+        # irregular run locates to trim and for its second fit, an
+        # auxiliary one for its first fit, its second wave and its second
+        # fit (gamma=0 refines the level-0 square in two waves)
+        data = normalized_peaks(1500, seed=0)
+        real = TriMesh.locate
+        located = []
+
+        def locate(mesh, points):
+            located.append(len(points))
+            return real(mesh, points)
+        monkeypatch.setattr(TriMesh, "locate", locate)
+        run(data, RunConfig(max_iters=1, stagnation_iters=0, alpha=1e-6,
+                            gamma=0.0, **settings))
+        assert located == [len(data)] * calls
+
+
 class TestFieldLayout:
     @pytest.mark.parametrize("settings", [
         dict(domain="irregular", indicator="recovery", alpha=1e-6),
@@ -299,8 +323,9 @@ class TestFieldLayout:
         real_mesh, real_mark = driver.initial_mesh, driver.mark
 
         def initial_mesh(*args):
-            meshes.append(real_mesh(*args))
-            return meshes[-1]
+            mesh, located = real_mesh(*args)
+            meshes.append(mesh)
+            return mesh, located
 
         def mark(field, gamma):
             assert np.array_equal(field.edges, meshes[0].refinable_edges())

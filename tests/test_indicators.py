@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from tpsfem.assembly import FemSystem
+from tpsfem.assembly import FemSystem, locate_dataset
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.driver import RunConfig, run
 from tpsfem.exceptions import EmptyField, NonConvergence, SingularSystem
@@ -126,7 +126,7 @@ class TestAuxiliary:
     def test_small_on_linear_data(self):
         mesh = build_square_mesh(1)
         s, data, fem = linear_smoother(mesh)
-        by_tri = locate_by_tri(mesh, data)
+        by_tri = locate_by_tri(mesh, locate_dataset(mesh, data))
         for eid in mesh.refinable_edges()[:15]:
             assert auxiliary_indicator(s, data, eid, 1e-4, by_tri) <= 1e-8
 
@@ -194,7 +194,7 @@ def oracle_case(name):
     elif name == "adaptive":
         return adaptive_surface()
     elif name == "trimmed":
-        mesh = trim_to_irregular(build_square_mesh(2), data)
+        mesh = trim_to_irregular(build_square_mesh(2), data)[0]
     else:
         mesh = mesh_polygon([[(0.15, 0.1), (0.9, 0.2), (0.85, 0.85),
                               (0.1, 0.8)],
@@ -209,7 +209,8 @@ class TestAuxiliaryBatch:
     def test_matches_per_patch_oracle(self, name):
         s, data = oracle_case(name)
         mesh = s.mesh
-        by_tri, located = locate_by_tri(mesh, data), located_dict(mesh, data)
+        by_tri = locate_by_tri(mesh, locate_dataset(mesh, data))
+        located = located_dict(mesh, data)
         edges = mesh.edge_table.ids  # boundary and non-refinable edges too
         got = auxiliary_indicators(s, data, edges, 1e-5, by_tri)
         ref = np.array([patch_auxiliary_indicator(s, data, e, 1e-5, located)
@@ -246,7 +247,7 @@ class TestAuxiliaryBatch:
         # system is factorised directly, and a failure is an error
         s, data = oracle_case("square-1")
         edges = s.mesh.refinable_edges()
-        by_tri = locate_by_tri(s.mesh, data)
+        by_tri = locate_by_tri(s.mesh, locate_dataset(s.mesh, data))
         failing_splu(monkeypatch)
         with pytest.raises(SingularSystem, match="factorisation failed"):
             auxiliary_indicators(s, data, edges, 0.1, by_tri)
@@ -254,7 +255,7 @@ class TestAuxiliaryBatch:
     def test_missed_residual_raises_nonconvergence(self, monkeypatch):
         s, data = oracle_case("square-1")
         edges = s.mesh.refinable_edges()
-        by_tri = locate_by_tri(s.mesh, data)
+        by_tri = locate_by_tri(s.mesh, locate_dataset(s.mesh, data))
         perturbed_splu(monkeypatch, lambda x: x * (1 + 1e-6))
         with pytest.raises(NonConvergence) as err:
             auxiliary_indicators(s, data, edges, 0.1, by_tri)

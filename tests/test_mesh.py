@@ -211,7 +211,7 @@ class TestLocate:
         mesh = build_square_mesh(1)
         mesh.refine_wave(mesh.refinable_edges()[::3].tolist())
         if case == "trimmed":
-            mesh = trim_to_irregular(mesh, l_shaped_data(300))
+            mesh = trim_to_irregular(mesh, l_shaped_data(300))[0]
         mesh.locate([(0.5, 0.5)])
         bins = mesh._locator
         start, rows = locator_bins(mesh, bins.ng)[-2:]
@@ -231,7 +231,7 @@ class TestLocate:
             mesh = build_square_mesh(6)
         else:
             mesh = trim_to_irregular(build_square_mesh(3),
-                                     l_shaped_data(4000))
+                                     l_shaped_data(4000))[0]
         mesh.locate([(0.25, 0.25)])
         bins = mesh._locator
         assert bins.ng == ng
@@ -270,7 +270,7 @@ class TestTrim:
     def test_all_triangles_bearing_keeps_mesh(self, square_mesh):
         cents = square_mesh.points[square_mesh.tri_table.verts].mean(axis=1)
         data = DataSet(cents, np.zeros(len(cents)))
-        out = trim_to_irregular(square_mesh, data)
+        out = trim_to_irregular(square_mesh, data)[0]
         assert out.n_tris == square_mesh.n_tris
         assert out.n_nodes == square_mesh.n_nodes
         out.validate()
@@ -279,7 +279,7 @@ class TestTrim:
         mesh = build_square_mesh(2)
         rng = np.random.default_rng(0)
         data = DataSet(rng.uniform(0.05, 0.45, size=(200, 2)), np.zeros(200))
-        out = trim_to_irregular(mesh, data)
+        out = trim_to_irregular(mesh, data)[0]
         assert out.n_nodes < mesh.n_nodes
         out.validate()
 
@@ -292,7 +292,7 @@ class TestTrim:
         mesh = build_square_mesh(2)
         x = np.vstack([np.random.default_rng(1).uniform(0.05, 0.2, size=(50, 2)),
                        np.random.default_rng(2).uniform(0.8, 0.95, size=(50, 2))])
-        out = trim_to_irregular(mesh, DataSet(x, np.zeros(100)))
+        out = trim_to_irregular(mesh, DataSet(x, np.zeros(100)))[0]
         out.validate()
         # edge-connected: one component
         tab, et = out.tri_table, out.edge_table
@@ -322,7 +322,7 @@ class TestTrim:
         assert len(components_of(tri_neighbors(mesh), bearing)) >= 3
         want = trimmed_ids(mesh, x)
         assert len(want) > len(bearing)
-        out = trim_to_irregular(mesh, DataSet(x, np.zeros(len(x))))
+        out = trim_to_irregular(mesh, DataSet(x, np.zeros(len(x))))[0]
         assert_same_mesh(out, copy_submesh(mesh, want))
 
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from tpsfem.assembly import FemSystem, assemble_G, assemble_L
+from tpsfem.assembly import (FemSystem, Located, assemble_G, assemble_L,
+                             locate_dataset)
 from tpsfem.boundary import BoundaryStrategy, constant_boundary_values
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.driver import _NodeValues
@@ -80,7 +81,7 @@ def located_mesh(kind, picks, seed):
     if kind == "trimmed":
         x = np.random.default_rng(seed).uniform(0.0, 1.0, size=(60, 2))
         x = x[(x[:, 0] < 0.5) | (x[:, 1] < 0.5)]
-        mesh = trim_to_irregular(mesh, DataSet(x, np.zeros(len(x))))
+        mesh = trim_to_irregular(mesh, DataSet(x, np.zeros(len(x))))[0]
     return mesh
 
 
@@ -368,7 +369,8 @@ def test_stacked_patch_data_matrix_is_symmetric(picks, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, size=(150, 2))
     data = DataSet(x, rng.normal(size=len(x)))
-    by_tri, located = locate_by_tri(mesh, data), located_dict(mesh, data)
+    by_tri = locate_by_tri(mesh, locate_dataset(mesh, data))
+    located = located_dict(mesh, data)
     patches = [[t for t in p if t in located] or [min(located)]
                for p in random_patches(mesh, rng)]
     padded = np.full((len(patches), 14), -1)
@@ -426,7 +428,7 @@ def test_field_matches_dict_oracle(kind, picks, marks, seed, gamma):
     for wave in marks + [None]:
         s = Smoother(mesh=mesh, alpha=1.0,
                      **{f: rng.normal(size=mesh.n_nodes) for f in FIELDS})
-        by_tri = locate_by_tri(mesh, data)
+        by_tri = locate_by_tri(mesh, locate_dataset(mesh, data))
         if kind == "recovery":
             field = recovery_field(s, field, floor)
         else:
@@ -480,7 +482,7 @@ def test_wave_values_match_per_event_fill(trimmed, kind, marks, seed,
     # the batched fill equals filling event by event in creation order:
     # bitwise where both take means, to rounding where the spline is
     # evaluated in one batch instead of point by point
-    mesh = (trim_to_irregular(build_square_mesh(1), lshape_peaks())
+    mesh = (trim_to_irregular(build_square_mesh(1), lshape_peaks())[0]
             if trimmed else build_square_mesh(0))
     strategy, alpha = wave_strategy(kind), 10.0 ** log_alpha
     values = _NodeValues(mesh, constant_boundary_values(mesh, 0.0))
@@ -543,7 +545,7 @@ def test_refinement_matches_reference(trim, marks):
         lo = rng.uniform(0.0, 0.5, size=2)
         x = lo + rng.uniform(0.0, 0.5, size=(40, 2))
         mesh = trim_to_irregular(build_square_mesh(2),
-                                 DataSet(x, np.zeros(len(x))))
+                                 DataSet(x, np.zeros(len(x))))[0]
     ref = RefMesh.of(mesh)
     assert_same_mesh(mesh, ref)
     for picks in marks:
@@ -606,7 +608,7 @@ def test_trim_matches_id_set_oracle(kind, level, picks, spots, seed):
     if kind == "trimmed":
         x = rng.uniform(0.0, 1.0, size=(200, 2))
         x = x[(x[:, 0] < 0.5) | (x[:, 1] < 0.5)]
-        mesh = trim_to_irregular(mesh, DataSet(x, np.zeros(len(x))))
+        mesh = trim_to_irregular(mesh, DataSet(x, np.zeros(len(x))))[0]
     x = np.vstack([(cx, cy) + rng.uniform(-r, r, size=(k, 2))
                    for cx, cy, r, k in spots])
     data = DataSet(x, np.zeros(len(x)))
@@ -616,7 +618,77 @@ def test_trim_matches_id_set_oracle(kind, level, picks, spots, seed):
         with pytest.raises(EmptyResult):
             trim_to_irregular(mesh, data)
         return
-    assert_same_mesh(trim_to_irregular(mesh, data), copy_submesh(mesh, want))
+    assert_same_mesh(trim_to_irregular(mesh, data)[0],
+                     copy_submesh(mesh, want))
+
+
+def assert_same_located(got, ref):
+    """Two ``Located`` records hold the same points, rows and basis, bit for
+    bit."""
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.rows, ref.rows)
+    assert got.basis.shape == ref.basis.shape
+    for part in ("data", "indices", "indptr"):
+        assert (getattr(got.basis, part).tobytes()
+                == getattr(ref.basis, part).tobytes())
+    assert got.n_dropped == ref.n_dropped
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(level=st.integers(0, 3), picks=bisections, spots=pockets,
+       grid=grid_points, loose=loose_points, seed=st.integers(0, 2 ** 16))
+def test_trim_hands_over_a_fresh_location(level, picks, spots, grid, loose,
+                                          seed):
+    # trimming carries its one location over to the trimmed mesh, rows
+    # renumbered and barycentric coordinates unchanged: bit for bit what a
+    # fresh locate_dataset there gives, also for the points of the dyadic
+    # grid on the vertices and shared edges of the level mesh and for points
+    # outside it
+    mesh = refined_at(build_square_mesh(level), picks)
+    rng = np.random.default_rng(seed)
+    x = np.vstack([(cx, cy) + rng.uniform(-r, r, size=(k, 2))
+                   for cx, cy, r, k in spots]
+                  + [np.reshape(grid, (-1, 2)), np.reshape(loose, (-1, 2))])
+    data = DataSet(x, np.zeros(len(x)))
+    try:
+        trimmed, rows, bary = trim_to_irregular(mesh, data)
+    except EmptyResult:  # no point inside the mesh
+        assume(False)
+    handed = Located.from_rows(trimmed, rows, bary)
+    assert_same_located(handed, locate_dataset(trimmed, data))
+    assert_same_located(FemSystem.build(trimmed, data, located=handed).located,
+                        handed)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(kind=st.sampled_from(["refined", "trimmed"]), picks=bisections,
+       spots=pockets, grid=grid_points, seed=st.integers(0, 2 ** 16))
+def test_first_wave_table_from_the_fit_location(kind, picks, spots, grid,
+                                                seed):
+    # the first auxiliary wave of an iteration groups the fit's location by
+    # triangle instead of locating again: that table is the one of a fresh
+    # mesh.locate, whether the data were located on the mesh itself or
+    # trimming handed its location over
+    rng = np.random.default_rng(seed)
+    x = np.vstack([(cx, cy) + rng.uniform(-r, r, size=(k, 2))
+                   for cx, cy, r, k in spots] + [np.reshape(grid, (-1, 2))])
+    data = DataSet(x, np.zeros(len(x)))
+    mesh = refined_square(picks)
+    if kind == "trimmed":
+        try:
+            mesh, rows, bary = trim_to_irregular(mesh, data)
+        except EmptyResult:
+            assume(False)
+        located = Located.from_rows(mesh, rows, bary)
+    else:
+        located = locate_dataset(mesh, data)
+    order, start = locate_by_tri(mesh, located)
+    want = located_dict(mesh, data)
+    ids = mesh.tri_table.ids
+    assert start[-1] == len(order) == sum(len(p) for p in want.values())
+    for r in range(mesh.n_tris):
+        assert np.array_equal(order[start[r]:start[r + 1]],
+                              want.get(ids[r], np.zeros(0, dtype=int)))
 
 
 @settings(max_examples=100, deadline=None, database=None)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import tpsfem.tps as tps
+
 from oracles import csrbf_eval_loop, dense_csrbf_gcv_scores
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.exceptions import NoControlPoints
 from tpsfem.rbf import (KERNELS, ControlPointPlan, buhmann_kernel, choose_rho,
                         baseline_metrics, fit_csrbf, fit_global_tps,
                         report_sparsity, snap_control_points, wendland_kernel)
+from tpsfem.tps import fit_tps, select_alpha_tps
 
 
 class TestKernels:
@@ -161,6 +164,29 @@ class TestFits:
         r, mx = baseline_metrics(model, data)
         assert r < 0.5
 
+    def test_global_tps_gcv_selects_and_fits_from_one_reduction(
+            self, monkeypatch):
+        # alpha="gcv" is fit_tps(subset, "auto"): the alpha of the separate
+        # selection, and weights and affine part within 1e-10 of the
+        # Cholesky fit at that alpha, from one reflected system
+        data = peaks_generate(PeaksSpec(n=2000), seed=5)
+        idx = snap_control_points(data, ControlPointPlan(grid_h=0.4))
+        subset = DataSet(data.x[idx], data.y[idx])
+        alpha = select_alpha_tps(subset)
+        ref = fit_tps(subset, alpha)
+        calls = []
+        real = tps._reflected_system
+
+        def counting(sample):
+            calls.append(len(sample))
+            return real(sample)
+        monkeypatch.setattr(tps, "_reflected_system", counting)
+        model, seconds = fit_global_tps(data, control_idx=idx)
+        assert calls == [len(idx)] and seconds > 0
+        assert model.alpha_tps == alpha
+        for got, want in ((model.weights, ref.weights),
+                          (model.affine, ref.affine)):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
     def test_bad_alpha_rejected(self, alpha):

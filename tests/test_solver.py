@@ -66,7 +66,7 @@ def random_boundary_problem(seed=5):
     x = rng.uniform(0.05, 0.95, size=(400, 2))
     x = x[(x[:, 0] < 0.55) | (x[:, 1] < 0.45)]
     mesh = trim_to_irregular(build_square_mesh(1),
-                             DataSet(x, np.zeros(len(x))))
+                             DataSet(x, np.zeros(len(x))))[0]
     y = np.sin(5 * x[:, 0]) * x[:, 1] + 0.1 * rng.normal(size=len(x))
     return FemSystem.build(mesh, DataSet(x, y), bv=random_bv(mesh, rng))
 
@@ -138,7 +138,7 @@ def rescale_case(name):
     elif name == "trimmed":
         keep = (data.x[:, 0] < 0.55) | (data.x[:, 1] < 0.45)
         mesh = trim_to_irregular(build_square_mesh(3),
-                                 DataSet(data.x[keep], data.y[keep]))
+                                 DataSet(data.x[keep], data.y[keep]))[0]
     else:
         mesh = mesh_polygon([[(0.05, 0.05), (0.95, 0.1), (0.9, 0.95),
                               (0.1, 0.9)],
@@ -412,7 +412,7 @@ class TestSolve:
         mesh = build_square_mesh(2)
         rng = np.random.default_rng(3)
         x = rng.uniform(0.1, 0.6, size=(120, 2))
-        trimmed = trim_to_irregular(mesh, DataSet(x, np.zeros(len(x))))
+        trimmed = trim_to_irregular(mesh, DataSet(x, np.zeros(len(x))))[0]
         f, grad, lap = linear_field(0.1, -0.5, 0.9)
         data = DataSet(x, f(x[:, 0], x[:, 1]))
         bv = boundary_values_from_callables(trimmed, f, grad, lap, alpha=1.0)

@@ -1,8 +1,10 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import lapack
 
 import tpsfem.tps as tps
@@ -10,14 +12,17 @@ import tpsfem.tps as tps
 from conftest import coverage_gap
 from oracles import (complete_q_tps_gcv_scores, copying_auto_tps_fit,
                      copying_given_alpha_tps_fit, dense_tps_fit,
-                     dense_tps_gcv_scores, masked_kernel_value,
+                     dense_tps_gcv_scores, eigenvalue_gcv_scores,
+                     eigenvalue_residual_dof, masked_kernel_value,
                      radii_tps_evals, summed_radii)
 from tpsfem.boundary import _spline_rows
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.exceptions import DegenerateGeometry, InsufficientData
-from tpsfem.tps import (SamplePlan, TpsModel, _distances, _gcv_scores,
-                        _spline_system, fit_tps, kernel_laplacian_proxy,
-                        kernel_value, sample, select_alpha_tps)
+from tpsfem.experiments import boundary_accuracy_rows
+from tpsfem.tps import (ALPHA_TPS_GRID, SamplePlan, TpsModel, _distances,
+                        _gcv_scores, _spline_system, _Tridiagonal, fit_tps,
+                        kernel_laplacian_proxy, kernel_value, sample,
+                        select_alpha_tps)
 
 
 def random_model(seed):
@@ -89,6 +94,27 @@ class TestKernelBuild:
         assert np.array_equal(m.eval(pts), value)
         assert np.array_equal(m.eval_grad(pts), grad)
         assert np.array_equal(m.eval_laplacian_proxy(pts), proxy)
+        for got, ref in zip(m.eval_all(pts), (value, grad, proxy)):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_spline_rows_from_one_distance_matrix(self, monkeypatch):
+        # the boundary rows c, g1, g2, w, w_proxy are bitwise those of the
+        # three separate evaluations, from one distance matrix
+        m = random_model(4)
+        pts = np.vstack([np.random.default_rng(9).uniform(-1, 1, (40, 2)),
+                         m.centers[:3]])
+        alpha = 1e-3
+        proxy = m.eval_laplacian_proxy(pts)
+        ref = np.column_stack([m.eval(pts), m.eval_grad(pts),
+                               -alpha * proxy, proxy])
+        calls = []
+
+        def counting(a, b):
+            calls.append(len(a))
+            return _distances(a, b)
+        monkeypatch.setattr(tps, "_distances", counting)
+        assert _spline_rows(m, pts, alpha).tobytes() == ref.tobytes()
+        assert calls == [len(pts)]
 
 
 class TestFit:
@@ -139,6 +165,22 @@ class TestFit:
         x = np.column_stack([np.linspace(0, 1, 10), np.zeros(10)])
         with pytest.raises(DegenerateGeometry):
             fit_tps(DataSet(x, np.ones(10)), 0.0)
+
+    @pytest.mark.parametrize("alpha", [-1e-3, np.nan, np.inf, "gcv", None])
+    def test_bad_alpha_rejected(self, alpha):
+        rng = np.random.default_rng(10)
+        data = DataSet(rng.uniform(0, 1, size=(20, 2)), rng.normal(size=20))
+        with pytest.raises(ValueError, match="alpha_tps"):
+            fit_tps(data, alpha)
+
+    @pytest.mark.parametrize("grid", [
+        [0.0, 1e-6, 1e-3], [-1e-6, 1e-3], [1e-6, np.nan], [1e-6, np.inf],
+        [1e-3, 1e-6], [1e-6, 1e-6, 1e-3], [], [[1e-6, 1e-3]]])
+    def test_bad_alpha_grid_rejected(self, grid):
+        rng = np.random.default_rng(11)
+        data = DataSet(rng.uniform(0, 1, size=(20, 2)), rng.normal(size=20))
+        with pytest.raises(ValueError, match="alpha_grid"):
+            select_alpha_tps(data, grid)
 
     def test_coincident_points_rejected_at_alpha_zero(self):
         rng = np.random.default_rng(9)
@@ -274,20 +316,6 @@ class TestInPlaceReduction:
         assert got.affine.tobytes() == a.tobytes()
         assert got.alpha_tps == alpha
 
-    def test_auto_fit_holds_at_most_two_kernel_buffers(self):
-        """At n = 600 one n x n buffer is 2.75 MiB: the kernel build and the
-        packing of Z^T K Z each hold two at a time, never three."""
-        samp = peaks_sample(600, True)
-        assert len(samp) == 600
-        fit_tps(samp, "auto")
-        tracemalloc.start()
-        try:
-            fit_tps(samp, "auto")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5.9 * 2 ** 20
-
     @pytest.mark.parametrize("n", [3, 5, 600])
     @pytest.mark.parametrize("alpha", [1e-9, 1e-6, 1e-3])
     def test_given_alpha_bitwise_equal_to_copying_fit(self, n, alpha):
@@ -298,18 +326,105 @@ class TestInPlaceReduction:
         assert got.weights.tobytes() == w.tobytes()
         assert got.affine.tobytes() == a.tobytes()
 
-    def test_given_alpha_fit_holds_at_most_two_kernel_buffers(self):
-        """Z^T K Z + n*alpha*I is packed into the memory of Q^T K Q and
-        factorised there, beside no identity and no sum matrix."""
+    @pytest.mark.parametrize("alpha", ["auto", 1e-6])
+    def test_fit_holds_one_kernel_buffer(self, alpha):
+        """The kernel is built in blocks of rows into its one n x n buffer,
+        and Z^T K Z and the reflectors are packed into it column block by
+        column block, so at most 1 MiB comes on top of that buffer."""
         samp = peaks_sample(600, True)
-        fit_tps(samp, 1e-6)
+        assert len(samp) == 600
+        fit_tps(samp, alpha)
         tracemalloc.start()
         try:
-            fit_tps(samp, 1e-6)
+            fit_tps(samp, alpha)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 2 ** 20
+        assert peak <= 8 * len(samp) ** 2 + 2 ** 20
+
+
+def diagonally_dominant(m, e, margin, scale):
+    """A positive definite ``_Tridiagonal`` of order m: off-diagonal ``e``
+    and a diagonal exceeding the absolute off-diagonal row sums by
+    ``margin``, all times ``scale``."""
+    e = np.asarray(e[:m - 1], dtype=float)
+    off = np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e))
+    d = off + np.asarray(margin[:m], dtype=float)
+    return _Tridiagonal(None, None, scale * d, scale * e, np.ones(m))
+
+
+class TestPivotTrace:
+    """n - tr H from the forward and backward LDL^T pivots of the shifted
+    tridiagonal, against the trace from its eigenvalues (``dsterf``)."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(m=st.integers(2, 80),
+           e=st.lists(st.floats(-1.0, 1.0), min_size=79, max_size=79),
+           margin=st.lists(st.floats(0.01, 10.0), min_size=80, max_size=80),
+           scale=st.floats(-3.0, 3.0).map(lambda p: 10.0 ** p),
+           shift=st.floats(-6.0, 2.0).map(lambda p: 10.0 ** p))
+    def test_matches_eigenvalue_trace(self, m, e, margin, scale, shift):
+        tri = diagonally_dominant(m, e, margin, scale)
+        sigma = shift * scale
+        got = tri.residual_dof(sigma)
+        ref = eigenvalue_residual_dof(tri, sigma)
+        assert abs(got - ref) <= 1e-12 * ref
+
+    def test_not_positive_definite_scores_inf_without_warning(self):
+        # T has two eigenvalues near -3; the candidates whose shift leaves
+        # T + sigma*I indefinite score +inf, the others are finite
+        rng = np.random.default_rng(12)
+        m = 30
+        e = rng.uniform(-0.1, 0.1, m - 1)
+        d = rng.uniform(1.0, 2.0, m)
+        d[[4, 17]] = -3.0
+        tri = _Tridiagonal(None, None, d, e, rng.normal(size=m))
+        grid = np.geomspace(1e-3, 1.0, 7)
+        lam_min = lapack.dsterf(d, e)[0].min()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = tri.gcv_scores(grid)
+            assert tri.residual_dof((m + 3) * grid[0]) is None
+        definite = (m + 3) * grid + lam_min > 0
+        assert 0 < np.count_nonzero(definite) < len(grid)
+        assert np.all(scores[~definite] == np.inf)
+        assert np.allclose(scores[definite],
+                           eigenvalue_gcv_scores(tri, grid)[definite],
+                           rtol=1e-12, atol=0)
+
+    def test_orders_below_two(self):
+        # m = 1: T is one diagonal entry; m = 0 (n = 3) leaves n - tr H = 0
+        def tri(d):
+            return _Tridiagonal(None, None, np.array(d), np.zeros(0),
+                                np.ones(len(d)))
+        assert tri([2.0]).residual_dof(0.5) == pytest.approx(0.2, rel=1e-15)
+        assert tri([-2.0]).residual_dof(0.5) is None
+        assert tri([]).residual_dof(0.5) == 0.0
+        assert np.all(tri([]).gcv_scores(ALPHA_TPS_GRID) == np.inf)
+
+    def test_auto_fit_never_calls_dsterf(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dsterf called")
+
+        monkeypatch.setattr(lapack, "dsterf", refuse)
+        for n in (5, 300):
+            samp = (TestFitAuto.tiny_sample(n, 0) if n < 10
+                    else peaks_sample(n, True))
+            assert np.all(np.isfinite(fit_tps(samp, "auto").weights))
+            select_alpha_tps(samp)
+
+    def test_boundary_accuracy_alphas_match_eigenvalue_trace(self,
+                                                             monkeypatch):
+        # every spline of the boundary-accuracy table picks the alpha that
+        # the eigenvalue trace picks, 13 of the 60 at the 1e-9 floor of the
+        # grid where the scores of the smallest candidates nearly tie
+        rows = boundary_accuracy_rows(seeds=range(6))
+        monkeypatch.setattr(_Tridiagonal, "gcv_scores",
+                            eigenvalue_gcv_scores)
+        ref = boundary_accuracy_rows(seeds=range(6))
+        assert len(rows) == len(ref) == 60
+        assert [r["alpha"] for r in rows] == [r["alpha"] for r in ref]
+        assert sum(r["alpha"] == ALPHA_TPS_GRID[0] for r in rows) == 13
 
 
 class TestDerivatives:
