@@ -13,10 +13,16 @@ a golden-section search on log(alpha) between the grid's ends minimises it.
 
 Everything that does not depend on alpha is built once: the saddle system
 at alpha = 1 and its static node order once per FemSystem (see ``solver``),
-and the probe block W = B_I^T Z / n once per selection (``probe_block``).
-A candidate then costs one rescaled copy of the matrix, one static-pivot
-factorisation and one block solve, and its trace is n * mean(sum(W * C_I))
-over the probe solutions C_I, with no sparse product.
+and a workspace once per selection (``probe_block``, a ``ProbeBlock``).
+The workspace holds the probe block W = B_I^T Z / n, the static-order
+block right-hand side with W in its probe columns, its own copies of the
+interior matrix and of K_IB, the boundary values and the fitted-value
+vector.  A candidate rescales the aL values of those copies in place and
+costs one static-pivot factorisation and one block solve under the
+solver's contract (``solver.static_factor``, ``solver.static_solve``); it
+builds no SaddleSystem, no sparse matrix and no nodal field.  Its trace is
+n * mean(sum(W * C_I)) over the probe solutions C_I, with no sparse
+product, and every score is bitwise that of a ``SaddleSystem`` at alpha.
 """
 
 import math
@@ -24,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import SaddleSystem
+from .solver import static_factor, static_solve
+from .tps import checked_alpha_grid
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -32,16 +39,15 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 @dataclass
 class GcvConfig:
     """Search settings: only the ends of ``alpha_grid`` are read, and they
-    bound the search; ``refine_iters`` is the number of golden steps."""
+    bound the search; ``refine_iters`` is the number of golden steps.  The
+    grid must be finite, positive and strictly increasing (ValueError)."""
     alpha_grid: np.ndarray = field(
         default_factory=lambda: np.geomspace(1e-10, 1.0, 21))
     probes: int = 10
     refine_iters: int = 12
 
     def __post_init__(self):
-        grid = np.asarray(self.alpha_grid, dtype=float)
-        if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-            raise ValueError("alpha_grid must be positive and increasing")
+        grid = checked_alpha_grid(self.alpha_grid)
         if self.probes < 1 or self.refine_iters < 0:
             raise ValueError("probes must be >= 1 and refine_iters >= 0")
         self.alpha_grid = grid
@@ -54,48 +60,110 @@ def _probe_matrix(n, probes, rng):
     return rng.choice([-1.0, 1.0], size=(n, probes))
 
 
+def _probe_columns(located, interior, probe_matrix):
+    """W = B_I^T Z / n: the rows ``interior`` of B^T Z, whose sums run over
+    the points in the same order as those of the sliced basis."""
+    return (located.basis.T @ probe_matrix)[interior] / located.n_used
+
+
+class ProbeBlock:
+    """The workspace of the GCV scores of one selection on one FemSystem.
+
+    Everything a candidate alpha does not change is made here once: the
+    probe block W = B_I^T Z / n of the probe matrix Z (B_I: the basis
+    columns of the interior nodes); the static-order block right-hand side
+    with W in the c rows of its probe columns; copies of the interior
+    matrix and of K_IB at alpha = 1; the boundary values x_B; and the
+    fitted-value vector with the boundary values of c in place.
+    ``rescale`` sets the aL values and the data column to one alpha.
+    """
+
+    def __init__(self, fem, probe_matrix):
+        loc, unit = fem.located, fem.eliminated
+        self.n = loc.n_used
+        self.basis = loc.basis
+        self.W = _probe_columns(loc, unit.interior, probe_matrix)
+        rows, cols, matrix, aL = unit.ordered
+        self.matrix = matrix.copy()
+        self.ib = unit.ib.copy()
+        # (values, positions, values at alpha = 1) of the aL entries
+        self._alpha_entries = ((self.matrix.data, aL, matrix.data[aL]),
+                               (self.ib.data, unit.ib_alpha,
+                                unit.ib.data[unit.ib_alpha]))
+        self.bv = unit.bv
+        self.x_b = np.concatenate([unit.bv.c, unit.bv.g1, unit.bv.g2,
+                                   unit.bv.w_at(1.0)])
+        self.d = fem.d[unit.interior]
+        self.rows = rows
+        self.block = np.zeros((len(rows), 1 + self.W.shape[1]))
+        self.block[:, 1:][np.argsort(rows)[0::4]] = self.W
+        # static position of the c column of each interior node
+        self.c_at = np.argsort(cols)[0::4]
+        self.interior = unit.interior
+        self.c = np.zeros(fem.mesh.n_nodes)
+        self.c[unit.boundary] = unit.bv.c
+
+    def rescale(self, alpha):
+        """Set the aL values of the matrix and of K_IB to ``alpha`` times
+        their values at 1, the products ``EliminatedSystem`` forms, and the
+        data column of the block to d - K_IB x_B at ``alpha``."""
+        for values, entries, unit in self._alpha_entries:
+            values[entries] = unit * alpha
+        self.x_b[3 * len(self.bv.nodes):] = self.bv.w_at(alpha)
+        rhs = -(self.ib @ self.x_b)
+        rhs[0::4] += self.d
+        self.block[:, 0] = rhs[self.rows]
+
+
 def probe_block(fem, probe_matrix):
-    """W = B_I^T Z / n for the probe matrix Z (B_I: the basis columns of the
-    interior nodes), the probe columns of a GCV block solve."""
-    loc = fem.located
-    B = loc.basis[:, fem.mesh.interior_nodes()]
-    return B.T @ probe_matrix / loc.n_used
-
-
-def _block_solve(system, W):
-    """Data solution and Hutchinson mean from one block solve.
-
-    The probe columns are the block W (``probe_block``) in the c rows with
-    zero Dirichlet data; with their solutions C_I, z^T B_I c = n (w . c)
-    gives the mean of z^T B_I C_I without a sparse product."""
-    rhs = np.zeros((system.n_unknowns, 1 + W.shape[1]))
-    rhs[:, 0] = system.rhs
-    rhs[0::4, 1:] = W
-    x, _ = system.solve_raw(rhs)
-    tr = system.fem.located.n_used * np.mean(np.sum(W * x[0::4, 1:], axis=0))
-    return x[:, 0], float(tr)
+    """The ``ProbeBlock`` of the GCV scores of ``fem`` for the probe matrix
+    Z, made once per selection."""
+    return ProbeBlock(fem, probe_matrix)
 
 
 def influence_trace(system, probe_matrix=None):
     """Hutchinson mean of z^T Infl z over the columns z of ``probe_matrix``;
-    None means the scaled canonical basis, which gives the exact trace."""
+    None means the scaled canonical basis, which gives the exact trace.
+
+    The probe columns are W = B_I^T Z / n in the c rows with zero Dirichlet
+    data, on the factorisation of ``system``; with their solutions C_I,
+    z^T B_I c = n (w . c) gives the mean of z^T B_I C_I without a sparse
+    product."""
+    fem = system.fem
+    n = fem.located.n_used
     if probe_matrix is None:
-        n = system.fem.located.n_used
         probe_matrix = _probe_matrix(n, n, None)
-    return _block_solve(system, probe_block(system.fem, probe_matrix))[1]
+    W = _probe_columns(fem.located, system.interior, probe_matrix)
+    rhs = np.zeros((system.n_unknowns, W.shape[1]))
+    rhs[0::4] = W
+    x, _ = system.solve_raw(rhs)
+    return float(n * np.mean(np.sum(W * x[0::4], axis=0)))
 
 
-def gcv_score(fem, alpha, data, W):
-    """GCV score of one candidate alpha for the probe block W; +inf when
-    the estimated trace reaches the number of data points."""
-    loc = fem.located
-    n = loc.n_used
-    system = SaddleSystem(fem, alpha)
-    x, tr = _block_solve(system, W)
-    y = np.asarray(data.y, dtype=float)[loc.indices]
-    misfit = float(np.sum((loc.basis @ system.scatter(x)["c"] - y) ** 2))
+def gcv_score(fem, alpha, data, block):
+    """GCV score of one candidate alpha on the ``probe_block`` workspace
+    ``block``; +inf when the estimated trace reaches the number of data
+    points.
+
+    One static-pivot factorisation and one block solve under the solver's
+    contract (SingularSystem, NonConvergence) give the data solution and the
+    probe solutions C_I together; the trace is n * mean(sum(W * C_I)).  The
+    matrix, the right-hand side and so the score are bitwise those of a
+    ``SaddleSystem`` at alpha.
+    """
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    n = block.n
+    block.rescale(alpha)
+    lu = static_factor(block.matrix)
+    x, _ = static_solve(lu, block.matrix, block.block)
+    x = x[block.c_at]
+    tr = float(n * np.mean(np.sum(block.W * x[:, 1:], axis=0)))
     if tr >= n:
         return float("inf")
+    block.c[block.interior] = x[:, 0]
+    y = np.asarray(data.y, dtype=float)[fem.located.indices]
+    misfit = float(np.sum((block.basis @ block.c - y) ** 2))
     return n * misfit / (n - tr) ** 2
 
 
@@ -108,12 +176,13 @@ def select_alpha(fem, data, cfg=None, seed=0):
     """
     cfg = cfg or GcvConfig()
     rng = np.random.default_rng(seed)
-    W = probe_block(fem, _probe_matrix(fem.located.n_used, cfg.probes, rng))
+    block = probe_block(fem, _probe_matrix(fem.located.n_used, cfg.probes,
+                                           rng))
     cache = {}
 
     def score(alpha):
         if alpha not in cache:
-            cache[alpha] = gcv_score(fem, alpha, data, W)
+            cache[alpha] = gcv_score(fem, alpha, data, block)
         return cache[alpha]
 
     lo, hi = cfg.alpha_grid[0], cfg.alpha_grid[-1]

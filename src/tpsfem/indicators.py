@@ -31,6 +31,14 @@ refinement waves use, so each patch trace stays the piecewise linear trace
 of the global surface.  The system is assembled by ``assemble_L`` and
 ``assemble_G``, with each patch's data term averaged over its own points,
 and solved by one ``SaddleSystem`` under the solver's residual contract.
+
+The data term needs no basis matrix.  A point lies in the same one of the
+six sub-triangles that one pass can make of its triangle, whichever patch
+holds that triangle, so ``mesh.bisection_moments`` places each point of
+the patch triangles once per wave and sums, per sub-triangle, the point
+count, the products l_i l_j and l_i y of its barycentric coordinates l.
+Each refined patch triangle adds the sums of its ``bisect_once`` slot to A
+and d, weighted by 1 / (points in its patch).
 """
 
 from dataclasses import dataclass
@@ -38,11 +46,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (FemSystem, Located, assemble_G, assemble_L,
-                       locate_dataset)
+from .assembly import FemSystem, assemble_G, assemble_L, locate_dataset
 from .boundary import BoundaryValues
 from .exceptions import EmptyField
-from .mesh import TriMesh, _bary, _grouped, bisect_once, fill_new_nodes
+from .mesh import (TriMesh, _grouped, bisect_once, bisection_moments,
+                   fill_new_nodes)
 from .solver import FIELDS, SaddleSystem
 
 
@@ -106,32 +114,17 @@ def _patch_triangles(mesh, edge_ids):
     return np.where(keep, cand, -1), incident
 
 
-def _containing_rows(tab, origin, within, points):
-    """Row of ``tab`` holding each point among the rows whose ``origin`` is
-    the point's ``within`` triangle, and its barycentric coordinates there.
-
-    The descendant where the point's smallest barycentric coordinate is
-    largest holds it, the first such one on a tie; on a shared edge either
-    side gives the same basis values.
-    """
-    cand, at = _members(_grouped(origin, origin.max() + 1), within)
-    lam = _bary(tab.frame.take(cand, axis=1), points[at, 0], points[at, 1])
-    low = np.minimum(np.minimum(lam[0], lam[1]), lam[2])
-    first = np.searchsorted(at, np.arange(len(points)))
-    best = np.flatnonzero(low == np.maximum.reduceat(low, first)[at])
-    pick = best[np.searchsorted(at[best], np.arange(len(points)))]
-    return cand[pick], np.column_stack([l[pick] for l in lam])
-
-
 def patch_system(s, data, patches, located_by_tri):
     """The local problems of the triangle sets ``patches`` as one FemSystem.
 
     ``patches`` holds one patch per row: triangle ids of ``s.mesh``, -1 in
     unused slots.  They are stacked, each with its own nodes, and refined
     once by ``bisect_once``.  The Dirichlet values are the global surface's
-    fields on every patch boundary.  Every point of a patch triangle in the
-    ``locate_by_tri`` table is one row of the basis matrix B of that patch,
-    placed among its triangle's descendants without another location.  A
+    fields on every patch boundary.  The data enter through the moments of
+    ``mesh.bisection_moments``, taken once for the points of every patch
+    triangle in the ``locate_by_tri`` table: each refined triangle of a
+    patch adds the moments of its slot of its source triangle to A and d,
+    so every point counts once in every patch that holds its triangle.  A
     and d average over each patch's own points, so each must hold one.
 
     Returns
@@ -149,27 +142,38 @@ def patch_system(s, data, patches, located_by_tri):
     keys, verts = np.unique(patch[:, None] * s.mesh.n_nodes + src.verts[tris],
                             return_inverse=True)
     nodes = keys % s.mesh.n_nodes
-    children, origin, final, parents = bisect_once(verts.reshape(-1, 3),
-                                                   len(nodes))
-    children, origin = children[final], origin[final]
+    children, origin, slot, final, parents = bisect_once(
+        verts.reshape(-1, 3), len(nodes))
+    children, origin, slot = children[final], origin[final], slot[final]
     pts = s.mesh.points[nodes]
     pts = np.vstack([pts, 0.5 * (pts[parents[:, 0]] + pts[parents[:, 1]])])
     local = TriMesh.from_arrays(pts, children, np.full(len(children), 2))
-    tab = local.tri_table
-    point, within = _members(located_by_tri, tris)
-    rows, bary = _containing_rows(tab, origin, within,
-                                  np.asarray(data.x, dtype=float)[point])
-    n, k = local.n_nodes, len(point)
-    B = sp.csr_matrix((bary.ravel(), tab.verts[rows].ravel(),
-                       np.arange(0, 3 * k + 1, 3)), shape=(k, n))
+    n = local.n_nodes
+    held, at = np.unique(tris, return_inverse=True)
+    point, within = _members(located_by_tri, held)
+    moments = bisection_moments(
+        s.mesh.points, src.verts[held], within,
+        np.asarray(data.x, dtype=float)[point],
+        np.asarray(data.y, dtype=float)[point])[at[origin], slot]
     node_patch = np.zeros(n, dtype=np.int64)
-    node_patch[tab.verts] = patch[origin][:, None]
-    # BᵀB is exactly symmetric and block diagonal by patch, so scaling its
-    # rows by the patch's 1 / (point count) keeps A exactly symmetric
-    weight = 1.0 / np.bincount(patch[within],
+    node_patch[children] = patch[origin][:, None]
+    weight = 1.0 / np.bincount(patch[origin], moments[:, 0],
                                minlength=len(patches))[node_patch]
-    A = (sp.diags(weight) @ (B.T @ B)).tocsr()
-    d = weight * (B.T @ np.asarray(data.y, dtype=float)[point])
+    # each node pair of a triangle with data is summed once, and A takes
+    # the sum at (p, q) and at (q, p), so A is exactly symmetric
+    i, j = np.triu_indices(3)
+    full = moments[:, 0] > 0
+    p, q = children[full][:, i].ravel(), children[full][:, j].ravel()
+    pairs, pair = np.unique(np.minimum(p, q) * n + np.maximum(p, q),
+                            return_inverse=True)
+    row, col = np.divmod(pairs, n)
+    values = weight[row] * np.bincount(pair, moments[full, 1:7].ravel())
+    off = row != col
+    A = sp.csr_matrix((np.concatenate([values, values[off]]),
+                       (np.concatenate([row, col[off]]),
+                        np.concatenate([col, row[off]]))), shape=(n, n))
+    d = weight * np.bincount(children.ravel(), moments[:, 7:].ravel(),
+                             minlength=n)
     trace = np.zeros((n, len(FIELDS)))
     trace[:len(nodes)] = np.column_stack([getattr(s, f)[nodes]
                                           for f in FIELDS])
@@ -180,7 +184,7 @@ def patch_system(s, data, patches, located_by_tri):
                                     for i, f in enumerate(FIELDS)})
     fem = FemSystem(mesh=local, A=A, d=d, L=assemble_L(local),
                     G1=assemble_G(local, 1), G2=assemble_G(local, 2),
-                    located=Located(point, rows, B, 0), bv=bv)
+                    located=None, bv=bv)
     return fem, trace, origin
 
 

@@ -36,6 +36,15 @@ _Bins = namedtuple("_Bins", ["xmin", "ymin", "xmax", "ymax", "sx", "sy",
                              "ng", "start", "rows"])
 
 
+#: the six sub-triangles one bisection pass can make of a row (a, b, v), as
+#: indices into (a, b, v, m, ml, mr), the corners and the midpoints of
+#: (a, b), (v, a) and (b, v): the children (v, a, m) and (b, v, m) of the
+#: split at m, each followed by its own two children, split at ml and mr;
+#: a child's slot is its row here
+SUB_TRIANGLES = np.array([[2, 0, 3], [3, 2, 4], [0, 3, 4],
+                          [1, 2, 3], [3, 1, 5], [2, 3, 5]])
+
+
 def _pair_key(p, q):
     """One int64 key per unordered node pair; keys sort as (lower, higher)."""
     p, q = np.asarray(p, dtype=np.int64), np.asarray(q, dtype=np.int64)
@@ -91,12 +100,13 @@ def bisect_once(verts, n, rank=None):
     marked edges one by one in rank order, each after its chain: by the
     lowest rank whose chain holds the edge, then from the chain's end.
 
-    Returns (children, source, final, parents): every child made, newest
-    node last, in order of creation, so the i-th takes the i-th new
-    triangle id; the row each descends from; whether it is left unsplit;
-    and the (j, 2) endpoints, lower first, of the split edges, whose
-    midpoints are the new nodes n, n + 1, ....  Raises NotRefinable on a
-    chain that does not end (cyclic newest-node labels).
+    Returns (children, source, slot, final, parents): every child made,
+    newest node last, in order of creation, so the i-th takes the i-th new
+    triangle id; the row each descends from; its slot in SUB_TRIANGLES;
+    whether it is left unsplit; and the (j, 2) endpoints, lower first, of
+    the split edges, whose midpoints are the new nodes n, n + 1, ....
+    Raises NotRefinable on a chain that does not end (cyclic newest-node
+    labels).
     """
     a, b, v = np.asarray(verts, dtype=np.int64).reshape(-1, 3).T
     rank = np.arange(len(a)) if rank is None else np.asarray(rank)
@@ -142,16 +152,61 @@ def bisect_once(verts, n, rank=None):
     m, ml, mr = n + t[edge], n + t[left], n + t[right]
     te = off[edge] + 2 * (np.arange(len(a)) != first[edge])
     tl, tr = off[left] + 2, off[right] + 2
-    cand = np.stack([(v, a, m), (m, v, ml), (a, m, ml),
-                     (b, v, m), (m, b, mr), (v, m, mr)]).transpose(0, 2, 1)
+    cand = np.stack([a, b, v, m, ml, mr])[SUB_TRIANGLES].transpose(0, 2, 1)
     created = np.stack([te, tl, tl + 1, te + 1, tr, tr + 1])
     cut, lcut, rcut = split[edge], left >= 0, right >= 0
     made = np.stack([cut, lcut, lcut, cut, rcut, rcut])
     final = np.stack([cut & ~lcut, lcut, lcut, cut & ~rcut, rcut, rcut])
     pick = np.argsort(created[made])
     source = np.broadcast_to(np.arange(len(a)), made.shape)[made][pick]
-    return (cand[made][pick], source, final[made][pick],
+    slot = np.broadcast_to(np.arange(len(cand))[:, None], made.shape)
+    return (cand[made][pick], source, slot[made][pick], final[made][pick],
             _pair_nodes(edges[order]))
+
+
+def bisection_moments(points, verts, at, xy, y):
+    """Data moments of the sub-triangles that one bisection pass can make of
+    the rows ``verts`` (SUB_TRIANGLES), on the node coordinates ``points``.
+
+    Data point k, at ``xy[k]`` with value ``y[k]``, lies in row ``at[k]``.
+    It is placed once on each level: in the child, slot 0 or 3, where its
+    smallest barycentric coordinate is largest, the first on a tie, then
+    likewise in one of that child's two children; on a shared edge either
+    side gives the same basis values.  Its coordinates l in a sub-triangle
+    are those of ``_bary`` on the ``TriTable.frame`` of the sub-triangle's
+    vertex coordinates, the midpoints as 0.5 * (p + q), as a refined mesh
+    has them.
+
+    Returns an (m, 6, 10) array: for each row and slot, the number of
+    points, the six products l_i l_j (i <= j: 00, 01, 02, 11, 12, 22) and
+    the three l_i y, with l in the slot's vertex order.
+    """
+    a, b, v = points[verts].transpose(1, 2, 0)
+    corners = np.stack([a, b, v, 0.5 * (a + b), 0.5 * (v + a), 0.5 * (b + v)])
+    i, j, k = SUB_TRIANGLES.T
+    v0, v1 = corners[j] - corners[i], corners[k] - corners[i]
+    den = v0[:, 0] * v1[:, 1] - v0[:, 1] * v1[:, 0]
+    frames = np.concatenate([corners[i], v0, v1, den[:, None]], axis=1)
+    px, py = np.ascontiguousarray(xy.T)
+    lam = np.stack([_bary(f, px, py) for f in frames.take(at, axis=2)])
+    low = lam.min(axis=1)
+    # the level of each point: upper picks slot 3 over 0, right the second
+    # child of the pick over the first
+    upper = low[3] > low[0]
+    right = np.where(upper, low[5] > low[4], low[2] > low[1])
+    cell = len(SUB_TRIANGLES) * np.concatenate([at, at]) + np.concatenate(
+        [3 * upper, 3 * upper + 1 + right])
+    lam = np.concatenate([np.where(upper, lam[3], lam[0]),
+                          np.where(upper, np.where(right, lam[5], lam[4]),
+                                   np.where(right, lam[2], lam[1]))], axis=1)
+    y = np.concatenate([y, y])
+    size = len(SUB_TRIANGLES) * len(verts)
+    columns = [np.bincount(cell, minlength=size).astype(float)]
+    columns += [np.bincount(cell, lam[p] * lam[q], minlength=size)
+                for p, q in zip(*np.triu_indices(3))]
+    columns += [np.bincount(cell, l * y, minlength=size) for l in lam]
+    return np.stack(columns, axis=1).reshape(len(verts), len(SUB_TRIANGLES),
+                                             -1)
 
 
 def _bary(frame, x, y):
@@ -418,7 +473,7 @@ class TriMesh:
         ranks ``rank``; returns the [node, parent_a, parent_b] rows."""
         tab = self.tri_table
         n = self.n_nodes
-        children, source, final, parents = bisect_once(tab.verts, n, rank)
+        children, source, _, final, parents = bisect_once(tab.verts, n, rank)
         events = np.column_stack([np.arange(n, n + len(parents)), parents])
         if not len(children):
             return events

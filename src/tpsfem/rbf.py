@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 
 from .data import DataSet
 from .exceptions import NoControlPoints, SingularSystem
-from .tps import fit_tps
+from .tps import checked_alpha_grid, fit_tps
 
 
 def _kdtree(points):
@@ -117,7 +117,8 @@ def choose_rho(centers, data, k_cover):
 
 @dataclass
 class CsrbfModel:
-    """Fitted compactly supported RBF collocation model."""
+    """Fitted compactly supported RBF collocation model; ``solve_seconds``
+    cover the GCV search of alpha, when there is one, and the fit."""
     kernel: str
     centers: np.ndarray
     rho: float
@@ -193,21 +194,25 @@ def fit_csrbf(data, kernel, rho, control_idx=None, plan=None, alpha="gcv",
 
     The value collocated at each center is the response of the snapped data
     point; the system (K + n*alpha*I) w = y is sparse with pattern limited
-    to center pairs within the support radius.
+    to center pairs within the support radius.  ``alpha="gcv"`` picks alpha
+    from ``alpha_grid``, which must be finite, positive and strictly
+    increasing (ValueError).  The model's ``solve_seconds`` cover the GCV
+    search, when there is one, and the fit, as ``fit_global_tps`` times its
+    selection and fit.
     """
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     control_idx = _checked_inputs(data, control_idx, plan, alpha)
+    grid = (np.geomspace(1e-10, 1e-2, 9) if alpha_grid is None
+            else checked_alpha_grid(alpha_grid))
     centers = np.asarray(data.x, dtype=float)[control_idx]
     y = np.asarray(data.y, dtype=float)[control_idx]
     K = _csrbf_matrix(centers, rho, kernel)
     n = len(centers)
+    t0 = time.perf_counter()
     if alpha == "gcv":
-        grid = (np.geomspace(1e-10, 1e-2, 9) if alpha_grid is None
-                else np.asarray(alpha_grid, dtype=float))
         alpha = _csrbf_gcv(K, y, grid, probes, seed)
     alpha = float(alpha)
-    t0 = time.perf_counter()
     system = K + n * alpha * sp.identity(n, format="csc")
     try:
         w = spla.splu(system).solve(y)
@@ -225,7 +230,7 @@ def fit_global_tps(data, control_idx=None, plan=None, alpha="gcv"):
     ``alpha="gcv"`` selects alpha and fits from one reduction,
     ``fit_tps(subset, "auto")``.  Returns the model and the seconds of that
     ``fit_tps`` call: with "gcv" they cover the selection and the fit, with
-    a given alpha the fit alone.
+    a given alpha the fit alone, as ``fit_csrbf``'s ``solve_seconds`` do.
     """
     control_idx = _checked_inputs(data, control_idx, plan, alpha)
     subset = DataSet(np.asarray(data.x, dtype=float)[control_idx],

@@ -9,7 +9,8 @@ over all nodes,
     [ 0    0   aL  -G2^T] [g2]   [0]
     [ L  -G1  -G2    0  ] [w ]   [0]
 
-This block layout is written down once, in ``saddle_blocks``.  The Dirichlet
+This block layout is written down once, as the sign and transpose table
+``SADDLE_LAYOUT``; ``saddle_blocks`` builds the blocks from it.  The Dirichlet
 values of the boundary nodes are eliminated generically: the interior rows
 and columns of K form the matrix, and the boundary columns K_IB times the
 boundary values move to the right-hand side.  Right-hand sides and
@@ -17,11 +18,13 @@ solutions are ordered in interleaved per-node blocks [c g1 g2 w].
 
 Only the two aL blocks depend on alpha, so the eliminated system is built
 once per FemSystem at alpha = 1 (``EliminatedSystem``), straight from the
-blocks' entries, and each alpha is a copy of its values with the aL entries
-multiplied by alpha.  That product is the one a build at alpha would form,
-so the matrix values and the right-hand side are bitwise those of a build
-from scratch.  The FemSystem's boundary values are read, checked and
-sorted by node with it, once.
+compressed arrays of A, L, G1 and G2, and each alpha is a copy of its
+values with the aL entries multiplied by alpha.  That product is the one a
+build at alpha would form, so the matrix values and the right-hand side are
+bitwise those of a build from scratch.  The FemSystem's boundary values are
+read, checked and sorted by node with it, once.  A GCV search rescales one
+copy in place from candidate to candidate (``gcv.ProbeBlock``), with the
+same products.
 
 The interior matrix is held in a static order, found once per FemSystem.
 The nodes follow SuperLU's minimum-degree order of the interior node graph
@@ -38,7 +41,8 @@ matrix is singular, fails; ``factorize`` raises SingularSystem, as for
 any failed factorisation.  No second, threshold-pivoted factorisation is
 tried: the one solve is direct, mapped through the two permutations, and
 one max-norm residual check (NonConvergence if a column misses
-RESIDUAL_TOL) guards it.
+RESIDUAL_TOL) guards it.  ``static_factor`` and ``static_solve`` hold this
+contract for every caller.
 """
 
 import time
@@ -67,35 +71,50 @@ STATIC_PIVOTING = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0}
 QUERY_BLOCK = 8192
 
 
+#: the nonzero blocks of K at alpha = 1, block row by block row: (row
+#: field, column field, matrix of the FemSystem, sign, transposed); the
+#: diagonal blocks of ALPHA_FIELDS are multiplied by alpha
+SADDLE_LAYOUT = (("c", "c", "A", 1, False), ("c", "w", "L", 1, False),
+                 ("g1", "g1", "L", 1, False), ("g1", "w", "G1", -1, True),
+                 ("g2", "g2", "L", 1, False), ("g2", "w", "G2", -1, True),
+                 ("w", "c", "L", 1, False), ("w", "g1", "G1", -1, False),
+                 ("w", "g2", "G2", -1, False))
+
+
 def saddle_blocks(A, L, G1, G2, alpha):
-    """The 4x4 block layout of K, rows and columns in FIELDS order; None
-    marks a zero block."""
-    return [[A, None, None, L],
-            [None, alpha * L, None, -G1.T],
-            [None, None, alpha * L, -G2.T],
-            [L, -G1, -G2, None]]
+    """The 4x4 block layout of K at ``alpha`` (``SADDLE_LAYOUT``), rows and
+    columns in FIELDS order; None marks a zero block."""
+    given = {"A": A, "L": L, "G1": G1, "G2": G2}
+    blocks = [[None] * len(FIELDS) for _ in FIELDS]
+    for f, g, name, sign, transposed in SADDLE_LAYOUT:
+        block = given[name].T if transposed else given[name]
+        if f == g and f in ALPHA_FIELDS:
+            block = alpha * block
+        blocks[FIELDS.index(f)][FIELDS.index(g)] = (-block if sign < 0
+                                                    else block)
+    return blocks
 
 
 def _block_entries(fem):
     """The nonzero entries of K at alpha = 1 as arrays (f, g, row, col,
     value): the FIELDS indices of the entry's block row and column, and its
-    row and column node."""
+    row and column node, block by block of ``SADDLE_LAYOUT`` and in each
+    block in the storage order of its compressed matrix."""
+    nonzero = {}
+    for name in ("A", "L", "G1", "G2"):
+        M = getattr(fem, name)
+        major = np.repeat(np.arange(len(M.indptr) - 1, dtype=M.indices.dtype),
+                          np.diff(M.indptr))
+        keep = M.data != 0.0
+        nonzero[name] = (major[keep], M.indices[keep], M.data[keep],
+                         M.format == "csr")
     parts = []
-    for f, blocks in enumerate(saddle_blocks(fem.A, fem.L, fem.G1, fem.G2,
-                                             1.0)):
-        for g, block in enumerate(blocks):
-            if block is not None:
-                # a CSR block, or the CSC transpose of one
-                major = np.repeat(np.arange(len(block.indptr) - 1,
-                                            dtype=block.indices.dtype),
-                                  np.diff(block.indptr))
-                row, col = ((major, block.indices) if block.format == "csr"
-                            else (block.indices, major))
-                keep = block.data != 0.0
-                m = np.count_nonzero(keep)
-                parts.append((np.full(m, f, dtype=np.int8),
-                              np.full(m, g, dtype=np.int8),
-                              row[keep], col[keep], block.data[keep]))
+    for f, g, name, sign, transposed in SADDLE_LAYOUT:
+        major, minor, value, csr = nonzero[name]
+        row, col = (major, minor) if csr != transposed else (minor, major)
+        parts.append((np.full(len(value), FIELDS.index(f), dtype=np.int8),
+                      np.full(len(value), FIELDS.index(g), dtype=np.int8),
+                      row, col, -value if sign < 0 else value))
     return tuple(map(np.concatenate, zip(*parts)))
 
 
@@ -125,15 +144,17 @@ class EliminatedSystem:
     """The eliminated saddle system of one FemSystem at alpha = 1.
 
     Built once per FemSystem (``FemSystem.eliminated``), straight from the
-    entries of ``saddle_blocks``, and checked once: the matrices and d must
-    match the mesh, the mesh must have interior nodes and ``fem.bv`` must
-    cover exactly the boundary node set.  It holds the interior and
-    boundary node sets, ``bv`` sorted by node and the boundary columns K_IB
-    (CSR, rows interleaved, columns block by block: the c, g1, g2 and w
-    values of the boundary nodes).  The static order and the interior
-    matrix in it (``ordered``) are built on first use, because finding the
-    order is a factorisation: its failure surfaces where a factorisation is
-    asked for.  ``matrix_at`` and ``boundary_rhs`` rescale the two aL blocks.
+    compressed arrays of its matrices, block by block of ``SADDLE_LAYOUT``,
+    and checked once: the matrices and d must match the mesh, the mesh must
+    have interior nodes and ``fem.bv`` must cover exactly the boundary node
+    set.  It holds the interior and boundary node sets, ``bv`` sorted by
+    node and the boundary columns ``ib`` = K_IB (CSR, rows interleaved,
+    columns block by block: the c, g1, g2 and w values of the boundary
+    nodes), with ``ib_alpha`` the positions in its data of the aL entries.
+    The static order and the interior matrix in it (``ordered``) are built
+    on first use, because finding the order is a factorisation: its failure
+    surfaces where a factorisation is asked for.  ``matrix_at`` and
+    ``boundary_rhs`` rescale the two aL blocks.
     """
 
     def __init__(self, fem):
@@ -176,7 +197,7 @@ class EliminatedSystem:
         ib = inner & on_boundary[col]
         # block by block columns: a row's K_IB x_B then sums its terms in
         # the order of a build that slices interleaved columns out of K
-        self._ib, self._ib_alpha = _compressed(
+        self.ib, self.ib_alpha = _compressed(
             sp.csr_matrix, 4 * pos[row[ib]] + f[ib],
             nb * g[ib].astype(np.int64) + pos[col[ib]], value[ib], scaled[ib],
             (4 * k, 4 * nb))
@@ -224,7 +245,7 @@ class EliminatedSystem:
         """-K_IB x_B at ``alpha`` (interleaved) for the sorted boundary
         values ``bvals``, a dict over FIELDS."""
         x_b = np.concatenate([bvals[name] for name in FIELDS])
-        return -(_scaled(self._ib, self._ib_alpha, alpha) @ x_b)
+        return -(_scaled(self.ib, self.ib_alpha, alpha) @ x_b)
 
     def matrix_at(self, alpha):
         """Interior matrix in the static order at ``alpha``.
@@ -234,6 +255,37 @@ class EliminatedSystem:
         """
         _, _, matrix, entries = self.ordered
         return _scaled(matrix, entries, alpha)
+
+
+def static_factor(matrix):
+    """LU factor of an interior matrix in the static order (CSC), pivoted
+    statically; SingularSystem if SuperLU fails."""
+    try:
+        return spla.splu(matrix, **STATIC_PIVOTING)
+    except RuntimeError as err:
+        raise SingularSystem(f"direct factorisation failed: {err}") from err
+
+
+def static_solve(lu, matrix, b):
+    """Solution of ``matrix`` y = b for the (m, p) block b in the static
+    order, with ``lu`` the factor of ``matrix``, and the largest max-norm
+    relative residual of its columns.
+
+    Raises NonConvergence unless every column reaches RESIDUAL_TOL; a NaN
+    residual is a miss.
+    """
+    # an exact power-of-two scale brings each column's largest entry into
+    # [0.5, 1), so a subnormal right-hand side keeps its precision
+    scale, exp = np.frexp(np.abs(b).max(axis=0))
+    b = np.ldexp(b, -exp)
+    y = lu.solve(b)
+    r = np.abs(matrix @ y - b).max(axis=0)
+    worst = (r / np.where(scale > 0, scale, 1.0)).max(initial=0.0)
+    if not worst <= RESIDUAL_TOL:
+        raise NonConvergence("direct solve missed the residual target",
+                             diagnostics={"residual": float(worst),
+                                          "unknowns": len(b)})
+    return np.ldexp(y, exp), float(worst)
 
 
 @dataclass
@@ -303,10 +355,7 @@ class SaddleSystem:
 
     def factorize(self):
         if self._lu is None:
-            try:
-                self._lu = spla.splu(self.matrix, **STATIC_PIVOTING)
-            except RuntimeError as err:
-                raise SingularSystem(f"direct factorisation failed: {err}") from err
+            self._lu = static_factor(self.matrix)
             self.factorizations += 1
         return self._lu
 
@@ -315,28 +364,15 @@ class SaddleSystem:
         interleaved: the rows of b go to the static order and the solution
         comes back from it.
 
-        Raises NonConvergence unless every column reaches a max-norm
-        relative residual within RESIDUAL_TOL; a NaN residual is a miss.
+        Raises NonConvergence as ``static_solve`` does.
         """
         b = self.rhs if rhs is None else rhs
         t0 = time.perf_counter()
         lu = self.factorize()
-        static = b.reshape(len(b), -1)[self.rows]
-        # an exact power-of-two scale brings each column's largest entry
-        # into [0.5, 1), so a subnormal right-hand side keeps its precision
-        scale, exp = np.frexp(np.abs(static).max(axis=0))
-        static = np.ldexp(static, -exp)
-        y = lu.solve(static)
-        r = np.abs(self.matrix @ y - static).max(axis=0)
-        worst = (r / np.where(scale > 0, scale, 1.0)).max(initial=0.0)
-        if not worst <= RESIDUAL_TOL:
-            raise NonConvergence(
-                "direct solve missed the residual target",
-                diagnostics={"residual": float(worst),
-                             "unknowns": self.n_unknowns})
-        self.residual = float(worst)
+        y, self.residual = static_solve(lu, self.matrix,
+                                        b.reshape(len(b), -1)[self.rows])
         x = np.empty_like(y)
-        x[self.cols] = np.ldexp(y, exp)
+        x[self.cols] = y
         return x.reshape(b.shape), time.perf_counter() - t0
 
     def scatter(self, x):

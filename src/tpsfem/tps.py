@@ -124,11 +124,14 @@ def _spline_system(sample):
     if np.linalg.matrix_rank(P) < 3:
         raise DegenerateGeometry("sample points are collinear")
     # kernel_value(_distances(x, x)) in blocks of rows, so that the only
-    # n x n buffer is K
+    # n x n buffer is K; each block is the lower triangle and is mirrored
+    # above the diagonal, since d(i, j) and d(j, i) are the same floats
     K = np.empty((n, n))
     rows = max(1, KERNEL_BLOCK // n)
     for i in range(0, n, rows):
-        K[i:i + rows] = kernel_value(_distances(x[i:i + rows], x))
+        end = min(i + rows, n)
+        K[i:end, :end] = kernel_value(_distances(x[i:end], x[:end]))
+        K[:i, i:end] = K[i:end, :i].T
     return x, y, K, P
 
 
@@ -361,12 +364,19 @@ def select_alpha_tps(sample, alpha_grid=None):
     ``fit_tps(sample, "auto")`` selects from the same scores and fits too.
     """
     grid = (ALPHA_TPS_GRID if alpha_grid is None
-            else np.asarray(alpha_grid, dtype=float))
+            else checked_alpha_grid(alpha_grid))
+    return float(grid[np.argmin(_gcv_scores(sample, grid))])
+
+
+def checked_alpha_grid(alpha_grid):
+    """``alpha_grid`` as a float array; ValueError unless it is a non-empty
+    1-D grid, finite, positive and strictly increasing."""
+    grid = np.asarray(alpha_grid, dtype=float)
     if (grid.ndim != 1 or not len(grid) or not np.all(np.isfinite(grid))
             or not np.all(grid > 0) or np.any(np.diff(grid) <= 0)):
         raise ValueError("alpha_grid must be finite, positive and strictly "
                          f"increasing, got {alpha_grid!r}")
-    return float(grid[np.argmin(_gcv_scores(sample, grid))])
+    return grid
 
 
 # -- subsampling ----------------------------------------------------------------

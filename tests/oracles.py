@@ -12,8 +12,9 @@ from tpsfem.boundary import BoundaryValues
 from tpsfem.data import DataSet
 from tpsfem.exceptions import (EmptyField, EmptyResult, InsufficientData,
                                NotRefinable, SingularSystem)
-from tpsfem.indicators import auxiliary_indicators, recovery_indicator
-from tpsfem.mesh import BARY_TOL, TriMesh
+from tpsfem.indicators import (_members, auxiliary_indicators,
+                               recovery_indicator)
+from tpsfem.mesh import BARY_TOL, TriMesh, _bary, _grouped, bisect_once
 from tpsfem.solver import FIELDS, SaddleSystem, saddle_blocks
 from tpsfem.tps import (ALPHA_TPS_GRID, R_CLAMP, TpsModel, _reflected_system,
                         _spline_system, _Tridiagonal)
@@ -286,6 +287,26 @@ def dense_influence_matrix(fem, alpha, bv, data):
         sol = dense_saddle_solve(fem_j, alpha, zero_bv)
         infl[:, j] = B @ sol["c"]
     return infl
+
+
+def saddle_gcv_score(fem, alpha, data, W):
+    """``gcv.gcv_score`` through a ``SaddleSystem`` at alpha: the data and
+    the probe block W in the c rows solved as one block by ``solve_raw``,
+    and the fitted values from the four-field ``scatter``."""
+    system = SaddleSystem(fem, alpha)
+    rhs = np.zeros((system.n_unknowns, 1 + W.shape[1]))
+    rhs[:, 0] = system.rhs
+    rhs[0::4, 1:] = W
+    x, _ = system.solve_raw(rhs)
+    loc = fem.located
+    n = loc.n_used
+    tr = float(n * np.mean(np.sum(W * x[0::4, 1:], axis=0)))
+    y = np.asarray(data.y, dtype=float)[loc.indices]
+    misfit = float(np.sum((loc.basis @ system.scatter(x[:, 0])["c"] - y)
+                          ** 2))
+    if tr >= n:
+        return float("inf")
+    return n * misfit / (n - tr) ** 2
 
 
 def masked_kernel_value(r):
@@ -864,6 +885,55 @@ def padded_containing_rows(tab, origin, within, points):
     pick = np.where(valid, bary.min(axis=2), -np.inf).argmax(axis=1)
     hit = np.arange(len(points))
     return cand[hit, pick], bary[hit, pick]
+
+
+def containing_rows(tab, origin, within, points):
+    """Row of ``tab`` holding each point among the rows whose ``origin`` is
+    the point's ``within`` triangle, and its barycentric coordinates there:
+    the descendant where the point's smallest barycentric coordinate is
+    largest holds it, the first such one on a tie.  The per-(point,
+    patch) placement of the auxiliary patches before their data entered
+    through sub-triangle moments."""
+    cand, at = _members(_grouped(origin, origin.max() + 1), within)
+    lam = _bary(tab.frame.take(cand, axis=1), points[at, 0], points[at, 1])
+    low = np.minimum(np.minimum(lam[0], lam[1]), lam[2])
+    first = np.searchsorted(at, np.arange(len(points)))
+    best = np.flatnonzero(low == np.maximum.reduceat(low, first)[at])
+    pick = best[np.searchsorted(at[best], np.arange(len(points)))]
+    return cand[pick], np.column_stack([l[pick] for l in lam])
+
+
+def point_patch_data(s, data, patches, located_by_tri):
+    """(A, d, counts) of ``indicators.patch_system`` from one basis row per
+    (point, patch) pair: every point of a patch triangle is placed among
+    its triangle's refined descendants by ``containing_rows``, and A =
+    BᵀB and d = Bᵀy are scaled by 1 / (points in the patch), ``counts``."""
+    src = s.mesh.tri_table
+    patch, col = np.nonzero(patches >= 0)
+    tris = src.rows(patches[patch, col])
+    keys, verts = np.unique(patch[:, None] * s.mesh.n_nodes + src.verts[tris],
+                            return_inverse=True)
+    nodes = keys % s.mesh.n_nodes
+    children, origin, _, final, parents = bisect_once(verts.reshape(-1, 3),
+                                                      len(nodes))
+    children, origin = children[final], origin[final]
+    pts = s.mesh.points[nodes]
+    pts = np.vstack([pts, 0.5 * (pts[parents[:, 0]] + pts[parents[:, 1]])])
+    tab = TriMesh.from_arrays(pts, children, np.full(len(children), 2)
+                              ).tri_table
+    point, within = _members(located_by_tri, tris)
+    rows, bary = containing_rows(tab, origin, within,
+                                 np.asarray(data.x, dtype=float)[point])
+    n, k = len(pts), len(point)
+    B = sp.csr_matrix((bary.ravel(), tab.verts[rows].ravel(),
+                       np.arange(0, 3 * k + 1, 3)), shape=(k, n))
+    node_patch = np.zeros(n, dtype=np.int64)
+    node_patch[tab.verts] = patch[origin][:, None]
+    counts = np.bincount(patch[within], minlength=len(patches))
+    weight = 1.0 / counts[node_patch]
+    A = (sp.diags(weight) @ (B.T @ B)).tocsr()
+    d = weight * (B.T @ np.asarray(data.y, dtype=float)[point])
+    return A, d, counts
 
 
 def locator_bins(mesh, ng):

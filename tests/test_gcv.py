@@ -5,6 +5,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import scipy.sparse.linalg as spla
 
 from tpsfem.assembly import FemSystem
 from tpsfem.boundary import boundary_values_from_callables
@@ -13,12 +16,13 @@ from tpsfem.exceptions import NonConvergence, SingularSystem
 from tpsfem import gcv
 from tpsfem.gcv import (GOLDEN, GcvConfig, _probe_matrix, gcv_score,
                         influence_trace, probe_block, select_alpha)
+from tpsfem import solver
 from tpsfem.mesh import build_square_mesh
 from tpsfem.solver import RESIDUAL_TOL, SaddleSystem, rmse
 
 from conftest import failing_splu, perturbed_splu
-from oracles import dense_influence_matrix
-from test_solver import linear_problem, zero_bv
+from oracles import dense_influence_matrix, saddle_gcv_score
+from test_solver import linear_problem, rescale_case, zero_bv
 
 
 def noisy_problem(mesh, n=120, seed=0, noise=0.1):
@@ -70,6 +74,74 @@ class TestGcvScore:
         a, b = (gcv_score(fem, 1e-2, data, rademacher_block(fem, 6, seed=42))
                 for _ in range(2))
         assert a == b
+
+
+def workspace_case(name):
+    """A FemSystem with random boundary values, their Laplacian proxy
+    included, on the "square" or "trimmed" mesh of ``rescale_case``, and
+    its data."""
+    from tpsfem.data import PeaksSpec, peaks_generate
+    fem, _ = rescale_case(name)
+    return fem, peaks_generate(PeaksSpec(n=800), seed=2).normalized()
+
+
+class TestScoreWorkspace:
+    """gcv_score on its workspace is the SaddleSystem score, bit for bit."""
+
+    CASES = {name: workspace_case(name) for name in ("square", "trimmed")}
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(name=st.sampled_from(sorted(CASES)),
+           logs=st.lists(st.floats(-12.0, 2.0), min_size=1, max_size=6),
+           probes=st.integers(1, 12))
+    def test_bitwise_equal_to_saddle_system_oracle(self, name, logs, probes):
+        # one workspace serves alphas in any order, as the search asks them
+        fem, data = self.CASES[name]
+        block = rademacher_block(fem, probes)
+        for alpha in 10.0 ** np.array(logs):
+            got = gcv_score(fem, alpha, data, block)
+            assert got == saddle_gcv_score(fem, alpha, data, block.W)
+
+    def test_one_factorisation_and_no_saddle_system_per_candidate(
+            self, monkeypatch):
+        fem, data = workspace_case("square")
+        lus, systems, scores = [], [], []
+        splu, build, score = spla.splu, SaddleSystem.__init__, gcv.gcv_score
+        monkeypatch.setattr(spla, "splu",
+                            lambda *a, **k: lus.append(k) or splu(*a, **k))
+        monkeypatch.setattr(SaddleSystem, "__init__",
+                            lambda *a, **k: systems.append(1) or build(*a, **k))
+        monkeypatch.setattr(gcv, "gcv_score",
+                            lambda *a: scores.append(a[1]) or score(*a))
+        select_alpha(fem, data, GcvConfig(probes=5, refine_iters=6))
+        assert len(scores) >= 8 and not systems
+        # the node order is found once, then one factorisation per score
+        assert lus[0]["permc_spec"] == "MMD_AT_PLUS_A"
+        assert lus[1:] == [solver.STATIC_PIVOTING] * len(scores)
+
+    def test_failed_factorisation_raises_singular_system(self, monkeypatch):
+        fem, data = workspace_case("trimmed")
+        fem.eliminated.ordered  # the node order is found before the failure
+        failing_splu(monkeypatch)
+        with pytest.raises(SingularSystem, match="direct factorisation failed"):
+            select_alpha(fem, data, GcvConfig(probes=5))
+
+    def test_missed_residual_raises_nonconvergence(self, monkeypatch):
+        fem, data = workspace_case("trimmed")
+        perturbed_splu(monkeypatch, lambda x: x * (1 + 1e-6))
+        with pytest.raises(NonConvergence) as err:
+            select_alpha(fem, data, GcvConfig(probes=5))
+        diag = err.value.diagnostics
+        assert set(diag) == {"residual", "unknowns"}
+        assert RESIDUAL_TOL < diag["residual"] < 1e-5
+        assert diag["unknowns"] == 4 * len(fem.mesh.interior_nodes())
+
+    def test_rejects_alpha_outside_the_open_half_line(self):
+        fem, data = workspace_case("square")
+        block = rademacher_block(fem, 3)
+        for alpha in (0.0, -1e-3, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                gcv_score(fem, alpha, data, block)
 
 
 class TestBlockSolve:
@@ -232,6 +304,12 @@ class TestSelectAlpha:
                         refine_iters=6)
         alpha = select_alpha(fem, data, cfg, seed=1)
         assert 1e-6 <= alpha <= 1.0
+
+    @pytest.mark.parametrize("grid", [[np.nan, 1.0], [1e-3, np.inf], [],
+                                      [[1e-3, 1.0]]])
+    def test_grid_that_is_not_finite_or_flat_rejected(self, grid):
+        with pytest.raises(ValueError, match="alpha_grid must be"):
+            GcvConfig(alpha_grid=grid)
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):

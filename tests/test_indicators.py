@@ -221,6 +221,24 @@ class TestAuxiliaryBatch:
             # patches without data, or with no interior node, give 0
             assert np.any(ref == 0)
 
+    def test_data_placed_once_per_wave(self, monkeypatch):
+        # every wave of a run places its points with one sub-triangle
+        # kernel call, whatever the number of patches holding them
+        from tpsfem import indicators
+        data = peaks_with_gap(n=800)
+        waves, kernels = [], []
+        batch, kernel = (indicators.auxiliary_indicators,
+                         indicators.bisection_moments)
+        monkeypatch.setattr(indicators, "auxiliary_indicators",
+                            lambda *a: waves.append(len(a[2])) or batch(*a))
+        monkeypatch.setattr(indicators, "bisection_moments",
+                            lambda *a: kernels.append(len(a[2])) or kernel(*a))
+        run(data, RunConfig(indicator="auxiliary", alpha=1e-5, gamma=0.0,
+                            max_iters=2, stagnation_iters=0))
+        assert len(waves) >= 3 and min(waves) > 0
+        assert len(kernels) == len(waves)
+        assert all(0 < k <= len(data) for k in kernels)
+
     def test_batch_without_interior_nodes_gives_zeros(self):
         # one triangle refined once has no interior node, so no patch of
         # the batch has an unknown and no system is solved

@@ -15,10 +15,10 @@ from tpsfem.boundary import BoundaryStrategy, constant_boundary_values
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.driver import _NodeValues
 from tpsfem.exceptions import EmptyResult, InsufficientData, NotRefinable
-from tpsfem.indicators import (_containing_rows, auxiliary_field,
-                               locate_by_tri, mark, patch_system,
-                               recovery_field)
-from tpsfem.mesh import (BARY_TOL, TriMesh, bisect_once, build_square_mesh,
+from tpsfem.indicators import (auxiliary_field, locate_by_tri, mark,
+                               patch_system, recovery_field)
+from tpsfem.mesh import (BARY_TOL, SUB_TRIANGLES, TriMesh, bisect_once,
+                         bisection_moments, build_square_mesh,
                          fill_new_nodes, mesh_polygon, trim_to_irregular)
 from tpsfem.solver import FIELDS, RESIDUAL_TOL, SaddleSystem, Smoother, rmse
 from tpsfem.tps import (SamplePlan, _quadtree_leaves, fit_tps, sample,
@@ -26,10 +26,11 @@ from tpsfem.tps import (SamplePlan, _quadtree_leaves, fit_tps, sample,
 
 from conftest import (all_angles, base_edge, make_fan_mesh,
                       make_interface_strip, total_area)
-from oracles import (RefMesh, assert_same_mesh, binned_locate, copy_submesh,
-                     dict_field, dict_mark, linear_basis, located_dict,
-                     kdtree_near_boundary_ratio, located_ids, loop_sample,
-                     padded_containing_rows,
+from oracles import (RefMesh, assert_same_mesh, binned_locate,
+                     containing_rows, copy_submesh, dict_field, dict_mark,
+                     linear_basis, located_dict, kdtree_near_boundary_ratio,
+                     located_ids, loop_sample, padded_containing_rows,
+                     point_patch_data,
                      per_event_extend, pivoted_saddle_solve,
                      recursive_quadtree_leaves, refresh_dict_field,
                      tri_items, trimmed_ids)
@@ -286,7 +287,7 @@ def refined_copy(mesh, patches):
     verts = tab.verts[tab.rows(np.concatenate(patches))]
     keys, local = np.unique(patch[:, None] * mesh.n_nodes + verts,
                             return_inverse=True)
-    children, source, final, parents = bisect_once(local, len(keys))
+    children, source, _, final, parents = bisect_once(local, len(keys))
     pts = mesh.points[keys % mesh.n_nodes]
     pts = np.vstack([pts, pts[parents].mean(axis=1)])
     return (TriMesh.from_arrays(pts, children[final], [2] * final.sum()),
@@ -331,12 +332,14 @@ def test_stacked_patches_refine_as_alone(picks, seed):
 def check_uniform_pass(mesh):
     """``bisect_once`` over the whole triangle table is ``uniform_refine``,
     numbering included: the same children in the same order, the same new
-    nodes, and every child inside its source triangle."""
+    nodes, and every child inside its source triangle, the sub-triangle of
+    its slot."""
     tab = mesh.tri_table
-    children, source, final, parents = bisect_once(tab.verts, mesh.n_nodes)
+    children, source, slot, final, parents = bisect_once(tab.verts,
+                                                         mesh.n_nodes)
     n = mesh.n_nodes
     events = mesh.uniform_refine()
-    children, source = children[final], source[final]
+    children, source, slot = children[final], source[final], slot[final]
     assert np.array_equal(children, mesh.tri_table.verts)
     assert events[:, 0].tolist() == list(range(n, mesh.n_nodes))
     assert np.array_equal(np.sort(parents, axis=1),
@@ -345,6 +348,10 @@ def check_uniform_pass(mesh):
     assert np.array_equal(p[n:], 0.5 * (p[parents[:, 0]] + p[parents[:, 1]]))
     centroid = p[children].mean(axis=1)
     assert tab.bary(source, centroid).min() > 0.0
+    a, b, v = p[tab.verts[source]].transpose(1, 0, 2)
+    corners = np.stack([a, b, v, 0.5 * (a + b), 0.5 * (v + a), 0.5 * (b + v)])
+    assert np.array_equal(p[children], corners[SUB_TRIANGLES[slot],
+                                               np.arange(len(slot))[:, None]])
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
@@ -383,6 +390,74 @@ def test_stacked_patch_data_matrix_is_symmetric(picks, seed):
     assert (A != A.T).nnz == 0
 
 
+def patch_case(kind, picks, seed):
+    """A surface on a mesh of ``located_mesh``, random data over its box,
+    its ``locate_by_tri`` table and random padded patches, each of which
+    holds a data point; with dyadic data, many points lie on the edges of
+    the refined patch triangles."""
+    mesh = located_mesh(kind, picks, seed)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, size=(200, 2))
+    if seed % 2:
+        x = np.round(x * 64) / 64
+    data = DataSet(x, rng.normal(size=len(x)))
+    by_tri = locate_by_tri(mesh, locate_dataset(mesh, data))
+    held = mesh.tri_table.ids[np.diff(by_tri[1]) > 0]
+    patches = [np.union1d(p, rng.choice(held, size=1))
+               for p in random_patches(mesh, rng)]
+    padded = np.full((len(patches), 14), -1)
+    for row, p in zip(padded, patches):
+        row[:len(p)] = p[:14]
+    s = Smoother(mesh=mesh, alpha=1.0,
+                 **{f: rng.normal(size=mesh.n_nodes) for f in FIELDS})
+    return s, data, by_tri, padded
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(kind=mesh_kinds, picks=bisections, seed=st.integers(0, 2 ** 16))
+def test_patch_moments_match_per_point_oracle(kind, picks, seed):
+    # A and d of every patch from sub-triangle moments are the per-(point,
+    # patch) basis rows' BᵀB and Bᵀy, up to rounding
+    s, data, by_tri, padded = patch_case(kind, picks, seed)
+    fem, _, origin = patch_system(s, data, padded, by_tri)
+    A, d, counts = point_patch_data(s, data, padded, by_tri)
+    node_patch = np.zeros(fem.mesh.n_nodes, dtype=np.int64)
+    node_patch[fem.mesh.tri_table.verts] = np.nonzero(padded >= 0)[0][
+        origin][:, None]
+    scale = np.zeros(len(padded))
+    np.maximum.at(scale, node_patch[A.tocoo().row], np.abs(A.tocoo().data))
+    gap = (fem.A - A).tocoo()
+    assert np.all(np.abs(gap.data) <= 1e-13 * scale[node_patch[gap.row]])
+    scale = np.zeros(len(padded))
+    np.maximum.at(scale, node_patch, np.abs(d))
+    assert np.all(np.abs(fem.d - d) <= 1e-13 * scale[node_patch])
+    # the entries of each patch's A sum to 1, as the basis values of each
+    # of its points do
+    total = np.bincount(node_patch[fem.A.tocoo().row], fem.A.tocoo().data)
+    assert np.all(counts > 0)
+    assert np.allclose(total, 1.0, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(kind=mesh_kinds, picks=bisections, seed=st.integers(0, 2 ** 16))
+def test_bisection_moments_place_each_point_once_per_level(kind, picks,
+                                                           seed):
+    s, data, by_tri, _ = patch_case(kind, picks, seed)
+    mesh = s.mesh
+    order, start = by_tri
+    rows = np.repeat(np.arange(mesh.n_tris), np.diff(start))
+    moments = bisection_moments(mesh.points, mesh.tri_table.verts, rows,
+                                data.x[order], data.y[order])
+    count = moments[:, :, 0]
+    assert np.array_equal(count[:, 0] + count[:, 3], np.diff(start))
+    assert np.array_equal(count[:, 1] + count[:, 2], count[:, 0])
+    assert np.array_equal(count[:, 4] + count[:, 5], count[:, 3])
+    # the coordinates of every placed point sum to 1 in its sub-triangle
+    i, j = np.triu_indices(3)
+    square = moments[:, :, 1:7] * np.where(i == j, 1.0, 2.0)
+    assert np.allclose(square.sum(axis=2), count, rtol=0, atol=1e-12)
+
+
 #: barycentric weights in quarters: vertices, edge midpoints and the points
 #: of the bisector from the newest node, which two children share
 quarters = [(i, j, 4 - i - j) for i in range(5) for j in range(5 - i)]
@@ -395,7 +470,7 @@ def test_containing_rows_match_padded_oracle(picks, seed):
     # a dyadic grid, so that many lie on a shared edge and tie
     mesh = refined_square(picks)
     tab = mesh.tri_table
-    children, source, final, parents = bisect_once(tab.verts, mesh.n_nodes)
+    children, source, _, final, parents = bisect_once(tab.verts, mesh.n_nodes)
     p = mesh.points
     local = TriMesh.from_arrays(np.vstack([p, p[parents].mean(axis=1)]),
                                 children[final], [2] * final.sum())
@@ -403,7 +478,7 @@ def test_containing_rows_match_padded_oracle(picks, seed):
     within = rng.integers(0, len(tab.ids), size=60)
     weights = np.array(quarters)[rng.integers(0, len(quarters), size=60)]
     points = np.einsum("kj,kjd->kd", weights / 4.0, p[tab.verts[within]])
-    got = _containing_rows(local.tri_table, source[final], within, points)
+    got = containing_rows(local.tri_table, source[final], within, points)
     ref = padded_containing_rows(local.tri_table, source[final], within,
                                  points)
     assert np.array_equal(got[0], ref[0])

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import tpsfem.rbf as rbf
 import tpsfem.tps as tps
 
 from oracles import csrbf_eval_loop, dense_csrbf_gcv_scores
@@ -197,6 +200,35 @@ class TestFits:
                       alpha=alpha)
         with pytest.raises(ValueError, match="alpha must be"):
             fit_global_tps(data, control_idx=np.arange(4), alpha=alpha)
+
+
+    @pytest.mark.parametrize("grid", [[np.nan], [-1e-3, 1e-3],
+                                      [1e-2, 1e-4], [1e-3, 1e-3], [],
+                                      [[1e-4, 1e-2]], [1e-4, np.inf]])
+    def test_bad_alpha_grid_rejected(self, grid):
+        rng = np.random.default_rng(0)
+        data = DataSet(rng.uniform(0, 1, size=(20, 2)), rng.normal(size=20))
+        with pytest.raises(ValueError, match="alpha_grid must be"):
+            fit_csrbf(data, "wendland", rho=0.5, control_idx=np.arange(20),
+                      alpha_grid=grid)
+
+    @pytest.mark.parametrize("alpha", ["gcv", 1e-4])
+    def test_solve_seconds_cover_the_gcv_search(self, monkeypatch, alpha):
+        # on a clock that moves only inside the search, the seconds are the
+        # search's with "gcv", and 0 without it
+        clock = [0.0]
+
+        def search(K, y, grid, probes, seed):
+            clock[0] += 100.0
+            return float(grid[0])
+        monkeypatch.setattr(rbf, "time",
+                            SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(rbf, "_csrbf_gcv", search)
+        rng = np.random.default_rng(1)
+        data = DataSet(rng.uniform(0, 1, size=(20, 2)), rng.normal(size=20))
+        m = fit_csrbf(data, "wendland", rho=0.5, control_idx=np.arange(20),
+                      alpha=alpha)
+        assert m.solve_seconds == (100.0 if alpha == "gcv" else 0.0)
 
 
 class TestSparsity:

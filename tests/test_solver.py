@@ -214,13 +214,13 @@ class TestRescaledSystem:
             assert_same_system(SaddleSystem(fem, alpha), *fresh[alpha])
 
     def test_built_once_per_fem_system(self, monkeypatch):
-        # the blocks are read and the node order found once; each alpha
-        # is one factorisation
+        # the block layout is read and the node order found once; each
+        # alpha is one factorisation
         fem, _ = rescale_case("square")
         calls, lus = [], []
-        blocks, splu = solver.saddle_blocks, spla.splu
-        monkeypatch.setattr(solver, "saddle_blocks",
-                            lambda *a, **k: calls.append(1) or blocks(*a, **k))
+        entries, splu = solver._block_entries, spla.splu
+        monkeypatch.setattr(solver, "_block_entries",
+                            lambda *a, **k: calls.append(1) or entries(*a, **k))
         monkeypatch.setattr(spla, "splu",
                             lambda *a, **k: lus.append(k) or splu(*a, **k))
         for alpha in (1e-3, 1.0, 1e-3):

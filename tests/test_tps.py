@@ -86,6 +86,28 @@ class TestKernelBuild:
         assert np.array_equal(K, kernel_value(_distances(x, x)))
         assert np.count_nonzero(K == 0.0) > len(x)
 
+    @pytest.mark.parametrize("n, block", [(4, tps.KERNEL_BLOCK), (64, 50),
+                                          (101, 700),
+                                          (600, tps.KERNEL_BLOCK)])
+    def test_lower_triangle_mirrored_is_the_full_build(self, monkeypatch, n,
+                                                       block):
+        # the kernel built as lower-triangle row blocks mirrored above the
+        # diagonal is bitwise the full build, blocks of one row to one block
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-1, 1, size=(n, 2))
+        x[n // 2] = x[0]  # a duplicate: r = 0 off the diagonal
+        logs = []
+        real = tps.kernel_value
+        monkeypatch.setattr(tps, "KERNEL_BLOCK", block)
+        monkeypatch.setattr(tps, "kernel_value",
+                            lambda r: logs.append(np.size(r)) or real(r))
+        _, _, K, _ = _spline_system(DataSet(x, rng.normal(size=n)))
+        assert K.tobytes() == real(_distances(x, x)).tobytes()
+        rows = max(1, block // n)
+        assert sum(logs) == sum(min(i + rows, n) * min(rows, n - i)
+                                for i in range(0, n, rows))
+        assert sum(logs) <= (n * n + n * rows) / 2
+
     def test_model_evals(self):
         m = random_model(3)
         pts = np.vstack([np.random.default_rng(8).uniform(-1, 1, (50, 2)),
