@@ -407,7 +407,7 @@ def patch_case(kind, picks, seed):
                for p in random_patches(mesh, rng)]
     padded = np.full((len(patches), 14), -1)
     for row, p in zip(padded, patches):
-        row[:len(p)] = p[:14]
+        row[:len(p)] = p
     s = Smoother(mesh=mesh, alpha=1.0,
                  **{f: rng.normal(size=mesh.n_nodes) for f in FIELDS})
     return s, data, by_tri, padded
