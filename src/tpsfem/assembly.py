@@ -3,6 +3,11 @@
 All element integrals are evaluated in closed form: on a triangle of area T
 the basis gradients are constant and ``integral(b_p) = T / 3``, so the
 stiffness, gradient and data-projection matrices are exact.
+
+The stiffness and gradient matrices share one sparsity pattern, that of
+the node pairs of the triangles.  The mesh holds it with its other derived
+tables (``TriMesh.node_pairs``), so each matrix is one ``np.bincount`` of
+its (m, 3, 3) element matrices onto that pattern.
 """
 
 from dataclasses import dataclass
@@ -41,14 +46,14 @@ def basis_eval(mesh, tri_id, p):
     return bary, np.vstack([tab.gx[r], tab.gy[r]])
 
 
-def _summed(verts, elem, n):
-    """Sum (m, 3, 3) element matrices over their vertex triples ``verts``
-    into an (n, n) CSR matrix."""
-    rows = np.repeat(verts, 3, axis=1).ravel()
-    cols = np.tile(verts, (1, 3)).ravel()
-    M = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    M.sum_duplicates()
-    return M
+def _pattern_sum(mesh, elem):
+    """Sum the (m, 3, 3) element matrices of the triangles of ``mesh``, row
+    by row of its ``tri_table``, into an (n, n) CSR matrix on the mesh's
+    node-pair pattern."""
+    indptr, indices, at = mesh.node_pairs
+    data = np.bincount(at.ravel(), elem.ravel(), minlength=len(indices))
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(mesh.n_nodes, mesh.n_nodes))
 
 
 def assemble_L(mesh):
@@ -59,7 +64,7 @@ def assemble_L(mesh):
     # element matrix: T * (gx gxᵀ + gy gyᵀ)
     elem = tab.area[:, None, None] * (gx[:, :, None] * gx[:, None, :]
                                       + gy[:, :, None] * gy[:, None, :])
-    return _summed(tab.verts, elem, mesh.n_nodes)
+    return _pattern_sum(mesh, elem)
 
 
 def assemble_G(mesh, j):
@@ -71,7 +76,7 @@ def assemble_G(mesh, j):
     g = tab.gx if j == 1 else tab.gy
     # integral(b_p) = T/3, d_j b_q constant: element entry (p, q) = T/3 * g_q
     elem = (tab.area[:, None] / 3.0)[:, :, None] * np.ones((1, 3, 1)) * g[:, None, :]
-    return _summed(tab.verts, elem, mesh.n_nodes)
+    return _pattern_sum(mesh, elem)
 
 
 @dataclass
@@ -147,7 +152,9 @@ class FemSystem:
 
     ``bv`` holds the Dirichlet boundary values, read once, at the first
     solve, when the saddle system is built (their eliminated contributions
-    become the right-hand side).
+    become the right-hand side).  ``yy`` is y^T y over the located data
+    values, which with A and d gives the data misfit of any nodal values
+    (``gcv.misfit``).
     """
     mesh: object
     A: sp.csr_matrix
@@ -157,6 +164,7 @@ class FemSystem:
     G2: sp.csr_matrix
     located: Located
     bv: object = None
+    yy: float = None
 
     @classmethod
     def build(cls, mesh, data, bv=None, located=None):
@@ -166,9 +174,10 @@ class FemSystem:
         if located is None:
             located = locate_dataset(mesh, data)
         A, d = assemble_A_d(mesh, data, located)
+        y = np.asarray(data.y, dtype=float)[located.indices]
         return cls(mesh=mesh, A=A, d=d, L=assemble_L(mesh),
                    G1=assemble_G(mesh, 1), G2=assemble_G(mesh, 2),
-                   located=located, bv=bv)
+                   located=located, bv=bv, yy=float(y @ y))
 
     @cached_property
     def eliminated(self):

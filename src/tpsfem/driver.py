@@ -12,6 +12,10 @@ batched call (``new_boundary_node_values``); every other new node then
 warm-starts as the mean of its bisected edge's endpoints
 (``mesh.fill_new_nodes``), the rule the auxiliary patch problems use too.
 
+A GCV fit is the winning candidate's solution from the search
+(``gcv.Selection``), so the selected alpha is not factorised again; a
+given alpha is solved by one ``SaddleSystem``.
+
 The data are located at most once per mesh state.  Trimming hands its
 location to the first fit, and the first auxiliary wave of an iteration
 groups the fit's location by triangle; only a refined mesh is located
@@ -36,7 +40,8 @@ from .indicators import (auxiliary_field, auxiliary_indicator, locate_by_tri,
                          mark, recovery_field, recovery_indicator)
 from .mesh import (build_square_mesh, fill_new_nodes, mesh_polygon,
                    trim_to_irregular)
-from .solver import SaddleSystem, Smoother, max_abs_residual, rmse
+from .solver import (SaddleSystem, Smoother, fitted, max_abs_residual,
+                     rmse)
 from .tps import SamplePlan, fit_tps, sample, select_alpha_tps
 
 logger = logging.getLogger("tpsfem")
@@ -227,11 +232,13 @@ def run(data, cfg=None):
         bv = values.boundary_values(mesh)
         fem = FemSystem.build(mesh, data, bv=bv, located=located)
         if cfg.alpha == "auto":
-            alpha = select_alpha(fem, data, gcv_cfg,
-                                 seed=_seed_for(cfg.seed, 100 + iteration))
+            selection = select_alpha(fem, data, gcv_cfg,
+                                     seed=_seed_for(cfg.seed, 100 + iteration))
+            alpha = float(selection)
+            s = fitted(fem, alpha, selection.solution)
         else:
             alpha = float(cfg.alpha)
-        s = SaddleSystem(fem, alpha).solve()
+            s = SaddleSystem(fem, alpha).solve()
         values.set_from_smoother(s)
         try:
             ratio = mesh.near_boundary_ratio(NEAR_BOUNDARY_RADIUS)

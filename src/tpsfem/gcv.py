@@ -22,15 +22,26 @@ costs one static-pivot factorisation and one block solve under the
 solver's contract (``solver.static_factor``, ``solver.static_solve``); it
 builds no SaddleSystem, no sparse matrix and no nodal field.  Its trace is
 n * mean(sum(W * C_I)) over the probe solutions C_I, with no sparse
-product, and every score is bitwise that of a ``SaddleSystem`` at alpha.
+product.  Its matrix, right-hand side and data solution are bitwise those
+of a ``SaddleSystem`` at alpha.  Its misfit comes from node-space sums,
+||Bc - y||^2 = n c^T A c - 2 n c^T d + y^T y, as A = B^T B / n and
+d = B^T y / n are the FemSystem's and y^T y is stored with them, so no
+score touches the data points; it agrees with the basis misfit to
+rounding, not bitwise, and rounding below 0 is clamped to 0.
+
+``select_alpha`` returns a ``Selection``: the chosen alpha as a float,
+with the evaluated (alpha, score) pairs, the grid end it picked, if any,
+and the winning candidate's data solution (``solver.Solution``), from
+which ``solver.fitted`` makes the fit without factorising again.
 """
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import static_factor, static_solve
+from .solver import Solution, static_factor, static_solve
 from .tps import checked_alpha_grid
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -75,13 +86,13 @@ class ProbeBlock:
     with W in the c rows of its probe columns; copies of the interior
     matrix and of K_IB at alpha = 1; the boundary values x_B; and the
     fitted-value vector with the boundary values of c in place.
-    ``rescale`` sets the aL values and the data column to one alpha.
+    ``rescale`` sets the aL values and the data column to one alpha;
+    ``last`` is the ``Solution`` of the data column of the last candidate.
     """
 
     def __init__(self, fem, probe_matrix):
         loc, unit = fem.located, fem.eliminated
         self.n = loc.n_used
-        self.basis = loc.basis
         self.W = _probe_columns(loc, unit.interior, probe_matrix)
         rows, cols, matrix, aL = unit.ordered
         self.matrix = matrix.copy()
@@ -97,11 +108,13 @@ class ProbeBlock:
         self.rows = rows
         self.block = np.zeros((len(rows), 1 + self.W.shape[1]))
         self.block[:, 1:][np.argsort(rows)[0::4]] = self.W
+        self.cols = cols
         # static position of the c column of each interior node
         self.c_at = np.argsort(cols)[0::4]
         self.interior = unit.interior
         self.c = np.zeros(fem.mesh.n_nodes)
         self.c[unit.boundary] = unit.bv.c
+        self.last = None
 
     def rescale(self, alpha):
         """Set the aL values of the matrix and of K_IB to ``alpha`` times
@@ -140,6 +153,14 @@ def influence_trace(system, probe_matrix=None):
     return float(n * np.mean(np.sum(W * x[0::4], axis=0)))
 
 
+def misfit(fem, c):
+    """||Bc - y||^2 of the nodal values ``c`` at the located data, from
+    node-space sums: n c^T A c - 2 n c^T d + y^T y, clamped at 0, which
+    rounding can undershoot when the data are fitted exactly."""
+    n = fem.located.n_used
+    return max(n * float(c @ (fem.A @ c) - 2.0 * (c @ fem.d)) + fem.yy, 0.0)
+
+
 def gcv_score(fem, alpha, data, block):
     """GCV score of one candidate alpha on the ``probe_block`` workspace
     ``block``; +inf when the estimated trace reaches the number of data
@@ -147,42 +168,78 @@ def gcv_score(fem, alpha, data, block):
 
     One static-pivot factorisation and one block solve under the solver's
     contract (SingularSystem, NonConvergence) give the data solution and the
-    probe solutions C_I together; the trace is n * mean(sum(W * C_I)).  The
-    matrix, the right-hand side and so the score are bitwise those of a
-    ``SaddleSystem`` at alpha.
+    probe solutions C_I together; the trace is n * mean(sum(W * C_I)) and
+    the misfit is ``misfit`` of the fitted c.  The matrix, the right-hand
+    side and the data solution are bitwise those of a ``SaddleSystem`` at
+    alpha; the data solution is kept as ``block.last``.  ``data`` is not
+    read: y enters through the FemSystem's d and y^T y.
     """
     if not 0 < alpha < np.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     n = block.n
     block.rescale(alpha)
+    t0 = time.perf_counter()
     lu = static_factor(block.matrix)
-    x, _ = static_solve(lu, block.matrix, block.block)
-    x = x[block.c_at]
-    tr = float(n * np.mean(np.sum(block.W * x[:, 1:], axis=0)))
+    sol, r = static_solve(lu, block.matrix, block.block)
+    seconds = time.perf_counter() - t0
+    x = np.empty(len(sol))
+    x[block.cols] = sol[:, 0]
+    block.last = Solution(x, float(r[0]), seconds)
+    c = sol[block.c_at]
+    tr = float(n * np.mean(np.sum(block.W * c[:, 1:], axis=0)))
     if tr >= n:
         return float("inf")
-    block.c[block.interior] = x[:, 0]
-    y = np.asarray(data.y, dtype=float)[fem.located.indices]
-    misfit = float(np.sum((block.basis @ block.c - y) ** 2))
-    return n * misfit / (n - tr) ** 2
+    block.c[block.interior] = c[:, 0]
+    return n * misfit(fem, block.c) / (n - tr) ** 2
+
+
+class Selection(float):
+    """The alpha a GCV search chose, as a float, and what the search found.
+
+    ``scores`` holds the evaluated (alpha, score) pairs by ascending alpha;
+    ``edge`` is the grid end the search picked, or None; ``solution`` is
+    the winning candidate's data ``solver.Solution``, which
+    ``solver.fitted`` turns into the fit.  Frozen.
+    """
+    __slots__ = ("scores", "edge", "solution")
+
+    def __new__(cls, alpha, scores, edge, solution):
+        self = super().__new__(cls, alpha)
+        for name, value in zip(cls.__slots__, (scores, edge, solution)):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Selection is frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError("a Selection is frozen")
 
 
 def select_alpha(fem, data, cfg=None, seed=0):
-    """Golden-section search on log(alpha) between the grid's ends.
+    """Golden-section search on log(alpha) between the grid's ends; returns
+    a ``Selection``.
 
     It takes ``cfg.refine_iters + 2`` scores, plus one for a grid end the
     search never moved away from, so that an edge pick is the end exactly.
-    Ties resolve to the smallest alpha.
+    Ties resolve to the smallest alpha.  The data solution of each
+    candidate that scores best so far is kept, so the winner's is at hand.
     """
     cfg = cfg or GcvConfig()
     rng = np.random.default_rng(seed)
     block = probe_block(fem, _probe_matrix(fem.located.n_used, cfg.probes,
                                            rng))
-    cache = {}
+    cache, winner = {}, None
+
+    def rank(alpha):
+        return cache[alpha], alpha
 
     def score(alpha):
+        nonlocal winner
         if alpha not in cache:
             cache[alpha] = gcv_score(fem, alpha, data, block)
+            if min(cache, key=rank) == alpha:
+                winner = block.last
         return cache[alpha]
 
     lo, hi = cfg.alpha_grid[0], cfg.alpha_grid[-1]
@@ -201,4 +258,6 @@ def select_alpha(fem, data, cfg=None, seed=0):
     for end, kept in ((lo, a), (hi, b)):
         if kept == math.log(end):
             score(end)
-    return float(min(cache, key=lambda alpha: (cache[alpha], alpha)))
+    alpha = float(min(cache, key=rank))
+    edge = next((float(end) for end in (lo, hi) if alpha == end), None)
+    return Selection(alpha, tuple(sorted(cache.items())), edge, winner)

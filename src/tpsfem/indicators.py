@@ -29,16 +29,18 @@ nodes; every node the refinement creates gets the mean of its bisected
 edge's endpoints from ``mesh.fill_new_nodes``, the rule the driver's
 refinement waves use, so each patch trace stays the piecewise linear trace
 of the global surface.  The system is assembled by ``assemble_L`` and
-``assemble_G``, with each patch's data term averaged over its own points,
-and solved by one ``SaddleSystem`` under the solver's residual contract.
+``assemble_G``, which sum onto the one node-pair pattern of the refined
+stack, with each patch's data term averaged over its own points, and
+solved by one ``SaddleSystem`` under the solver's residual contract.
 
 The data term needs no basis matrix.  A point lies in the same one of the
 six sub-triangles that one pass can make of its triangle, whichever patch
 holds that triangle, so ``mesh.bisection_moments`` places each point of
-the patch triangles once per wave and sums, per sub-triangle, the point
-count, the products l_i l_j and l_i y of its barycentric coordinates l.
-Each refined patch triangle adds the sums of its ``bisect_once`` slot to A
-and d, weighted by 1 / (points in its patch).
+the patch triangles once per wave, from its barycentric coordinates in its
+triangle and their exact maps into the sub-triangles, and sums, per
+sub-triangle, the point count, the products l_i l_j and l_i y of its
+coordinates l there.  Each refined patch triangle adds the sums of its
+``bisect_once`` slot to A and d, weighted by 1 / (points in its patch).
 """
 
 from dataclasses import dataclass

