@@ -182,5 +182,6 @@ class FemSystem:
     @cached_property
     def eliminated(self):
         """The saddle system at alpha = 1 with the boundary eliminated,
-        built on first use; every SaddleSystem of this FemSystem rescales it."""
+        built on first use; every SaddleSystem of this FemSystem rescales
+        its own copies of it."""
         return EliminatedSystem(self)

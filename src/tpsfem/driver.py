@@ -12,9 +12,10 @@ batched call (``new_boundary_node_values``); every other new node then
 warm-starts as the mean of its bisected edge's endpoints
 (``mesh.fill_new_nodes``), the rule the auxiliary patch problems use too.
 
-A GCV fit is the winning candidate's solution from the search
-(``gcv.Selection``), so the selected alpha is not factorised again; a
-given alpha is solved by one ``SaddleSystem``.
+Every fit is the solve of one ``SaddleSystem``.  A GCV search rescales
+its selection's system from candidate to candidate and hands over the
+winning candidate's solution (``gcv.Selection``), so the selected alpha is
+not factorised again; a given alpha gets a system of its own.
 
 The data are located at most once per mesh state.  Trimming hands its
 location to the first fit, and the first auxiliary wave of an iteration

@@ -12,22 +12,18 @@ candidate alphas, so the score is a smooth deterministic function of alpha;
 a golden-section search on log(alpha) between the grid's ends minimises it.
 
 Everything that does not depend on alpha is built once: the saddle system
-at alpha = 1 and its static node order once per FemSystem (see ``solver``),
-and a workspace once per selection (``probe_block``, a ``ProbeBlock``).
-The workspace holds the probe block W = B_I^T Z / n, the static-order
-block right-hand side with W in its probe columns, its own copies of the
-interior matrix and of K_IB, the boundary values and the fitted-value
-vector.  A candidate rescales the aL values of those copies in place and
-costs one static-pivot factorisation and one block solve under the
-solver's contract (``solver.static_factor``, ``solver.static_solve``); it
-builds no SaddleSystem, no sparse matrix and no nodal field.  Its trace is
-n * mean(sum(W * C_I)) over the probe solutions C_I, with no sparse
-product.  Its matrix, right-hand side and data solution are bitwise those
-of a ``SaddleSystem`` at alpha.  Its misfit comes from node-space sums,
-||Bc - y||^2 = n c^T A c - 2 n c^T d + y^T y, as A = B^T B / n and
-d = B^T y / n are the FemSystem's and y^T y is stored with them, so no
-score touches the data points; it agrees with the basis misfit to
-rounding, not bitwise, and rounding below 0 is clamped to 0.
+at alpha = 1 and its static node order once per FemSystem, and one
+``solver.SaddleSystem`` per selection, whose right-hand side holds the data
+column and the probe columns W = B_I^T Z / n.  A candidate rescales that
+system in place and solves it once (``gcv_score``): one static-pivot
+factorisation and one block solve under the solver's contract, with the
+matrix, the right-hand side and the data solution bitwise those of a
+fresh ``SaddleSystem`` at alpha.  Its trace is n * mean(sum(W * C_I))
+over the probe solutions C_I, with no sparse product.  Its misfit comes
+from node-space sums, ||Bc - y||^2 = n c^T A c - 2 n c^T d + y^T y, as
+A = B^T B / n and d = B^T y / n are the FemSystem's and y^T y is stored
+with them, so no score touches the data points; it agrees with the basis
+misfit to rounding, not bitwise, and rounding below 0 is clamped to 0.
 
 ``select_alpha`` returns a ``Selection``: the chosen alpha as a float,
 with the evaluated (alpha, score) pairs, the grid end it picked, if any,
@@ -36,12 +32,11 @@ which ``solver.fitted`` makes the fit without factorising again.
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import Solution, static_factor, static_solve
+from .solver import SaddleSystem
 from .tps import checked_alpha_grid
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -71,82 +66,20 @@ def _probe_matrix(n, probes, rng):
     return rng.choice([-1.0, 1.0], size=(n, probes))
 
 
-def _probe_columns(located, interior, probe_matrix):
-    """W = B_I^T Z / n: the rows ``interior`` of B^T Z, whose sums run over
-    the points in the same order as those of the sliced basis."""
-    return (located.basis.T @ probe_matrix)[interior] / located.n_used
-
-
-class ProbeBlock:
-    """The workspace of the GCV scores of one selection on one FemSystem.
-
-    Everything a candidate alpha does not change is made here once: the
-    probe block W = B_I^T Z / n of the probe matrix Z (B_I: the basis
-    columns of the interior nodes); the static-order block right-hand side
-    with W in the c rows of its probe columns; copies of the interior
-    matrix and of K_IB at alpha = 1; the boundary values x_B; and the
-    fitted-value vector with the boundary values of c in place.
-    ``rescale`` sets the aL values and the data column to one alpha;
-    ``last`` is the ``Solution`` of the data column of the last candidate.
-    """
-
-    def __init__(self, fem, probe_matrix):
-        loc, unit = fem.located, fem.eliminated
-        self.n = loc.n_used
-        self.W = _probe_columns(loc, unit.interior, probe_matrix)
-        rows, cols, matrix, aL = unit.ordered
-        self.matrix = matrix.copy()
-        self.ib = unit.ib.copy()
-        # (values, positions, values at alpha = 1) of the aL entries
-        self._alpha_entries = ((self.matrix.data, aL, matrix.data[aL]),
-                               (self.ib.data, unit.ib_alpha,
-                                unit.ib.data[unit.ib_alpha]))
-        self.bv = unit.bv
-        self.x_b = np.concatenate([unit.bv.c, unit.bv.g1, unit.bv.g2,
-                                   unit.bv.w_at(1.0)])
-        self.d = fem.d[unit.interior]
-        self.rows = rows
-        self.block = np.zeros((len(rows), 1 + self.W.shape[1]))
-        self.block[:, 1:][np.argsort(rows)[0::4]] = self.W
-        self.cols = cols
-        # static position of the c column of each interior node
-        self.c_at = np.argsort(cols)[0::4]
-        self.interior = unit.interior
-        self.c = np.zeros(fem.mesh.n_nodes)
-        self.c[unit.boundary] = unit.bv.c
-        self.last = None
-
-    def rescale(self, alpha):
-        """Set the aL values of the matrix and of K_IB to ``alpha`` times
-        their values at 1, the products ``EliminatedSystem`` forms, and the
-        data column of the block to d - K_IB x_B at ``alpha``."""
-        for values, entries, unit in self._alpha_entries:
-            values[entries] = unit * alpha
-        self.x_b[3 * len(self.bv.nodes):] = self.bv.w_at(alpha)
-        rhs = -(self.ib @ self.x_b)
-        rhs[0::4] += self.d
-        self.block[:, 0] = rhs[self.rows]
-
-
-def probe_block(fem, probe_matrix):
-    """The ``ProbeBlock`` of the GCV scores of ``fem`` for the probe matrix
-    Z, made once per selection."""
-    return ProbeBlock(fem, probe_matrix)
-
-
 def influence_trace(system, probe_matrix=None):
     """Hutchinson mean of z^T Infl z over the columns z of ``probe_matrix``;
     None means the scaled canonical basis, which gives the exact trace.
 
-    The probe columns are W = B_I^T Z / n in the c rows with zero Dirichlet
-    data, on the factorisation of ``system``; with their solutions C_I,
-    z^T B_I c = n (w . c) gives the mean of z^T B_I C_I without a sparse
-    product."""
-    fem = system.fem
-    n = fem.located.n_used
+    The probe columns W = B_I^T Z / n in the c rows with zero Dirichlet
+    data are solved on the factorisation of ``system``; with their
+    solutions C_I, z^T B_I c = n (w . c) gives the mean of z^T B_I C_I
+    without a sparse product.  Only tests call it: it stays here because
+    the tracer of ``perfbench/`` wraps it, and it moves to the test
+    oracles with the benchmark change that drops that target."""
+    n = system.fem.located.n_used
     if probe_matrix is None:
         probe_matrix = _probe_matrix(n, n, None)
-    W = _probe_columns(fem.located, system.interior, probe_matrix)
+    W = system.probe_columns(probe_matrix)
     rhs = np.zeros((system.n_unknowns, W.shape[1]))
     rhs[0::4] = W
     x, _ = system.solve_raw(rhs)
@@ -161,36 +94,27 @@ def misfit(fem, c):
     return max(n * float(c @ (fem.A @ c) - 2.0 * (c @ fem.d)) + fem.yy, 0.0)
 
 
-def gcv_score(fem, alpha, data, block):
-    """GCV score of one candidate alpha on the ``probe_block`` workspace
-    ``block``; +inf when the estimated trace reaches the number of data
-    points.
+def gcv_score(system, alpha):
+    """GCV score at ``alpha`` of a ``SaddleSystem`` with probe columns;
+    +inf when the estimated trace reaches the number of data points.
 
-    One static-pivot factorisation and one block solve under the solver's
-    contract (SingularSystem, NonConvergence) give the data solution and the
-    probe solutions C_I together; the trace is n * mean(sum(W * C_I)) and
-    the misfit is ``misfit`` of the fitted c.  The matrix, the right-hand
-    side and the data solution are bitwise those of a ``SaddleSystem`` at
-    alpha; the data solution is kept as ``block.last``.  ``data`` is not
-    read: y enters through the FemSystem's d and y^T y.
+    The system is rescaled to alpha and solved once, which under the
+    solver's contract (SingularSystem, NonConvergence) gives the data
+    solution, kept as ``system.solution``, and the probe solutions C_I
+    together; the trace is n * mean(sum(W * C_I)) and the misfit is
+    ``misfit`` of the fitted nodal c.
     """
-    if not 0 < alpha < np.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    n = block.n
-    block.rescale(alpha)
-    t0 = time.perf_counter()
-    lu = static_factor(block.matrix)
-    sol, r = static_solve(lu, block.matrix, block.block)
-    seconds = time.perf_counter() - t0
-    x = np.empty(len(sol))
-    x[block.cols] = sol[:, 0]
-    block.last = Solution(x, float(r[0]), seconds)
-    c = sol[block.c_at]
-    tr = float(n * np.mean(np.sum(block.W * c[:, 1:], axis=0)))
+    system.rescale(alpha)
+    x, _ = system.solve_raw()
+    fem = system.fem
+    n = fem.located.n_used
+    tr = float(n * np.mean(np.sum(system.W * x[0::4, 1:], axis=0)))
     if tr >= n:
         return float("inf")
-    block.c[block.interior] = c[:, 0]
-    return n * misfit(fem, block.c) / (n - tr) ** 2
+    c = np.empty(fem.mesh.n_nodes)
+    c[system.interior] = x[0::4, 0]
+    c[system.boundary] = system.bvals["c"]
+    return n * misfit(fem, c) / (n - tr) ** 2
 
 
 class Selection(float):
@@ -224,11 +148,12 @@ def select_alpha(fem, data, cfg=None, seed=0):
     search never moved away from, so that an edge pick is the end exactly.
     Ties resolve to the smallest alpha.  The data solution of each
     candidate that scores best so far is kept, so the winner's is at hand.
+    ``data`` is not read: y enters through the FemSystem's d and y^T y.
     """
     cfg = cfg or GcvConfig()
     rng = np.random.default_rng(seed)
-    block = probe_block(fem, _probe_matrix(fem.located.n_used, cfg.probes,
-                                           rng))
+    system = SaddleSystem(fem, cfg.alpha_grid[-1], _probe_matrix(
+        fem.located.n_used, cfg.probes, rng))
     cache, winner = {}, None
 
     def rank(alpha):
@@ -237,9 +162,9 @@ def select_alpha(fem, data, cfg=None, seed=0):
     def score(alpha):
         nonlocal winner
         if alpha not in cache:
-            cache[alpha] = gcv_score(fem, alpha, data, block)
+            cache[alpha] = gcv_score(system, alpha)
             if min(cache, key=rank) == alpha:
-                winner = block.last
+                winner = system.solution
         return cache[alpha]
 
     lo, hi = cfg.alpha_grid[0], cfg.alpha_grid[-1]

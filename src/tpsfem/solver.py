@@ -18,13 +18,16 @@ solutions are ordered in interleaved per-node blocks [c g1 g2 w].
 
 Only the two aL blocks depend on alpha, so the eliminated system is built
 once per FemSystem at alpha = 1 (``EliminatedSystem``), straight from the
-compressed arrays of A, L, G1 and G2, and each alpha is a copy of its
-values with the aL entries multiplied by alpha.  That product is the one a
-build at alpha would form, so the matrix values and the right-hand side are
-bitwise those of a build from scratch.  The FemSystem's boundary values are
-read, checked and sorted by node with it, once.  A GCV search rescales one
-copy in place from candidate to candidate (``gcv.ProbeBlock``), with the
-same products.
+compressed arrays of A, L, G1 and G2, and its boundary values are read,
+checked and sorted by node with it, once.  A ``SaddleSystem`` is the one
+workspace of every alpha: it owns copies of the interior matrix and of
+K_IB, and ``rescale`` writes alpha times the value at 1 into their aL
+entries in place.  That product is the one a build at alpha would form,
+so at every alpha, in any order of rescales, the matrix values and the
+right-hand side are bitwise those of a build from scratch.  A given alpha,
+a stack of auxiliary patch problems and every candidate of a GCV search
+(which adds probe columns to the right-hand side) are each one
+SaddleSystem.
 
 The interior matrix is held in a static order, found once per FemSystem.
 The nodes follow SuperLU's minimum-degree order of the interior node graph
@@ -43,12 +46,12 @@ matrix is singular, fails; ``factorize`` raises SingularSystem, as for
 any failed factorisation.  No second, threshold-pivoted factorisation is
 tried: the one solve is direct, mapped through the two permutations, and
 one max-norm residual check (NonConvergence if a column misses
-RESIDUAL_TOL) guards it.  ``static_factor`` and ``static_solve`` hold this
-contract for every caller.
+RESIDUAL_TOL) guards it.  ``SaddleSystem.factorize`` and ``solve_raw``
+hold this contract for every caller.
 
-A data solution becomes a ``Smoother`` through ``fitted``, whether it
-comes from ``SaddleSystem.solve`` or from the winning candidate of a GCV
-search, whose block solve already holds it (a ``Solution``).
+A data solution (a ``Solution``) becomes a ``Smoother`` through
+``fitted``, whether it comes from ``SaddleSystem.solve`` or from the
+winning candidate of a GCV search.
 """
 
 import time
@@ -143,14 +146,6 @@ def _compressed(kind, rows, cols, values, scaled, shape):
     return M, np.flatnonzero(scaled[order])
 
 
-def _scaled(M, entries, alpha):
-    """Copy of compressed ``M`` with the values at ``entries`` times alpha;
-    the index arrays are shared with ``M``."""
-    data = M.data.copy()
-    data[entries] *= alpha
-    return type(M)((data, M.indices, M.indptr), shape=M.shape)
-
-
 class EliminatedSystem:
     """The eliminated saddle system of one FemSystem at alpha = 1.
 
@@ -164,8 +159,8 @@ class EliminatedSystem:
     nodes), with ``ib_alpha`` the positions in its data of the aL entries.
     The static order and the interior matrix in it (``ordered``) are built
     on first use, because finding the order is a factorisation: its failure
-    surfaces where a factorisation is asked for.  ``matrix_at`` and
-    ``boundary_rhs`` rescale the two aL blocks.
+    surfaces where a factorisation is asked for.  Each ``SaddleSystem``
+    rescales its own copies of ``ib`` and of the ordered matrix.
     """
 
     def __init__(self, fem):
@@ -252,53 +247,6 @@ class EliminatedSystem:
         del self._interior_entries  # held in ``matrix`` from now on
         return rows, cols, matrix, alpha
 
-    def boundary_rhs(self, alpha, bvals):
-        """-K_IB x_B at ``alpha`` (interleaved) for the sorted boundary
-        values ``bvals``, a dict over FIELDS."""
-        x_b = np.concatenate([bvals[name] for name in FIELDS])
-        return -(_scaled(self.ib, self.ib_alpha, alpha) @ x_b)
-
-    def matrix_at(self, alpha):
-        """Interior matrix in the static order at ``alpha``.
-
-        alpha * (1.0 * L_ij) is the product a build at alpha forms, so its
-        values are bitwise those of building K at alpha and slicing it.
-        """
-        _, _, matrix, entries = self.ordered
-        return _scaled(matrix, entries, alpha)
-
-
-def static_factor(matrix):
-    """LU factor of an interior matrix in the static order (CSC), pivoted
-    statically; SingularSystem if SuperLU fails."""
-    try:
-        return spla.splu(matrix, **STATIC_PIVOTING)
-    except RuntimeError as err:
-        raise SingularSystem(f"direct factorisation failed: {err}") from err
-
-
-def static_solve(lu, matrix, b):
-    """Solution of ``matrix`` y = b for the (m, p) block b in the static
-    order, with ``lu`` the factor of ``matrix``, and the (p,) max-norm
-    relative residuals of its columns.
-
-    Raises NonConvergence unless every column reaches RESIDUAL_TOL; a NaN
-    residual is a miss.  Each column is scaled and solved on its own
-    terms, so a column of a block is bitwise its solve alone.
-    """
-    # an exact power-of-two scale brings each column's largest entry into
-    # [0.5, 1), so a subnormal right-hand side keeps its precision
-    scale, exp = np.frexp(np.abs(b).max(axis=0))
-    b = np.ldexp(b, -exp)
-    y = lu.solve(b)
-    r = np.abs(matrix @ y - b).max(axis=0) / np.where(scale > 0, scale, 1.0)
-    worst = r.max(initial=0.0)
-    if not worst <= RESIDUAL_TOL:
-        raise NonConvergence("direct solve missed the residual target",
-                             diagnostics={"residual": float(worst),
-                                          "unknowns": len(b)})
-    return np.ldexp(y, exp), r
-
 
 #: one direct solve of the data right-hand side of an eliminated system:
 #: the interleaved interior solution x, its max-norm relative residual and
@@ -351,42 +299,86 @@ class Smoother:
 
 
 class SaddleSystem:
-    """Eliminated saddle system at one alpha, with a reusable factorisation.
+    """Eliminated saddle system of one FemSystem at one alpha, rescalable in
+    place to any other, with a reusable factorisation.
 
-    The matrix is the FemSystem's ``EliminatedSystem`` (built once at
-    alpha = 1) rescaled to ``alpha``, in the static order; ``rows`` and
+    It owns copies of its FemSystem's K_IB and, from the first use of
+    ``matrix`` on, of the interior matrix in the static order; ``rows`` and
     ``cols`` give the interleaved row and column of each of its rows and
-    columns.  The right-hand side is interleaved: d in the c rows minus
-    K_IB x_B for ``fem.bv``, which the EliminatedSystem checked and sorted.
-    ``factorizations`` counts the direct factorisations; ``residual`` is the
-    largest max-norm relative residual of the last solve.  alpha must be
-    positive and finite.
+    columns.  The right-hand side ``rhs`` is interleaved: d in the c rows
+    minus K_IB x_B for ``fem.bv``, which the ``EliminatedSystem`` checked
+    and sorted.  With ``probes``, an (n, p) block Z of vectors over the n
+    located data points, ``rhs`` is (m, 1 + p): that data column, then p
+    probe columns holding W = B_I^T Z / n (``W``) in their c rows, the
+    right-hand sides of data Z with zero boundary values.
+
+    ``factorizations`` counts the direct factorisations; ``residual`` is
+    the largest max-norm relative residual of the last solve, and
+    ``solution`` the data column's ``Solution`` of the last solve of
+    ``rhs``.  alpha must be positive and finite.
     """
 
-    def __init__(self, fem, alpha):
-        if not 0 < alpha < np.inf:
-            raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    def __init__(self, fem, alpha, probes=None):
         unit = fem.eliminated
         if fem.mesh.n_nodes != unit.n_nodes:
             raise DimensionMismatch(f"mesh has {fem.mesh.n_nodes} nodes, its "
                                     f"system was built for {unit.n_nodes}")
-        bv = unit.bv
         self.fem = fem
-        self.alpha = alpha
         self.interior = unit.interior
         self.boundary = unit.boundary
-        self.bvals = {"c": bv.c, "g1": bv.g1, "g2": bv.g2, "w": bv.w_at(alpha)}
-        self.rhs = unit.boundary_rhs(alpha, self.bvals)
-        self.rhs[0::4] += fem.d[self.interior]
-        self.n_unknowns = len(self.rhs)
-        self._lu = None
+        self.ib = unit.ib.copy()
+        # (values, positions, values at alpha = 1) of the aL entries of each
+        # copy; the matrix joins when it is copied
+        self._alpha_entries = [(self.ib.data, unit.ib_alpha,
+                                unit.ib.data[unit.ib_alpha])]
+        self._matrix = None
+        self.n_unknowns = m = self.ib.shape[0]
+        self.W = None
+        self.rhs = np.zeros(m)
+        if probes is not None:
+            self.W = self.probe_columns(probes)
+            self.rhs = np.zeros((m, 1 + self.W.shape[1]))
+            self.rhs[0::4, 1:] = self.W
         self.factorizations = 0
         self.residual = None
+        self.rescale(alpha)
 
-    @cached_property
+    def probe_columns(self, probes):
+        """W = B_I^T Z / n for an (n, p) probe block Z: the rows of the
+        interior nodes of B^T Z, whose sums run over the points in the same
+        order as those of the sliced basis."""
+        loc = self.fem.located
+        return (loc.basis.T @ probes)[self.interior] / loc.n_used
+
+    def rescale(self, alpha):
+        """Move the system to ``alpha`` in place: every aL entry of the
+        copies becomes alpha times its value at 1, the product a build at
+        alpha forms; the data column of ``rhs`` becomes d - K_IB x_B at
+        alpha, and the factor and the kept solution are dropped."""
+        if not 0 < alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
+        self.alpha = alpha
+        for values, entries, unit in self._alpha_entries:
+            values[entries] = unit * alpha
+        bv = self.fem.eliminated.bv
+        self.bvals = {"c": bv.c, "g1": bv.g1, "g2": bv.g2, "w": bv.w_at(alpha)}
+        x_b = np.concatenate([self.bvals[name] for name in FIELDS])
+        rhs = -(self.ib @ x_b)
+        rhs[0::4] += self.fem.d[self.interior]
+        self.rhs.reshape(len(rhs), -1)[:, 0] = rhs
+        self._lu = self.solution = None
+
+    @property
     def matrix(self):
-        """Interior matrix at alpha in the static order (CSC)."""
-        return self.fem.eliminated.matrix_at(self.alpha)
+        """Interior matrix at alpha in the static order (CSC), copied at its
+        first use, which finds the static order."""
+        if self._matrix is None:
+            _, _, matrix, entries = self.fem.eliminated.ordered
+            unit = matrix.data[entries]
+            self._matrix = matrix.copy()
+            self._matrix.data[entries] = unit * self.alpha
+            self._alpha_entries.append((self._matrix.data, entries, unit))
+        return self._matrix
 
     @property
     def rows(self):
@@ -397,31 +389,56 @@ class SaddleSystem:
         return self.fem.eliminated.ordered[1]
 
     def factorize(self):
+        """LU factor of ``matrix``, pivoted statically, once per alpha;
+        SingularSystem if SuperLU fails."""
         if self._lu is None:
-            self._lu = static_factor(self.matrix)
+            try:
+                self._lu = spla.splu(self.matrix, **STATIC_PIVOTING)
+            except RuntimeError as err:
+                raise SingularSystem(f"direct factorisation failed: {err}"
+                                     ) from err
             self.factorizations += 1
         return self._lu
 
     def solve_raw(self, rhs=None):
-        """Solve for one right-hand side or an (m, p) block of them, both
-        interleaved: the rows of b go to the static order and the solution
-        comes back from it.
+        """Solution of one interleaved right-hand side or of an (m, p)
+        block of them, ``rhs`` by default, shaped as the right-hand side,
+        and the seconds its factorisation and solve took.  A solve of
+        ``rhs`` keeps its data column's ``Solution`` as ``solution``.
 
-        Raises NonConvergence as ``static_solve`` does.
+        The rows of b go to the static order and the solution comes back
+        from it.  Raises NonConvergence unless every column reaches
+        RESIDUAL_TOL; a NaN residual is a miss.  Each column is scaled and
+        solved on its own terms, so a column of a block is bitwise its
+        solve alone.
         """
         b = self.rhs if rhs is None else rhs
         t0 = time.perf_counter()
         lu = self.factorize()
-        y, r = static_solve(lu, self.matrix, b.reshape(len(b), -1)[self.rows])
-        self.residual = float(r.max(initial=0.0))
-        x = np.empty_like(y)
-        x[self.cols] = y
-        return x.reshape(b.shape), time.perf_counter() - t0
+        y = b.reshape(len(b), -1)[self.rows]
+        # an exact power-of-two scale brings each column's largest entry
+        # into [0.5, 1), so a subnormal right-hand side keeps its precision
+        scale, exp = np.frexp(np.abs(y).max(axis=0))
+        y = np.ldexp(y, -exp)
+        z = lu.solve(y)
+        r = (np.abs(self.matrix @ z - y).max(axis=0)
+             / np.where(scale > 0, scale, 1.0))
+        worst = r.max(initial=0.0)
+        if not worst <= RESIDUAL_TOL:
+            raise NonConvergence("direct solve missed the residual target",
+                                 diagnostics={"residual": float(worst),
+                                              "unknowns": len(y)})
+        self.residual = float(worst)
+        x = np.empty_like(z)
+        x[self.cols] = np.ldexp(z, exp)
+        seconds = time.perf_counter() - t0
+        if rhs is None:
+            self.solution = Solution(x[:, 0].copy(), float(r[0]), seconds)
+        return x.reshape(b.shape), seconds
 
     def solve(self):
-        x, seconds = self.solve_raw()
-        return fitted(self.fem, self.alpha,
-                      Solution(x, self.residual, seconds))
+        self.solve_raw()
+        return fitted(self.fem, self.alpha, self.solution)
 
 
 def constraint_residual(s, fem):

@@ -244,7 +244,9 @@ class TestGcvHandOff:
                                 select(*a, **k)) or selections[-1])
         _, records = run(data, RunConfig(gcv=small_gcv(), max_iters=2,
                                          stagnation_iters=0))
-        assert len(selections) == len(records) == 3 and not systems
+        # one SaddleSystem per selection, none for the fit
+        assert len(selections) == len(records) == 3
+        assert len(systems) == len(selections)
         # per fit: the node order, then one factorisation per candidate
         assert len(lus) == sum(1 + len(s.scores) for s in selections)
 

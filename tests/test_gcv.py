@@ -15,7 +15,7 @@ from tpsfem.data import DataSet
 from tpsfem.exceptions import NonConvergence, SingularSystem
 from tpsfem import gcv
 from tpsfem.gcv import (GOLDEN, GcvConfig, _probe_matrix, gcv_score,
-                        influence_trace, probe_block, select_alpha)
+                        influence_trace, select_alpha)
 from tpsfem import solver
 from tpsfem.mesh import build_square_mesh
 from tpsfem.solver import RESIDUAL_TOL, SaddleSystem, rmse
@@ -34,11 +34,11 @@ def noisy_problem(mesh, n=120, seed=0, noise=0.1):
     return data, fem
 
 
-def rademacher_block(fem, probes, seed=0):
-    """The probe block of ``probes`` probes drawn as ``select_alpha`` draws
-    them under ``seed``."""
+def rademacher_system(fem, probes, seed=0):
+    """The SaddleSystem of ``fem`` with ``probes`` probe columns drawn as
+    ``select_alpha`` draws them under ``seed``."""
     Z = _probe_matrix(fem.located.n_used, probes, np.random.default_rng(seed))
-    return probe_block(fem, Z)
+    return SaddleSystem(fem, 1.0, Z)
 
 
 class TestGcvScore:
@@ -56,7 +56,7 @@ class TestGcvScore:
         y = data.y[fem.located.indices]
         misfit = np.sum((predicted_values(s, fem.located) - y) ** 2)
         expect = n * misfit / (n - np.trace(infl)) ** 2
-        got = gcv_score(fem, alpha, data, rademacher_block(fem, n))
+        got = gcv_score(rademacher_system(fem, n), alpha)
         assert abs(got - expect) / expect < 1e-8
 
     def test_large_alpha_finite_score(self):
@@ -65,13 +65,13 @@ class TestGcvScore:
         x = rng.uniform(0.1, 0.9, size=(60, 2))
         data = DataSet(x, 0.5 + 0.05 * rng.normal(size=60))
         fem = FemSystem.build(mesh, data, bv=zero_bv(mesh))
-        v = gcv_score(fem, 1e6, data, rademacher_block(fem, 8))
+        v = gcv_score(rademacher_system(fem, 8), 1e6)
         assert np.isfinite(v)
 
     def test_deterministic_given_seed(self):
         mesh = build_square_mesh(0)
         data, fem = noisy_problem(mesh, n=80, seed=5)
-        a, b = (gcv_score(fem, 1e-2, data, rademacher_block(fem, 6, seed=42))
+        a, b = (gcv_score(rademacher_system(fem, 6, seed=42), 1e-2)
                 for _ in range(2))
         assert a == b
 
@@ -86,7 +86,8 @@ def workspace_case(name):
 
 
 class TestScoreWorkspace:
-    """gcv_score on its workspace is the SaddleSystem score, bit for bit."""
+    """gcv_score on the selection's rescaled SaddleSystem is the score of a
+    fresh SaddleSystem per alpha, bit for bit."""
 
     CASES = {name: workspace_case(name) for name in ("square", "trimmed")}
 
@@ -97,9 +98,9 @@ class TestScoreWorkspace:
     def test_bitwise_equal_to_saddle_system_oracle(self, name, logs, probes):
         # one workspace serves alphas in any order, as the search asks them
         fem, data = self.CASES[name]
-        block = rademacher_block(fem, probes)
+        block = rademacher_system(fem, probes)
         for alpha in 10.0 ** np.array(logs):
-            got = gcv_score(fem, alpha, data, block)
+            got = gcv_score(block, alpha)
             assert got == saddle_gcv_score(fem, alpha, data, block.W)
 
     def test_one_factorisation_and_no_saddle_system_per_candidate(
@@ -114,7 +115,8 @@ class TestScoreWorkspace:
         monkeypatch.setattr(gcv, "gcv_score",
                             lambda *a: scores.append(a[1]) or score(*a))
         select_alpha(fem, data, GcvConfig(probes=5, refine_iters=6))
-        assert len(scores) >= 8 and not systems
+        # one SaddleSystem per selection, rescaled for every candidate
+        assert len(scores) >= 8 and len(systems) == 1
         # the node order is found once, then one factorisation per score
         assert lus[0]["permc_spec"] == "MMD_AT_PLUS_A"
         assert lus[1:] == [solver.STATIC_PIVOTING] * len(scores)
@@ -138,10 +140,10 @@ class TestScoreWorkspace:
 
     def test_rejects_alpha_outside_the_open_half_line(self):
         fem, data = workspace_case("square")
-        block = rademacher_block(fem, 3)
+        block = rademacher_system(fem, 3)
         for alpha in (0.0, -1e-3, np.inf, np.nan):
             with pytest.raises(ValueError):
-                gcv_score(fem, alpha, data, block)
+                gcv_score(block, alpha)
 
 
 class TestBlockSolve:
@@ -286,10 +288,10 @@ class TestSelectAlpha:
         fem = FemSystem.build(mesh, data, bv=zero_bv(mesh))
         cfg = GcvConfig(alpha_grid=np.array([1e-9, 1e-2]), probes=20)
         alpha = select_alpha(fem, data, cfg, seed=0)
-        W = rademacher_block(fem, 20)
+        W = rademacher_system(fem, 20)
         scan = np.geomspace(1e-9, 1e-2, 61)
-        scores = [gcv_score(fem, a, data, W) for a in scan]
-        chosen = gcv_score(fem, alpha, data, W)
+        scores = [gcv_score(W, a) for a in scan]
+        chosen = gcv_score(W, alpha)
         j = int(np.argmin(scores))
         gap = abs(math.log10(alpha / scan[j]))
         assert chosen <= 1.001 * scores[j], (
@@ -305,22 +307,30 @@ class TestSelectAlpha:
         a2 = select_alpha(fem, data, cfg, seed=3)
         assert a1 == a2
 
-    def test_probe_block_formed_once_and_not_kept(self, monkeypatch):
-        # each selection forms its block once and passes it to every score;
-        # nothing holds it, the FemSystem included, once the selection ends
+    def test_saddle_system_formed_once_and_not_kept(self, monkeypatch):
+        # each selection forms its SaddleSystem once and rescales it for
+        # every score, one factorisation each; nothing holds it, the
+        # FemSystem included, once the selection ends
         data, fem = noisy_problem(build_square_mesh(0), n=90, seed=9)
-        made, form = [], gcv.probe_block
+        made, factorizations = [], []
 
-        def recording(*args):
-            W = form(*args)
-            made.append(weakref.ref(W))
-            return W
+        class Recording(SaddleSystem):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
 
-        monkeypatch.setattr(gcv, "probe_block", recording)
+            def factorize(self):
+                lu = super().factorize()
+                factorizations[-1] = self.factorizations
+                return lu
+
+        monkeypatch.setattr(gcv, "SaddleSystem", Recording)
         cfg = GcvConfig(alpha_grid=np.geomspace(1e-8, 1, 9), probes=5,
                         refine_iters=5)
         for seed in (3, 4):
-            select_alpha(fem, data, cfg, seed=seed)
+            factorizations.append(0)
+            selection = select_alpha(fem, data, cfg, seed=seed)
+            assert factorizations[-1] == len(selection.scores)
         assert len(made) == 2
         gc.collect()
         assert all(ref() is None for ref in made)
@@ -359,14 +369,15 @@ class TestGoldenSearch:
     def search(self, monkeypatch, curve, refine_iters=12):
         calls = []
 
-        def stub(fem, alpha, data, block):
-            # each candidate leaves its data solution on the workspace
+        def stub(system, alpha):
+            # each candidate leaves its data solution on the system
             calls.append(alpha)
-            block.last = ("solution at", alpha)
+            system.solution = ("solution at", alpha)
             return curve(math.log10(alpha))
 
-        monkeypatch.setattr("tpsfem.gcv.probe_block",
-                            lambda fem, Z: SimpleNamespace(last=None))
+        monkeypatch.setattr("tpsfem.gcv.SaddleSystem",
+                            lambda fem, alpha, Z: SimpleNamespace(
+                                solution=None))
         monkeypatch.setattr("tpsfem.gcv.gcv_score", stub)
         cfg = GcvConfig(alpha_grid=self.GRID, probes=4,
                         refine_iters=refine_iters)

@@ -15,9 +15,9 @@ from tpsfem.exceptions import (DimensionMismatch, OutsideDomain,
 from tpsfem.gcv import GcvConfig
 from tpsfem.mesh import build_square_mesh, mesh_polygon, trim_to_irregular
 from tpsfem import solver
-from tpsfem.solver import (RESIDUAL_TOL, STATIC_PIVOTING, SaddleSystem,
-                           constraint_residual, evaluate, evaluate_grad,
-                           max_abs_residual, rmse)
+from tpsfem.solver import (FIELDS, RESIDUAL_TOL, STATIC_PIVOTING,
+                           SaddleSystem, constraint_residual, evaluate,
+                           evaluate_grad, max_abs_residual, rmse)
 
 from oracles import (dense_saddle_solve, linear_basis, one_call_interpolate,
                      rebuilt_saddle_system)
@@ -208,10 +208,21 @@ class TestRescaledSystem:
         assert x.tobytes() == expect.tobytes()
 
     def test_alpha_sequence_matches_fresh_builds(self):
+        # fresh systems, and one system rescaled in place through the same
+        # alphas, each rescale-and-solve one new factorisation
         fem, _ = rescale_case("square")
         fresh = {a: rebuilt_saddle_system(fem, a) for a in (1e-3, 10.0)}
-        for alpha in (1e-3, 10.0, 1e-3):
+        rescaled = SaddleSystem(fem, 1.0)
+        rescaled.solve()  # its matrix is copied and factorised at 1
+        for count, alpha in enumerate((1e-3, 10.0, 1e-3), start=2):
             assert_same_system(SaddleSystem(fem, alpha), *fresh[alpha])
+            rescaled.rescale(alpha)
+            assert_same_system(rescaled, *fresh[alpha])
+            s, expect = rescaled.solve(), SaddleSystem(fem, alpha).solve()
+            assert rescaled.factorizations == count
+            for name in FIELDS:
+                assert (getattr(s, name).tobytes()
+                        == getattr(expect, name).tobytes())
 
     def test_built_once_per_fem_system(self, monkeypatch):
         # the block layout is read and the node order found once; each
