@@ -4,10 +4,18 @@ All element integrals are evaluated in closed form: on a triangle of area T
 the basis gradients are constant and ``integral(b_p) = T / 3``, so the
 stiffness, gradient and data-projection matrices are exact.
 
-The stiffness and gradient matrices share one sparsity pattern, that of
-the node pairs of the triangles.  The mesh holds it with its other derived
-tables (``TriMesh.node_pairs``), so each matrix is one ``np.bincount`` of
-its (m, 3, 3) element matrices onto that pattern.
+The stiffness, gradient and data-projection matrices share one sparsity
+pattern, that of the node pairs of the triangles.  The mesh holds it with
+its other derived tables (``TriMesh.node_pairs``), so each matrix is one
+``np.bincount`` of its (m, 3, 3) element matrices onto that pattern.
+
+The data enter only through per-triangle moments (``mesh.cell_moments``):
+the point count, the sums of the products l_i l_j and of l_i y of the
+barycentric coordinates l of the points in each triangle.  ``data_term``
+turns them into A and d, for the fit (``assemble_A_d``, each point
+weighted 1/k) and for the auxiliary patch problems
+(``indicators.patch_system``, each point weighted by one over the points of
+its patch); no step builds a matrix with one row per data point.
 """
 
 from dataclasses import dataclass
@@ -17,9 +25,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import DegenerateTriangle, NoDataInDomain, OutsideTriangle
+from .mesh import cell_moments
 from .solver import EliminatedSystem
 
 AREA_TOL = 1e-14
+#: the ``mesh.cell_moments`` column of the product l_i l_j, by (i, j)
+PAIR_MOMENT = 1 + np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 def _check_areas(tab):
@@ -49,7 +60,8 @@ def basis_eval(mesh, tri_id, p):
 def _pattern_sum(mesh, elem):
     """Sum the (m, 3, 3) element matrices of the triangles of ``mesh``, row
     by row of its ``tri_table``, into an (n, n) CSR matrix on the mesh's
-    node-pair pattern."""
+    node-pair pattern.  Its index arrays are the pattern's own, so it must
+    not be restructured in place."""
     indptr, indices, at = mesh.node_pairs
     data = np.bincount(at.ravel(), elem.ravel(), minlength=len(indices))
     return sp.csr_matrix((data, indices, indptr),
@@ -79,9 +91,31 @@ def assemble_G(mesh, j):
     return _pattern_sum(mesh, elem)
 
 
+def data_term(mesh, moments, weight):
+    """A and d of data given by their ``mesh.cell_moments`` in the triangles
+    of ``mesh``, one row per ``tri_table`` row.
+
+    The products l_i l_j are summed onto the node-pair pattern as an
+    element matrix, and the l_i y onto the vertices; then row p of both is
+    multiplied by ``weight[p]``.  The sums at (p, q) and (q, p) run over
+    the same terms in the same order, so A is exactly symmetric where the
+    weights of p and q agree.  Explicit zeros, the pairs that no point
+    reaches, are dropped.
+    """
+    A = _pattern_sum(mesh, moments[:, PAIR_MOMENT])
+    A.data *= weight[np.repeat(np.arange(mesh.n_nodes), np.diff(A.indptr))]
+    # the index arrays are the mesh's own pattern: drop zeros from a copy
+    A = A.copy()
+    A.eliminate_zeros()
+    d = weight * np.bincount(mesh.tri_table.verts.ravel(),
+                             moments[:, 7:].ravel(), minlength=mesh.n_nodes)
+    return A, d
+
+
 @dataclass
 class Located:
-    """Data points resolved to the mesh, as the rows of the basis matrix.
+    """Data points resolved to one mesh state: what ``TriMesh.locate``
+    returns for the points inside the mesh.
 
     Attributes
     ----------
@@ -91,44 +125,43 @@ class Located:
         The ``tri_table`` row of the triangle holding each of those points,
         the lowest id among those that hold it (``TriMesh.locate``).  They
         group the points by triangle (``indicators.locate_by_tri``), so a
-        mesh state is located once.
-    basis : (k, n_nodes) csr_matrix
-        Row i holds the basis values b(x_i) of point ``indices[i]``: its
-        barycentric coordinates at the vertices of its triangle.  The data
-        enter the fit only through this matrix: ``A = BᵀB / k``,
-        ``d = Bᵀy / k`` and the fitted values ``B c``.
+        mesh state is located once.  Rows are valid only for the mesh
+        state the points were located on: a refinement renumbers them.
+    bary : (k, 3) ndarray
+        The barycentric coordinates of each point in its triangle, which
+        are its basis values at the triangle's vertices.  The data enter
+        the fit only through these: the moments of ``data_term`` and the
+        fitted values (``solver.predicted_values``).
     n_dropped : int
         Number of points outside the mesh (excluded from fits and metrics).
     """
     indices: np.ndarray
     rows: np.ndarray
-    basis: sp.csr_matrix
+    bary: np.ndarray
     n_dropped: int
 
     @property
     def n_used(self):
-        return self.basis.shape[0]
+        return len(self.indices)
 
     @classmethod
-    def from_rows(cls, mesh, rows, bary):
+    def from_rows(cls, rows, bary):
         """The record of one ``mesh.locate`` result: the ``tri_table`` row of
         each data point, -1 outside the mesh, and its (k, 3) barycentric
         coordinates there."""
         idx = np.flatnonzero(rows >= 0)
-        tab, k = mesh.tri_table, len(idx)
-        B = sp.csr_matrix((bary[idx].ravel(), tab.verts[rows[idx]].ravel(),
-                           np.arange(0, 3 * k + 1, 3)),
-                          shape=(k, mesh.n_nodes))
-        return cls(idx, rows[idx], B, len(rows) - k)
+        return cls(idx, rows[idx], bary[idx], len(rows) - len(idx))
 
 
 def locate_dataset(mesh, data):
     """Locate every data point; points outside the mesh are dropped."""
-    return Located.from_rows(mesh, *mesh.locate(data.x))
+    return Located.from_rows(*mesh.locate(data.x))
 
 
 def assemble_A_d(mesh, data, located=None):
-    """Data projection matrix A = BᵀB / k and vector d = Bᵀy / k.
+    """Data projection matrix A_pq = sum_i b_p(x_i) b_q(x_i) / k and vector
+    d_p = sum_i b_p(x_i) y_i / k, from the moments of the points in their
+    triangles (``data_term``).
 
     ``k`` counts the points actually located in the mesh; points outside are
     dropped (their count is reported on the Located record).
@@ -138,12 +171,9 @@ def assemble_A_d(mesh, data, located=None):
     k = located.n_used
     if k == 0:
         raise NoDataInDomain("no data point lies inside the mesh")
-    B = located.basis
     y = np.asarray(data.y, dtype=float)[located.indices]
-    # BᵀB adds the terms of A_pq and A_qp in the same point order, so A is
-    # exactly symmetric
-    A = (B.T @ B).tocsr() / k
-    return A, B.T @ y / k
+    moments = cell_moments(located.rows, located.bary.T, y, mesh.n_tris)
+    return data_term(mesh, moments, np.full(mesh.n_nodes, 1.0 / k))
 
 
 @dataclass

@@ -147,7 +147,7 @@ def initial_mesh(data, cfg):
     if cfg.domain == "irregular":
         mesh, rows, bary = trim_to_irregular(
             build_square_mesh(cfg.trim_level), data)
-        return mesh, Located.from_rows(mesh, rows, bary)
+        return mesh, Located.from_rows(rows, bary)
     if cfg.polygon is None:
         raise ValueError("polygon domain requires cfg.polygon loops")
     return mesh_polygon(cfg.polygon, refine_level=cfg.trim_level), None
@@ -233,7 +233,7 @@ def run(data, cfg=None):
         bv = values.boundary_values(mesh)
         fem = FemSystem.build(mesh, data, bv=bv, located=located)
         if cfg.alpha == "auto":
-            selection = select_alpha(fem, data, gcv_cfg,
+            selection = select_alpha(fem, cfg=gcv_cfg,
                                      seed=_seed_for(cfg.seed, 100 + iteration))
             alpha = float(selection)
             s = fitted(fem, alpha, selection.solution)

@@ -1,11 +1,12 @@
 """Smoothing parameter selection by generalised cross validation.
 
 The score is V(alpha) = n * ||y - yhat||^2 / (n - tr(Infl))^2 where yhat = Bc
-are the fitted values at the data points (B is the points-by-nodes basis
-matrix) and Infl is the influence matrix d(yhat)/dy.  The trace is the
-Hutchinson mean of z^T Infl z over the columns z of a probe matrix Z; the
-data and all probes of a candidate are one block right-hand side on one
-factorisation.  The probes are Rademacher vectors; with at least n probes
+are the fitted values at the data points (B_kp = b_p(x_k), the basis values
+at the points, which enter only as the points' barycentric coordinates in
+their triangles; B is never formed) and Infl is the influence matrix
+d(yhat)/dy.  The trace is the Hutchinson mean of z^T Infl z over the
+columns z of a probe matrix Z; the data and all probes of a candidate are
+one block right-hand side on one factorisation.  The probes are Rademacher vectors; with at least n probes
 they are the canonical basis scaled by sqrt(n), for which the mean is the
 exact trace.  Probes are drawn once per selection and shared across all
 candidate alphas, so the score is a smooth deterministic function of alpha;
@@ -20,10 +21,11 @@ factorisation and one block solve under the solver's contract, with the
 matrix, the right-hand side and the data solution bitwise those of a
 fresh ``SaddleSystem`` at alpha.  Its trace is n * mean(sum(W * C_I))
 over the probe solutions C_I, with no sparse product.  Its misfit comes
-from node-space sums, ||Bc - y||^2 = n c^T A c - 2 n c^T d + y^T y, as
-A = B^T B / n and d = B^T y / n are the FemSystem's and y^T y is stored
-with them, so no score touches the data points; it agrees with the basis
-misfit to rounding, not bitwise, and rounding below 0 is clamped to 0.
+from node-space sums, ||Bc - y||^2 = n c^T A c - 2 n c^T d + y^T y, as the
+FemSystem's A and d are the sums over the points of b_p b_q / n and b_p y /
+n (``assembly.assemble_A_d``) and y^T y is stored with them, so no score
+touches the data points; it agrees with the pointwise misfit to rounding,
+not bitwise, and rounding below 0 is clamped to 0.
 
 ``select_alpha`` returns a ``Selection``: the chosen alpha as a float,
 with the evaluated (alpha, score) pairs, the grid end it picked, if any,
@@ -140,7 +142,7 @@ class Selection(float):
         raise AttributeError("a Selection is frozen")
 
 
-def select_alpha(fem, data, cfg=None, seed=0):
+def select_alpha(fem, cfg=None, seed=0):
     """Golden-section search on log(alpha) between the grid's ends; returns
     a ``Selection``.
 
@@ -148,7 +150,7 @@ def select_alpha(fem, data, cfg=None, seed=0):
     search never moved away from, so that an edge pick is the end exactly.
     Ties resolve to the smallest alpha.  The data solution of each
     candidate that scores best so far is kept, so the winner's is at hand.
-    ``data`` is not read: y enters through the FemSystem's d and y^T y.
+    The data enter through the FemSystem's d and y^T y.
     """
     cfg = cfg or GcvConfig()
     rng = np.random.default_rng(seed)

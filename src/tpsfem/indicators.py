@@ -28,27 +28,29 @@ system.  Its Dirichlet values are the global surface's fields at the copied
 nodes; every node the refinement creates gets the mean of its bisected
 edge's endpoints from ``mesh.fill_new_nodes``, the rule the driver's
 refinement waves use, so each patch trace stays the piecewise linear trace
-of the global surface.  The system is assembled by ``assemble_L`` and
-``assemble_G``, which sum onto the one node-pair pattern of the refined
-stack, with each patch's data term averaged over its own points, and
-solved by one ``SaddleSystem`` under the solver's residual contract.
+of the global surface.  The system is assembled by ``assemble_L``,
+``assemble_G`` and ``assembly.data_term``, which all sum onto the one
+node-pair pattern of the refined stack, and solved by one ``SaddleSystem``
+under the solver's residual contract.
 
-The data term needs no basis matrix.  A point lies in the same one of the
-six sub-triangles that one pass can make of its triangle, whichever patch
-holds that triangle, so ``mesh.bisection_moments`` places each point of
-the patch triangles once per wave, from its barycentric coordinates in its
-triangle and their exact maps into the sub-triangles, and sums, per
-sub-triangle, the point count, the products l_i l_j and l_i y of its
-coordinates l there.  Each refined patch triangle adds the sums of its
-``bisect_once`` slot to A and d, weighted by 1 / (points in its patch).
+The data term is the fit's own kernel, fed with sub-triangle moments.  A
+point lies in the same one of the six sub-triangles that one pass can make
+of its triangle, whichever patch holds that triangle, so
+``mesh.bisection_moments`` places each point of the patch triangles once
+per wave, from its barycentric coordinates in its triangle and their exact
+maps into the sub-triangles, and takes, per sub-triangle, the
+``mesh.cell_moments``: the point count and the sums of the products l_i
+l_j and l_i y of its coordinates l there.  Each refined patch triangle
+takes the moments of its ``bisect_once`` slot, and ``data_term`` sums them
+into A and d with each node's row weighted by 1 / (points in its patch).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .assembly import FemSystem, assemble_G, assemble_L, locate_dataset
+from .assembly import (FemSystem, assemble_G, assemble_L, data_term,
+                       locate_dataset)
 from .boundary import BoundaryValues
 from .exceptions import EmptyField
 from .mesh import (TriMesh, _grouped, bisect_once, bisection_moments,
@@ -125,9 +127,10 @@ def patch_system(s, data, patches, located_by_tri):
     fields on every patch boundary.  The data enter through the moments of
     ``mesh.bisection_moments``, taken once for the points of every patch
     triangle in the ``locate_by_tri`` table: each refined triangle of a
-    patch adds the moments of its slot of its source triangle to A and d,
-    so every point counts once in every patch that holds its triangle.  A
-    and d average over each patch's own points, so each must hold one.
+    patch takes the moments of its slot of its source triangle, and
+    ``assembly.data_term`` sums them into A and d, so every point counts
+    once in every patch that holds its triangle.  A and d average over each
+    patch's own points, so each must hold one.
 
     Returns
     -------
@@ -159,23 +162,8 @@ def patch_system(s, data, patches, located_by_tri):
         np.asarray(data.y, dtype=float)[point])[at[origin], slot]
     node_patch = np.zeros(n, dtype=np.int64)
     node_patch[children] = patch[origin][:, None]
-    weight = 1.0 / np.bincount(patch[origin], moments[:, 0],
-                               minlength=len(patches))[node_patch]
-    # each node pair of a triangle with data is summed once, and A takes
-    # the sum at (p, q) and at (q, p), so A is exactly symmetric
-    i, j = np.triu_indices(3)
-    full = moments[:, 0] > 0
-    p, q = children[full][:, i].ravel(), children[full][:, j].ravel()
-    pairs, pair = np.unique(np.minimum(p, q) * n + np.maximum(p, q),
-                            return_inverse=True)
-    row, col = np.divmod(pairs, n)
-    values = weight[row] * np.bincount(pair, moments[full, 1:7].ravel())
-    off = row != col
-    A = sp.csr_matrix((np.concatenate([values, values[off]]),
-                       (np.concatenate([row, col[off]]),
-                        np.concatenate([col, row[off]]))), shape=(n, n))
-    d = weight * np.bincount(children.ravel(), moments[:, 7:].ravel(),
-                             minlength=n)
+    A, d = data_term(local, moments, 1.0 / np.bincount(
+        patch[origin], moments[:, 0], minlength=len(patches))[node_patch])
     trace = np.zeros((n, len(FIELDS)))
     trace[:len(nodes)] = np.column_stack([getattr(s, f)[nodes]
                                           for f in FIELDS])

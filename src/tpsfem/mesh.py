@@ -181,26 +181,38 @@ def _pick(first, second):
     return later, tuple(np.where(later, s, f) for f, s in zip(first, second))
 
 
+def cell_moments(cell, lam, y, size):
+    """Data moments of ``size`` cells: point k, with value ``y[k]`` and
+    coordinates (lam[0][k], lam[1][k], lam[2][k]), lies in cell
+    ``cell[k]``.
+
+    Returns a (size, 10) array: for each cell, the number of points, the
+    six products l_i l_j (i <= j: 00, 01, 02, 11, 12, 22) and the three
+    l_i y, each summed over its points in point order.
+    """
+    columns = [np.bincount(cell, minlength=size).astype(float)]
+    columns += [np.bincount(cell, lam[p] * lam[q], minlength=size)
+                for p, q in zip(*np.triu_indices(3))]
+    columns += [np.bincount(cell, l * y, minlength=size) for l in lam]
+    return np.stack(columns, axis=1)
+
+
 def bisection_moments(points, verts, at, xy, y):
     """Data moments of the sub-triangles that one bisection pass can make of
     the rows ``verts`` (SUB_TRIANGLES), on the node coordinates ``points``.
 
     Data point k, at ``xy[k]`` with value ``y[k]``, lies in row ``at[k]``.
     Its coordinates l in that row come from one ``_bary`` on the row's
-    frame, formed as ``TriTable.frame`` forms it; those in the children of
-    each level follow by the exact maps of ``_halves``.  It is placed once
-    on each level: in the child, slot 0 or 3, where its smallest
-    coordinate is largest, the first on a tie, then likewise in one of
-    that child's two children; on a shared edge either side gives the same
-    basis values.
+    ``_frame``; those in the children of each level follow by the exact
+    maps of ``_halves``.  It is placed once on each level: in the child,
+    slot 0 or 3, where its smallest coordinate is largest, the first on a
+    tie, then likewise in one of that child's two children; on a shared
+    edge either side gives the same basis values.
 
-    Returns an (m, 6, 10) array: for each row and slot, the number of
-    points, the six products l_i l_j (i <= j: 00, 01, 02, 11, 12, 22) and
-    the three l_i y, with l in the slot's vertex order.
+    Returns an (m, 6, 10) array: the ``cell_moments`` of each row and
+    slot, with l in the slot's vertex order.
     """
-    (x0, y0), (x1, y1), (x2, y2) = points[verts].transpose(1, 2, 0)
-    v0x, v0y, v1x, v1y = x1 - x0, y1 - y0, x2 - x0, y2 - y0
-    frame = np.stack([x0, y0, v0x, v0y, v1x, v1y, v0x * v1y - v0y * v1x])
+    frame = _frame(points[verts, 0], points[verts, 1])
     lam = _bary(frame.take(at, axis=1), xy[:, 0], xy[:, 1])
     # slot 0 is (v, a, m) with children slots 1 and 2; slot 3 is (b, v, m)
     # with children slots 4 and 5, and each child is a row (a, b, v) again
@@ -209,14 +221,18 @@ def bisection_moments(points, verts, at, xy, y):
     cell = len(SUB_TRIANGLES) * np.concatenate([at, at]) + np.concatenate(
         [3 * upper, 3 * upper + 1 + right])
     lam = np.concatenate([np.stack(lam1), np.stack(lam2)], axis=1)
-    y = np.concatenate([y, y])
     size = len(SUB_TRIANGLES) * len(verts)
-    columns = [np.bincount(cell, minlength=size).astype(float)]
-    columns += [np.bincount(cell, lam[p] * lam[q], minlength=size)
-                for p, q in zip(*np.triu_indices(3))]
-    columns += [np.bincount(cell, l * y, minlength=size) for l in lam]
-    return np.stack(columns, axis=1).reshape(len(verts), len(SUB_TRIANGLES),
-                                             -1)
+    return cell_moments(cell, lam, np.concatenate([y, y]), size).reshape(
+        len(verts), len(SUB_TRIANGLES), -1)
+
+
+def _frame(x, y):
+    """The barycentric frames (``TriTable.frame``) of the triangles whose
+    vertex coordinates are the rows of the (m, 3) arrays ``x`` and ``y``."""
+    v0x, v0y = x[:, 1] - x[:, 0], y[:, 1] - y[:, 0]
+    v1x, v1y = x[:, 2] - x[:, 0], y[:, 2] - y[:, 0]
+    return np.stack([x[:, 0], y[:, 0], v0x, v0y, v1x, v1y,
+                     v0x * v1y - v0y * v1x])
 
 
 def _bary(frame, x, y):
@@ -389,12 +405,8 @@ class TriMesh:
         with np.errstate(divide="ignore", invalid="ignore"):
             gx = bcoef / (2.0 * area[:, None])
             gy = ccoef / (2.0 * area[:, None])
-        v0x, v0y = x[:, 1] - x[:, 0], y[:, 1] - y[:, 0]
-        v1x, v1y = x[:, 2] - x[:, 0], y[:, 2] - y[:, 0]
-        frame = np.stack([x[:, 0], y[:, 0], v0x, v0y, v1x, v1y,
-                          v0x * v1y - v0y * v1x])
         return TriTable(self._ids, verts, x, y, area, gx, gy,
-                        self._key_ids[self._side_rows()], frame)
+                        self._key_ids[self._side_rows()], _frame(x, y))
 
     @property
     def edge_table(self):

@@ -10,6 +10,9 @@ The neighbour searches here use ``scipy.spatial.cKDTree``, imported on first
 use by ``_kdtree``: ``scipy.spatial`` loads ``scipy.special`` and
 ``scipy.constants`` too, about 0.1 s of start-up and 7 MiB of memory, and
 the TPSFEM fit never calls these baselines.
+
+The ``alpha`` of ``fit_global_tps`` is the spline's ``alpha_tps``, which at
+equal smoothing is 8 pi times the TPSFEM's alpha (see ``tps``).
 """
 
 import time

@@ -28,7 +28,13 @@ def environment_stamp():
 
 @dataclass
 class RunReport:
-    """Losslessly serialisable record of one run."""
+    """Losslessly serialisable record of one run.
+
+    ``final["tps_alpha"]`` is the alpha of the boundary spline and each
+    record's ``alpha`` that of the TPSFEM fit.  They are on different
+    scales: at equal smoothing the spline's alpha is 8 pi times the FEM
+    alpha (see ``tps``).
+    """
     config: dict
     records: list
     final: dict

@@ -344,11 +344,16 @@ class SaddleSystem:
         self.rescale(alpha)
 
     def probe_columns(self, probes):
-        """W = B_I^T Z / n for an (n, p) probe block Z: the rows of the
-        interior nodes of B^T Z, whose sums run over the points in the same
-        order as those of the sliced basis."""
+        """W = B_I^T Z / n for an (n, p) probe block Z, with B the basis
+        values at the located points: each column is the sum over the
+        points, in point order, of z_k times their barycentric coordinates
+        at their triangle's vertices, at the interior nodes."""
         loc = self.fem.located
-        return (loc.basis.T @ probes)[self.interior] / loc.n_used
+        verts = self.fem.mesh.tri_table.verts[loc.rows].ravel()
+        return np.column_stack([
+            np.bincount(verts, (loc.bary * z[:, None]).ravel(),
+                        minlength=self.fem.mesh.n_nodes)
+            for z in probes.T])[self.interior] / loc.n_used
 
     def rescale(self, alpha):
         """Move the system to ``alpha`` in place: every aL entry of the
@@ -491,8 +496,10 @@ def evaluate_grad(s, p):
 
 
 def predicted_values(s, located):
-    """Surface values at located data points."""
-    return located.basis @ s.c
+    """Surface values at located data points: their barycentric coordinates
+    times c at their triangles' vertices."""
+    return (located.bary * s.c[s.mesh.tri_table.verts[located.rows]]).sum(
+        axis=1)
 
 
 def _residuals(s, data, located):

@@ -16,6 +16,13 @@ Besides value and gradient kernels, a "Laplacian proxy"
 kernel -log(r) - 4 is evaluated for initialising the Lagrange multiplier at
 boundary nodes; it is kept exactly in this form (it is not the analytic
 Laplacian of r^2 log r, whose radial profile differs).
+
+The spline's smoothing parameter ``alpha_tps`` is not on the scale of the
+TPSFEM's alpha.  The kernel here is r^2 log r itself, while the bending
+energy that the FEM alpha weighs has the fundamental solution r^2 log r /
+(8 pi), so at equal smoothing ``alpha_tps`` is 8 pi times the FEM alpha.
+A run reports the boundary spline's ``tps_alpha`` beside the FEM alpha of
+its iterations; compare them through that factor.
 """
 
 import math

@@ -124,6 +124,19 @@ def coo_summed(verts, elem, n):
     return M
 
 
+def basis_matrix(mesh, located):
+    """The (k, n_nodes) CSR basis matrix B of ``located``, a ``Located`` on
+    ``mesh``: row i holds the barycentric coordinates of point
+    ``located.indices[i]`` at the vertices of its triangle.  The data term
+    was once BᵀB / k and Bᵀy / k of this matrix, and the fitted values and
+    probe columns B c and Bᵀ Z."""
+    k = len(located.indices)
+    return sp.csr_matrix((located.bary.ravel(),
+                          mesh.tri_table.verts[located.rows].ravel(),
+                          np.arange(0, 3 * k + 1, 3)),
+                         shape=(k, mesh.n_nodes))
+
+
 def located_ids(mesh, points):
     """``mesh.locate`` with the triangle ids in place of their rows of
     ``mesh.tri_table`` (-1 outside)."""

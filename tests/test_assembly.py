@@ -10,7 +10,7 @@ from tpsfem.exceptions import (DegenerateTriangle, NoDataInDomain,
 from tpsfem.mesh import TriMesh, build_square_mesh
 
 from conftest import make_two_triangle_square, make_unit_right_triangle
-from oracles import dense_A_d, dense_G, dense_L, located_ids
+from oracles import basis_matrix, dense_A_d, dense_G, dense_L, located_ids
 
 
 def random_refined_mesh(seed, waves=3):
@@ -143,7 +143,8 @@ class TestDataProjection:
         located = locate_dataset(mesh, data)
         A, d = assemble_A_d(mesh, data, located)
         # sum_q A_pq = (1/n) sum_i b_p(x_i)
-        bp = np.asarray(located.basis.sum(axis=0)).ravel() / located.n_used
+        bp = (np.asarray(basis_matrix(mesh, located).sum(axis=0)).ravel()
+              / located.n_used)
         assert np.allclose(np.asarray(A.sum(axis=1)).ravel(), bp, atol=1e-13)
         assert abs(d.sum() - data.y[located.indices].mean()) < 1e-13
 

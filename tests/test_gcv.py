@@ -114,7 +114,7 @@ class TestScoreWorkspace:
                             lambda *a, **k: systems.append(1) or build(*a, **k))
         monkeypatch.setattr(gcv, "gcv_score",
                             lambda *a: scores.append(a[1]) or score(*a))
-        select_alpha(fem, data, GcvConfig(probes=5, refine_iters=6))
+        select_alpha(fem, GcvConfig(probes=5, refine_iters=6))
         # one SaddleSystem per selection, rescaled for every candidate
         assert len(scores) >= 8 and len(systems) == 1
         # the node order is found once, then one factorisation per score
@@ -126,13 +126,13 @@ class TestScoreWorkspace:
         fem.eliminated.ordered  # the node order is found before the failure
         failing_splu(monkeypatch)
         with pytest.raises(SingularSystem, match="direct factorisation failed"):
-            select_alpha(fem, data, GcvConfig(probes=5))
+            select_alpha(fem, GcvConfig(probes=5))
 
     def test_missed_residual_raises_nonconvergence(self, monkeypatch):
         fem, data = workspace_case("trimmed")
         perturbed_splu(monkeypatch, lambda x: x * (1 + 1e-6))
         with pytest.raises(NonConvergence) as err:
-            select_alpha(fem, data, GcvConfig(probes=5))
+            select_alpha(fem, GcvConfig(probes=5))
         diag = err.value.diagnostics
         assert set(diag) == {"residual", "unknowns"}
         assert RESIDUAL_TOL < diag["residual"] < 1e-5
@@ -170,7 +170,7 @@ class TestBlockSolve:
             influence_trace(system, Z)
         assert (system.factorizations, system.residual) == (0, None)
         with pytest.raises(SingularSystem):
-            select_alpha(fem, data, GcvConfig(probes=6))
+            select_alpha(fem, GcvConfig(probes=6))
 
     def test_counters_report_factorizations_and_residual(self, monkeypatch):
         data, fem, Z = self.problem()
@@ -230,7 +230,7 @@ class TestSelectAlpha:
                                       seed=seed, coeffs=coeffs)
         cfg = GcvConfig(alpha_grid=np.geomspace(1e-8, 1.0, 9), probes=6,
                         refine_iters=4)
-        selection = select_alpha(fem, data, cfg, seed=seed)
+        selection = select_alpha(fem, cfg, seed=seed)
         scores = np.array([v for _, v in selection.scores])
         assert np.all(np.isfinite(scores)) and np.all(scores >= 0.0)
         s = solver.fitted(fem, float(selection), selection.solution)
@@ -238,7 +238,7 @@ class TestSelectAlpha:
 
     def test_selection_is_a_frozen_float(self):
         data, fem = noisy_problem(build_square_mesh(0), n=90, seed=9)
-        selection = select_alpha(fem, data, GcvConfig(probes=5), seed=3)
+        selection = select_alpha(fem, GcvConfig(probes=5), seed=3)
         assert isinstance(selection, float)
         assert selection == min(selection.scores, key=lambda p: p[::-1])[0]
         for name in ("scores", "edge", "solution", "other"):
@@ -252,7 +252,7 @@ class TestSelectAlpha:
         data, fem, _ = linear_problem(mesh, n=60, seed=2)
         cfg = GcvConfig(alpha_grid=np.geomspace(1e-8, 1.0, 9), probes=6,
                         refine_iters=4)
-        alpha = select_alpha(fem, data, cfg, seed=0)
+        alpha = select_alpha(fem, cfg, seed=0)
         s = SaddleSystem(fem, alpha).solve()
         assert rmse(s, data, fem.located) <= 1e-6
 
@@ -265,7 +265,7 @@ class TestSelectAlpha:
         fem = FemSystem.build(mesh, data, bv=zero_bv(mesh))
         grid = np.geomspace(1e-9, 1e-2, 8)
         cfg = GcvConfig(alpha_grid=grid, probes=20, refine_iters=2)
-        alpha = select_alpha(fem, data, cfg, seed=0)
+        alpha = select_alpha(fem, cfg, seed=0)
 
         rng = np.random.default_rng(8)
         xt_raw = rng.uniform(-2.4, 2.4, size=(1500, 2))
@@ -287,7 +287,7 @@ class TestSelectAlpha:
         mesh = build_square_mesh(2)
         fem = FemSystem.build(mesh, data, bv=zero_bv(mesh))
         cfg = GcvConfig(alpha_grid=np.array([1e-9, 1e-2]), probes=20)
-        alpha = select_alpha(fem, data, cfg, seed=0)
+        alpha = select_alpha(fem, cfg, seed=0)
         W = rademacher_system(fem, 20)
         scan = np.geomspace(1e-9, 1e-2, 61)
         scores = [gcv_score(W, a) for a in scan]
@@ -303,8 +303,8 @@ class TestSelectAlpha:
         data, fem = noisy_problem(mesh, n=90, seed=9)
         cfg = GcvConfig(alpha_grid=np.geomspace(1e-8, 1, 9), probes=5,
                         refine_iters=5)
-        a1 = select_alpha(fem, data, cfg, seed=3)
-        a2 = select_alpha(fem, data, cfg, seed=3)
+        a1 = select_alpha(fem, cfg, seed=3)
+        a2 = select_alpha(fem, cfg, seed=3)
         assert a1 == a2
 
     def test_saddle_system_formed_once_and_not_kept(self, monkeypatch):
@@ -329,7 +329,7 @@ class TestSelectAlpha:
                         refine_iters=5)
         for seed in (3, 4):
             factorizations.append(0)
-            selection = select_alpha(fem, data, cfg, seed=seed)
+            selection = select_alpha(fem, cfg, seed=seed)
             assert factorizations[-1] == len(selection.scores)
         assert len(made) == 2
         gc.collect()
@@ -340,7 +340,7 @@ class TestSelectAlpha:
         data, fem = noisy_problem(mesh, n=70, seed=4)
         cfg = GcvConfig(alpha_grid=np.geomspace(1e-6, 1, 7), probes=4,
                         refine_iters=6)
-        alpha = select_alpha(fem, data, cfg, seed=1)
+        alpha = select_alpha(fem, cfg, seed=1)
         assert 1e-6 <= alpha <= 1.0
 
     @pytest.mark.parametrize("grid", [[np.nan, 1.0], [1e-3, np.inf], [],
@@ -381,7 +381,7 @@ class TestGoldenSearch:
         monkeypatch.setattr("tpsfem.gcv.gcv_score", stub)
         cfg = GcvConfig(alpha_grid=self.GRID, probes=4,
                         refine_iters=refine_iters)
-        alpha = select_alpha(self.FEM, None, cfg)
+        alpha = select_alpha(self.FEM, cfg)
         # the selection hands over the winner's solution and the scores
         assert alpha.solution == ("solution at", alpha)
         assert [a for a, _ in alpha.scores] == sorted(set(calls))

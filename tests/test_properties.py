@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from tpsfem import assembly
-from tpsfem.assembly import (FemSystem, Located, assemble_G, assemble_L,
-                             locate_dataset)
+from tpsfem.assembly import (FemSystem, Located, assemble_A_d, assemble_G,
+                             assemble_L, locate_dataset)
 from tpsfem.boundary import BoundaryStrategy, constant_boundary_values
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.driver import _NodeValues
@@ -23,13 +23,14 @@ from tpsfem.indicators import (auxiliary_field, locate_by_tri, mark,
 from tpsfem.mesh import (BARY_TOL, SUB_TRIANGLES, TriMesh, bisect_once,
                          bisection_moments, build_square_mesh,
                          fill_new_nodes, mesh_polygon, trim_to_irregular)
-from tpsfem.solver import FIELDS, RESIDUAL_TOL, SaddleSystem, Smoother, rmse
+from tpsfem.solver import (FIELDS, RESIDUAL_TOL, SaddleSystem, Smoother,
+                           predicted_values, rmse)
 from tpsfem.tps import (SamplePlan, _quadtree_leaves, fit_tps, sample,
                         select_alpha_tps)
 
 from conftest import (all_angles, base_edge, make_fan_mesh,
                       make_interface_strip, total_area)
-from oracles import (RefMesh, assert_same_mesh, binned_locate,
+from oracles import (RefMesh, assert_same_mesh, basis_matrix, binned_locate,
                      containing_rows, coo_summed, copy_submesh, dict_field,
                      dict_mark, six_frame_moments,
                      linear_basis, located_dict, kdtree_near_boundary_ratio,
@@ -286,6 +287,50 @@ def test_pattern_assembly_matches_coo_oracle(kind, picks, seed):
                       <= 4 * np.spacing(largest[row]))
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(kind=mesh_kinds, picks=bisections, seed=st.integers(0, 2 ** 16))
+def test_data_term_matches_basis_matrix_oracle(kind, picks, seed):
+    # A and d from per-triangle moments against BᵀB / k and Bᵀy / k of the
+    # basis matrix B: the same indices, the same values up to the order of
+    # the sums, and A exactly symmetric; the fitted values and the probe
+    # columns bit for bit B c and (Bᵀ Z)[I] / k
+    mesh = located_mesh(kind, picks, seed)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(mesh.points.min(axis=0), mesh.points.max(axis=0),
+                    size=(200, 2))
+    data = DataSet(x, rng.normal(size=len(x)))
+    located = locate_dataset(mesh, data)
+    k = located.n_used
+    assume(k and len(mesh.interior_nodes()))
+    A, d = assemble_A_d(mesh, data, located)
+    B = basis_matrix(mesh, located)
+    y = data.y[located.indices]
+    ref = (B.T @ B).tocsr() / k
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    # row p sums at most n_p terms, one per point in the triangles at node
+    # p, and either order of the sum errs by less than n_p ulp of the sum
+    # of their magnitudes: for A the row's largest entry, as its terms
+    # b_p b_q are not negative; for d the sum of the |b_p y|
+    n_p = np.diff(B.tocsc().indptr)
+    row = np.repeat(np.arange(mesh.n_nodes), np.diff(ref.indptr))
+    largest = np.zeros(mesh.n_nodes)
+    np.maximum.at(largest, row, np.abs(ref.data))
+    assert np.all(np.abs(A.data - ref.data)
+                  <= 2 * (n_p * np.spacing(largest))[row])
+    assert np.array_equal(A.toarray(), A.toarray().T)
+    assert np.all(np.abs(d - B.T @ y / k)
+                  <= 2 * n_p * np.spacing(B.T @ np.abs(y) / k))
+    s = Smoother(mesh=mesh, alpha=1.0,
+                 **{f: rng.normal(size=mesh.n_nodes) for f in FIELDS})
+    assert predicted_values(s, located).tobytes() == (B @ s.c).tobytes()
+    fem = FemSystem.build(mesh, data, located=located,
+                          bv=constant_boundary_values(mesh, 0.0))
+    Z = rng.choice([-1.0, 1.0], size=(k, 5))
+    system = SaddleSystem(fem, 1.0, Z)
+    assert system.W.tobytes() == ((B.T @ Z)[system.interior] / k).tobytes()
+
+
 #: barycentric weights in eighths: vertices, edge midpoints and points of
 #: the bisectors of both levels, which two sub-triangles share
 eighths = np.array([(i, j, 8 - i - j) for i in range(9)
@@ -332,11 +377,12 @@ def test_node_space_misfit_matches_basis_misfit(kind, picks, seed):
     x = x[mesh.locate(x)[0] >= 0]
     assume(len(x))
     near = rng.normal(size=mesh.n_nodes)
-    basis = locate_dataset(mesh, DataSet(x, np.zeros(len(x)))).basis
+    basis = basis_matrix(mesh, locate_dataset(mesh, DataSet(
+        x, np.zeros(len(x)))))
     data = DataSet(x, basis @ near + 0.1 * rng.normal(size=len(x)))
     fem = FemSystem.build(mesh, data)
     for c in (near, rng.normal(size=mesh.n_nodes)):
-        ref = np.sum((fem.located.basis @ c - data.y) ** 2)
+        ref = np.sum((basis_matrix(mesh, fem.located) @ c - data.y) ** 2)
         assert abs(misfit(fem, c) - ref) <= 1e-12 * ref
 
 
@@ -779,14 +825,12 @@ def test_trim_matches_id_set_oracle(kind, level, picks, spots, seed):
 
 
 def assert_same_located(got, ref):
-    """Two ``Located`` records hold the same points, rows and basis, bit for
-    bit."""
+    """Two ``Located`` records hold the same points, rows and barycentric
+    coordinates, bit for bit."""
     assert np.array_equal(got.indices, ref.indices)
     assert np.array_equal(got.rows, ref.rows)
-    assert got.basis.shape == ref.basis.shape
-    for part in ("data", "indices", "indptr"):
-        assert (getattr(got.basis, part).tobytes()
-                == getattr(ref.basis, part).tobytes())
+    assert got.bary.shape == ref.bary.shape
+    assert got.bary.tobytes() == ref.bary.tobytes()
     assert got.n_dropped == ref.n_dropped
 
 
@@ -810,7 +854,7 @@ def test_trim_hands_over_a_fresh_location(level, picks, spots, grid, loose,
         trimmed, rows, bary = trim_to_irregular(mesh, data)
     except EmptyResult:  # no point inside the mesh
         assume(False)
-    handed = Located.from_rows(trimmed, rows, bary)
+    handed = Located.from_rows(rows, bary)
     assert_same_located(handed, locate_dataset(trimmed, data))
     assert_same_located(FemSystem.build(trimmed, data, located=handed).located,
                         handed)
@@ -835,7 +879,7 @@ def test_first_wave_table_from_the_fit_location(kind, picks, spots, grid,
             mesh, rows, bary = trim_to_irregular(mesh, data)
         except EmptyResult:
             assume(False)
-        located = Located.from_rows(mesh, rows, bary)
+        located = Located.from_rows(rows, bary)
     else:
         located = locate_dataset(mesh, data)
     order, start = locate_by_tri(mesh, located)
