@@ -19,14 +19,12 @@ its patch); no step builds a matrix with one row per data point.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import DegenerateTriangle, NoDataInDomain, OutsideTriangle
 from .mesh import cell_moments
-from .solver import EliminatedSystem
 
 AREA_TOL = 1e-14
 #: the ``mesh.cell_moments`` column of the product l_i l_j, by (i, j)
@@ -60,8 +58,8 @@ def basis_eval(mesh, tri_id, p):
 def _pattern_sum(mesh, elem):
     """Sum the (m, 3, 3) element matrices of the triangles of ``mesh``, row
     by row of its ``tri_table``, into an (n, n) CSR matrix on the mesh's
-    node-pair pattern.  Its index arrays are the pattern's own, so it must
-    not be restructured in place."""
+    node-pair pattern.  Its index arrays are the pattern's own, read-only,
+    so an in-place restructure raises ValueError; restructure a copy."""
     indptr, indices, at = mesh.node_pairs
     data = np.bincount(at.ravel(), elem.ravel(), minlength=len(indices))
     return sp.csr_matrix((data, indices, indptr),
@@ -180,11 +178,11 @@ def assemble_A_d(mesh, data, located=None):
 class FemSystem:
     """Assembled matrices of the smoothing problem on one mesh.
 
-    ``bv`` holds the Dirichlet boundary values, read once, at the first
-    solve, when the saddle system is built (their eliminated contributions
-    become the right-hand side).  ``yy`` is y^T y over the located data
-    values, which with A and d gives the data misfit of any nodal values
-    (``gcv.misfit``).
+    ``bv`` holds the Dirichlet boundary values, read when a
+    ``solver.SaddleSystem`` is built on the system (their eliminated
+    contributions become its right-hand side).  ``yy`` is y^T y over the
+    located data values, which with A and d gives the data misfit of any
+    nodal values (``gcv.misfit``).
     """
     mesh: object
     A: sp.csr_matrix
@@ -208,10 +206,3 @@ class FemSystem:
         return cls(mesh=mesh, A=A, d=d, L=assemble_L(mesh),
                    G1=assemble_G(mesh, 1), G2=assemble_G(mesh, 2),
                    located=located, bv=bv, yy=float(y @ y))
-
-    @cached_property
-    def eliminated(self):
-        """The saddle system at alpha = 1 with the boundary eliminated,
-        built on first use; every SaddleSystem of this FemSystem rescales
-        its own copies of it."""
-        return EliminatedSystem(self)

@@ -12,10 +12,11 @@ batched call (``new_boundary_node_values``); every other new node then
 warm-starts as the mean of its bisected edge's endpoints
 (``mesh.fill_new_nodes``), the rule the auxiliary patch problems use too.
 
-Every fit is the solve of one ``SaddleSystem``.  A GCV search rescales
-its selection's system from candidate to candidate and hands over the
-winning candidate's solution (``gcv.Selection``), so the selected alpha is
-not factorised again; a given alpha gets a system of its own.
+Every fit is the solve of one ``SaddleSystem``, the only one built on its
+FemSystem.  A GCV search rescales its selection's system from candidate to
+candidate and hands over the fit of the winning candidate's solution
+(``gcv.Selection.fit``), so the selected alpha is not factorised again; a
+given alpha gets a system of its own.
 
 The data are located at most once per mesh state.  Trimming hands its
 location to the first fit, and the first auxiliary wave of an iteration
@@ -41,8 +42,7 @@ from .indicators import (auxiliary_field, auxiliary_indicator, locate_by_tri,
                          mark, recovery_field, recovery_indicator)
 from .mesh import (build_square_mesh, fill_new_nodes, mesh_polygon,
                    trim_to_irregular)
-from .solver import (SaddleSystem, Smoother, fitted, max_abs_residual,
-                     rmse)
+from .solver import SaddleSystem, Smoother, max_abs_residual, rmse
 from .tps import SamplePlan, fit_tps, sample, select_alpha_tps
 
 logger = logging.getLogger("tpsfem")
@@ -235,8 +235,7 @@ def run(data, cfg=None):
         if cfg.alpha == "auto":
             selection = select_alpha(fem, cfg=gcv_cfg,
                                      seed=_seed_for(cfg.seed, 100 + iteration))
-            alpha = float(selection)
-            s = fitted(fem, alpha, selection.solution)
+            alpha, s = float(selection), selection.fit
         else:
             alpha = float(cfg.alpha)
             s = SaddleSystem(fem, alpha).solve()

@@ -12,16 +12,16 @@ exact trace.  Probes are drawn once per selection and shared across all
 candidate alphas, so the score is a smooth deterministic function of alpha;
 a golden-section search on log(alpha) between the grid's ends minimises it.
 
-Everything that does not depend on alpha is built once: the saddle system
-at alpha = 1 and its static node order once per FemSystem, and one
-``solver.SaddleSystem`` per selection, whose right-hand side holds the data
-column and the probe columns W = B_I^T Z / n.  A candidate rescales that
-system in place and solves it once (``gcv_score``): one static-pivot
-factorisation and one block solve under the solver's contract, with the
-matrix, the right-hand side and the data solution bitwise those of a
-fresh ``SaddleSystem`` at alpha.  Its trace is n * mean(sum(W * C_I))
-over the probe solutions C_I, with no sparse product.  Its misfit comes
-from node-space sums, ||Bc - y||^2 = n c^T A c - 2 n c^T d + y^T y, as the
+Everything that does not depend on alpha is built once per selection:
+one ``solver.SaddleSystem``, with its static node order, whose right-hand
+side holds the data column and the probe columns W = B_I^T Z / n.  A
+candidate rescales that system in place and solves it once
+(``gcv_score``): one static-pivot factorisation and one block solve under
+the solver's contract, with the matrix, the right-hand side and the data
+solution bitwise those of a fresh ``SaddleSystem`` at alpha.  Its trace is
+n * mean(sum(W * C_I)) over the probe solutions C_I, with no sparse
+product.  Its misfit comes from node-space sums,
+||Bc - y||^2 = n c^T A c - 2 n c^T d + y^T y, as the
 FemSystem's A and d are the sums over the points of b_p b_q / n and b_p y /
 n (``assembly.assemble_A_d``) and y^T y is stored with them, so no score
 touches the data points; it agrees with the pointwise misfit to rounding,
@@ -29,8 +29,9 @@ not bitwise, and rounding below 0 is clamped to 0.
 
 ``select_alpha`` returns a ``Selection``: the chosen alpha as a float,
 with the evaluated (alpha, score) pairs, the grid end it picked, if any,
-and the winning candidate's data solution (``solver.Solution``), from
-which ``solver.fitted`` makes the fit without factorising again.
+and the fit, which ``SaddleSystem.fitted`` makes from the winning
+candidate's data solution (``solver.Solution``) without factorising
+again.
 """
 
 import math
@@ -115,7 +116,7 @@ def gcv_score(system, alpha):
         return float("inf")
     c = np.empty(fem.mesh.n_nodes)
     c[system.interior] = x[0::4, 0]
-    c[system.boundary] = system.bvals["c"]
+    c[system.boundary] = system.bv.c
     return n * misfit(fem, c) / (n - tr) ** 2
 
 
@@ -123,15 +124,15 @@ class Selection(float):
     """The alpha a GCV search chose, as a float, and what the search found.
 
     ``scores`` holds the evaluated (alpha, score) pairs by ascending alpha;
-    ``edge`` is the grid end the search picked, or None; ``solution`` is
-    the winning candidate's data ``solver.Solution``, which
-    ``solver.fitted`` turns into the fit.  Frozen.
+    ``edge`` is the grid end the search picked, or None; ``fit`` is the
+    ``solver.Smoother`` at alpha, made by ``SaddleSystem.fitted`` from the
+    winning candidate's data ``solver.Solution``.  Frozen.
     """
-    __slots__ = ("scores", "edge", "solution")
+    __slots__ = ("scores", "edge", "fit")
 
-    def __new__(cls, alpha, scores, edge, solution):
+    def __new__(cls, alpha, scores, edge, fit):
         self = super().__new__(cls, alpha)
-        for name, value in zip(cls.__slots__, (scores, edge, solution)):
+        for name, value in zip(cls.__slots__, (scores, edge, fit)):
             object.__setattr__(self, name, value)
         return self
 
@@ -149,8 +150,8 @@ def select_alpha(fem, cfg=None, seed=0):
     It takes ``cfg.refine_iters + 2`` scores, plus one for a grid end the
     search never moved away from, so that an edge pick is the end exactly.
     Ties resolve to the smallest alpha.  The data solution of each
-    candidate that scores best so far is kept, so the winner's is at hand.
-    The data enter through the FemSystem's d and y^T y.
+    candidate that scores best so far is kept, and the winner's becomes
+    the fit.  The data enter through the FemSystem's d and y^T y.
     """
     cfg = cfg or GcvConfig()
     rng = np.random.default_rng(seed)
@@ -187,4 +188,5 @@ def select_alpha(fem, cfg=None, seed=0):
             score(end)
     alpha = float(min(cache, key=rank))
     edge = next((float(end) for end in (lo, hi) if alpha == end), None)
-    return Selection(alpha, tuple(sorted(cache.items())), edge, winner)
+    return Selection(alpha, tuple(sorted(cache.items())), edge,
+                     system.fitted(winner, alpha))

@@ -430,7 +430,8 @@ class TriMesh:
         the mesh changes): (indptr, indices, at), where ``at[r, i, j]`` is
         the position in the data of the pair (vertex i, vertex j) of
         ``tri_table`` row r, i = j included.  The stiffness and gradient
-        matrices are summed onto it (``assembly._pattern_sum``)."""
+        matrices are summed onto it (``assembly._pattern_sum``) and share
+        its arrays, which are read-only so that no matrix can change them."""
         if self._pairs is None:
             n = self.n_nodes
             keys = self._verts[:, :, None] * n + self._verts[:, None, :]
@@ -440,6 +441,8 @@ class TriMesh:
                 np.bincount(pairs // n, minlength=n))])
             self._pairs = (indptr.astype(index), (pairs % n).astype(index),
                            at.reshape(-1, 3, 3))
+            for array in self._pairs:
+                array.flags.writeable = False
         return self._pairs
 
     def refinable_edges(self):

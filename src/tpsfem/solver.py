@@ -10,26 +10,25 @@ over all nodes,
     [ L  -G1  -G2    0  ] [w ]   [0]
 
 This block layout is written down once, as the sign and transpose table
-``SADDLE_LAYOUT``; ``saddle_blocks`` builds the blocks from it.  The Dirichlet
-values of the boundary nodes are eliminated generically: the interior rows
-and columns of K form the matrix, and the boundary columns K_IB times the
+``SADDLE_LAYOUT``, which the system is built from.  The Dirichlet values of
+the boundary nodes are eliminated generically: the interior rows and
+columns of K form the matrix, and the boundary columns K_IB times the
 boundary values move to the right-hand side.  Right-hand sides and
 solutions are ordered in interleaved per-node blocks [c g1 g2 w].
 
-Only the two aL blocks depend on alpha, so the eliminated system is built
-once per FemSystem at alpha = 1 (``EliminatedSystem``), straight from the
-compressed arrays of A, L, G1 and G2, and its boundary values are read,
-checked and sorted by node with it, once.  A ``SaddleSystem`` is the one
-workspace of every alpha: it owns copies of the interior matrix and of
-K_IB, and ``rescale`` writes alpha times the value at 1 into their aL
-entries in place.  That product is the one a build at alpha would form,
-so at every alpha, in any order of rescales, the matrix values and the
-right-hand side are bitwise those of a build from scratch.  A given alpha,
-a stack of auxiliary patch problems and every candidate of a GCV search
-(which adds probe columns to the right-hand side) are each one
-SaddleSystem.
+A ``SaddleSystem`` is the one workspace of every alpha of a FemSystem.  It
+reads the compressed arrays of A, L, G1 and G2 once, checks and sorts the
+boundary values by node, and builds K_IB and the interior matrix at
+alpha = 1; only their two aL blocks depend on alpha, and ``rescale``
+writes alpha times the value at 1 into those entries in place.  That
+product is the one a build at alpha would form, so at every alpha, in any
+order of rescales, the matrix values and the right-hand side are bitwise
+those of a build from scratch.  A given alpha, a stack of auxiliary patch
+problems and a GCV search (which adds probe columns to the right-hand side
+and rescales from candidate to candidate) are each one SaddleSystem, and
+no run builds a second one on the same FemSystem.
 
-The interior matrix is held in a static order, found once per FemSystem.
+The interior matrix is held in a static order, found when it is built.
 The nodes follow SuperLU's minimum-degree order of the interior node graph
 (the pattern of all four blocks).  Each node keeps its four columns
 [c g1 g2 w] and has its c and w rows swapped, so that the diagonal reads
@@ -50,26 +49,26 @@ RESIDUAL_TOL) guards it.  ``SaddleSystem.factorize`` and ``solve_raw``
 hold this contract for every caller.
 
 A data solution (a ``Solution``) becomes a ``Smoother`` through
-``fitted``, whether it comes from ``SaddleSystem.solve`` or from the
-winning candidate of a GCV search.
+``SaddleSystem.fitted``, whether it comes from ``SaddleSystem.solve`` or
+from the winning candidate of a GCV search.
 """
 
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .assembly import locate_dataset
 from .exceptions import (DimensionMismatch, NonConvergence, OutsideDomain,
                          SingularSystem)
 
 RESIDUAL_TOL = 1e-9
 #: the unknowns of one node, in block, interleaving and static column order
 FIELDS = ("c", "g1", "g2", "w")
-#: the fields whose diagonal blocks ``saddle_blocks`` multiplies by alpha
+#: the fields whose diagonal blocks are multiplied by alpha
 ALPHA_FIELDS = ("g1", "g2")
 #: the row of each field of FIELDS in its node's block of the static order:
 #: c and w swap, so that every diagonal entry is an L_ii or an aL_ii
@@ -93,20 +92,6 @@ SADDLE_LAYOUT = (("c", "c", "A", 1, False), ("c", "w", "L", 1, False),
                  ("g2", "g2", "L", 1, False), ("g2", "w", "G2", -1, True),
                  ("w", "c", "L", 1, False), ("w", "g1", "G1", -1, False),
                  ("w", "g2", "G2", -1, False))
-
-
-def saddle_blocks(A, L, G1, G2, alpha):
-    """The 4x4 block layout of K at ``alpha`` (``SADDLE_LAYOUT``), rows and
-    columns in FIELDS order; None marks a zero block."""
-    given = {"A": A, "L": L, "G1": G1, "G2": G2}
-    blocks = [[None] * len(FIELDS) for _ in FIELDS]
-    for f, g, name, sign, transposed in SADDLE_LAYOUT:
-        block = given[name].T if transposed else given[name]
-        if f == g and f in ALPHA_FIELDS:
-            block = alpha * block
-        blocks[FIELDS.index(f)][FIELDS.index(g)] = (-block if sign < 0
-                                                    else block)
-    return blocks
 
 
 def _block_entries(fem):
@@ -146,137 +131,31 @@ def _compressed(kind, rows, cols, values, scaled, shape):
     return M, np.flatnonzero(scaled[order])
 
 
-class EliminatedSystem:
-    """The eliminated saddle system of one FemSystem at alpha = 1.
+def _node_order(i, j, k):
+    """SuperLU's minimum-degree order of the graph of the k interior nodes
+    whose pairs (i, j) hold an entry: interleaved node p goes to static node
+    perm_c[p].
 
-    Built once per FemSystem (``FemSystem.eliminated``), straight from the
-    compressed arrays of its matrices, block by block of ``SADDLE_LAYOUT``,
-    and checked once: the matrices and d must match the mesh, the mesh must
-    have interior nodes and ``fem.bv`` must cover exactly the boundary node
-    set.  It holds the interior and boundary node sets, ``bv`` sorted by
-    node and the boundary columns ``ib`` = K_IB (CSR, rows interleaved,
-    columns block by block: the c, g1, g2 and w values of the boundary
-    nodes), with ``ib_alpha`` the positions in its data of the aL entries.
-    The static order and the interior matrix in it (``ordered``) are built
-    on first use, because finding the order is a factorisation: its failure
-    surfaces where a factorisation is asked for.  Each ``SaddleSystem``
-    rescales its own copies of ``ib`` and of the ordered matrix.
+    The graph is factorised to find it: a symmetric matrix with the pattern
+    of all four blocks, strictly diagonally dominant so that it is SPD.
+    L_II alone does not have that pattern: L_pq vanishes across the
+    hypotenuse of a right triangle, where G1 and G2 do not.
     """
-
-    def __init__(self, fem):
-        mesh = fem.mesh
-        n = self.n_nodes = mesh.n_nodes
-        for name in ("A", "L", "G1", "G2"):
-            mat = getattr(fem, name)
-            if mat.shape != (n, n):
-                raise DimensionMismatch(f"{name} has shape {mat.shape}, "
-                                        f"mesh has {n} nodes")
-        if len(fem.d) != n:
-            raise DimensionMismatch("d length does not match node count")
-        bv = fem.bv
-        if bv is None:
-            raise DimensionMismatch("no boundary values supplied")
-        self.interior = mesh.interior_nodes()
-        self.boundary = mesh.boundary_nodes()
-        self.interior.flags.writeable = False
-        self.boundary.flags.writeable = False
-        if len(self.interior) == 0:
-            raise SingularSystem("mesh has no interior nodes")
-        order = np.argsort(bv.nodes)
-        if not np.array_equal(bv.nodes[order], self.boundary):
-            raise DimensionMismatch("boundary values do not cover the "
-                                    "boundary node set")
-        self.bv = replace(bv, nodes=self.boundary, **{
-            name: np.asarray(getattr(bv, name))[order]
-            for name in ("c", "g1", "g2", "w", "w_proxy")
-            if getattr(bv, name) is not None})
-        k, nb = len(self.interior), len(self.boundary)
-        f, g, row, col, value = _block_entries(fem)
-        pos = np.empty(n, dtype=np.int64)
-        pos[self.interior] = np.arange(k)
-        pos[self.boundary] = np.arange(nb)
-        on_boundary = np.asarray(mesh.node_boundary, dtype=bool)
-        scaled = (f == g) & np.isin(f, [FIELDS.index(name)
-                                        for name in ALPHA_FIELDS])
-        inner = ~on_boundary[row]
-        ii = inner & ~on_boundary[col]
-        ib = inner & on_boundary[col]
-        # block by block columns: a row's K_IB x_B then sums its terms in
-        # the order of a build that slices interleaved columns out of K
-        self.ib, self.ib_alpha = _compressed(
-            sp.csr_matrix, 4 * pos[row[ib]] + f[ib],
-            nb * g[ib].astype(np.int64) + pos[col[ib]], value[ib], scaled[ib],
-            (4 * k, 4 * nb))
-        self._interior_entries = (f[ii], g[ii], pos[row[ii]], pos[col[ii]],
-                                  value[ii], scaled[ii])
-
-    @cached_property
-    def ordered(self):
-        """(rows, cols, matrix, alpha entries) of the static order.
-
-        Static row r and column j are the interleaved rows[r] and cols[j],
-        so ``matrix`` is the interleaved interior matrix K_II[rows][:, cols]
-        at alpha = 1 (CSC, explicit zeros dropped); the alpha entries are
-        the positions in its data of the aL entries.
-
-        The node order is SuperLU's minimum-degree order of the interior
-        node graph, which is factorised with it: a symmetric matrix with
-        the pattern of all four blocks, strictly diagonally dominant so
-        that it is SPD.  L_II alone does not have that pattern: L_pq
-        vanishes across the hypotenuse of a right triangle, where G1 and
-        G2 do not.  Interleaved node p goes to static node perm_c[p].
-        """
-        f, g, i, j, value, scaled = self._interior_entries
-        k = len(self.interior)
-        graph = sp.csc_matrix((np.where(i == j, float(len(i)), 1.0), (i, j)),
-                              shape=(k, k))
-        try:
-            perm_c = spla.splu(graph, permc_spec="MMD_AT_PLUS_A",
-                               diag_pivot_thresh=0,
-                               options={"SymmetricMode": True}).perm_c
-        except RuntimeError as err:
-            raise SingularSystem(f"node order factorisation failed: {err}"
-                                 ) from err
-        matrix, alpha = _compressed(sp.csc_matrix, 4 * perm_c[i] + ROW_SLOT[f],
-                                    4 * perm_c[j] + g, value, scaled,
-                                    (4 * k, 4 * k))
-        nodes = np.empty(k, dtype=np.int64)
-        nodes[perm_c] = np.arange(k)
-        rows = (4 * nodes[:, None] + np.argsort(ROW_SLOT)).ravel()
-        cols = (4 * nodes[:, None] + np.arange(len(FIELDS))).ravel()
-        del self._interior_entries  # held in ``matrix`` from now on
-        return rows, cols, matrix, alpha
+    graph = sp.csc_matrix((np.where(i == j, float(len(i)), 1.0), (i, j)),
+                          shape=(k, k))
+    try:
+        return spla.splu(graph, permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0,
+                         options={"SymmetricMode": True}).perm_c
+    except RuntimeError as err:
+        raise SingularSystem(f"node order factorisation failed: {err}"
+                             ) from err
 
 
-#: one direct solve of the data right-hand side of an eliminated system:
-#: the interleaved interior solution x, its max-norm relative residual and
-#: the seconds its factorisation and solve took
+#: one direct solve of the data right-hand side of a ``SaddleSystem``: the
+#: interleaved interior solution x, its max-norm relative residual and the
+#: seconds its factorisation and solve took
 Solution = namedtuple("Solution", ["x", "residual", "seconds"])
-
-
-def fitted(fem, alpha, solution):
-    """The ``Smoother`` of the ``Solution`` of ``fem``'s eliminated system
-    at ``alpha``, from its one factorisation: the interior blocks of x
-    spread into nodal fields, with the boundary values of ``fem.bv`` (w at
-    ``alpha``) at the boundary nodes."""
-    unit = fem.eliminated
-    bv = unit.bv
-    bvals = {"c": bv.c, "g1": bv.g1, "g2": bv.g2, "w": bv.w_at(alpha)}
-    fields = {}
-    for pos, name in enumerate(FIELDS):
-        v = np.zeros(unit.n_nodes)
-        v[unit.interior] = solution.x[pos::4]
-        v[unit.boundary] = bvals[name]
-        fields[name] = v
-    s = Smoother(mesh=fem.mesh, alpha=alpha, info={
-        "solve_seconds": solution.seconds,
-        "unknowns": len(solution.x),
-        "nnz": int(unit.ordered[2].nnz),
-        "factorizations": 1,
-        "residual": solution.residual,
-    }, **fields)
-    s.info["constraint_residual"] = constraint_residual(s, fem)
-    return s
 
 
 @dataclass
@@ -302,13 +181,21 @@ class SaddleSystem:
     """Eliminated saddle system of one FemSystem at one alpha, rescalable in
     place to any other, with a reusable factorisation.
 
-    It owns copies of its FemSystem's K_IB and, from the first use of
-    ``matrix`` on, of the interior matrix in the static order; ``rows`` and
-    ``cols`` give the interleaved row and column of each of its rows and
-    columns.  The right-hand side ``rhs`` is interleaved: d in the c rows
-    minus K_IB x_B for ``fem.bv``, which the ``EliminatedSystem`` checked
-    and sorted.  With ``probes``, an (n, p) block Z of vectors over the n
-    located data points, ``rhs`` is (m, 1 + p): that data column, then p
+    It is built straight from the compressed arrays of the FemSystem's
+    matrices, block by block of ``SADDLE_LAYOUT``, and checked as it is
+    built: the matrices and d must match the mesh, the mesh must have
+    interior nodes and ``fem.bv`` must cover exactly the boundary node set.
+    It holds the interior and boundary node sets, ``bv`` sorted by node, the
+    boundary columns ``ib`` = K_IB (CSR, rows interleaved, columns block by
+    block: the c, g1, g2 and w values of the boundary nodes) and the
+    interior matrix ``matrix`` in the static order (CSC, explicit zeros
+    dropped), whose row r and column j are the interleaved ``rows[r]`` and
+    ``cols[j]``.  Finding that order is a factorisation, so a failure there
+    raises SingularSystem from the constructor.
+
+    The right-hand side ``rhs`` is interleaved: d in the c rows minus K_IB
+    x_B for ``bv``.  With ``probes``, an (n, p) block Z of vectors over the
+    n located data points, ``rhs`` is (m, 1 + p): that data column, then p
     probe columns holding W = B_I^T Z / n (``W``) in their c rows, the
     right-hand sides of data Z with zero boundary values.
 
@@ -319,20 +206,62 @@ class SaddleSystem:
     """
 
     def __init__(self, fem, alpha, probes=None):
-        unit = fem.eliminated
-        if fem.mesh.n_nodes != unit.n_nodes:
-            raise DimensionMismatch(f"mesh has {fem.mesh.n_nodes} nodes, its "
-                                    f"system was built for {unit.n_nodes}")
+        mesh = fem.mesh
+        n = mesh.n_nodes
+        for name in ("A", "L", "G1", "G2"):
+            mat = getattr(fem, name)
+            if mat.shape != (n, n):
+                raise DimensionMismatch(f"{name} has shape {mat.shape}, "
+                                        f"mesh has {n} nodes")
+        if len(fem.d) != n:
+            raise DimensionMismatch("d length does not match node count")
+        bv = fem.bv
+        if bv is None:
+            raise DimensionMismatch("no boundary values supplied")
         self.fem = fem
-        self.interior = unit.interior
-        self.boundary = unit.boundary
-        self.ib = unit.ib.copy()
-        # (values, positions, values at alpha = 1) of the aL entries of each
-        # copy; the matrix joins when it is copied
-        self._alpha_entries = [(self.ib.data, unit.ib_alpha,
-                                unit.ib.data[unit.ib_alpha])]
-        self._matrix = None
-        self.n_unknowns = m = self.ib.shape[0]
+        self.interior = mesh.interior_nodes()
+        self.boundary = mesh.boundary_nodes()
+        if len(self.interior) == 0:
+            raise SingularSystem("mesh has no interior nodes")
+        order = np.argsort(bv.nodes)
+        if not np.array_equal(bv.nodes[order], self.boundary):
+            raise DimensionMismatch("boundary values do not cover the "
+                                    "boundary node set")
+        self.bv = replace(bv, nodes=self.boundary, **{
+            name: np.asarray(getattr(bv, name))[order]
+            for name in ("c", "g1", "g2", "w", "w_proxy")
+            if getattr(bv, name) is not None})
+        k, nb = len(self.interior), len(self.boundary)
+        f, g, row, col, value = _block_entries(fem)
+        on_boundary = np.asarray(mesh.node_boundary, dtype=bool)
+        inner, outer = ~on_boundary[row], on_boundary[col]
+        pos = np.empty(n, dtype=np.int64)
+        pos[self.interior] = np.arange(k)
+        pos[self.boundary] = np.arange(nb)
+        row, col = pos[row], pos[col]
+        scaled = (f == g) & np.isin(f, [FIELDS.index(name)
+                                        for name in ALPHA_FIELDS])
+        ib = inner & outer
+        # block by block columns: a row's K_IB x_B then sums its terms in
+        # the order of a build that slices interleaved columns out of K
+        self.ib, ib_alpha = _compressed(
+            sp.csr_matrix, 4 * row[ib] + f[ib],
+            nb * g[ib].astype(np.int64) + col[ib], value[ib], scaled[ib],
+            (4 * k, 4 * nb))
+        ii = inner & ~outer
+        perm_c = _node_order(row[ii], col[ii], k)
+        self.matrix, matrix_alpha = _compressed(
+            sp.csc_matrix, 4 * perm_c[row[ii]] + ROW_SLOT[f[ii]],
+            4 * perm_c[col[ii]] + g[ii], value[ii], scaled[ii],
+            (4 * k, 4 * k))
+        nodes = np.empty(k, dtype=np.int64)
+        nodes[perm_c] = np.arange(k)
+        self.rows = (4 * nodes[:, None] + np.argsort(ROW_SLOT)).ravel()
+        self.cols = (4 * nodes[:, None] + np.arange(len(FIELDS))).ravel()
+        # (values, positions, values at alpha = 1) of the aL entries
+        self._alpha_entries = [(M.data, at, M.data[at]) for M, at in (
+            (self.ib, ib_alpha), (self.matrix, matrix_alpha))]
+        self.n_unknowns = m = 4 * k
         self.W = None
         self.rhs = np.zeros(m)
         if probes is not None:
@@ -355,43 +284,24 @@ class SaddleSystem:
                         minlength=self.fem.mesh.n_nodes)
             for z in probes.T])[self.interior] / loc.n_used
 
+    def _boundary_fields(self, alpha):
+        """The boundary values of FIELDS at ``alpha``, by sorted node."""
+        return self.bv.c, self.bv.g1, self.bv.g2, self.bv.w_at(alpha)
+
     def rescale(self, alpha):
-        """Move the system to ``alpha`` in place: every aL entry of the
-        copies becomes alpha times its value at 1, the product a build at
-        alpha forms; the data column of ``rhs`` becomes d - K_IB x_B at
-        alpha, and the factor and the kept solution are dropped."""
+        """Move the system to ``alpha`` in place: every aL entry of ``ib``
+        and ``matrix`` becomes alpha times its value at 1, the product a
+        build at alpha forms; the data column of ``rhs`` becomes d - K_IB
+        x_B at alpha, and the factor and the kept solution are dropped."""
         if not 0 < alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {alpha}")
         self.alpha = alpha
         for values, entries, unit in self._alpha_entries:
             values[entries] = unit * alpha
-        bv = self.fem.eliminated.bv
-        self.bvals = {"c": bv.c, "g1": bv.g1, "g2": bv.g2, "w": bv.w_at(alpha)}
-        x_b = np.concatenate([self.bvals[name] for name in FIELDS])
-        rhs = -(self.ib @ x_b)
+        rhs = -(self.ib @ np.concatenate(self._boundary_fields(alpha)))
         rhs[0::4] += self.fem.d[self.interior]
         self.rhs.reshape(len(rhs), -1)[:, 0] = rhs
         self._lu = self.solution = None
-
-    @property
-    def matrix(self):
-        """Interior matrix at alpha in the static order (CSC), copied at its
-        first use, which finds the static order."""
-        if self._matrix is None:
-            _, _, matrix, entries = self.fem.eliminated.ordered
-            unit = matrix.data[entries]
-            self._matrix = matrix.copy()
-            self._matrix.data[entries] = unit * self.alpha
-            self._alpha_entries.append((self._matrix.data, entries, unit))
-        return self._matrix
-
-    @property
-    def rows(self):
-        return self.fem.eliminated.ordered[0]
-
-    @property
-    def cols(self):
-        return self.fem.eliminated.ordered[1]
 
     def factorize(self):
         """LU factor of ``matrix``, pivoted statically, once per alpha;
@@ -442,8 +352,32 @@ class SaddleSystem:
         return x.reshape(b.shape), seconds
 
     def solve(self):
+        """The ``Smoother`` of the data column at the system's alpha."""
         self.solve_raw()
-        return fitted(self.fem, self.alpha, self.solution)
+        return self.fitted(self.solution, self.alpha)
+
+    def fitted(self, solution, alpha):
+        """The ``Smoother`` of a data ``Solution`` of this system at
+        ``alpha``, from its one factorisation: the interior blocks of x
+        spread into nodal fields, with the boundary values of ``bv`` (w at
+        ``alpha``) at the boundary nodes."""
+        mesh = self.fem.mesh
+        fields = {}
+        for pos, (name, values) in enumerate(zip(
+                FIELDS, self._boundary_fields(alpha))):
+            v = np.zeros(mesh.n_nodes)
+            v[self.interior] = solution.x[pos::4]
+            v[self.boundary] = values
+            fields[name] = v
+        s = Smoother(mesh=mesh, alpha=alpha, info={
+            "solve_seconds": solution.seconds,
+            "unknowns": len(solution.x),
+            "nnz": int(self.matrix.nnz),
+            "factorizations": 1,
+            "residual": solution.residual,
+        }, **fields)
+        s.info["constraint_residual"] = constraint_residual(s, self.fem)
+        return s
 
 
 def constraint_residual(s, fem):
@@ -504,7 +438,6 @@ def predicted_values(s, located):
 
 def _residuals(s, data, located):
     """Fitted minus observed values at the data points inside the mesh."""
-    from .assembly import locate_dataset
     if located is None:
         located = locate_dataset(s.mesh, data)
     return predicted_values(s, located) - np.asarray(data.y)[located.indices]

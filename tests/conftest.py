@@ -4,6 +4,7 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 from tpsfem.mesh import TriMesh, build_square_mesh
+from tpsfem.solver import STATIC_PIVOTING
 
 
 def make_two_triangle_square():
@@ -98,10 +99,15 @@ def coverage_gap(sample_points, reference_points):
     return float(d.max())
 
 
-def failing_splu(monkeypatch):
+def failing_splu(monkeypatch, static_only=False):
     """Make every sparse factorisation fail as SuperLU does on a singular
-    matrix."""
+    matrix; with ``static_only`` only the statically pivoted ones, so that a
+    SaddleSystem still finds its node order and fails in ``factorize``."""
+    splu = spla.splu
+
     def fail(*args, **kwargs):
+        if static_only and kwargs != STATIC_PIVOTING:
+            return splu(*args, **kwargs)
         raise RuntimeError("factor is exactly singular")
     monkeypatch.setattr(spla, "splu", fail)
 

@@ -16,7 +16,8 @@ from tpsfem.indicators import (_members, auxiliary_indicators,
                                recovery_indicator)
 from tpsfem.mesh import (BARY_TOL, SUB_TRIANGLES, TriMesh, _bary, _grouped,
                          bisect_once)
-from tpsfem.solver import FIELDS, SaddleSystem, saddle_blocks
+from tpsfem.solver import (ALPHA_FIELDS, FIELDS, SADDLE_LAYOUT,
+                           SaddleSystem)
 from tpsfem.tps import (ALPHA_TPS_GRID, R_CLAMP, TpsModel, _reflected_system,
                         _spline_system, _Tridiagonal)
 
@@ -224,6 +225,20 @@ def _interleaved(nodes, n):
     return (nodes[:, None] + n * np.arange(len(FIELDS))).ravel()
 
 
+def saddle_blocks(A, L, G1, G2, alpha):
+    """The 4x4 block layout of K at ``alpha`` (``SADDLE_LAYOUT``), rows and
+    columns in FIELDS order; None marks a zero block."""
+    given = {"A": A, "L": L, "G1": G1, "G2": G2}
+    blocks = [[None] * len(FIELDS) for _ in FIELDS]
+    for f, g, name, sign, transposed in SADDLE_LAYOUT:
+        block = given[name].T if transposed else given[name]
+        if f == g and f in ALPHA_FIELDS:
+            block = alpha * block
+        blocks[FIELDS.index(f)][FIELDS.index(g)] = (-block if sign < 0
+                                                    else block)
+    return blocks
+
+
 def rebuilt_saddle_system(fem, alpha, bv=None):
     """(matrix, rhs) of the eliminated saddle system built from scratch at
     ``alpha``: one bmat of the blocks, then interior rows, interior and
@@ -330,7 +345,7 @@ def saddle_gcv_score(fem, alpha, data, W):
     tr = float(n * np.mean(np.sum(W * x[0::4, 1:], axis=0)))
     c = np.zeros(fem.mesh.n_nodes)
     c[system.interior] = x[0::4, 0]
-    c[system.boundary] = system.bvals["c"]
+    c[fem.bv.nodes] = fem.bv.c
     misfit = max(n * float(c @ (fem.A @ c) - 2.0 * (c @ fem.d)) + fem.yy,
                  0.0)
     if tr >= n:

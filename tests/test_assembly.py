@@ -85,6 +85,26 @@ class TestStiffness:
         assert abs(L - L.T).max() < 1e-14
 
 
+    def test_shared_pattern_cannot_be_restructured_in_place(self):
+        # the matrix shares the mesh's cached node-pair arrays, which are
+        # read-only: an in-place restructure raises and leaves the pattern,
+        # and every later assembly on it, as it was
+        mesh = random_refined_mesh(3)
+        pattern = [a.copy() for a in mesh.node_pairs]
+        L = assemble_L(mesh)
+        ref = L.copy()
+        L.data[::7] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            L.eliminate_zeros()
+        for cached, kept in zip(mesh.node_pairs, pattern):
+            assert not cached.flags.writeable
+            assert cached.tobytes() == kept.tobytes()
+        again = assemble_L(mesh)
+        for name in ("data", "indices", "indptr"):
+            assert (getattr(again, name).tobytes()
+                    == getattr(ref, name).tobytes())
+
+
 class TestGradientMatrices:
     def test_zero_row_sums(self):
         mesh = build_square_mesh(0)

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from tpsfem import driver
+from tpsfem.assembly import FemSystem
 from tpsfem.data import DataSet, PeaksSpec, peaks_generate
 from tpsfem.driver import IterationRecord, RunConfig, run
 from tpsfem.indicators import auxiliary_field
@@ -207,18 +210,21 @@ class TestGcvHandOff:
         # each fit against a SaddleSystem solved at the selected alpha,
         # before refinement changes the mesh
         data, settings = workload_data(name)
-        fits, fit = [], driver.fitted
+        fits, fit = [], SaddleSystem.fitted
 
-        def checked(fem, alpha, solution):
-            s = fit(fem, alpha, solution)
-            ref = SaddleSystem(fem, alpha).solve()
-            fits.append((s, dict(s.info), ref, solution))
+        def checked(system, solution, alpha):
+            s = fit(system, solution, alpha)
+            if system.W is not None:  # the system of a GCV selection
+                ref = SaddleSystem(system.fem, alpha).solve()
+                fits.append((s, dict(s.info), ref, solution))
             return s
 
-        monkeypatch.setattr(driver, "fitted", checked)
-        _, records = run(data, RunConfig(alpha="auto", gamma=0.0, max_iters=1,
-                                         stagnation_iters=0, **settings))
+        monkeypatch.setattr(SaddleSystem, "fitted", checked)
+        smoother, records = run(data, RunConfig(
+            alpha="auto", gamma=0.0, max_iters=1, stagnation_iters=0,
+            **settings))
         assert len(fits) == len(records) == 2
+        assert smoother is fits[-1][0]
         for (s, info, ref, solution), record in zip(fits, records):
             for field in FIELDS:
                 assert np.array_equal(getattr(s, field), getattr(ref, field))
@@ -249,6 +255,40 @@ class TestGcvHandOff:
         assert len(systems) == len(selections)
         # per fit: the node order, then one factorisation per candidate
         assert len(lus) == sum(1 + len(s.scores) for s in selections)
+
+
+class TestOneSystemPerFemSystem:
+    """No run builds a second SaddleSystem on a FemSystem: a fit, a GCV
+    selection and a stack of auxiliary patch problems are one system each,
+    so each system builds its own alpha = 1 blocks and node order."""
+
+    @pytest.mark.parametrize("name, alpha", [("auxiliary-3k", "auto"),
+                                             ("lshape-15k", 1e-8)])
+    def test_each_fem_system_gets_exactly_one_saddle_system(
+            self, monkeypatch, name, alpha):
+        # the benchmark workloads at seed 0; the lists hold every FemSystem,
+        # so no id is reused while the run lasts
+        data, settings = workload_data(name)
+        made, solved = [], []
+        init, build = FemSystem.__init__, SaddleSystem.__init__
+
+        def made_fem(fem, *args, **kwargs):
+            made.append(fem)
+            init(fem, *args, **kwargs)
+
+        def built(system, fem, *args, **kwargs):
+            solved.append(fem)
+            build(system, fem, *args, **kwargs)
+
+        monkeypatch.setattr(FemSystem, "__init__", made_fem)
+        monkeypatch.setattr(SaddleSystem, "__init__", built)
+        _, records = run(data, RunConfig(alpha=alpha, gamma=0.0, max_iters=1,
+                                         stagnation_iters=0, **settings))
+        assert len(records) == 2
+        # two fits, and on auxiliary-3k the two waves' patch stacks
+        assert len(made) == (4 if name == "auxiliary-3k" else 2)
+        assert (Counter(map(id, solved))
+                == Counter({id(fem): 1 for fem in made}))
 
 
 class TestDeterminism:

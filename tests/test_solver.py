@@ -19,6 +19,7 @@ from tpsfem.solver import (FIELDS, RESIDUAL_TOL, STATIC_PIVOTING,
                            SaddleSystem, constraint_residual, evaluate,
                            evaluate_grad, max_abs_residual, rmse)
 
+from conftest import failing_splu
 from oracles import (dense_saddle_solve, linear_basis, one_call_interpolate,
                      rebuilt_saddle_system)
 from test_equivalence import HOLED_SQUARE
@@ -224,9 +225,10 @@ class TestRescaledSystem:
                 assert (getattr(s, name).tobytes()
                         == getattr(expect, name).tobytes())
 
-    def test_built_once_per_fem_system(self, monkeypatch):
-        # the block layout is read and the node order found once; each
-        # alpha is one factorisation
+    def test_built_once_per_saddle_system(self, monkeypatch):
+        # a system reads the block layout and finds the node order once,
+        # when it is built, and no rescale builds them again; each alpha is
+        # one factorisation
         fem, _ = rescale_case("square")
         calls, lus = [], []
         entries, splu = solver._block_entries, spla.splu
@@ -234,11 +236,18 @@ class TestRescaledSystem:
                             lambda *a, **k: calls.append(1) or entries(*a, **k))
         monkeypatch.setattr(spla, "splu",
                             lambda *a, **k: lus.append(k) or splu(*a, **k))
-        for alpha in (1e-3, 1.0, 1e-3):
-            SaddleSystem(fem, alpha).solve()
+        system = SaddleSystem(fem, 1e-3)
+        system.solve()
+        for alpha in (1.0, 1e-3):
+            system.rescale(alpha)
+            system.solve()
         assert len(calls) == 1
         assert lus[0]["permc_spec"] == "MMD_AT_PLUS_A"
         assert lus[1:] == [STATIC_PIVOTING] * 3
+        # a second system of the same FemSystem builds its own
+        SaddleSystem(fem, 1e-3)
+        assert len(calls) == 2
+        assert lus[4]["permc_spec"] == "MMD_AT_PLUS_A"
 
     def test_systems_do_not_share_values(self):
         fem, _ = rescale_case("square")
@@ -330,6 +339,13 @@ class TestStaticPivoting:
             system.solve()
         assert (system.factorizations, system.residual) == (0, None)
         assert calls == ["MMD_AT_PLUS_A", "NATURAL"]
+
+    def test_failed_node_order_raises_from_the_constructor(self, monkeypatch):
+        fem, _ = rescale_case("square")
+        failing_splu(monkeypatch)
+        with pytest.raises(SingularSystem,
+                           match="node order factorisation failed"):
+            SaddleSystem(fem, 1e-3)
 
 
 class TestSolve:
